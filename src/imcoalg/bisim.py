@@ -15,7 +15,7 @@ from .errors import IncompatibleValuations, ProjectionNotPMorphism
 from .frames import ModalFrame
 from .heyting import up_functor, up_functor_map
 from .logic import truth_mask
-from .poset import Poset, PosetMap, is_pmorphism, iter_bits, product
+from .poset import Poset, PosetMap, is_pmorphism, iter_bits
 
 
 @dataclass(frozen=True)
@@ -61,93 +61,96 @@ class Bisimulation:
         return {x for (x, b) in self.pairs if b == y}
 
 
-def _clause_violation(bis):
-    """First violated forth/back clause in deterministic order, or None.
+def _transpose(rows, n):
+    """Columns of a relation given by its rows: y in rows[x] iff x in out[y]."""
+    out = [0] * n
+    for x, row in enumerate(rows):
+        for y in iter_bits(row):
+            out[y] |= 1 << x
+    return out
 
-    Scans pairs ascending; for each related (x, x') checks, for S in
-    (order, modal relation): forth (successors of x must be matched from x')
-    and back (successors of x' matched from x).
+
+def _unions(rows, masks):
+    """Per mask, the union of rows[i] over its members."""
+    out = []
+    for mask in masks:
+        acc = 0
+        for i in iter_bits(mask):
+            acc |= rows[i]
+        out.append(acc)
+    return out
+
+
+def _forth(up, rel, other_down, other_pre, rows, full):
+    """Per x, the partners x' for which the forth clauses of (x, x') hold
+    under the relation ``rows``: every order successor of x has a partner
+    above x', and every modal successor of x has a partner among the modal
+    successors of x'.
+
+    other_down / other_pre are the down-sets and modal predecessors in the
+    partner frame.
     """
-    lp, rp = bis.left.poset, bis.right.poset
-    lrel, rrel = bis.left.rel, bis.right.rel
-    related = sorted(bis.pairs)
-    right_sets = {}
-    left_sets = {}
-    for x, y in related:
-        right_sets.setdefault(x, set()).add(y)
-        left_sets.setdefault(y, set()).add(x)
-    for x, x2 in related:
-        for step_left, step_right in (
-            (lp.up[x], rp.up[x2]),
-            (lrel[x], rrel[x2]),
-        ):
-            for y in iter_bits(step_left):
-                if not any(
-                    (step_right >> y2) & 1 for y2 in right_sets.get(y, ())
-                ):
-                    return (x, x2, y, "forth")
-            for y2 in iter_bits(step_right):
-                if not any(
-                    (step_left >> y) & 1 for y in left_sets.get(y2, ())
-                ):
-                    return (x, x2, y2, "back")
-    return None
+    below_partner = _unions(other_down, rows)
+    before_partner = _unions(other_pre, rows)
+    out = []
+    for x in range(len(up)):
+        acc = full
+        for y in iter_bits(up[x]):
+            acc &= below_partner[y]
+        for y in iter_bits(rel[x]):
+            acc &= before_partner[y]
+        out.append(acc)
+    return out
+
+
+def _refine(left, right, rows):
+    """One refinement step on a relation held as rows (rows[x] masks the
+    partners of x): keep the pairs whose forth clauses, read on the rows,
+    and back clauses, read on the columns, hold under the relation."""
+    lp, rp = left.poset, right.poset
+    forth = _forth(
+        lp.up, left.rel, rp.down, _transpose(right.rel, rp.n), rows,
+        rp.full_mask,
+    )
+    back = _forth(
+        rp.up, right.rel, lp.down, _transpose(left.rel, lp.n),
+        _transpose(rows, rp.n), lp.full_mask,
+    )
+    return [r & f & b for r, f, b in zip(rows, forth, _transpose(back, lp.n))]
 
 
 def is_box_bisimulation(bis):
-    """All four clauses (forth/back, for order and modal relation) hold."""
-    return _clause_violation(bis) is None
+    """All four clauses (forth/back, for order and modal relation) hold:
+    one refinement step removes no pair."""
+    rows = [0] * bis.left.poset.n
+    for x, y in bis.pairs:
+        rows[x] |= 1 << y
+    return _refine(bis.left, bis.right, rows) == rows
 
 
 def largest_bisimulation(left, right):
-    """Greatest fixpoint: start from the full relation and delete the first
-    pair participating in a violated clause, one per scan, in index order.
+    """Greatest fixpoint: start from the full relation and apply the
+    refinement step, which removes every pair with a violated clause at
+    once, until nothing changes.
 
-    Terminates within |X||Y| scans; the deterministic deletion order makes
-    failures reproducible. The result is the unique largest bisimulation.
+    Each step removes at least one pair or stops, so there are at most
+    |X||Y| + 1 steps. Every bisimulation survives every step, so the result
+    is the unique largest bisimulation.
     """
-    pairs = set(
-        (x, y) for x in range(left.poset.n) for y in range(right.poset.n)
-    )
-    lp, rp = left.poset, right.poset
-    lrel, rrel = left.rel, right.rel
+    rows = [right.poset.full_mask] * left.poset.n
     while True:
-        removed = None
-        for x, x2 in sorted(pairs):
-            ok = True
-            for step_left, step_right in (
-                (lp.up[x], rp.up[x2]),
-                (lrel[x], rrel[x2]),
-            ):
-                for y in iter_bits(step_left):
-                    if not any(
-                        (step_right >> y2) & 1
-                        for (a, y2) in pairs
-                        if a == y
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for y2 in iter_bits(step_right):
-                    if not any(
-                        (step_left >> y) & 1 for (y, b) in pairs if b == y2
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                removed = (x, x2)
-                break
-        if removed is None:
-            return Bisimulation(left, right, frozenset(pairs))
-        pairs.discard(removed)
+        refined = _refine(left, right, rows)
+        if refined == rows:
+            break
+        rows = refined
+    pairs = frozenset(
+        (x, y) for x, row in enumerate(rows) for y in iter_bits(row)
+    )
+    return Bisimulation(left, right, pairs)
 
 
 def relation_poset(bis):
     """The relation as a sub-poset of the product, componentwise order."""
-    prod = product(bis.left.poset, bis.right.poset)
     chosen = sorted(bis.pairs)
     labels = [
         (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
@@ -162,7 +165,6 @@ def relation_poset(bis):
                 if j is not None:
                     row |= 1 << j
         up_rows.append(row)
-    del prod
     return Poset(labels, up_rows, _trusted=True), chosen
 
 

@@ -8,7 +8,7 @@ over all label permutations).
 
 from itertools import permutations, product as iproduct
 
-from .poset import Poset, PosetMap, iter_bits
+from .poset import Poset, PosetMap, iter_bits, upset_masks
 
 
 def _relation_bits(up, perm, n):
@@ -114,7 +114,7 @@ def mix_relations(p):
     Equivalent to all monotone maps from p into its reverse-inclusion-ordered
     upsets: each rel[x] is an upset and x <= y forces rel[x] >= rel[y].
     """
-    upsets = [m for m in range(1 << p.n) if p.is_upset(m)]
+    upsets = upset_masks(p)
     out = []
 
     def extend(i, chosen):

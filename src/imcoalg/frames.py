@@ -12,6 +12,8 @@ reports violations and mix_closure computes the repaired relation on
 request, which is handy when authoring frame files by hand.
 """
 
+import functools
+
 from .complexes import TowerMap, nested_image
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -183,29 +185,15 @@ def check_coalgebra_morphism(f, frame1, frame2, depth=3):
 # -- neighbourhood frames ----------------------------------------------------
 
 
-_POWUP_CACHE = {}
-_POWUP_MAP_CACHE = {}
-_PREIMAGE_CACHE = {}
-
-
+@functools.lru_cache
 def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
     """Sets of upsets of p, ordered by inclusion of families.
 
     Element i of the value poset is the family whose members are read off
     ``masks[i]`` as indices into the upset carrier of p. Doubly exponential,
-    so the base is capped small. Memoized per poset.
+    so the base is capped small. Memoized on every argument, so a call with
+    tighter caps never returns a value built under looser ones.
     """
-    cached = _POWUP_CACHE.get(p)
-    if cached is not None:
-        return cached
-    value = _pow_up_raw(p, caps, max_base)
-    if len(_POWUP_CACHE) > 512:
-        _POWUP_CACHE.clear()
-    _POWUP_CACHE[p] = value
-    return value
-
-
-def _pow_up_raw(p, caps, max_base):
     if p.n > max_base:
         raise StageTooLarge(
             0, f"pow_up_functor base capped at {max_base} elements"
@@ -229,11 +217,9 @@ def _pow_up_raw(p, caps, max_base):
     return FunctorValue("powup", p, value, masks)
 
 
+@functools.lru_cache
 def _preimage_table(f):
     """Per target upset, the index of its preimage in the source upsets."""
-    cached = _PREIMAGE_CACHE.get(f)
-    if cached is not None:
-        return cached
     src_up = up_functor(f.source)
     tgt_up = up_functor(f.target)
     pre = []
@@ -243,13 +229,10 @@ def _preimage_table(f):
             if (m >> f.assign[x]) & 1:
                 pm |= 1 << x
         pre.append(src_up.index_of_mask(pm))
-    pre = tuple(pre)
-    if len(_PREIMAGE_CACHE) > 4096:
-        _PREIMAGE_CACHE.clear()
-    _PREIMAGE_CACHE[f] = pre
-    return pre
+    return tuple(pre)
 
 
+@functools.lru_cache
 def pow_up_map(f, source_value=None, target_value=None):
     """Morphism action of the neighbourhood functor.
 
@@ -257,9 +240,6 @@ def pow_up_map(f, source_value=None, target_value=None):
     preimages belong to it. (Elementwise direct image would not make the
     neighbourhood morphism condition match the coalgebra square.)
     """
-    cached = _POWUP_MAP_CACHE.get(f)
-    if cached is not None:
-        return cached
     if not is_monotone(f):
         raise NotMonotone("pow_up_map needs a monotone map")
     sv = source_value if source_value is not None else pow_up_functor(f.source)
@@ -273,11 +253,7 @@ def pow_up_map(f, source_value=None, target_value=None):
             if (fam >> pre[b]) & 1:
                 out |= 1 << b
         assign.append(tv.index_of_mask(out))
-    value = PosetMap(sv.poset, tv.poset, assign)
-    if len(_POWUP_MAP_CACHE) > 4096:
-        _POWUP_MAP_CACHE.clear()
-    _POWUP_MAP_CACHE[f] = value
-    return value
+    return PosetMap(sv.poset, tv.poset, assign)
 
 
 class NbhdFrame:

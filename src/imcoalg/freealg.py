@@ -35,6 +35,7 @@ from .poset import (
     is_pmorphism,
     iter_bits,
     product,
+    upset_masks,
 )
 
 MAX_GENERATORS = 3
@@ -307,9 +308,7 @@ def check_modal_stage_properties(stage):
         raise CapExceeded("previous stage too large to enumerate upsets")
     box_ok = True
     witness = None
-    for mask in range(1 << prev.n):
-        if not prev.is_upset(mask):
-            continue
+    for mask in upset_masks(prev):
         box = 0
         for e in range(stage.poset.n):
             if stage.rel[e] & ~mask == 0:

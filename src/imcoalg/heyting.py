@@ -8,19 +8,15 @@ Two distinct order conventions live here and must not be confused:
     the coalgebraic target for modal successor maps.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import NotMonotone, ValueNotUpset
-from .poset import Poset, PosetMap, Subset, iter_bits
+from .poset import Poset, PosetMap, Subset, iter_bits, upset_masks
 
 # operation tables are precomputed below this carrier size, computed on
 # demand (with memoisation) above it
 _TABLE_LIMIT = 128
-
-
-def upset_masks(p):
-    """Masks of all upsets of p, ascending."""
-    return tuple(m for m in range(1 << p.n) if p.is_upset(m))
 
 
 @dataclass(frozen=True)
@@ -50,26 +46,14 @@ class FunctorValue:
         return lo
 
 
-_UP_CACHE = {}
-
-
+@functools.lru_cache
 def up_functor(p):
     """The poset of upsets of p under reverse inclusion (C <= D iff C >= D).
 
-    Memoized on the poset (posets compare by value and are immutable); the
-    frame and bisimulation checks hit the same base repeatedly.
+    Memoized on the poset (posets compare by value and are immutable) in a
+    bounded LRU; the frame and bisimulation checks hit the same base
+    repeatedly.
     """
-    cached = _UP_CACHE.get(p)
-    if cached is not None:
-        return cached
-    value = _up_functor_raw(p)
-    if len(_UP_CACHE) > 4096:
-        _UP_CACHE.clear()
-    _UP_CACHE[p] = value
-    return value
-
-
-def _up_functor_raw(p):
     masks = upset_masks(p)
     labels = [frozenset(p.labels[i] for i in iter_bits(m)) for m in masks]
     up = []

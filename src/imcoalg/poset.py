@@ -3,8 +3,9 @@
 Conventions used throughout the package:
 
   - elements are indexed 0..n-1 in the order the labels were given;
-  - subsets of a poset are bitmasks over element indices, so brute-force
-    enumeration over all 2^n subsets stays feasible up to n of about 20;
+  - subsets of a poset are bitmasks over element indices; upsets are
+    enumerated in time linear in their number (upset_masks), not by a scan
+    over all 2^n subsets;
   - every value is immutable after construction, so any operation can run
     from parallel workers without coordination;
   - iteration is always in index order, which keeps all derived output
@@ -420,11 +421,32 @@ def relative_open(f, g):
     return True
 
 
+def upset_masks(p):
+    """Masks of all upsets of p, ascending.
+
+    Decides the elements from the highest index down, excluded branch
+    first, so the masks come out in ascending order. A partial choice is
+    consistent when no included element lies below an excluded one; every
+    consistent choice extends to an upset (close the included part upward),
+    so no branch dies and the work is at most n steps per upset found.
+    """
+    up, down = p.up, p.down
+    out = []
+    stack = [(p.n - 1, 0)]
+    while stack:
+        i, included = stack.pop()
+        if i < 0:
+            out.append(included)
+            continue
+        excluded = ~included & ~((2 << i) - 1)
+        if not up[i] & excluded:
+            stack.append((i - 1, included | 1 << i))
+        if not down[i] & included:
+            stack.append((i - 1, included))
+    return tuple(out)
+
+
 def enumerate_upsets(p):
     """All upward-closed subsets including {} and the carrier, ascending by
     member bitmask."""
-    out = []
-    for mask in range(1 << p.n):
-        if p.is_upset(mask):
-            out.append(Subset(p, mask))
-    return out
+    return [Subset(p, mask) for mask in upset_masks(p)]

@@ -14,10 +14,11 @@ from imcoalg.bisim import (
 from imcoalg.errors import IncompatibleValuations, ProjectionNotPMorphism
 from imcoalg.frames import ModalFrame, is_modal_pmorphism
 from imcoalg.logic import Model, enumerate_formulas
-from imcoalg.poset import PosetMap, Subset, make_poset, point_poset
+from imcoalg.poset import PosetMap, Subset, iter_bits, make_poset, point_poset
 from imcoalg.enumeration import (
     all_posets,
     frames_on,
+    frames_up_to_iso,
     random_mix_frame,
     random_poset,
 )
@@ -25,6 +26,149 @@ from imcoalg.enumeration import (
 
 def chain2():
     return make_poset(["a", "b"], [("a", "b")])
+
+
+def shifted_chain_frame(n, shift):
+    """Chain 0 < ... < n-1 with R[x] = up(x + shift), empty past the top."""
+    p = make_poset(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+    return ModalFrame(p, [p.up[x + shift] if x + shift < n else 0 for x in range(n)])
+
+
+# -- the pair-at-a-time fixpoint, kept as the oracle for the row kernel -------
+
+
+def _oracle_clause_violation(bis):
+    """First violated forth/back clause in deterministic order, or None.
+
+    Scans pairs ascending; for each related (x, x') checks, for S in
+    (order, modal relation): forth (successors of x must be matched from x')
+    and back (successors of x' matched from x).
+    """
+    lp, rp = bis.left.poset, bis.right.poset
+    lrel, rrel = bis.left.rel, bis.right.rel
+    related = sorted(bis.pairs)
+    right_sets = {}
+    left_sets = {}
+    for x, y in related:
+        right_sets.setdefault(x, set()).add(y)
+        left_sets.setdefault(y, set()).add(x)
+    for x, x2 in related:
+        for step_left, step_right in (
+            (lp.up[x], rp.up[x2]),
+            (lrel[x], rrel[x2]),
+        ):
+            for y in iter_bits(step_left):
+                if not any(
+                    (step_right >> y2) & 1 for y2 in right_sets.get(y, ())
+                ):
+                    return (x, x2, y, "forth")
+            for y2 in iter_bits(step_right):
+                if not any(
+                    (step_left >> y) & 1 for y in left_sets.get(y2, ())
+                ):
+                    return (x, x2, y2, "back")
+    return None
+
+
+def _oracle_largest_bisimulation(left, right):
+    """Greatest fixpoint: start from the full relation and delete the first
+    pair participating in a violated clause, one per scan, in index order.
+
+    Terminates within |X||Y| scans; the deterministic deletion order makes
+    failures reproducible. The result is the unique largest bisimulation.
+    """
+    pairs = set(
+        (x, y) for x in range(left.poset.n) for y in range(right.poset.n)
+    )
+    lp, rp = left.poset, right.poset
+    lrel, rrel = left.rel, right.rel
+    while True:
+        removed = None
+        for x, x2 in sorted(pairs):
+            ok = True
+            for step_left, step_right in (
+                (lp.up[x], rp.up[x2]),
+                (lrel[x], rrel[x2]),
+            ):
+                for y in iter_bits(step_left):
+                    if not any(
+                        (step_right >> y2) & 1
+                        for (a, y2) in pairs
+                        if a == y
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+                for y2 in iter_bits(step_right):
+                    if not any(
+                        (step_left >> y) & 1 for (y, b) in pairs if b == y2
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                removed = (x, x2)
+                break
+        if removed is None:
+            return Bisimulation(left, right, frozenset(pairs))
+        pairs.discard(removed)
+
+
+def _small_frames():
+    return [f for n in (1, 2) for p in all_posets(n) for f in frames_on(p)]
+
+
+class TestRowKernelAgainstOracle:
+    def test_largest_on_all_small_frame_pairs(self):
+        frames = _small_frames()
+        for f1 in frames:
+            for f2 in frames:
+                assert (
+                    largest_bisimulation(f1, f2).pairs
+                    == _oracle_largest_bisimulation(f1, f2).pairs
+                )
+
+    def test_largest_on_sampled_three_element_frames(self):
+        frames = [
+            f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
+        ]
+        assert len(frames) == 310
+        rng = random.Random(2406)
+        for _ in range(2000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            assert (
+                largest_bisimulation(f1, f2).pairs
+                == _oracle_largest_bisimulation(f1, f2).pairs
+            )
+
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_largest_on_chain_pairs(self, shift):
+        for n in range(1, 11):
+            for m in range(1, 11):
+                f1 = shifted_chain_frame(n, shift)
+                f2 = shifted_chain_frame(m, shift)
+                assert (
+                    largest_bisimulation(f1, f2).pairs
+                    == _oracle_largest_bisimulation(f1, f2).pairs
+                )
+
+    def test_clause_check_on_every_small_relation(self):
+        frames = _small_frames()
+        for f1 in frames:
+            for f2 in frames:
+                cells = [
+                    (x, y) for x in range(f1.poset.n) for y in range(f2.poset.n)
+                ]
+                for bits in range(1 << len(cells)):
+                    pairs = frozenset(
+                        c for i, c in enumerate(cells) if (bits >> i) & 1
+                    )
+                    bis = Bisimulation(f1, f2, pairs)
+                    assert is_box_bisimulation(bis) == (
+                        _oracle_clause_violation(bis) is None
+                    )
 
 
 def serial_chain_frame():

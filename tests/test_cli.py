@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,20 @@ class TestExport:
         )
 
 
+def shifted_chain_text(n, shift, prefix):
+    """Chain 0 < ... < n-1 with R[x] = up(x + shift), empty past the top."""
+    labels = [f"{prefix}{i}" for i in range(n)]
+    lines = ["[elements]", " ".join(labels), "[order]"]
+    lines += [f"{labels[i]} < {labels[i + 1]}" for i in range(n - 1)]
+    lines.append("[modal]")
+    lines += [
+        f"{labels[x]} R {labels[y]}"
+        for x in range(n)
+        for y in range(x + shift, n)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def run_cli(args, cwd):
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -226,6 +241,24 @@ class TestCliBehaviour:
         assert proc.returncode == 0
         assert "largest bisimulation" in proc.stdout
         assert "PASS coalgebraic-agreement" in proc.stdout
+
+    def test_bisim_long_chains_within_budget(self, tmp_path):
+        f1 = tmp_path / "c16.frame"
+        f1.write_text(shifted_chain_text(16, 2, "l"))
+        f2 = tmp_path / "c17.frame"
+        f2.write_text(shifted_chain_text(17, 2, "r"))
+        start = time.perf_counter()
+        proc = run_cli(
+            ["bisim", str(f1), str(f2), "--depth", "2"], str(tmp_path)
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        checks = [
+            line for line in proc.stdout.splitlines()
+            if line.startswith(("PASS", "FAIL"))
+        ]
+        assert checks and all(line.startswith("PASS") for line in checks)
+        assert elapsed < 10.0
 
     def test_bisim_distinguish(self, tmp_path):
         f1 = tmp_path / "one.frame"

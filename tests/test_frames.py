@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from imcoalg.config import Caps
 from imcoalg.errors import (
     MixLawViolation,
     NotMonotone,
@@ -239,6 +240,12 @@ class TestPowUp:
         p = make_poset(["a", "b", "c", "d"], [])
         with pytest.raises(StageTooLarge):
             pow_up_functor(p)
+
+    def test_memo_does_not_bypass_tighter_caps(self):
+        p = make_poset(["a", "b"], [])
+        assert pow_up_functor(p).poset.n == 16
+        with pytest.raises(StageTooLarge):
+            pow_up_functor(p, caps=Caps(max_stage=4))
 
     def test_constant_empty_family_frame(self):
         p = chain2()

@@ -1,6 +1,7 @@
 import pytest
 
 from imcoalg.errors import NotMonotone
+from imcoalg import heyting, poset
 from imcoalg.heyting import (
     UpsetAlgebra,
     box_op,
@@ -8,6 +9,7 @@ from imcoalg.heyting import (
     join_irreducibles,
     up_functor,
     up_functor_map,
+    upset_masks,
 )
 from imcoalg.frames import ModalFrame, check_mix_law
 from imcoalg.poset import (
@@ -25,7 +27,29 @@ def chain2():
     return make_poset(["a", "b"], [("a", "b")])
 
 
+class TestUpsetMasks:
+    def test_equals_subset_scan_up_to_five_elements(self):
+        for n in range(1, 6):
+            for p in all_posets(n):
+                assert upset_masks(p) == tuple(
+                    m for m in range(1 << p.n) if p.is_upset(m)
+                )
+
+    def test_bound_to_the_poset_kernel(self):
+        assert heyting.upset_masks is poset.upset_masks
+
+    def test_long_chain_is_output_sensitive(self):
+        n = 60
+        p = make_poset(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+        masks = upset_masks(p)
+        assert len(masks) == n + 1
+        assert masks[0] == 0 and masks[-1] == p.full_mask
+
+
 class TestUpFunctor:
+    def test_memo_is_bounded(self):
+        assert up_functor.cache_info().maxsize is not None
+
     def test_point(self):
         fv = up_functor(point_poset("x"))
         # bottom is the full upset, top the empty one, under reverse inclusion
