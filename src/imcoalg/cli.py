@@ -39,6 +39,7 @@ from .errors import (
     NotTransitive,
     ParseError,
     ProjectionNotPMorphism,
+    UsageError,
 )
 from .export import (
     JSON_SCHEMA,
@@ -115,8 +116,8 @@ class Report:
                 f"elapsed: {(time.monotonic() - self.started) * 1000.0:.1f} ms"
             )
         if getattr(args, "report", None):
-            with open(args.report, "w") as fh:
-                fh.write(dump_json(self.to_dict(timing=args.timing)))
+            doc = self.to_dict(timing=args.timing)
+            _write_file(args.report, dump_json(doc))
         return EXIT_OK if self.ok else EXIT_CHECK_FAILED
 
 
@@ -132,20 +133,32 @@ def _read_file(path):
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0)
 
 
+def _write_file(path, text, report=None):
+    """Write an output file, noting it in the report when one is given."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    if report is not None:
+        report.info(f"wrote {path}")
+
+
 def _caps(args):
     caps = DEFAULT_CAPS
     env = os.environ.get("IMCOALG_MAX_STAGE")
     if env is not None:
-        caps = caps.with_stage(int(env))
+        try:
+            caps = caps.with_stage(int(env))
+        except ValueError:
+            raise UsageError(
+                f"IMCOALG_MAX_STAGE must be an integer, got {env!r}"
+            ) from None
     if getattr(args, "max_stage", None) is not None:
         caps = caps.with_stage(args.max_stage)
     if getattr(args, "max_depth", None) is not None:
         caps = caps.with_depth(args.max_depth)
     return caps
-
-
-def _load(path):
-    return parse_frame_file(_read_file(path))
 
 
 def _order_check(report, ff):
@@ -307,13 +320,9 @@ def cmd_complex(args):
         )
     report.check("stages-valid", verify_complex(cx))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(complex_to_dot(cx))
-        report.info(f"wrote {args.dot}")
+        _write_file(args.dot, complex_to_dot(cx), report)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(dump_json(complex_to_json_dict(cx)))
-        report.info(f"wrote {args.json}")
+        _write_file(args.json, dump_json(complex_to_json_dict(cx)), report)
     return report.emit(args)
 
 
@@ -324,8 +333,10 @@ def cmd_lift(args):
     frame = _build_checked_frame(report, ff, "frame")
     if frame is None:
         return report.emit(args)
-    caps = _caps(args)
-    lifted = frame_to_lifted(frame, args.depth)
+    # the complex enforces the depth cap before any deep lifting starts
+    fv = up_functor(frame.poset)
+    cx = build_complex(terminal_map(fv.poset), args.depth, _caps(args))
+    lifted = frame_to_lifted(frame, args.depth, fv)
     for x in range(frame.poset.n):
         report.info(f"{format_label(frame.poset.labels[x])}:")
         for level in range(1, args.depth + 1):
@@ -335,8 +346,6 @@ def cmd_lift(args):
             )
     report.check("tower-compatible", lifted.compatible())
     report.check("coords-monotone", lifted.coords_monotone())
-    fv = up_functor(frame.poset)
-    cx = build_complex(terminal_map(fv.poset), args.depth, caps)
     resolved = lift_map(frame_to_upmap(frame, fv), cx, args.depth)
     report.check("limit-pmorphism", check_limit_pmorphism(resolved, args.depth))
     return report.emit(args)
@@ -376,13 +385,9 @@ def cmd_freealg(args):
                 stage_report.counterexamples.get(name),
             )
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(free_stages_to_dot(stages))
-        report.info(f"wrote {args.dot}")
+        _write_file(args.dot, free_stages_to_dot(stages), report)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(dump_json(free_stages_to_json_dict(stages)))
-        report.info(f"wrote {args.json}")
+        _write_file(args.json, dump_json(free_stages_to_json_dict(stages)), report)
     return report.emit(args)
 
 
@@ -395,17 +400,13 @@ def cmd_export(args):
         return report.emit(args)
     frame = ff.build_frame(poset)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(frame_to_dot(frame))
-        report.info(f"wrote {args.dot}")
+        _write_file(args.dot, frame_to_dot(frame), report)
     if args.json:
         vals = ff.valuation_masks(poset, close=args.close_valuations)
         doc = frame_to_json_dict(
             frame, valuations=vals, nbhd=ff.nbhd if ff.nbhd else None
         )
-        with open(args.json, "w") as fh:
-            fh.write(dump_json(doc))
-        report.info(f"wrote {args.json}")
+        _write_file(args.json, dump_json(doc), report)
     return report.emit(args)
 
 
@@ -421,6 +422,16 @@ def _add_common(sub, valuations=True):
             action="store_true",
             help="close valuation sets upward instead of rejecting them",
         )
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_caps(sub):
@@ -453,7 +464,7 @@ def build_parser():
     p = subs.add_parser("bisim", help="largest bisimulation of two frames")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--depth", type=int, default=2,
+    p.add_argument("--depth", type=_positive_int, default=2,
                    help="coalgebraic comparison depth (default 2)")
     p.add_argument("--distinguish", type=int, metavar="D",
                    help="search distinguishing formulas up to D connectives")
@@ -462,7 +473,7 @@ def build_parser():
 
     p = subs.add_parser("complex", help="terminal complex over the frame's upsets")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_positive_int, default=2)
     p.add_argument("--dot", metavar="OUT")
     p.add_argument("--json", metavar="OUT")
     _add_caps(p)
@@ -471,7 +482,7 @@ def build_parser():
 
     p = subs.add_parser("lift", help="lift the frame's coalgebra map")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_positive_int, default=2)
     _add_caps(p)
     _add_common(p, valuations=False)
     p.set_defaults(func=cmd_lift)
@@ -507,7 +518,9 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, FormulaSyntaxError, ConstructionError) as exc:
+    except (
+        ParseError, FormulaSyntaxError, ConstructionError, UsageError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ImcoalgError as exc:

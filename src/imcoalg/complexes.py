@@ -31,8 +31,11 @@ from .errors import (
 from .poset import (
     Poset,
     PosetMap,
+    containment_rows,
     is_monotone,
+    is_open_mask,
     iter_bits,
+    open_table,
     terminal_map,
 )
 
@@ -54,10 +57,11 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     Enumerates candidates root by root (a rooted subset is determined by its
     root plus a choice of elements above it), so the scanned space is
     sum over x of 2^(|up(x)|-1). Both that candidate count and the resulting
-    stage size are capped.
+    stage size are capped. Openness is tested against g's per-fibre masks
+    (open_table), and the order rows come from column bitsets over the base
+    (containment_rows).
     """
     base = g.source
-    proj = g.assign
     n = base.n
     total = 0
     for i in range(n):
@@ -66,24 +70,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
             raise StageTooLarge(
                 stage_index, f"more than {caps.max_candidates} candidate subsets"
             )
-    projbit = [1 << t for t in proj]
-    reach = []
-    for i in range(n):
-        acc = 0
-        for j in iter_bits(base.up[i]):
-            acc |= projbit[j]
-        reach.append(acc)
-
-    def images_match(mask):
-        # openness: for each member s, the proj-image of up(s) & mask must
-        # cover the proj-image of up(s)
-        for s in iter_bits(mask):
-            have = 0
-            for t in iter_bits(base.up[s] & mask):
-                have |= projbit[t]
-            if have != reach[s]:
-                return False
-        return True
+    table = open_table(g)
 
     found = []  # (mask, root)
     for root in range(n):
@@ -91,7 +78,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
         sub = 0
         while True:
             mask = sub | (1 << root)
-            if images_match(mask):
+            if is_open_mask(mask, table):
                 found.append((mask, root))
                 if len(found) > caps.max_stage:
                     raise StageTooLarge(
@@ -106,14 +93,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     labels = [
         frozenset(base.labels[i] for i in iter_bits(m)) for m in masks
     ]
-    up_rows = []
-    for m in masks:
-        row = 0
-        for j, d in enumerate(masks):
-            if d & ~m == 0:  # reverse inclusion
-                row |= 1 << j
-        up_rows.append(row)
-    stage_poset = Poset(labels, up_rows, _trusted=True)
+    stage_poset = Poset(labels, containment_rows(masks, n), _trusted=True)
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
     return RootedStage(base, stage_poset, masks, root_map)
 
@@ -625,7 +605,7 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
 
 
 def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
-    """Apply a registered endofunctor, then build the terminal complex over
+    """Apply an endofunctor, then build the terminal complex over
     the result: the depth-truncated intuitionistic lifting of the functor."""
     value = functor.apply(p)
     return build_complex(terminal_map(value.poset), depth, caps)
@@ -634,19 +614,13 @@ def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
 def verify_complex(cx):
     """Re-check, post construction, that every stage element is rooted and
     open relative to the incoming map, and that the recorded root is the
-    least member."""
-    from .poset import Subset, is_g_open, is_rooted
-
+    least member. The incoming map's openness table is built once per
+    stage."""
     for i in range(2, len(cx.stages)):
         base = cx.stages[i - 1]
-        incoming = cx.root_maps[i - 1]
+        table = open_table(cx.root_maps[i - 1])
+        roots = cx.root_maps[i].assign
         for idx, mask in enumerate(cx.member_masks[i]):
-            sub = Subset(base, mask)
-            root = is_rooted(base, sub)
-            if root is None:
-                return False
-            if not is_g_open(sub, incoming):
-                return False
-            if base.index(root) != cx.root_maps[i].assign[idx]:
+            if base.min_of(mask) != roots[idx] or not is_open_mask(mask, table):
                 return False
     return True

@@ -11,53 +11,68 @@ from itertools import permutations, product as iproduct
 from .poset import Poset, PosetMap, iter_bits, upset_masks
 
 
-def _relation_bits(up, perm, n):
-    """Relation matrix of the permuted poset, packed row-major."""
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    bits = 0
-    for i in range(n):
-        row = up[inv[i]]
-        for j in iter_bits(row):
-            bits |= 1 << (i * n + perm[j])
-    return bits
+def _permuted(up, perm):
+    """Rows (up-sets or successor sets) relabelled: x becomes perm[x]."""
+    out = [0] * len(up)
+    for x, row in enumerate(up):
+        moved = 0
+        for y in iter_bits(row):
+            moved |= 1 << perm[y]
+        out[perm[x]] = moved
+    return tuple(out)
+
+
+def _matrix_bits(up):
+    """Relation matrix packed row-major, diagonal included."""
+    return sum(row << (i * len(up)) for i, row in enumerate(up))
+
+
+def _slot_bits(up):
+    """Strict relation packed over the slots (i, j), i != j, row-major: the
+    index at which a scan over all 2^(n(n-1)) strict relations meets it."""
+    n = len(up)
+    return sum(
+        (row & ((1 << i) - 1) | row >> (i + 1) << i) << (i * (n - 1))
+        for i, row in enumerate(up)
+    )
 
 
 def canonical_poset_key(p):
-    n = p.n
-    return min(_relation_bits(p.up, perm, n) for perm in permutations(range(n)))
+    return min(
+        _matrix_bits(_permuted(p.up, perm)) for perm in permutations(range(p.n))
+    )
 
 
 def all_posets(n, labels=None):
-    """All posets on n elements up to isomorphism, deterministic order."""
+    """All posets on n elements up to isomorphism, deterministic order.
+
+    Every poset has a natural labelling (i <= j only when i <= j as
+    integers), so scanning the transitive relations inside i < j meets every
+    class. A new class enters with its whole orbit, so later members of it
+    are skipped without canonicalising; it is represented by the labelling
+    with the least _slot_bits, the one a scan over all strict relations
+    would meet first, and listed by canonical key.
+    """
     if labels is None:
         labels = tuple("abcdefgh"[:n])
+    perms = list(permutations(range(n)))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen = set()
     found = {}
-    # candidate strict relations on pairs i != j
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(slots)):
         up = [1 << i for i in range(n)]
         for k, (i, j) in enumerate(slots):
             if (bits >> k) & 1:
                 up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                if j != i and (up[j] >> i) & 1:
-                    ok = False
-                    break
-                if up[j] & ~up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(up[j] & ~up[i] for i in range(n) for j in iter_bits(up[i])):
+            continue  # not transitive
+        up = tuple(up)
+        if up in seen:
             continue
-        p = Poset(labels, up, _trusted=True)
-        key = canonical_poset_key(p)
-        if key not in found:
-            found[key] = p
+        orbit = {_permuted(up, perm) for perm in perms}
+        seen |= orbit
+        key = min(map(_matrix_bits, orbit))
+        found[key] = Poset(labels, min(orbit, key=_slot_bits), _trusted=True)
     return [found[k] for k in sorted(found)]
 
 
@@ -151,17 +166,7 @@ def frames_up_to_iso(p):
     seen = set()
     out = []
     for rel in mix_relations(p):
-        key = None
-        for perm in auts:
-            moved = [0] * p.n
-            for x in range(p.n):
-                m = 0
-                for y in iter_bits(rel[x]):
-                    m |= 1 << perm[y]
-                moved[perm[x]] = m
-            cand = tuple(moved)
-            if key is None or cand < key:
-                key = cand
+        key = min(_permuted(rel, perm) for perm in auts)
         if key not in seen:
             seen.add(key)
             out.append(ModalFrame.from_masks(p, rel))

@@ -101,6 +101,11 @@ class UnknownToken(FormulaSyntaxError):
     pass
 
 
+class UsageError(ImcoalgError):
+    """An unusable command-line value: an environment setting or an output
+    path that cannot be written."""
+
+
 class ParseError(ImcoalgError):
     """Bad frame file; line and column are 1-based."""
 

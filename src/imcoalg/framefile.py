@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ValueNotUpset
 from .frames import ModalFrame, NbhdFrame
 from .logic import Model
-from .poset import make_poset
+from .poset import iter_bits, make_poset
 
 _SECTIONS = ("elements", "order", "modal", "val", "nbhd")
 
@@ -82,18 +82,9 @@ class FrameFile:
                             f"neighbourhood of {lab!r} contains a non-upset"
                         )
                     mask = p.up_close(mask)
-                fixed.append([p.labels[i] for i in _bits(mask)])
+                fixed.append([p.labels[i] for i in iter_bits(mask)])
             families[lab] = fixed
         return NbhdFrame.from_label_families(p, families, strict=strict)
-
-
-def _bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def parse_frame_file(text):

@@ -20,10 +20,18 @@ from .errors import (
     MixLawViolation,
     NotMonotone,
     StageTooLarge,
+    UnknownLabel,
     ValueNotUpset,
 )
-from .heyting import Functor, FunctorValue, up_functor, up_functor_map
-from .poset import PosetMap, Poset, is_monotone, is_pmorphism, iter_bits
+from .heyting import FunctorValue, up_functor, up_functor_map
+from .poset import (
+    PosetMap,
+    Poset,
+    containment_rows,
+    is_monotone,
+    is_pmorphism,
+    iter_bits,
+)
 
 
 class ModalFrame:
@@ -33,7 +41,10 @@ class ModalFrame:
 
     def __init__(self, poset, rel):
         rel = tuple(rel)
-        assert len(rel) == poset.n
+        if len(rel) != poset.n:
+            raise UnknownLabel(
+                f"relation has {len(rel)} rows for {poset.n} elements"
+            )
         self.poset = poset
         self.rel = rel
 
@@ -126,7 +137,9 @@ def upmap_to_frame(m):
         raise ValueNotUpset("map target is not the canonical upset poset")
     rel = tuple(fv.masks[i] for i in m.assign)
     frame = ModalFrame(m.source, rel)
-    assert check_mix_law(frame)
+    witness = mix_law_witness(frame)
+    if witness is not None:
+        raise MixLawViolation(f"mix law fails at witness {witness}")
     return frame
 
 
@@ -206,14 +219,9 @@ def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
     labels = [
         frozenset(up_fv.poset.labels[i] for i in iter_bits(m)) for m in masks
     ]
-    up_rows = []
-    for m in masks:
-        row = 0
-        for j in masks:
-            if m & ~j == 0:  # family inclusion
-                row |= 1 << j
-        up_rows.append(row)
-    value = Poset(labels, up_rows, _trusted=True)
+    # family inclusion m <= j is containment of complements, j^c in m^c
+    rows = containment_rows([(size - 1) ^ m for m in masks], up_fv.poset.n)
+    value = Poset(labels, rows, _trusted=True)
     return FunctorValue("powup", p, value, masks)
 
 
@@ -269,7 +277,10 @@ class NbhdFrame:
 
     def __init__(self, poset, families, strict=False):
         families = tuple(families)
-        assert len(families) == poset.n
+        if len(families) != poset.n:
+            raise UnknownLabel(
+                f"{len(families)} families for {poset.n} elements"
+            )
         up_fv = up_functor(poset)
         for x in range(poset.n):
             for y in iter_bits(poset.up[x]):
@@ -362,28 +373,3 @@ def check_nbhd_coalgebra_morphism(f, nf1, nf2, depth=1):
             if nested_image(u, level, t1.value(level, x)) != t2.value(level, fx):
                 return False
     return True
-
-
-def _pow_up_apply(p):
-    return pow_up_functor(p)
-
-
-POW_UP_FUNCTOR = Functor("powup", _pow_up_apply)
-
-FUNCTOR_REGISTRY = {}
-
-
-def register_functor(functor):
-    FUNCTOR_REGISTRY[functor.name] = functor
-    return functor
-
-
-def _populate_registry():
-    from .heyting import IDENTITY_FUNCTOR, UP_FUNCTOR
-
-    register_functor(UP_FUNCTOR)
-    register_functor(IDENTITY_FUNCTOR)
-    register_functor(POW_UP_FUNCTOR)
-
-
-_populate_registry()

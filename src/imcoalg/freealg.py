@@ -30,6 +30,7 @@ from .heyting import up_functor, up_functor_map
 from .poset import (
     Poset,
     PosetMap,
+    containment_rows,
     identity_map,
     is_monotone,
     is_pmorphism,
@@ -51,19 +52,15 @@ def generator_poset(variables):
         raise TooManyGenerators(
             f"at most {MAX_GENERATORS} generators supported"
         )
-    subsets = []
-    for mask in range(1 << len(variables)):
-        subsets.append(
-            frozenset(v for i, v in enumerate(variables) if (mask >> i) & 1)
-        )
-    up_rows = []
-    for a in subsets:
-        row = 0
-        for j, b in enumerate(subsets):
-            if a >= b:  # reverse inclusion
-                row |= 1 << j
-        up_rows.append(row)
-    return Poset(subsets, up_rows, _trusted=True)
+    masks = range(1 << len(variables))
+    subsets = [
+        frozenset(v for i, v in enumerate(variables) if (mask >> i) & 1)
+        for mask in masks
+    ]
+    # reverse inclusion: a <= b iff a contains b
+    return Poset(
+        subsets, containment_rows(masks, len(variables)), _trusted=True
+    )
 
 
 @dataclass
@@ -288,8 +285,6 @@ def check_modal_stage_properties(stage):
     """Structural facts about a built layer: monotone projection, the step
     relation is upset-valued, and box along it carries upsets of the
     previous layer to upsets of this one."""
-    from .poset import is_monotone
-
     report = StageReport(stage.index)
     report.record("projection-monotone", is_monotone(stage.projection))
     if stage.rel is None:

@@ -12,7 +12,14 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import NotMonotone, ValueNotUpset
-from .poset import Poset, PosetMap, Subset, iter_bits, upset_masks
+from .poset import (
+    Poset,
+    PosetMap,
+    Subset,
+    containment_rows,
+    iter_bits,
+    upset_masks,
+)
 
 # operation tables are precomputed below this carrier size, computed on
 # demand (with memoisation) above it
@@ -56,14 +63,7 @@ def up_functor(p):
     """
     masks = upset_masks(p)
     labels = [frozenset(p.labels[i] for i in iter_bits(m)) for m in masks]
-    up = []
-    for m in masks:
-        row = 0
-        for j, d in enumerate(masks):
-            if d & ~m == 0:  # m contains d, so m <= d
-                row |= 1 << j
-        up.append(row)
-    value = Poset(labels, up, _trusted=True)
+    value = Poset(labels, containment_rows(masks, p.n), _trusted=True)
     return FunctorValue("up", p, value, masks)
 
 
@@ -168,39 +168,35 @@ def join_irreducibles(algebra):
 
     In Up(P) these are exactly the principal upsets, so the result is
     order-isomorphic to the base poset; elements are relabeled by the
-    generator (the irreducible's least element).
+    generator (the irreducible's least element). An algebra whose
+    irreducibles are not principal upsets of its base raises ValueNotUpset.
     """
     base = algebra.base
+    masks = algebra.masks
     irred = []
-    for m in algebra.masks:
-        if m == 0:
-            continue
+    for k, row in enumerate(containment_rows(masks, base.n)):
+        m = masks[k]
         below = 0
-        for d in algebra.masks:
-            if d != m and d & ~m == 0:
-                below |= d
-        if below != m:
+        for j in iter_bits(row & ~(1 << k)):
+            below |= masks[j]
+        if m and below != m:
             irred.append(m)
     labels = []
     for m in irred:
         root = base.min_of(m)
-        assert root is not None and base.up_mask(root) == m, "irreducible not principal"
+        if root is None or base.up_mask(root) != m:
+            raise ValueNotUpset(
+                f"join-irreducible {m:#x} is not a principal upset of the base"
+            )
         labels.append(base.labels[root])
-    up = []
-    for m in irred:
-        row = 0
-        for j, d in enumerate(irred):
-            if d & ~m == 0:  # reverse inclusion: m <= d iff m >= d
-                row |= 1 << j
-        up.append(row)
-    return Poset(labels, up, _trusted=True)
+    return Poset(labels, containment_rows(irred, base.n), _trusted=True)
 
 
 @dataclass(frozen=True)
 class Functor:
-    """A registered poset endofunctor: a name plus an object action.
+    """A poset endofunctor: a name plus an object action.
 
-    ``apply`` returns a FunctorValue; composition chains object actions.
+    ``apply`` returns a FunctorValue.
     """
 
     name: str
@@ -216,14 +212,3 @@ def _identity_apply(p):
 
 UP_FUNCTOR = Functor("up", up_functor)
 IDENTITY_FUNCTOR = Functor("id", _identity_apply)
-
-
-def compose_functors(outer, inner):
-    def apply(p):
-        first = inner.apply(p)
-        second = outer.apply(first.poset)
-        return FunctorValue(
-            f"{outer.name}({inner.name})", p, second.poset, second.masks
-        )
-
-    return Functor(f"{outer.name}({inner.name})", apply)

@@ -6,6 +6,9 @@ Conventions used throughout the package:
   - subsets of a poset are bitmasks over element indices; upsets are
     enumerated in time linear in their number (upset_masks), not by a scan
     over all 2^n subsets;
+  - a poset carried by masks takes its order rows from column bitsets
+    (containment_rows), and g-openness is read off per-fibre masks
+    (open_table);
   - every value is immutable after construction, so any operation can run
     from parallel workers without coordination;
   - iteration is always in index order, which keeps all derived output
@@ -313,10 +316,6 @@ def identity_map(p):
     return PosetMap(p, p, range(p.n))
 
 
-def constant_map(source, target, label):
-    return PosetMap(source, target, [target.index(label)] * source.n)
-
-
 def terminal_map(source, point=None):
     """The unique map into a one-element poset."""
     if point is None:
@@ -390,14 +389,34 @@ def is_g_open(s, g):
     For each s in S and each b >= s there must be s' in S with s <= s' and
     g(s') = g(b). Equivalently the g-image of ↑s ∩ S equals that of ↑s.
     """
-    p = g.source
-    if s.carrier != p:
+    if s.carrier != g.source:
         raise UnknownLabel("subset carrier differs from the map's source")
-    for i in iter_bits(s.mask):
-        need = g.image_mask(p.up[i])
-        have = g.image_mask(p.up[i] & s.mask)
-        if need != have:
-            return False
+    return is_open_mask(s.mask, open_table(g))
+
+
+def open_table(g):
+    """Per source element i, the masks ↑i ∩ g⁻¹(t) for each t in g[↑i]
+    other than g(i), whose fibre already holds i itself."""
+    p = g.source
+    fibre = {}
+    for j, t in enumerate(g.assign):
+        fibre[t] = fibre.get(t, 0) | 1 << j
+    table = []
+    for i in range(p.n):
+        up = p.up[i]
+        targets = {g.assign[j] for j in iter_bits(up)}
+        targets.discard(g.assign[i])
+        table.append(tuple(up & fibre[t] for t in targets))
+    return tuple(table)
+
+
+def is_open_mask(mask, table):
+    """Whether the subset is g-open, given g's open_table: each member must
+    meet every fibre mask of its row."""
+    for i in iter_bits(mask):
+        for need in table[i]:
+            if not need & mask:
+                return False
     return True
 
 
@@ -409,15 +428,11 @@ def relative_open(f, g):
     """
     if f.target != g.source:
         raise UnknownLabel("f.target must be g.source")
-    x, y = f.source, f.target
-    gof = tuple(g.assign[f.assign[i]] for i in range(x.n))
-    for a in range(x.n):
-        reachable = 0
-        for a2 in iter_bits(x.up[a]):
-            reachable |= 1 << gof[a2]
-        for b in iter_bits(y.up[f.assign[a]]):
-            if not (reachable >> g.assign[b]) & 1:
-                return False
+    gof = g.compose(f)
+    for a in range(f.source.n):
+        need = g.image_mask(f.target.up[f.assign[a]])
+        if need & ~gof.image_mask(f.source.up[a]):
+            return False
     return True
 
 
@@ -450,3 +465,29 @@ def enumerate_upsets(p):
     """All upward-closed subsets including {} and the carrier, ascending by
     member bitmask."""
     return [Subset(p, mask) for mask in upset_masks(p)]
+
+
+def containment_rows(masks, width):
+    """Row k has bit j set iff masks[j] ⊆ masks[k]: the up-set rows of the
+    masks under reverse inclusion. ``width`` bounds the base elements.
+
+    One column bitset per base element, col[i] = {j : i ∈ masks[j]}; then
+    row(m) clears every column of an element outside m, which is ``width``
+    big-int ORs per row instead of a test against every other mask.
+    """
+    cols = [0] * width
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        for i in iter_bits(m):
+            cols[i] |= bit
+    full = (1 << len(masks)) - 1
+    outside = (1 << width) - 1
+    rows = []
+    for m in masks:
+        out = 0
+        for i in iter_bits(outside & ~m):
+            out |= cols[i]
+        # "& ~" keeps the allocation of `full`; "+ 0" copies the row into
+        # one sized to its value, which halves the memory of sorted rows
+        rows.append((full & ~out) + 0)
+    return tuple(rows)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from imcoalg.cli import main
 from imcoalg.errors import ParseError, ValueNotUpset
 from imcoalg.export import frame_to_dot, frame_to_json_dict, dump_json
 from imcoalg.framefile import parse_frame_file
@@ -394,3 +395,69 @@ class TestCliBehaviour:
         doc = json.loads(js.read_text())
         assert [s["size"] for s in doc["stages"]] == [2, 14]
         assert "step_relation" in doc["stages"][1]
+
+    def test_complex_stage_of_19187_within_budget(self, tmp_path):
+        # P has up rows (25, 6, 4, 8, 16); stage 2 over Up(P) is 19 187
+        # rooted subsets of its 15 upsets
+        path = tmp_path / "p.frame"
+        path.write_text(
+            "[elements]\na b c d e\n[order]\na < d\na < e\nb < c\n"
+        )
+        start = time.perf_counter()
+        proc = run_cli(
+            ["complex", str(path), "--depth", "2", "--max-stage", "20000"],
+            str(tmp_path),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert "stage sizes: [1, 15, 19187]" in proc.stdout
+        assert "PASS stages-valid" in proc.stdout
+        assert elapsed < 10.0
+
+
+class TestCliUsageGaps:
+    """Inputs that once ended in a traceback or a vacuous PASS line."""
+
+    @pytest.mark.parametrize("command", ["complex", "lift", "bisim"])
+    @pytest.mark.parametrize("depth", ["0", "-1", "two"])
+    def test_depth_must_be_positive(self, command, depth, chain_path,
+                                    capsys):
+        files = [chain_path, chain_path] if command == "bisim" else [chain_path]
+        assert main([command, *files, "--depth", depth]) == 2
+        out, err = capsys.readouterr()
+        assert "--depth" in err
+        assert "PASS" not in out
+
+    def test_lift_depth_above_cap_exits_before_lifting(self, chain_path,
+                                                       capsys):
+        # lifting 1200 levels first would end in a RecursionError
+        assert main(["lift", chain_path, "--depth", "1200"]) == 3
+        assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["complex", "lift"])
+    def test_env_stage_cap_must_be_an_integer(self, command, chain_path,
+                                              monkeypatch, capsys):
+        monkeypatch.setenv("IMCOALG_MAX_STAGE", "abc")
+        assert main([command, chain_path]) == 2
+        assert "error: IMCOALG_MAX_STAGE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{frame}", "--report", "{out}"],
+            ["complex", "{frame}", "--dot", "{out}"],
+            ["complex", "{frame}", "--json", "{out}"],
+            ["export", "{frame}", "--dot", "{out}"],
+            ["export", "{frame}", "--json", "{out}"],
+            ["freealg", "--dot", "{out}"],
+            ["freealg", "--json", "{out}"],
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, argv, chain_path,
+                                              tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.txt")
+        args = [a.format(frame=chain_path, out=out) for a in argv]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert out in err

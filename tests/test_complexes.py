@@ -10,6 +10,7 @@ from imcoalg.complexes import (
     intuitionistic_lift,
     lift_map,
     nested_image,
+    terminal_complex,
     tower_coords,
     value_base_coord,
     value_root,
@@ -17,15 +18,19 @@ from imcoalg.complexes import (
 )
 from imcoalg.config import Caps
 from imcoalg.errors import NotMonotone, StageTooLarge
-from imcoalg.heyting import IDENTITY_FUNCTOR, UP_FUNCTOR
+from imcoalg.heyting import IDENTITY_FUNCTOR, UP_FUNCTOR, up_functor
 from imcoalg.poset import (
     PosetMap,
+    containment_rows,
     identity_map,
+    iter_bits,
     make_poset,
     point_poset,
     terminal_map,
 )
 from imcoalg.enumeration import all_posets, monotone_maps, random_poset
+
+from test_poset import containment_rows_oracle, g_open_by_images
 
 
 def chain2():
@@ -88,6 +93,43 @@ class TestBuildStage:
                 for depth in (2, 3):
                     cx = build_complex(terminal_map(p), depth)
                     assert verify_complex(cx)
+
+    def test_stages_match_oracles(self):
+        # every stage of terminal complexes over posets of <= 3 elements and
+        # over Up(P) for |P| <= 2 (stage 2 up to 13, stage 3 up to 718
+        # elements): members are exactly the rooted subsets passing the
+        # image-based openness test, and the order rows equal the pairwise
+        # inclusion loop
+        bases = [p for n in (1, 2, 3) for p in all_posets(n)]
+        bases += [up_functor(p).poset for n in (1, 2) for p in all_posets(n)]
+        for p in bases:
+            cx = terminal_complex(p, 3)
+            for i in range(2, 4):
+                g = cx.root_maps[i - 1]
+                base = g.source
+                want = [
+                    mask
+                    for mask in range(1, 1 << base.n)
+                    if base.min_of(mask) is not None
+                    and g_open_by_images(mask, g)
+                ]
+                masks = cx.member_masks[i]
+                assert list(masks) == want
+                assert cx.stages[i].up == containment_rows_oracle(masks)
+                assert containment_rows(masks, base.n) == cx.stages[i].up
+
+    def test_verify_complex_rejects_corrupted_stage(self):
+        cx = build_complex(identity_map(chain2()), 2)
+        ok = cx.member_masks[2]
+        assert ok == (0b10, 0b11)
+        # {a} alone is rooted at a but not open relative to the identity
+        cx.member_masks[2] = (0b10, 0b01)
+        assert not verify_complex(cx)
+        # the recorded root of {b} is b, not a
+        cx.member_masks[2] = (0b11, 0b11)
+        assert not verify_complex(cx)
+        cx.member_masks[2] = ok
+        assert verify_complex(cx)
 
     def test_root_map_monotone(self):
         from imcoalg.poset import is_monotone

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from imcoalg.errors import (
     MixLawViolation,
     NotMonotone,
     StageTooLarge,
+    UnknownLabel,
     ValueNotUpset,
 )
+from imcoalg import frames
 from imcoalg.frames import (
     ModalFrame,
     NbhdFrame,
@@ -153,6 +156,25 @@ class TestCorrespondence:
         # reverse-inclusion order
         with pytest.raises(NotMonotone):
             upmap_to_frame(m)
+
+    def test_upmap_mix_law_checked_by_exception(self, monkeypatch):
+        # a carrier whose middle "upset" is {a}, not an upset of a < b: the
+        # recovered relation a R a then misses a R b
+        p = chain2()
+        fv = up_functor(p)
+        broken = dataclasses.replace(fv, masks=(0, 0b01, 0b11))
+        monkeypatch.setattr(frames, "up_functor", lambda q: broken)
+        m = PosetMap(p, fv.poset, [1, 1])
+        with pytest.raises(MixLawViolation):
+            upmap_to_frame(m)
+
+    def test_relation_length_checked(self):
+        with pytest.raises(UnknownLabel):
+            ModalFrame(chain2(), (0b10,))
+
+    def test_family_count_checked(self):
+        with pytest.raises(UnknownLabel):
+            NbhdFrame(chain2(), (0, 0, 0))
 
 
 class TestLiftedCoalgebra:

@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from imcoalg.errors import NotMonotone
+from imcoalg.errors import NotMonotone, ValueNotUpset
 from imcoalg import heyting, poset
 from imcoalg.heyting import (
     UpsetAlgebra,
@@ -11,7 +13,8 @@ from imcoalg.heyting import (
     up_functor_map,
     upset_masks,
 )
-from imcoalg.frames import ModalFrame, check_mix_law
+from imcoalg.frames import ModalFrame, check_mix_law, pow_up_functor
+from imcoalg.freealg import generator_poset
 from imcoalg.poset import (
     PosetMap,
     Subset,
@@ -21,6 +24,25 @@ from imcoalg.poset import (
     terminal_map,
 )
 from imcoalg.enumeration import all_posets, mix_relations, monotone_maps, pmorphisms
+
+from test_poset import containment_rows_oracle
+
+
+def join_irreducibles_oracle(algebra):
+    """Irreducibles by testing every pair of upsets; rows by pair tests."""
+    base = algebra.base
+    irred = []
+    for m in algebra.masks:
+        if m == 0:
+            continue
+        below = 0
+        for d in algebra.masks:
+            if d != m and d & ~m == 0:
+                below |= d
+        if below != m:
+            irred.append(m)
+    labels = [base.labels[base.min_of(m)] for m in irred]
+    return labels, containment_rows_oracle(irred)
 
 
 def chain2():
@@ -252,3 +274,58 @@ class TestJoinIrreducibles:
                 for a in j.labels:
                     for b in j.labels:
                         assert j.leq_labels(a, b) == p.leq_labels(a, b)
+
+    def test_matches_pairwise_oracle_up_to_four_elements(self):
+        for n in (1, 2, 3, 4):
+            for p in all_posets(n):
+                alg = UpsetAlgebra(p)
+                j = join_irreducibles(alg)
+                labels, up = join_irreducibles_oracle(alg)
+                assert j.labels == tuple(labels)
+                assert j.up == up
+
+    def test_non_principal_irreducible_raises(self):
+        # {a} is not an upset of a < b, so it is no principal upset
+        fake = SimpleNamespace(base=chain2(), masks=(0, 0b01, 0b11))
+        with pytest.raises(ValueNotUpset):
+            join_irreducibles(fake)
+
+
+class TestMaskCarriedRows:
+    """Order rows built by containment_rows against pairwise loops."""
+
+    def test_up_functor(self):
+        for n in (1, 2, 3, 4):
+            for p in all_posets(n):
+                fv = up_functor(p)
+                assert fv.poset.up == containment_rows_oracle(fv.masks)
+
+    def test_pow_up_functor(self):
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                fv = pow_up_functor(p)
+                want = []
+                for m in fv.masks:
+                    row = 0
+                    for j in fv.masks:
+                        if m & ~j == 0:  # family inclusion
+                            row |= 1 << j
+                    want.append(row)
+                assert fv.poset.up == tuple(want)
+
+    def test_generator_poset(self):
+        for k in range(4):
+            variables = [f"p{i}" for i in range(k)]
+            g = generator_poset(variables)
+            want = []
+            for a in g.labels:
+                row = 0
+                for j, b in enumerate(g.labels):
+                    if a >= b:  # reverse inclusion
+                        row |= 1 << j
+                want.append(row)
+            assert g.up == tuple(want)
+            assert g.labels == tuple(
+                frozenset(v for i, v in enumerate(variables) if m >> i & 1)
+                for m in range(1 << k)
+            )

@@ -1,26 +1,111 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imcoalg.errors import DuplicateLabel, NotAntisymmetric, NotTransitive
+from imcoalg.errors import (
+    DuplicateLabel,
+    NotAntisymmetric,
+    NotTransitive,
+    UnknownLabel,
+)
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     Subset,
+    containment_rows,
     enumerate_upsets,
     identity_map,
     is_g_open,
     is_monotone,
+    is_open_mask,
     is_pmorphism,
     is_rooted,
     iter_bits,
     make_poset,
+    open_table,
     point_poset,
     principal_up,
     product,
     relative_open,
     terminal_map,
     up_set,
+    upset_masks,
 )
-from imcoalg.enumeration import all_posets, monotone_maps, random_poset
+from imcoalg.enumeration import (
+    all_posets,
+    canonical_poset_key,
+    monotone_maps,
+    random_poset,
+)
+
+# SHA-256 of repr([p.up for p in all_posets(5)]) as the full scan over all
+# 2^20 strict relations returns it
+ALL_POSETS_5_SHA256 = (
+    "e5cbe57ad8406f90ffe231512898965d0c078827bb36ba343123c8a2c51e3b07"
+)
+
+
+def containment_rows_oracle(masks):
+    """Row k has bit j iff masks[j] is a subset of masks[k], by testing
+    every pair."""
+    rows = []
+    for m in masks:
+        row = 0
+        for j, d in enumerate(masks):
+            if d & ~m == 0:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def g_open_by_images(mask, g):
+    """Openness as the g-images of up(s) and up(s) & S agreeing per member."""
+    p = g.source
+    for i in iter_bits(mask):
+        if g.image_mask(p.up[i]) != g.image_mask(p.up[i] & mask):
+            return False
+    return True
+
+
+def canonical_key_by_permutations(up):
+    """Least row-major relation matrix over all relabellings."""
+    n = len(up)
+    best = None
+    for perm in permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        bits = 0
+        for i in range(n):
+            for j in iter_bits(up[inv[i]]):
+                bits |= 1 << (i * n + perm[j])
+        if best is None or bits < best:
+            best = bits
+    return best
+
+
+def all_posets_by_full_scan(n):
+    """Every strict relation on n elements, first labelling per class."""
+    labels = tuple("abcdefgh"[:n])
+    found = {}
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in range(1 << len(slots)):
+        up = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(slots):
+            if (bits >> k) & 1:
+                up[i] |= 1 << j
+        if any(
+            (j != i and (up[j] >> i) & 1) or up[j] & ~up[i]
+            for i in range(n)
+            for j in iter_bits(up[i])
+        ):
+            continue
+        found.setdefault(
+            canonical_key_by_permutations(up), Poset(labels, up, _trusted=True)
+        )
+    return [found[k] for k in sorted(found)]
 
 
 def chain2():
@@ -193,6 +278,21 @@ class TestRelativeOpen:
         p = chain2()
         assert is_g_open(Subset.from_labels(p, ["a", "b"]), identity_map(p))
 
+    def test_open_table_matches_images_up_to_three_elements(self):
+        posets = [p for n in (1, 2, 3) for p in all_posets(n)]
+        for p in posets:
+            for q in posets:
+                for g in monotone_maps(p, q):
+                    table = open_table(g)
+                    for mask in range(1 << p.n):
+                        want = g_open_by_images(mask, g)
+                        assert is_open_mask(mask, table) == want
+                        assert is_g_open(Subset(p, mask), g) == want
+
+    def test_is_g_open_rejects_foreign_subset(self):
+        with pytest.raises(UnknownLabel):
+            is_g_open(Subset(antichain2(), 1), identity_map(chain2()))
+
     def test_relative_open_constant_g(self):
         p = chain2()
         g = terminal_map(p)
@@ -277,3 +377,42 @@ class TestEnumerateUpsets:
         p = antichain2()
         masks = [s.mask for s in enumerate_upsets(p)]
         assert masks == sorted(masks)
+
+
+class TestContainmentRows:
+    def test_matches_pair_tests_on_upsets_up_to_four_elements(self):
+        for n in (1, 2, 3, 4):
+            for p in all_posets(n):
+                masks = upset_masks(p)
+                assert containment_rows(masks, p.n) == (
+                    containment_rows_oracle(masks)
+                )
+
+    def test_unsorted_and_repeated_masks(self):
+        masks = (6, 0, 3, 6, 1)
+        assert containment_rows(masks, 3) == containment_rows_oracle(masks)
+
+    def test_no_masks(self):
+        assert containment_rows((), 4) == ()
+
+
+class TestAllPosets:
+    def test_matches_full_scan_up_to_four_elements(self):
+        for n in range(5):
+            new = all_posets(n)
+            old = all_posets_by_full_scan(n)
+            assert [p.up for p in new] == [p.up for p in old]
+            assert [p.labels for p in new] == [p.labels for p in old]
+
+    def test_five_elements_pinned(self):
+        ups = [p.up for p in all_posets(5)]
+        assert len(ups) == 63
+        digest = hashlib.sha256(repr(ups).encode()).hexdigest()
+        assert digest == ALL_POSETS_5_SHA256
+
+    def test_canonical_key_matches_permutation_scan(self):
+        for n in range(5):
+            for p in all_posets(n):
+                assert canonical_poset_key(p) == (
+                    canonical_key_by_permutations(p.up)
+                )
