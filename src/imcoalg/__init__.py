@@ -59,12 +59,15 @@ from .bisim import (
     Bisimulation,
     bisimilarity_preserves_truth,
     coalgebraic_bisim_check,
+    distinguishing_formula,
+    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
 )
 from .logic import (
     Model,
     enumerate_formulas,
+    formula_count,
     parse,
     print_formula,
     truth_set,

@@ -11,10 +11,11 @@ and demands that both projection squares commute coordinatewise.
 from dataclasses import dataclass
 
 from .complexes import TowerMap, nested_image
-from .errors import IncompatibleValuations, ProjectionNotPMorphism
+from .config import DEFAULT_CAPS
+from .errors import CapExceeded, IncompatibleValuations, ProjectionNotPMorphism
 from .frames import ModalFrame
 from .heyting import up_functor, up_functor_map
-from .logic import truth_mask
+from .logic import Model, truth_mask
 from .poset import Poset, PosetMap, is_pmorphism, iter_bits
 
 
@@ -168,15 +169,18 @@ def relation_poset(bis):
     return Poset(labels, up_rows, _trusted=True), chosen
 
 
-def coalgebraic_bisim_check(bis, depth=2):
+def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     """Whether the relation carries a mediating coalgebra whose projection
     squares commute coordinatewise up to the given depth.
 
     The structure map sends (x, y) to (R[x] x R[y]) intersected with the
     relation, as an upset of the relation poset. Projections that fail the
     p-morphism condition raise ProjectionNotPMorphism: such a relation is
-    not a functor bisimulation in the p-morphism category at all.
+    not a functor bisimulation in the p-morphism category at all. A depth
+    above caps.max_depth raises CapExceeded before anything is lifted.
     """
+    if depth > caps.max_depth:
+        raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
     bp, chosen = relation_poset(bis)
     pos = {pair: i for i, pair in enumerate(chosen)}
     proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
@@ -267,23 +271,73 @@ def bisimilarity_preserves_truth(model_left, x, model_right, y, formulas):
         raise IncompatibleValuations(
             "valuations disagree on some bisimilar pair"
         )
-    cache_l, cache_r = {}, {}
-    for phi in formulas:
-        lt = truth_mask(model_left, phi, cache_l)
-        rt = truth_mask(model_right, phi, cache_r)
-        if (lt >> xi) & 1 != (rt >> yi) & 1:
-            return False
-    return True
+    return (
+        distinguishing_formula(model_left, x, model_right, y, formulas) is None
+    )
+
+
+def _disjoint_sum(model_left, model_right):
+    """The coproduct of two models: labels tagged (0, l) and (1, l), the
+    right-hand rows shifted past the n left-hand points. Only the letters
+    valued on both sides are valued, so a letter missing on either side
+    stays undeclared."""
+    lp, rp = model_left.poset, model_right.poset
+    n = lp.n
+    labels = [(0, lab) for lab in lp.labels] + [(1, lab) for lab in rp.labels]
+    up = list(lp.up) + [row << n for row in rp.up]
+    rel = list(model_left.frame.rel) + [
+        row << n for row in model_right.frame.rel
+    ]
+    lv, rv = model_left.valuation, model_right.valuation
+    valuation = {
+        letter: lv[letter] | rv[letter] << n for letter in lv.keys() & rv.keys()
+    }
+    return Model(ModalFrame(Poset(labels, up, _trusted=True), rel), valuation)
+
+
+def distinguishing_formulas(model_left, model_right, pairs, formulas):
+    """Per index pair (x, y), the first formula in the stream on which point
+    x of the left model and point y of the right model disagree, or None.
+
+    Truth at a point depends only on the points above it and its modal
+    successors, so it is the same in the disjoint sum of the two models.
+    Each formula is evaluated once there, for all pairs at once, and the
+    stream is read only until every pair has its formula. A truth set met
+    before separates no pair that is still pending, so only new ones are
+    checked against the pairs.
+    """
+    n = model_left.poset.n
+    pending = {}
+    for x, y in pairs:
+        pending[x] = pending.get(x, 0) | 1 << y
+    found = {}
+    model = _disjoint_sum(model_left, model_right)
+    cache = {}
+    seen = set()
+    stream = iter(formulas)
+    while pending:
+        phi = next(stream, None)
+        if phi is None:
+            break
+        t = truth_mask(model, phi, cache)
+        if t in seen:
+            continue
+        seen.add(t)
+        rt = t >> n
+        for x, want in list(pending.items()):
+            hit = want & (~rt if (t >> x) & 1 else rt)
+            if hit:
+                for y in iter_bits(hit):
+                    found[x, y] = phi
+                if hit == want:
+                    del pending[x]
+                else:
+                    pending[x] = want & ~hit
+    return {pair: found.get(pair) for pair in pairs}
 
 
 def distinguishing_formula(model_left, x, model_right, y, formulas):
     """First formula in the stream on which the two points disagree."""
-    xi = model_left.poset.index(x)
-    yi = model_right.poset.index(y)
-    cache_l, cache_r = {}, {}
-    for phi in formulas:
-        lt = truth_mask(model_left, phi, cache_l)
-        rt = truth_mask(model_right, phi, cache_r)
-        if (lt >> xi) & 1 != (rt >> yi) & 1:
-            return phi
-    return None
+    pair = (model_left.poset.index(x), model_right.poset.index(y))
+    found = distinguishing_formulas(model_left, model_right, [pair], formulas)
+    return found[pair]

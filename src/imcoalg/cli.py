@@ -19,7 +19,7 @@ import time
 
 from .bisim import (
     coalgebraic_bisim_check,
-    distinguishing_formula,
+    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
 )
@@ -59,7 +59,13 @@ from .freealg import (
     generator_poset,
 )
 from .heyting import up_functor
-from .logic import enumerate_formulas, parse, print_formula, truth_mask
+from .logic import (
+    enumerate_formulas,
+    formula_count,
+    parse,
+    print_formula,
+    truth_mask,
+)
 from .poset import format_label, terminal_map
 
 EXIT_OK = 0
@@ -269,8 +275,9 @@ def cmd_bisim(args):
     for a, b in pairs:
         report.info(f"  {format_label(a)} ~ {format_label(b)}")
     report.check("largest-is-bisimulation", is_box_bisimulation(bis))
+    caps = _caps(args)
     try:
-        agrees = coalgebraic_bisim_check(bis, depth=args.depth)
+        agrees = coalgebraic_bisim_check(bis, depth=args.depth, caps=caps)
         report.check("coalgebraic-agreement", agrees, f"depth {args.depth}")
     except ProjectionNotPMorphism as exc:
         report.check("coalgebraic-agreement", False, str(exc))
@@ -278,24 +285,32 @@ def cmd_bisim(args):
         model1 = ff1.build_model(close=args.close_valuations, frame=frame1)
         model2 = ff2.build_model(close=args.close_valuations, frame=frame2)
         letters = sorted(set(model1.valuation) & set(model2.valuation))
-        formulas = list(enumerate_formulas(letters, args.distinguish))
-        related = set(bis.pairs)
-        for x in range(frame1.poset.n):
-            for y in range(frame2.poset.n):
-                if (x, y) in related:
-                    continue
-                phi = distinguishing_formula(
-                    model1,
-                    frame1.poset.labels[x],
-                    model2,
-                    frame2.poset.labels[y],
-                    formulas,
-                )
-                shown = print_formula(phi) if phi is not None else "(none found)"
-                report.info(
-                    f"distinguish {format_label(frame1.poset.labels[x])} vs "
-                    f"{format_label(frame2.poset.labels[y])}: {shown}"
-                )
+        count = formula_count(len(letters), args.distinguish)
+        if count > caps.max_formulas:
+            raise CapExceeded(
+                f"{count} formulas up to depth {args.distinguish} exceed "
+                f"cap {caps.max_formulas}"
+            )
+        labels1, labels2 = frame1.poset.labels, frame2.poset.labels
+        unrelated = [
+            (x, y)
+            for x in range(frame1.poset.n)
+            for y in range(frame2.poset.n)
+            if (x, y) not in bis.pairs
+        ]
+        found = distinguishing_formulas(
+            model1,
+            model2,
+            unrelated,
+            enumerate_formulas(letters, args.distinguish),
+        )
+        for x, y in unrelated:
+            phi = found[x, y]
+            shown = print_formula(phi) if phi is not None else "(none found)"
+            report.info(
+                f"distinguish {format_label(labels1[x])} vs "
+                f"{format_label(labels2[y])}: {shown}"
+            )
     return report.emit(args)
 
 
@@ -424,21 +439,30 @@ def _add_common(sub, valuations=True):
         )
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type accepting integers of at least ``low``."""
+
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return convert
 
 
-def _add_caps(sub):
-    sub.add_argument("--max-stage", type=int, metavar="N",
-                     help=f"stage element cap (default {DEFAULT_CAPS.max_stage})")
+def _add_caps(sub, stage=True):
+    if stage:
+        sub.add_argument(
+            "--max-stage", type=int, metavar="N",
+            help=f"stage element cap (default {DEFAULT_CAPS.max_stage})")
     sub.add_argument("--max-depth", type=int, metavar="N",
-                     help=f"complex depth cap (default {DEFAULT_CAPS.max_depth})")
+                     help=f"depth cap (default {DEFAULT_CAPS.max_depth})")
 
 
 def build_parser():
@@ -464,16 +488,17 @@ def build_parser():
     p = subs.add_parser("bisim", help="largest bisimulation of two frames")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--depth", type=_positive_int, default=2,
+    p.add_argument("--depth", type=_int_at_least(1), default=2,
                    help="coalgebraic comparison depth (default 2)")
-    p.add_argument("--distinguish", type=int, metavar="D",
+    p.add_argument("--distinguish", type=_int_at_least(0), metavar="D",
                    help="search distinguishing formulas up to D connectives")
+    _add_caps(p, stage=False)
     _add_common(p)
     p.set_defaults(func=cmd_bisim)
 
     p = subs.add_parser("complex", help="terminal complex over the frame's upsets")
     p.add_argument("file")
-    p.add_argument("--depth", type=_positive_int, default=2)
+    p.add_argument("--depth", type=_int_at_least(1), default=2)
     p.add_argument("--dot", metavar="OUT")
     p.add_argument("--json", metavar="OUT")
     _add_caps(p)
@@ -482,7 +507,7 @@ def build_parser():
 
     p = subs.add_parser("lift", help="lift the frame's coalgebra map")
     p.add_argument("file")
-    p.add_argument("--depth", type=_positive_int, default=2)
+    p.add_argument("--depth", type=_int_at_least(1), default=2)
     _add_caps(p)
     _add_common(p, valuations=False)
     p.set_defaults(func=cmd_lift)

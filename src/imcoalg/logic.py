@@ -360,6 +360,19 @@ def valid_on_model(model, phi):
     return truth_mask(model, phi) == model.poset.full_mask
 
 
+def formula_count(n_letters, max_depth):
+    """Length of enumerate_formulas over n_letters letters, without building
+    a formula: size s holds one box per formula of size s-1 and three binary
+    nodes per pair of sizes adding up to s-1."""
+    counts = [n_letters + 2]
+    for size in range(1, max_depth + 1):
+        counts.append(
+            counts[size - 1]
+            + 3 * sum(counts[k] * counts[size - 1 - k] for k in range(size))
+        )
+    return sum(counts)
+
+
 def enumerate_formulas(letters, max_depth):
     """All formulas with at most max_depth connectives, streamed in a
     deterministic order (size-major, then construction order).

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,22 +6,38 @@ import pytest
 from imcoalg.bisim import (
     Bisimulation,
     bisimilarity_preserves_truth,
+    _disjoint_sum,
     coalgebraic_bisim_check,
     distinguishing_formula,
+    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
     saturated_valuation,
 )
-from imcoalg.errors import IncompatibleValuations, ProjectionNotPMorphism
+from imcoalg.config import Caps
+from imcoalg.errors import (
+    CapExceeded,
+    IncompatibleValuations,
+    ProjectionNotPMorphism,
+    UndeclaredLetter,
+)
 from imcoalg.frames import ModalFrame, is_modal_pmorphism
-from imcoalg.logic import Model, enumerate_formulas
-from imcoalg.poset import PosetMap, Subset, iter_bits, make_poset, point_poset
+from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
+from imcoalg.poset import (
+    PosetMap,
+    Subset,
+    iter_bits,
+    make_poset,
+    point_poset,
+    upset_masks,
+)
 from imcoalg.enumeration import (
     all_posets,
     frames_on,
     frames_up_to_iso,
     random_mix_frame,
     random_poset,
+    random_upset,
 )
 
 
@@ -357,3 +374,171 @@ class TestTruthPreservation:
                         m1, p.labels[x], m2, p.labels[y], formulas
                     )
                     assert phi is not None
+
+
+# -- the per-pair formula search, kept as the oracle for the batch search -----
+
+
+def _oracle_distinguishing_formula(model_left, x, model_right, y, formulas):
+    """First formula in the stream on which the two points disagree."""
+    xi = model_left.poset.index(x)
+    yi = model_right.poset.index(y)
+    cache_l, cache_r = {}, {}
+    for phi in formulas:
+        lt = truth_mask(model_left, phi, cache_l)
+        rt = truth_mask(model_right, phi, cache_r)
+        if (lt >> xi) & 1 != (rt >> yi) & 1:
+            return phi
+    return None
+
+
+def _oracle_agreement(model_left, x, model_right, y, formulas):
+    """The agreement loop of bisimilarity_preserves_truth, after its
+    bisimilarity and compatibility checks have passed."""
+    xi = model_left.poset.index(x)
+    yi = model_right.poset.index(y)
+    cache_l, cache_r = {}, {}
+    for phi in formulas:
+        lt = truth_mask(model_left, phi, cache_l)
+        rt = truth_mask(model_right, phi, cache_r)
+        if (lt >> xi) & 1 != (rt >> yi) & 1:
+            return False
+    return True
+
+
+def _unrelated(m1, m2):
+    bis = largest_bisimulation(m1.frame, m2.frame)
+    return [
+        (x, y)
+        for x in range(m1.poset.n)
+        for y in range(m2.poset.n)
+        if (x, y) not in bis.pairs
+    ]
+
+
+def _assert_batch_matches_oracle(m1, m2, formulas):
+    pairs = _unrelated(m1, m2)
+    got = distinguishing_formulas(m1, m2, pairs, formulas)
+    assert list(got) == pairs
+    for x, y in pairs:
+        assert got[x, y] == _oracle_distinguishing_formula(
+            m1, m1.poset.labels[x], m2, m2.poset.labels[y], formulas
+        )
+
+
+def _sampled_models(count, seed=2406):
+    """Seeded pairs of models on the 310 frames on at most 3 elements, each
+    side with a random upset for p."""
+    frames = [
+        f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
+    ]
+    assert len(frames) == 310
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        f1, f2 = rng.choice(frames), rng.choice(frames)
+        out.append(
+            (
+                Model(f1, {"p": random_upset(rng, f1.poset)}),
+                Model(f2, {"p": random_upset(rng, f2.poset)}),
+            )
+        )
+    return out
+
+
+def _valued_chain(n):
+    """Chain 0 < ... < n-1 with R[x] = up(x+1) and p true at the top."""
+    fr = shifted_chain_frame(n, 1)
+    return Model(fr, {"p": 1 << (n - 1)})
+
+
+class TestDistinguishingBatchAgainstOracle:
+    def test_all_small_frame_pairs_and_valuations(self):
+        formulas = list(enumerate_formulas(["p"], 2))
+        frames = _small_frames()
+        for f1 in frames:
+            for f2 in frames:
+                for v1 in upset_masks(f1.poset):
+                    for v2 in upset_masks(f2.poset):
+                        _assert_batch_matches_oracle(
+                            Model(f1, {"p": v1}), Model(f2, {"p": v2}), formulas
+                        )
+
+    def test_sampled_three_element_frames(self):
+        formulas = list(enumerate_formulas(["p"], 2))
+        for m1, m2 in _sampled_models(1000):
+            _assert_batch_matches_oracle(m1, m2, formulas)
+
+    def test_chains_at_depth_three(self):
+        formulas = list(enumerate_formulas(["p"], 3))
+        for n in range(1, 9):
+            _assert_batch_matches_oracle(
+                _valued_chain(n), _valued_chain(n + 1), formulas
+            )
+
+    def test_stream_is_read_only_until_every_pair_is_found(self):
+        m1, m2 = _valued_chain(3), _valued_chain(4)
+        pairs = _unrelated(m1, m2)
+        stream = enumerate_formulas(["p"], 3)
+        got = distinguishing_formulas(m1, m2, pairs, stream)
+        assert all(phi is not None for phi in got.values())
+        assert next(stream, None) is not None  # pairs resolved early
+        assert distinguishing_formulas(m1, m2, [], enumerate_formulas([], 0)) == {}
+
+    def test_truth_is_invariant_under_the_disjoint_sum(self):
+        formulas = list(enumerate_formulas(["p"], 3))
+        for m1, m2 in _sampled_models(25):
+            total = _disjoint_sum(m1, m2)
+            n = m1.poset.n
+            caches = {}, {}, {}
+            for phi in formulas:
+                lt = truth_mask(m1, phi, caches[0])
+                rt = truth_mask(m2, phi, caches[1])
+                assert truth_mask(total, phi, caches[2]) == lt | rt << n
+
+    def test_letter_valued_on_one_side_is_undeclared(self):
+        fr = serial_chain_frame()
+        m1 = Model(fr, {"p": 0b10, "q": 0b10})
+        m2 = Model(fr, {"p": 0b10})
+        for left, right in ((m1, m2), (m2, m1)):
+            with pytest.raises(UndeclaredLetter):
+                distinguishing_formulas(left, right, [(0, 0)], [Var("q")])
+            with pytest.raises(UndeclaredLetter):
+                distinguishing_formula(left, "a", right, "a", [Var("q")])
+        # the shared letter separates a from b before q is reached
+        assert distinguishing_formulas(
+            m1, m2, [(0, 1)], [Var("p"), Var("q")]
+        ) == {(0, 1): Var("p")}
+
+    def test_agreement_on_bisimilar_pairs(self):
+        # bisimilar points agree here even where the mix law fails, so both
+        # sides read True; the check is that the wrapper path says so too
+        formulas = list(enumerate_formulas(["p"], 2))
+        for n in (1, 2):
+            for p in all_posets(n):
+                # every relation, so frames that break the mix law too
+                for rel in itertools.product(range(1 << n), repeat=n):
+                    fr = ModalFrame(p, rel)
+                    bis = largest_bisimulation(fr, fr)
+                    for seed in range(1 << n):
+                        lm, rm = saturated_valuation(bis, left_seed=seed)
+                        m1, m2 = Model(fr, {"p": lm}), Model(fr, {"p": rm})
+                        for x, y in sorted(bis.pairs):
+                            a, b = p.labels[x], p.labels[y]
+                            got = bisimilarity_preserves_truth(
+                                m1, a, m2, b, formulas
+                            )
+                            assert got == _oracle_agreement(
+                                m1, a, m2, b, formulas
+                            )
+
+
+class TestCoalgebraicDepthCap:
+    def test_depth_above_cap_raises_before_lifting(self):
+        fr = serial_chain_frame()
+        bis = largest_bisimulation(fr, fr)
+        for depth in (5, 1200):
+            with pytest.raises(CapExceeded, match=f"depth {depth} exceeds cap 4"):
+                coalgebraic_bisim_check(bis, depth)
+        assert coalgebraic_bisim_check(bis, 4)
+        assert coalgebraic_bisim_check(bis, 5, Caps(max_depth=5))

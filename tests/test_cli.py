@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imcoalg.cli import main
 from imcoalg.errors import ParseError, ValueNotUpset
@@ -261,6 +266,21 @@ class TestCliBehaviour:
         assert checks and all(line.startswith("PASS") for line in checks)
         assert elapsed < 10.0
 
+    def test_bisim_distinguish_depth_four_on_long_chains(self, tmp_path):
+        f1 = tmp_path / "c20.frame"
+        f1.write_text(shifted_chain_text(20, 1, "l") + "[val]\np : l19\n")
+        f2 = tmp_path / "c21.frame"
+        f2.write_text(shifted_chain_text(21, 1, "r") + "[val]\np : r20\n")
+        start = time.perf_counter()
+        proc = run_cli(
+            ["bisim", str(f1), str(f2), "--depth", "2", "--distinguish", "4"],
+            str(tmp_path),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert proc.stdout.count("\ndistinguish ") == 20 * 21 - 20
+        assert elapsed < 10.0
+
     def test_bisim_distinguish(self, tmp_path):
         f1 = tmp_path / "one.frame"
         f1.write_text("[elements]\na b\n[order]\na < b\n[modal]\na R b\nb R b\n[val]\np : b\n")
@@ -461,3 +481,112 @@ class TestCliUsageGaps:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write")
         assert out in err
+
+    def test_negative_distinguish_is_usage_error(self, chain_path, capsys):
+        assert main(["bisim", chain_path, chain_path, "--distinguish", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert "error:" in err and "--distinguish" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "extra, depth, count",
+        [("", "5", 10_617_633), ("q : b\n", "4", 1_462_868)],
+    )
+    def test_formula_stream_above_cap_exits_3(self, extra, depth, count,
+                                             tmp_path, capsys):
+        path = tmp_path / "chain.frame"
+        path.write_text(CHAIN_FILE + extra)
+        argv = ["bisim", str(path), str(path), "--distinguish", depth]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error:")
+        assert f"{count} formulas" in err and str(1 << 20) in err
+        assert out == ""
+
+    def test_formula_stream_at_depth_four_runs(self, chain_path, tmp_path,
+                                               capsys):
+        # 373 803 formulas fit under the cap; the search stops once both
+        # pairs are separated
+        dead = tmp_path / "dead.frame"
+        dead.write_text("[elements]\nx\n[val]\np :\n")
+        argv = ["bisim", chain_path, str(dead), "--distinguish", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "distinguish a vs x: []F\n" in out
+        assert "distinguish b vs x: p\n" in out
+
+    def test_bisim_depth_above_cap_exits_before_lifting(self, chain_path,
+                                                        capsys):
+        # lifting 1200 levels first would end in a RecursionError
+        assert main(["bisim", chain_path, chain_path, "--depth", "1200"]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "exceeds cap" in err
+        assert "Traceback" not in err and "PASS coalgebraic" not in out
+
+    def test_bisim_depth_within_raised_cap(self, chain_path, capsys):
+        argv = ["bisim", chain_path, chain_path, "--depth", "5",
+                "--max-depth", "5"]
+        assert main(argv) == 0
+        assert "PASS coalgebraic-agreement" in capsys.readouterr().out
+
+
+# -- fuzzing the exit-code contract ----------------------------------------------
+
+_LABELS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def frame_texts(draw):
+    """Frame files on at most four elements: orders may have cycles, the
+    relation may break the mix law, valuations may miss upward closure, and
+    one line may name an undeclared element."""
+    labels = _LABELS[: draw(st.integers(1, 4))]
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    lines = ["[elements]", " ".join(labels), "[order]"]
+    lines += [f"{a} < {b}" for a, b in draw(st.lists(pair, max_size=4))]
+    lines.append("[modal]")
+    lines += [f"{a} R {b}" for a, b in draw(st.lists(pair, max_size=6))]
+    lines.append("[val]")
+    for letter in ["p"] + draw(st.lists(st.just("q"), max_size=1)):
+        members = draw(st.lists(st.sampled_from(labels), max_size=3,
+                                unique=True))
+        lines.append(f"{letter} : {' '.join(members)}")
+    stray = draw(st.sampled_from([None] * 5 + ["[val]\nr : z",
+                                               "[modal]\na R z",
+                                               "[order]\nz < a"]))
+    if stray is not None:
+        lines.append(stray)
+    return "\n".join(lines) + "\n"
+
+
+class TestCliFuzz:
+    """Every frame file ends in a documented exit code, never a traceback."""
+
+    @settings(max_examples=100, derandomize=True,
+              deadline=timedelta(seconds=5))
+    @given(
+        left=frame_texts(),
+        right=frame_texts(),
+        formula=st.sampled_from(["p", "[]p -> p", "~q | []F", "p &", "r"]),
+    )
+    def test_exit_code_contract(self, left, right, formula):
+        with tempfile.TemporaryDirectory() as tmp:
+            f1 = os.path.join(tmp, "left.frame")
+            f2 = os.path.join(tmp, "right.frame")
+            with open(f1, "w") as fh:
+                fh.write(left)
+            with open(f2, "w") as fh:
+                fh.write(right)
+            for argv in (
+                ["check", f1],
+                ["mc", f1, formula],
+                ["bisim", f1, f2, "--distinguish", "2"],
+                ["complex", f2, "--depth", "2"],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+                if code in (2, 3):
+                    assert "error:" in err.getvalue()

@@ -14,6 +14,7 @@ from imcoalg.logic import (
     Top,
     Var,
     enumerate_formulas,
+    formula_count,
     iff,
     letters_of,
     parse,
@@ -209,6 +210,19 @@ class TestEnumeration:
         assert len(list(enumerate_formulas(["p"], 1))) == 33
         assert len(list(enumerate_formulas(["p"], 2))) == 603
         assert len(list(enumerate_formulas(["p", "q"], 1))) == 56
+
+    @pytest.mark.parametrize("letters", [[], ["p"], ["p", "q"]])
+    def test_formula_count_matches_the_stream(self, letters):
+        for depth in range(4):
+            assert formula_count(len(letters), depth) == sum(
+                1 for _ in enumerate_formulas(letters, depth)
+            )
+
+    def test_formula_count_beyond_the_stream(self):
+        # sizes the distinguishing search caps instead of enumerating
+        assert formula_count(1, 4) == 373_803
+        assert formula_count(2, 4) == 1_462_868
+        assert formula_count(1, 5) == 10_617_633
 
     def test_no_duplicates(self):
         got = list(enumerate_formulas(["p"], 2))
