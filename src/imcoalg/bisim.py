@@ -10,11 +10,10 @@ and demands that both projection squares commute coordinatewise.
 
 from dataclasses import dataclass
 
-from .complexes import TowerMap, nested_image
+from .complexes import nested_image, tower_coords
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded, IncompatibleValuations, ProjectionNotPMorphism
-from .frames import ModalFrame
-from .heyting import up_functor, up_functor_map
+from .frames import ModalFrame, frame_to_lifted
 from .logic import Model, truth_mask
 from .poset import Poset, PosetMap, is_pmorphism, iter_bits
 
@@ -174,15 +173,15 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     squares commute coordinatewise up to the given depth.
 
     The structure map sends (x, y) to (R[x] x R[y]) intersected with the
-    relation, as an upset of the relation poset. Projections that fail the
-    p-morphism condition raise ProjectionNotPMorphism: such a relation is
-    not a functor bisimulation in the p-morphism category at all. A depth
-    above caps.max_depth raises CapExceeded before anything is lifted.
+    relation, as an upset mask of the relation poset; the projections act
+    on upsets by direct image. Projections that fail the p-morphism
+    condition raise ProjectionNotPMorphism: such a relation is not a
+    functor bisimulation in the p-morphism category at all. A depth above
+    caps.max_depth raises CapExceeded before anything is lifted.
     """
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
     bp, chosen = relation_poset(bis)
-    pos = {pair: i for i, pair in enumerate(chosen)}
     proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
     proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
     if not is_pmorphism(proj_left):
@@ -199,27 +198,16 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
                 m |= 1 << j
         rho_masks.append(m)
 
-    fv_b = up_functor(bp)
-    fv_l = up_functor(bis.left.poset)
-    fv_r = up_functor(bis.right.poset)
-    rho = PosetMap(bp, fv_b.poset, [fv_b.index_of_mask(m) for m in rho_masks])
-    towers_b = TowerMap.from_map(rho, depth)
-
-    from .frames import frame_to_lifted
-
-    towers_l = frame_to_lifted(bis.left, depth, fv_l)
-    towers_r = frame_to_lifted(bis.right, depth, fv_r)
-    u_l = up_functor_map(proj_left, fv_b, fv_l)
-    u_r = up_functor_map(proj_right, fv_b, fv_r)
-    for i, (x, y) in enumerate(chosen):
-        for level in range(1, depth + 1):
-            if nested_image(u_l, level, towers_b.value(level, i)) != towers_l.value(
-                level, x
-            ):
+    levels_l = frame_to_lifted(bis.left, depth)
+    levels_r = frame_to_lifted(bis.right, depth)
+    levels_b = tower_coords(bp, rho_masks, depth)
+    for level, vb, vl, vr in zip(
+        range(1, depth + 1), levels_b, levels_l, levels_r
+    ):
+        for i, (x, y) in enumerate(chosen):
+            if nested_image(proj_left.image_mask, level, vb[i]) != vl[x]:
                 return False
-            if nested_image(u_r, level, towers_b.value(level, i)) != towers_r.value(
-                level, y
-            ):
+            if nested_image(proj_right.image_mask, level, vb[i]) != vr[y]:
                 return False
     return True
 

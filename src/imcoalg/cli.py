@@ -52,7 +52,7 @@ from .export import (
     free_stages_to_json_dict,
 )
 from .framefile import parse_frame_file
-from .frames import frame_to_lifted, frame_to_upmap, mix_law_witness
+from .frames import frame_to_upmap, mix_law_witness
 from .freealg import (
     build_free_stages,
     check_modal_stage_properties,
@@ -324,7 +324,7 @@ def cmd_complex(args):
     if poset is None:
         return report.emit(args)
     caps = _caps(args)
-    fv = up_functor(poset)
+    fv = up_functor(poset, caps)
     cx = build_complex(terminal_map(fv.poset), args.depth, caps)
     report.info(f"stage sizes: {[s.n for s in cx.stages]}")
     for i in range(1, len(cx.stages)):
@@ -349,9 +349,10 @@ def cmd_lift(args):
     if frame is None:
         return report.emit(args)
     # the complex enforces the depth cap before any deep lifting starts
-    fv = up_functor(frame.poset)
-    cx = build_complex(terminal_map(fv.poset), args.depth, _caps(args))
-    lifted = frame_to_lifted(frame, args.depth, fv)
+    caps = _caps(args)
+    fv = up_functor(frame.poset, caps)
+    cx = build_complex(terminal_map(fv.poset), args.depth, caps)
+    lifted = lift_map(frame_to_upmap(frame, fv), cx, args.depth)
     for x in range(frame.poset.n):
         report.info(f"{format_label(frame.poset.labels[x])}:")
         for level in range(1, args.depth + 1):
@@ -361,8 +362,7 @@ def cmd_lift(args):
             )
     report.check("tower-compatible", lifted.compatible())
     report.check("coords-monotone", lifted.coords_monotone())
-    resolved = lift_map(frame_to_upmap(frame, fv), cx, args.depth)
-    report.check("limit-pmorphism", check_limit_pmorphism(resolved, args.depth))
+    report.check("limit-pmorphism", check_limit_pmorphism(lifted, args.depth))
     return report.emit(args)
 
 

@@ -12,9 +12,10 @@ f: X -> Y lifts to a tower map with coordinates
 Stage elements are represented two ways. Materialized stages index their
 elements and record member bitmasks over the previous stage; they are only
 feasible while stages stay small. Nested values (an element of stage l is a
-frozenset of stage l-1 values, bottoming out at base indices) support the
-same lifting pointwise with no stage enumeration at all, which is what the
-frame and bisimulation checks use on larger carriers.
+frozenset of stage l-1 values, bottoming out at level-1 values) support the
+same lifting pointwise with no stage enumeration at all. Level-1 values are
+indices into a materialized base, or, in the frame and bisimulation checks,
+the upset masks R[x] themselves, so those checks never build Up(P).
 """
 
 from dataclasses import dataclass, field
@@ -198,31 +199,31 @@ def terminal_complex(p, depth, caps=DEFAULT_CAPS):
 # -- nested tower values (no stage materialization) -------------------------
 
 
-def tower_coords(f, depth):
-    """Lift coordinates of a monotone map as nested values.
+def tower_coords(source, first, depth):
+    """Lift coordinates over a source poset as nested values.
 
     Returns a list indexed by level 1..depth; entry l is a tuple over source
-    elements. Level 1 holds target indices, level l+1 the direct image of
-    level l over the source's principal upsets.
+    elements. Level 1 holds the given values (target indices of a map, or
+    upset masks), level l+1 the direct image of level l over the source's
+    principal upsets.
     """
-    src = f.source
-    levels = [tuple(f.assign)]
+    levels = [tuple(first)]
     for _ in range(depth - 1):
         prev = levels[-1]
         levels.append(
             tuple(
-                frozenset(prev[y] for y in iter_bits(src.up[x]))
-                for x in range(src.n)
+                frozenset(prev[y] for y in iter_bits(source.up[x]))
+                for x in range(source.n)
             )
         )
     return levels
 
 
-def nested_image(u, level, value):
-    """Apply a base map coordinatewise through the nesting levels."""
+def nested_image(first, level, value):
+    """Apply a level-1 function coordinatewise through the nesting levels."""
     if level == 1:
-        return u.assign[value]
-    return frozenset(nested_image(u, level - 1, s) for s in value)
+        return first(value)
+    return frozenset(nested_image(first, level - 1, s) for s in value)
 
 
 def value_leq(base, level, a, b):
@@ -245,74 +246,6 @@ def value_base_coord(base, level, v):
         v = value_root(base, level, v)
         level -= 1
     return v
-
-
-class TowerUniverse:
-    """Local validity checks for nested values over a base poset, for the
-    terminal complex. Avoids materializing stages: the elements above a
-    level->=2 value are exactly its valid subsets, so everything is
-    enumerable locally while values stay small."""
-
-    def __init__(self, base, max_width=18):
-        self.base = base
-        self.max_width = max_width
-        self._valid = {}
-        self._above = {}
-
-    def is_valid(self, level, v):
-        if level == 1:
-            return isinstance(v, int) and 0 <= v < self.base.n
-        key = (level, v)
-        got = self._valid.get(key)
-        if got is not None:
-            return got
-        ok = self._compute_valid(level, v)
-        self._valid[key] = ok
-        return ok
-
-    def _compute_valid(self, level, v):
-        if not v:
-            return False
-        if not all(self.is_valid(level - 1, s) for s in v):
-            return False
-        root = value_root(self.base, level, v)
-        if root is None:
-            return False
-        if level == 2:
-            return True  # openness relative to the terminal map is vacuous
-        for s in v:
-            allowed = {
-                value_root(self.base, level - 1, s2)
-                for s2 in v
-                if value_leq(self.base, level - 1, s, s2)
-            }
-            for b in self.above(level - 1, s):
-                if value_root(self.base, level - 1, b) not in allowed:
-                    return False
-        return True
-
-    def above(self, level, v):
-        """All valid values above v at its level."""
-        if level == 1:
-            return list(iter_bits(self.base.up[v]))
-        key = (level, v)
-        got = self._above.get(key)
-        if got is not None:
-            return got
-        members = sorted(v, key=repr)
-        if len(members) > self.max_width:
-            raise CapExceeded(
-                f"local stage neighbourhood too wide ({len(members)} members)"
-            )
-        out = []
-        for bits in range(1, 1 << len(members)):
-            cand = frozenset(
-                members[i] for i in range(len(members)) if (bits >> i) & 1
-            )
-            if self.is_valid(level, cand):
-                out.append(cand)
-        self._above[key] = out
-        return out
 
 
 # -- tower maps --------------------------------------------------------------
@@ -338,7 +271,7 @@ class TowerMap:
 
     @classmethod
     def from_map(cls, f, depth, complex=None):
-        levels = tower_coords(f, depth)
+        levels = tower_coords(f.source, f.assign, depth)
         tm = cls(f.source, f.target, depth, levels, complex=complex)
         if complex is not None:
             tm._resolve()
@@ -607,7 +540,7 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
 def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
     """Apply an endofunctor, then build the terminal complex over
     the result: the depth-truncated intuitionistic lifting of the functor."""
-    value = functor.apply(p)
+    value = functor.apply(p, caps)
     return build_complex(terminal_map(value.poset), depth, caps)
 
 

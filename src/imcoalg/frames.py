@@ -14,7 +14,7 @@ request, which is handy when authoring frame files by hand.
 
 import functools
 
-from .complexes import TowerMap, nested_image
+from .complexes import TowerMap, nested_image, tower_coords
 from .config import DEFAULT_CAPS
 from .errors import (
     MixLawViolation,
@@ -23,7 +23,7 @@ from .errors import (
     UnknownLabel,
     ValueNotUpset,
 )
-from .heyting import FunctorValue, up_functor, up_functor_map
+from .heyting import FunctorValue, up_functor
 from .poset import (
     PosetMap,
     Poset,
@@ -100,6 +100,12 @@ def mix_law_witness(frame):
     return None
 
 
+def _require_mix_law(frame):
+    witness = mix_law_witness(frame)
+    if witness is not None:
+        raise MixLawViolation(f"mix law fails at witness {witness}")
+
+
 def mix_closure(frame):
     """The least relation containing R that satisfies the mix law."""
     p, rel = frame.poset, frame.rel
@@ -115,10 +121,7 @@ def mix_closure(frame):
 
 def frame_to_upmap(frame, functor_value=None):
     """The coalgebra map x -> R[x] into the reverse-inclusion upset poset."""
-    if not check_mix_law(frame):
-        raise MixLawViolation(
-            f"mix law fails at witness {mix_law_witness(frame)}"
-        )
+    _require_mix_law(frame)
     fv = functor_value if functor_value is not None else up_functor(frame.poset)
     assign = [fv.index_of_mask(m) for m in frame.rel]
     return PosetMap(frame.poset, fv.poset, assign)
@@ -137,22 +140,21 @@ def upmap_to_frame(m):
         raise ValueNotUpset("map target is not the canonical upset poset")
     rel = tuple(fv.masks[i] for i in m.assign)
     frame = ModalFrame(m.source, rel)
-    witness = mix_law_witness(frame)
-    if witness is not None:
-        raise MixLawViolation(f"mix law fails at witness {witness}")
+    _require_mix_law(frame)
     return frame
 
 
-def frame_to_lifted(frame, depth, functor_value=None):
-    """Lift of the coalgebra map, computed pointwise to the given depth.
+def frame_to_lifted(frame, depth):
+    """Lift of the coalgebra map x -> R[x], computed pointwise to the given
+    depth.
 
-    Coordinates are nested values over the upset poset; no stage is
-    materialized, so this stays cheap even where the full stages would be
+    Returns the levels 1..depth as tuples over the frame's elements; level 1
+    holds the upset masks R[x] themselves. Neither Up(P) nor any stage is
+    materialized, so this stays cheap even where the stages would be
     astronomically large.
     """
-    fv = functor_value if functor_value is not None else up_functor(frame.poset)
-    upmap = frame_to_upmap(frame, fv)
-    return TowerMap.from_map(upmap, depth)
+    _require_mix_law(frame)
+    return tower_coords(frame.poset, frame.rel, depth)
 
 
 def is_modal_pmorphism(f, frame1, frame2):
@@ -173,24 +175,22 @@ def check_coalgebra_morphism(f, frame1, frame2, depth=3):
     """Whether the lifted coalgebra square for f commutes coordinatewise.
 
     The square compares the functor image of frame1's lifted coalgebra with
-    frame2's lifted coalgebra after f, up to the given depth. Maps that are
-    not p-morphisms are not coalgebra morphisms in the p-morphism category,
-    so they return False outright.
+    frame2's lifted coalgebra after f, up to the given depth. On upsets the
+    functor acts by direct image, which maps upsets to upsets because f is
+    a p-morphism. Maps that are not p-morphisms are not coalgebra morphisms
+    in the p-morphism category, so they return False outright.
     """
     if f.source != frame1.poset or f.target != frame2.poset:
         return False
     if not is_pmorphism(f):
         return False
-    fv1 = up_functor(frame1.poset)
-    fv2 = up_functor(frame2.poset)
-    u = up_functor_map(f, fv1, fv2)
-    towers1 = frame_to_lifted(frame1, depth, fv1)
-    towers2 = frame_to_lifted(frame2, depth, fv2)
+    levels1 = frame_to_lifted(frame1, depth)
+    levels2 = frame_to_lifted(frame2, depth)
     for x in range(frame1.poset.n):
         fx = f.assign[x]
         for level in range(1, depth + 1):
-            lhs = nested_image(u, level, towers1.value(level, x))
-            if lhs != towers2.value(level, fx):
+            lhs = nested_image(f.image_mask, level, levels1[level - 1][x])
+            if lhs != levels2[level - 1][fx]:
                 return False
     return True
 
@@ -370,6 +370,7 @@ def check_nbhd_coalgebra_morphism(f, nf1, nf2, depth=1):
     for x in range(f.source.n):
         fx = f.assign[x]
         for level in range(1, depth + 1):
-            if nested_image(u, level, t1.value(level, x)) != t2.value(level, fx):
+            lhs = nested_image(u.assign.__getitem__, level, t1.value(level, x))
+            if lhs != t2.value(level, fx):
                 return False
     return True

@@ -88,7 +88,7 @@ class FreeStage:
 def _build_next_stage(base, stage, inner_depth, caps):
     """Stage k+1 = base x (deepest stage of the tower complex over the
     upsets of stage k)."""
-    fv = up_functor(stage.poset)
+    fv = up_functor(stage.poset, caps)
     cx = terminal_complex(fv.poset, inner_depth, caps)
     inner = cx.stages[inner_depth]
     inner_vals = cx.stage_values(inner_depth)
@@ -113,7 +113,9 @@ def _build_next_stage(base, stage, inner_depth, caps):
         u = up_functor_map(stage.projection, fv, prev_fv)
         proj_assign = []
         for i, j in pairs:
-            moved = nested_image(u, inner_depth, inner_vals[j])
+            moved = nested_image(
+                u.assign.__getitem__, inner_depth, inner_vals[j]
+            )
             inner_idx = prev_cx.value_index(inner_depth, moved)
             proj_assign.append(i * prev_cx.stages[inner_depth].n + inner_idx)
         projection = PosetMap(next_poset, stage.poset, proj_assign)
@@ -240,8 +242,9 @@ def universal_lift(p, frame, stages=None, inner_depth=None, caps=DEFAULT_CAPS,
                     "is not a p-morphism for the frame"
                 )
             images.append(img)
-        pbar = PosetMap(source, fv.poset, [fv.index_of_mask(m) for m in images])
-        coords = tower_coords(pbar, inner_depth)
+        coords = tower_coords(
+            source, [fv.index_of_mask(m) for m in images], inner_depth
+        )
         inner_n = cx.stages[inner_depth].n
         assign = []
         for y in range(source.n):

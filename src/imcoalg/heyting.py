@@ -11,7 +11,8 @@ Two distinct order conventions live here and must not be confused:
 import functools
 from dataclasses import dataclass, field
 
-from .errors import NotMonotone, ValueNotUpset
+from .config import DEFAULT_CAPS
+from .errors import NotMonotone, StageTooLarge, ValueNotUpset
 from .poset import (
     Poset,
     PosetMap,
@@ -54,14 +55,18 @@ class FunctorValue:
 
 
 @functools.lru_cache
-def up_functor(p):
+def up_functor(p, caps=DEFAULT_CAPS):
     """The poset of upsets of p under reverse inclusion (C <= D iff C >= D).
 
-    Memoized on the poset (posets compare by value and are immutable) in a
-    bounded LRU; the frame and bisimulation checks hit the same base
-    repeatedly.
+    This is stage 1 of the complexes over Up(p), so more than
+    caps.max_stage upsets raise StageTooLarge(1); enumeration stops at the
+    first upset past the cap. Memoized on every argument (posets compare by
+    value and are immutable) in a bounded LRU, so a call with tighter caps
+    never returns a value built under looser ones.
     """
-    masks = upset_masks(p)
+    masks = upset_masks(p, limit=caps.max_stage)
+    if len(masks) > caps.max_stage:
+        raise StageTooLarge(1, f"more than {caps.max_stage} elements")
     labels = [frozenset(p.labels[i] for i in iter_bits(m)) for m in masks]
     value = Poset(labels, containment_rows(masks, p.n), _trusted=True)
     return FunctorValue("up", p, value, masks)
@@ -196,17 +201,17 @@ def join_irreducibles(algebra):
 class Functor:
     """A poset endofunctor: a name plus an object action.
 
-    ``apply`` returns a FunctorValue.
+    ``apply(p, caps)`` returns a FunctorValue.
     """
 
     name: str
     apply: callable = field(compare=False)
 
-    def __call__(self, p):
-        return self.apply(p)
+    def __call__(self, p, caps=DEFAULT_CAPS):
+        return self.apply(p, caps)
 
 
-def _identity_apply(p):
+def _identity_apply(p, caps=DEFAULT_CAPS):
     return FunctorValue("id", p, p, tuple(range(p.n)))
 
 

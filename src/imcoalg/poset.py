@@ -436,7 +436,7 @@ def relative_open(f, g):
     return True
 
 
-def upset_masks(p):
+def upset_masks(p, limit=None):
     """Masks of all upsets of p, ascending.
 
     Decides the elements from the highest index down, excluded branch
@@ -444,6 +444,10 @@ def upset_masks(p):
     consistent when no included element lies below an excluded one; every
     consistent choice extends to an upset (close the included part upward),
     so no branch dies and the work is at most n steps per upset found.
+
+    With a limit, enumeration stops at the first upset past it: the result
+    is the ascending prefix of limit + 1 masks, so more than limit masks
+    means the poset has more than limit upsets.
     """
     up, down = p.up, p.down
     out = []
@@ -452,6 +456,8 @@ def upset_masks(p):
         i, included = stack.pop()
         if i < 0:
             out.append(included)
+            if limit is not None and len(out) > limit:
+                break
             continue
         excluded = ~included & ~((2 << i) - 1)
         if not up[i] & excluded:

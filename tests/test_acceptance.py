@@ -25,6 +25,7 @@ from imcoalg.bisim import (
     saturated_valuation,
 )
 from imcoalg.complexes import (
+    TowerMap,
     build_complex,
     check_adjunction,
     check_limit_pmorphism,
@@ -85,6 +86,8 @@ from imcoalg.enumeration import (
     random_upset,
 )
 
+from test_frames import index_levels_as_masks
+
 
 def report(name, detail, started):
     print(f"\nACCEPTANCE {name}: PASS ({detail}; {time.time() - started:.1f}s)")
@@ -104,6 +107,19 @@ def iso_frames(posets_123):
     return cache
 
 
+def _check_correspondence(fr):
+    """Roundtrip through the upset map; the mask-valued lift is the lift of
+    the upset map with each Up-index read as its mask, and that index tower
+    is compatible and monotone."""
+    fv = up_functor(fr.poset)
+    m = frame_to_upmap(fr, fv)
+    assert upmap_to_frame(m) == fr
+    index = TowerMap.from_map(m, 3)
+    assert index.values[0] == m.assign
+    assert index.compatible() and index.coords_monotone()
+    assert frame_to_lifted(fr, 3) == index_levels_as_masks(index, fv)
+
+
 def test_criterion_1_correspondence(posets_123):
     """Frame -> upset map -> frame is the identity, and the level-1
     coordinate of the depth-3 lift reproduces the upset map; exhaustive
@@ -114,22 +130,13 @@ def test_criterion_1_correspondence(posets_123):
     for n, posets in posets_123.items():
         for p in posets:
             for fr in frames_on(p):
-                m = frame_to_upmap(fr)
-                assert upmap_to_frame(m) == fr
-                lifted = frame_to_lifted(fr, 3)
-                assert lifted.values[0] == m.assign
-                assert lifted.compatible() and lifted.coords_monotone()
+                _check_correspondence(fr)
                 checked += 1
     rng = random.Random(101)
     randoms = 0
     while randoms < 200:
         p = random_poset(rng, rng.choice([4, 5]))
-        fr = random_mix_frame(rng, p)
-        m = frame_to_upmap(fr)
-        assert upmap_to_frame(m) == fr
-        lifted = frame_to_lifted(fr, 3)
-        assert lifted.values[0] == m.assign
-        assert lifted.compatible() and lifted.coords_monotone()
+        _check_correspondence(random_mix_frame(rng, p))
         randoms += 1
     report(
         "criterion-1 correspondence",
@@ -146,6 +153,11 @@ def _raw_sig(p, q, assign, rel1):
             m |= 1 << assign[y]
         out.append(m)
     return tuple(out)
+
+
+def _index_levels(fr):
+    m = frame_to_upmap(fr)
+    return tower_coords(m.source, m.assign, 3)
 
 
 def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
@@ -168,12 +180,10 @@ def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
     genuine = 0
     for p in posets:
         frames1 = iso_frames[p]
-        towers1 = {fr: tower_coords(frame_to_upmap(fr), 3) for fr in frames1}
+        towers1 = {fr: _index_levels(fr) for fr in frames1}
         for q in posets:
             frames2 = iso_frames[q]
-            towers2 = {
-                fr: tower_coords(frame_to_upmap(fr), 3) for fr in frames2
-            }
+            towers2 = {fr: _index_levels(fr) for fr in frames2}
             fv1, fv2 = up_functor(p), up_functor(q)
             exhaustive_small = p.n <= 2 and q.n <= 2
             for f in all_functions(p, q):
@@ -183,7 +193,7 @@ def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
                     assert not is_modal_pmorphism(f, f1, f2)
                     assert not check_coalgebra_morphism(f, f1, f2, 3)
                     continue
-                u = up_functor_map(f, fv1, fv2)
+                u = up_functor_map(f, fv1, fv2).assign.__getitem__
                 by_key = {}
                 for f2 in frames2:
                     key = tuple(f2.rel[fx] for fx in f.assign)

@@ -5,6 +5,7 @@ import pytest
 
 from imcoalg.bisim import (
     Bisimulation,
+    relation_poset,
     bisimilarity_preserves_truth,
     _disjoint_sum,
     coalgebraic_bisim_check,
@@ -15,17 +16,21 @@ from imcoalg.bisim import (
     saturated_valuation,
 )
 from imcoalg.config import Caps
+from imcoalg.complexes import TowerMap, nested_image
 from imcoalg.errors import (
     CapExceeded,
     IncompatibleValuations,
+    MixLawViolation,
     ProjectionNotPMorphism,
     UndeclaredLetter,
 )
-from imcoalg.frames import ModalFrame, is_modal_pmorphism
+from imcoalg.frames import ModalFrame, frame_to_upmap, is_modal_pmorphism
+from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
 from imcoalg.poset import (
     PosetMap,
     Subset,
+    is_pmorphism,
     iter_bits,
     make_poset,
     point_poset,
@@ -287,6 +292,113 @@ class TestLargest:
                         assert is_box_bisimulation(
                             Bisimulation(f1, f2, a | b)
                         )
+
+
+# -- the index route over Up of the relation poset: the oracle -------------
+
+
+def index_bisim_check(bis, depth=2):
+    """coalgebraic_bisim_check through Up(P) posets: the structure map and
+    the frames' coalgebras take Up-indices, and the projections act on them
+    by up_functor_map."""
+    bp, chosen = relation_poset(bis)
+    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
+    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
+    if not is_pmorphism(proj_left):
+        raise ProjectionNotPMorphism("left")
+    if not is_pmorphism(proj_right):
+        raise ProjectionNotPMorphism("right")
+    lrel, rrel = bis.left.rel, bis.right.rel
+    rho_masks = []
+    for x, y in chosen:
+        m = 0
+        for j, (x2, y2) in enumerate(chosen):
+            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
+                m |= 1 << j
+        rho_masks.append(m)
+    fv_b = up_functor(bp)
+    fv_l = up_functor(bis.left.poset)
+    fv_r = up_functor(bis.right.poset)
+    rho = PosetMap(bp, fv_b.poset, [fv_b.index_of_mask(m) for m in rho_masks])
+    towers_b = TowerMap.from_map(rho, depth)
+    towers_l = TowerMap.from_map(frame_to_upmap(bis.left, fv_l), depth)
+    towers_r = TowerMap.from_map(frame_to_upmap(bis.right, fv_r), depth)
+    u_l = up_functor_map(proj_left, fv_b, fv_l).assign.__getitem__
+    u_r = up_functor_map(proj_right, fv_b, fv_r).assign.__getitem__
+    for i, (x, y) in enumerate(chosen):
+        for level in range(1, depth + 1):
+            value = towers_b.value(level, i)
+            if nested_image(u_l, level, value) != towers_l.value(level, x):
+                return False
+            if nested_image(u_r, level, value) != towers_r.value(level, y):
+                return False
+    return True
+
+
+def _outcome(check, bis, depth):
+    try:
+        return check(bis, depth)
+    except ProjectionNotPMorphism as exc:
+        return f"projection {exc.side}"
+
+
+def _relation(f1, f2, bits):
+    pairs = frozenset(
+        (x, y)
+        for x in range(f1.poset.n)
+        for y in range(f2.poset.n)
+        if (bits >> (x * f2.poset.n + y)) & 1
+    )
+    return Bisimulation(f1, f2, pairs)
+
+
+class TestMaskRouteOracle:
+    """coalgebraic_bisim_check on upset masks agrees with the index route
+    over Up of the relation poset, including which projection it refuses."""
+
+    def test_exhaustive_small(self):
+        posets = all_posets(1) + all_posets(2)
+        seen = set()
+        for p in posets:
+            for q in posets:
+                for f1 in frames_on(p):
+                    for f2 in frames_on(q):
+                        for bits in range(1 << (p.n * q.n)):
+                            bis = _relation(f1, f2, bits)
+                            got = _outcome(coalgebraic_bisim_check, bis, 2)
+                            assert got == _outcome(index_bisim_check, bis, 2)
+                            seen.add(got)
+        assert seen == {True, False, "projection left", "projection right"}
+
+    def test_sample_of_frames_up_to_iso(self):
+        frames = [
+            fr
+            for n in (1, 2, 3)
+            for p in all_posets(n)
+            for fr in frames_up_to_iso(p)
+        ]
+        rng = random.Random(505)
+        seen = set()
+        for _ in range(400):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            if rng.random() < 0.5:
+                bis = largest_bisimulation(f1, f2)
+            else:
+                bits = rng.randrange(1 << (f1.poset.n * f2.poset.n))
+                bis = _relation(f1, f2, bits)
+            for depth in (1, 2, 3):
+                got = _outcome(coalgebraic_bisim_check, bis, depth)
+                assert got == _outcome(index_bisim_check, bis, depth)
+                seen.add(got)
+        assert {True, False} <= seen
+
+    def test_mix_law_violation_raises(self):
+        p = make_poset(["a", "b"], [("a", "b")])
+        for pairs in ([("a", "a")], [("b", "b")]):
+            fr = ModalFrame.from_pairs(p, pairs)
+            bis = Bisimulation.from_labels(fr, fr, [("a", "a"), ("b", "b")])
+            with pytest.raises(MixLawViolation):
+                coalgebraic_bisim_check(bis, 2)
 
 
 class TestCoalgebraic:

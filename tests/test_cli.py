@@ -9,7 +9,7 @@ import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imcoalg.cli import main
 from imcoalg.errors import ParseError, ValueNotUpset
@@ -139,6 +139,12 @@ def shifted_chain_text(n, shift, prefix):
         for y in range(x + shift, n)
     ]
     return "\n".join(lines) + "\n"
+
+
+def antichain_text(n, prefix):
+    """n incomparable elements and no modal relation."""
+    labels = " ".join(f"{prefix}{i}" for i in range(n))
+    return f"[elements]\n{labels}\n"
 
 
 def run_cli(args, cwd):
@@ -435,6 +441,50 @@ class TestCliBehaviour:
         assert elapsed < 10.0
 
 
+class TestCliWideAntichains:
+    """Frame-level checks run on upset masks; Up(P) is built only as a
+    stage, and then under the stage cap."""
+
+    def _timed(self, tmp_path, argv):
+        start = time.perf_counter()
+        proc = run_cli(argv, str(tmp_path))
+        return proc, time.perf_counter() - start
+
+    def test_bisim_six_element_antichains(self, tmp_path):
+        # the relation poset has 36 elements and 2^36 upsets
+        f1 = tmp_path / "a6.frame"
+        f1.write_text(antichain_text(6, "l"))
+        f2 = tmp_path / "b6.frame"
+        f2.write_text(antichain_text(6, "r"))
+        proc, elapsed = self._timed(tmp_path, ["bisim", str(f1), str(f2)])
+        assert proc.returncode == 0
+        assert "largest bisimulation: 36 pairs" in proc.stdout
+        assert "PASS coalgebraic-agreement" in proc.stdout
+        assert elapsed < 2.0
+
+    def test_complex_stops_at_the_stage_one_cap(self, tmp_path):
+        path = tmp_path / "a18.frame"
+        path.write_text(antichain_text(18, "x"))
+        proc, elapsed = self._timed(tmp_path, ["complex", str(path)])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: stage 1 too large")
+        assert elapsed < 2.0
+
+    def test_lift_stops_at_the_stage_one_cap(self, tmp_path):
+        path = tmp_path / "a13.frame"
+        path.write_text(antichain_text(13, "x"))  # 8192 upsets
+        proc = run_cli(["lift", str(path)], str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: stage 1 too large")
+
+    def test_stage_one_within_the_cap(self, tmp_path):
+        path = tmp_path / "a12.frame"
+        path.write_text(antichain_text(12, "x"))  # 4096 upsets
+        proc = run_cli(["complex", str(path), "--depth", "1"], str(tmp_path))
+        assert proc.returncode == 0
+        assert "stage sizes: [1, 4096]" in proc.stdout
+
+
 class TestCliUsageGaps:
     """Inputs that once ended in a traceback or a vacuous PASS line."""
 
@@ -532,20 +582,24 @@ class TestCliUsageGaps:
 
 # -- fuzzing the exit-code contract ----------------------------------------------
 
-_LABELS = ["a", "b", "c", "d"]
+_LABELS = ["a", "b", "c", "d", "e", "f"]
 
 
 @st.composite
-def frame_texts(draw):
-    """Frame files on at most four elements: orders may have cycles, the
-    relation may break the mix law, valuations may miss upward closure, and
-    one line may name an undeclared element."""
-    labels = _LABELS[: draw(st.integers(1, 4))]
+def frame_texts(draw, max_elements=4):
+    """Frame files on at most max_elements elements: orders may have cycles,
+    the relation may break the mix law, valuations may miss upward closure,
+    and one line may name an undeclared element. One file in four is a bare
+    antichain with no modal relation, the widest case for upsets."""
+    labels = _LABELS[: draw(st.integers(1, max_elements))]
     pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    bare = draw(st.sampled_from([False] * 3 + [True]))
     lines = ["[elements]", " ".join(labels), "[order]"]
-    lines += [f"{a} < {b}" for a, b in draw(st.lists(pair, max_size=4))]
+    if not bare:
+        lines += [f"{a} < {b}" for a, b in draw(st.lists(pair, max_size=4))]
     lines.append("[modal]")
-    lines += [f"{a} R {b}" for a, b in draw(st.lists(pair, max_size=6))]
+    if not bare:
+        lines += [f"{a} R {b}" for a, b in draw(st.lists(pair, max_size=6))]
     lines.append("[val]")
     for letter in ["p"] + draw(st.lists(st.just("q"), max_size=1)):
         members = draw(st.lists(st.sampled_from(labels), max_size=3,
@@ -565,23 +619,31 @@ class TestCliFuzz:
     @settings(max_examples=100, derandomize=True,
               deadline=timedelta(seconds=5))
     @given(
-        left=frame_texts(),
-        right=frame_texts(),
+        left=frame_texts(max_elements=6),
+        right=frame_texts(max_elements=6),
+        small=frame_texts(),
         formula=st.sampled_from(["p", "[]p -> p", "~q | []F", "p &", "r"]),
     )
-    def test_exit_code_contract(self, left, right, formula):
+    # two bare 6-element antichains: a 2^36-upset relation poset for any
+    # check that builds Up(P) of it
+    @example(left=antichain_text(6, "l"), right=antichain_text(6, "r"),
+             small=antichain_text(4, "s"), formula="[]p -> p")
+    def test_exit_code_contract(self, left, right, small, formula):
+        # complex stays on at most four elements: stage-2 scans over wider
+        # frames can legitimately take seconds
         with tempfile.TemporaryDirectory() as tmp:
-            f1 = os.path.join(tmp, "left.frame")
-            f2 = os.path.join(tmp, "right.frame")
-            with open(f1, "w") as fh:
-                fh.write(left)
-            with open(f2, "w") as fh:
-                fh.write(right)
+            paths = []
+            for name, text in (("left", left), ("right", right),
+                               ("small", small)):
+                paths.append(os.path.join(tmp, f"{name}.frame"))
+                with open(paths[-1], "w") as fh:
+                    fh.write(text)
+            f1, f2, f3 = paths
             for argv in (
                 ["check", f1],
                 ["mc", f1, formula],
                 ["bisim", f1, f2, "--distinguish", "2"],
-                ["complex", f2, "--depth", "2"],
+                ["complex", f3, "--depth", "2"],
             ):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), \

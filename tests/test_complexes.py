@@ -1,7 +1,6 @@
 import pytest
 
 from imcoalg.complexes import (
-    TowerUniverse,
     build_complex,
     build_p_g,
     check_adjunction,
@@ -205,15 +204,17 @@ class TestLift:
                         assert t.coords_monotone()
 
     def test_lift_values_are_valid_stage_members(self):
-        # pointwise validity agrees with materialized stage membership
+        # every pointwise lift value is an element of the materialized
+        # stage (value_index raises LiftOutsideStage otherwise); the stages
+        # themselves are checked against the rooted-subset scan above
         for q in all_posets(3):
-            uni = TowerUniverse(q)
+            cx = terminal_complex(q, 3)
             for p in all_posets(2):
                 for f in monotone_maps(p, q):
-                    levels = tower_coords(f, 3)
-                    for level in (2, 3):
+                    levels = tower_coords(p, f.assign, 3)
+                    for level in (1, 2, 3):
                         for v in levels[level - 1]:
-                            assert uni.is_valid(level, v)
+                            cx.value_index(level, v)
 
     def test_lift_passes_limit_check(self):
         for n in (1, 2, 3):
@@ -255,7 +256,7 @@ class TestLift:
 class TestNestedValues:
     def test_roots_recover_previous_level(self):
         p = chain2()
-        levels = tower_coords(identity_map(p), 3)
+        levels = tower_coords(p, range(p.n), 3)
         for level in (2, 3):
             for x in range(p.n):
                 assert (
@@ -265,16 +266,17 @@ class TestNestedValues:
 
     def test_base_coord(self):
         p = chain2()
-        levels = tower_coords(identity_map(p), 3)
+        levels = tower_coords(p, range(p.n), 3)
         for x in range(p.n):
             assert value_base_coord(p, 3, levels[2][x]) == x
 
     def test_nested_image_identity(self):
         p = chain2()
-        levels = tower_coords(identity_map(p), 3)
+        levels = tower_coords(p, range(p.n), 3)
         ident = identity_map(p)
         for x in range(p.n):
-            assert nested_image(ident, 3, levels[2][x]) == levels[2][x]
+            image = nested_image(ident.assign.__getitem__, 3, levels[2][x])
+            assert image == levels[2][x]
 
 
 class TestAdjunction:
@@ -319,6 +321,13 @@ class TestIntuitionisticLift:
         # upsets of the 2-chain form a 3-chain; its rooted subsets are the 7
         # nonempty intervals-with-minimum
         assert [s.n for s in cx.stages] == [1, 3, 7]
+
+    def test_functor_value_is_stage_one_under_the_given_caps(self):
+        antichain = make_poset(list(range(13)), [])  # 8192 upsets
+        with pytest.raises(StageTooLarge):
+            intuitionistic_lift(UP_FUNCTOR, antichain, 1)
+        cx = intuitionistic_lift(UP_FUNCTOR, antichain, 1, Caps(max_stage=8192))
+        assert [s.n for s in cx.stages] == [1, 8192]
 
 
 class TestRandomPosets:

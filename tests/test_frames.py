@@ -30,12 +30,20 @@ from imcoalg.frames import (
     check_nbhd_coalgebra_morphism,
     upmap_to_frame,
 )
-from imcoalg.heyting import up_functor
-from imcoalg.poset import PosetMap, identity_map, make_poset, point_poset
+from imcoalg.complexes import TowerMap, nested_image
+from imcoalg.heyting import up_functor, up_functor_map
+from imcoalg.poset import (
+    PosetMap,
+    identity_map,
+    is_pmorphism,
+    make_poset,
+    point_poset,
+)
 from imcoalg.enumeration import (
     all_functions,
     all_posets,
     frames_on,
+    frames_up_to_iso,
     monotone_maps,
     pmorphisms,
     random_mix_frame,
@@ -177,33 +185,92 @@ class TestCorrespondence:
             NbhdFrame(chain2(), (0, 0, 0))
 
 
+# -- the index route over Up(P): the oracle for the mask-valued checks -------
+
+
+def index_lifted(frame, depth, fv=None):
+    """The lift of x -> R[x] as a TowerMap over Up(P) indices."""
+    fv = fv if fv is not None else up_functor(frame.poset)
+    return TowerMap.from_map(frame_to_upmap(frame, fv), depth)
+
+
+def index_levels_as_masks(towers, fv):
+    """The levels of an index-valued lift, with each index read as its mask."""
+    return [
+        tuple(nested_image(fv.masks.__getitem__, level, v) for v in values)
+        for level, values in enumerate(towers.values, 1)
+    ]
+
+
+def index_coalgebra_morphism(f, frame1, frame2, depth=3):
+    """check_coalgebra_morphism through the Up(P) posets: level-1 values are
+    indices, and f acts on them by up_functor_map."""
+    if f.source != frame1.poset or f.target != frame2.poset:
+        return False
+    if not is_pmorphism(f):
+        return False
+    fv1 = up_functor(frame1.poset)
+    fv2 = up_functor(frame2.poset)
+    u = up_functor_map(f, fv1, fv2).assign.__getitem__
+    towers1 = index_lifted(frame1, depth, fv1)
+    towers2 = index_lifted(frame2, depth, fv2)
+    for x in range(frame1.poset.n):
+        fx = f.assign[x]
+        for level in range(1, depth + 1):
+            lhs = nested_image(u, level, towers1.value(level, x))
+            if lhs != towers2.value(level, fx):
+                return False
+    return True
+
+
+def non_mix_frames():
+    """A relation that is no upset, and one that shrinks down the order."""
+    return [
+        ModalFrame.from_pairs(chain2(), [("a", "a")]),
+        ModalFrame.from_pairs(chain2(), [("b", "b")]),
+    ]
+
+
 class TestLiftedCoalgebra:
     def test_point_frame_constant(self):
         one = point_poset()
         fr = ModalFrame.from_pairs(one, [])
         t = frame_to_lifted(fr, 3)
-        assert t.compatible() and t.coords_monotone()
+        assert t == [(0,), (frozenset({0}),), (frozenset({frozenset({0})}),)]
+        index = index_lifted(fr, 3)
+        assert index.compatible() and index.coords_monotone()
 
     def test_level1_equals_upmap(self):
         fr = serial_chain_frame()
         t = frame_to_lifted(fr, 3)
-        assert t.values[0] == frame_to_upmap(fr).assign
+        fv = up_functor(fr.poset)
+        assert t[0] == fr.rel
+        assert t[0] == tuple(fv.masks[i] for i in frame_to_upmap(fr).assign)
 
     def test_recursion_step(self):
         fr = serial_chain_frame()
         t = frame_to_lifted(fr, 2)
-        m = frame_to_upmap(fr).assign
-        assert t.value(2, 0) == frozenset({m[0], m[1]})
-        assert t.value(2, 1) == frozenset({m[1]})
+        m = fr.rel
+        assert t[1][0] == frozenset({m[0], m[1]})
+        assert t[1][1] == frozenset({m[1]})
 
     def test_relift_of_base_reproduces_tower(self):
+        # the mask levels are the index levels of the upset map, read as
+        # masks; the index tower is still a compatible monotone tower map
         for p in all_posets(3):
+            fv = up_functor(p)
             for fr in frames_on(p)[::5]:
                 t = frame_to_lifted(fr, 3)
-                from imcoalg.complexes import tower_coords
+                index = index_lifted(fr, 3, fv)
+                assert t == index_levels_as_masks(index, fv)
+                assert index.compatible() and index.coords_monotone()
 
-                again = tower_coords(frame_to_upmap(fr), 3)
-                assert list(t.values) == again
+    def test_mix_law_violation_raises(self):
+        for fr in non_mix_frames():
+            with pytest.raises(MixLawViolation):
+                frame_to_lifted(fr, 2)
+            with pytest.raises(MixLawViolation):
+                check_coalgebra_morphism(identity_map(fr.poset), fr, fr, 2)
 
 
 class TestModalPMorphism:
@@ -252,6 +319,42 @@ class TestCoalgebraMorphism:
         tmap = PosetMap(chain2(), one, [0, 0])
         assert not check_coalgebra_morphism(tmap, serial_chain_frame(), target, 1)
 
+
+
+class TestMaskRouteOracle:
+    """check_coalgebra_morphism on upset masks agrees with the index route
+    over Up(P) (up_functor, up_functor_map, TowerMap.from_map)."""
+
+    def test_exhaustive_small(self):
+        posets = all_posets(1) + all_posets(2)
+        for p in posets:
+            for q in posets:
+                maps = list(all_functions(p, q))
+                for f1 in frames_on(p):
+                    for f2 in frames_on(q):
+                        for f in maps:
+                            assert check_coalgebra_morphism(
+                                f, f1, f2, 3
+                            ) == index_coalgebra_morphism(f, f1, f2, 3)
+
+    def test_sample_of_frames_up_to_iso(self):
+        frames = [
+            fr
+            for n in (1, 2, 3)
+            for p in all_posets(n)
+            for fr in frames_up_to_iso(p)
+        ]
+        assert len(frames) == 310
+        rng = random.Random(404)
+        commuting = 0
+        for _ in range(400):
+            f1 = rng.choice(frames)
+            f2 = rng.choice([f1, rng.choice(frames)])
+            for f in all_functions(f1.poset, f2.poset):
+                got = check_coalgebra_morphism(f, f1, f2, 3)
+                assert got == index_coalgebra_morphism(f, f1, f2, 3)
+                commuting += got
+        assert commuting > 0
 
 class TestPowUp:
     def test_point_has_four_families(self):

@@ -2,7 +2,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from imcoalg.errors import NotMonotone, ValueNotUpset
+from imcoalg.config import Caps
+from imcoalg.errors import NotMonotone, StageTooLarge, ValueNotUpset
 from imcoalg import heyting, poset
 from imcoalg.heyting import (
     UpsetAlgebra,
@@ -67,10 +68,38 @@ class TestUpsetMasks:
         assert len(masks) == n + 1
         assert masks[0] == 0 and masks[-1] == p.full_mask
 
+    def test_limit_returns_the_prefix_past_it(self):
+        for n in range(1, 5):
+            for p in all_posets(n):
+                masks = upset_masks(p)
+                for limit in range(len(masks) + 1):
+                    assert upset_masks(p, limit) == masks[: limit + 1]
+
+    def test_limit_stops_a_wide_scan(self):
+        # 2^40 upsets; the limit ends the enumeration after 11
+        p = make_poset(list(range(40)), [])
+        assert len(upset_masks(p, limit=10)) == 11
+
 
 class TestUpFunctor:
     def test_memo_is_bounded(self):
         assert up_functor.cache_info().maxsize is not None
+
+    def test_stage_cap(self):
+        antichain = make_poset(list(range(13)), [])  # 8192 upsets
+        with pytest.raises(StageTooLarge) as info:
+            up_functor(antichain)
+        assert info.value.stage_index == 1
+        assert up_functor(antichain, Caps(max_stage=8192)).poset.n == 8192
+        with pytest.raises(StageTooLarge):
+            up_functor(antichain, Caps(max_stage=8191))
+
+    def test_memo_keyed_on_caps(self):
+        p = chain2()
+        assert up_functor(p).poset.n == 3
+        with pytest.raises(StageTooLarge):
+            up_functor(p, Caps(max_stage=2))
+        assert up_functor(p, Caps(max_stage=3)).poset.n == 3
 
     def test_point(self):
         fv = up_functor(point_poset("x"))
