@@ -63,11 +63,14 @@ from .bisim import (
     distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
+    largest_model_bisimulation,
+    search_distinguishing_formulas,
 )
 from .logic import (
     Model,
+    definable_masks,
     enumerate_formulas,
-    formula_count,
+    first_formulas,
     parse,
     print_formula,
     truth_set,

@@ -1,5 +1,6 @@
 """Relational bisimulations between modal frames, the greatest-bisimulation
-fixpoint, and the coalgebraic cross-check.
+fixpoint (also the one that respects two valuations), the coalgebraic
+cross-check, and distinguishing formulas for unrelated points.
 
 A bisimulation must satisfy forth and back clauses for both the order and
 the modal relation. The coalgebraic side endows the relation (as a
@@ -14,7 +15,7 @@ from .complexes import nested_image, tower_coords
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded, IncompatibleValuations, ProjectionNotPMorphism
 from .frames import ModalFrame, frame_to_lifted
-from .logic import Model, truth_mask
+from .logic import Model, first_formulas, truth_mask
 from .poset import Poset, PosetMap, is_pmorphism, iter_bits
 
 
@@ -128,25 +129,44 @@ def is_box_bisimulation(bis):
     return _refine(bis.left, bis.right, rows) == rows
 
 
-def largest_bisimulation(left, right):
-    """Greatest fixpoint: start from the full relation and apply the
-    refinement step, which removes every pair with a violated clause at
-    once, until nothing changes.
+def _largest_within(left, right, rows):
+    """Apply the refinement step to rows until nothing changes: the largest
+    bisimulation contained in the starting relation.
 
     Each step removes at least one pair or stops, so there are at most
-    |X||Y| + 1 steps. Every bisimulation survives every step, so the result
-    is the unique largest bisimulation.
+    |X||Y| + 1 steps. Every bisimulation inside the start survives every
+    step, so the result is the unique largest one.
     """
-    rows = [right.poset.full_mask] * left.poset.n
-    while True:
-        refined = _refine(left, right, rows)
-        if refined == rows:
-            break
-        rows = refined
+    refined = _refine(left, right, rows)
+    while refined != rows:
+        rows, refined = refined, _refine(left, right, refined)
     pairs = frozenset(
         (x, y) for x, row in enumerate(rows) for y in iter_bits(row)
     )
     return Bisimulation(left, right, pairs)
+
+
+def largest_bisimulation(left, right):
+    """Greatest fixpoint: start from the full relation and apply the
+    refinement step, which removes every pair with a violated clause at
+    once, until nothing changes."""
+    return _largest_within(left, right, [right.poset.full_mask] * left.poset.n)
+
+
+def largest_model_bisimulation(model_left, model_right):
+    """The largest bisimulation between the frames of two models whose
+    related points satisfy the same letters: refinement starts from the
+    pairs that agree on every letter valued on both sides."""
+    full = model_right.poset.full_mask
+    rows = [full] * model_left.poset.n
+    lv, rv = model_left.valuation, model_right.valuation
+    for letter in lv.keys() & rv.keys():
+        inside, outside = rv[letter], full & ~rv[letter]
+        rows = [
+            row & (inside if (lv[letter] >> x) & 1 else outside)
+            for x, row in enumerate(rows)
+        ]
+    return _largest_within(model_left.frame, model_right.frame, rows)
 
 
 def relation_poset(bis):
@@ -283,34 +303,25 @@ def _disjoint_sum(model_left, model_right):
     return Model(ModalFrame(Poset(labels, up, _trusted=True), rel), valuation)
 
 
-def distinguishing_formulas(model_left, model_right, pairs, formulas):
-    """Per index pair (x, y), the first formula in the stream on which point
-    x of the left model and point y of the right model disagree, or None.
+def _first_separating(n, pairs, candidates):
+    """Per index pair (x, y), the first candidate that separates point x of
+    the left model from point y of the right one, or None.
 
-    Truth at a point depends only on the points above it and its modal
-    successors, so it is the same in the disjoint sum of the two models.
-    Each formula is evaluated once there, for all pairs at once, and the
-    stream is read only until every pair has its formula. A truth set met
-    before separates no pair that is still pending, so only new ones are
-    checked against the pairs.
+    Candidates are (formula, truth mask on the disjoint sum) pairs, each
+    truth set at most once: a truth set met before separates no pair that
+    is still pending. One bitmask of pending partners is kept per left
+    point, and the candidates are read only while a pair is pending.
     """
-    n = model_left.poset.n
     pending = {}
     for x, y in pairs:
         pending[x] = pending.get(x, 0) | 1 << y
     found = {}
-    model = _disjoint_sum(model_left, model_right)
-    cache = {}
-    seen = set()
-    stream = iter(formulas)
+    candidates = iter(candidates)
     while pending:
-        phi = next(stream, None)
-        if phi is None:
+        item = next(candidates, None)
+        if item is None:
             break
-        t = truth_mask(model, phi, cache)
-        if t in seen:
-            continue
-        seen.add(t)
+        phi, t = item
         rt = t >> n
         for x, want in list(pending.items()):
             hit = want & (~rt if (t >> x) & 1 else rt)
@@ -322,6 +333,47 @@ def distinguishing_formulas(model_left, model_right, pairs, formulas):
                 else:
                     pending[x] = want & ~hit
     return {pair: found.get(pair) for pair in pairs}
+
+
+def distinguishing_formulas(model_left, model_right, pairs, formulas):
+    """Per index pair (x, y), the first formula in the stream on which point
+    x of the left model and point y of the right model disagree, or None.
+
+    Truth at a point depends only on the points above it and its modal
+    successors, so it is the same in the disjoint sum of the two models.
+    Each formula is evaluated once there, for all pairs at once, and the
+    stream is read only until every pair has its formula.
+    """
+    model = _disjoint_sum(model_left, model_right)
+
+    def new_truth_sets():
+        cache = {}
+        seen = set()
+        for phi in formulas:
+            t = truth_mask(model, phi, cache)
+            if t not in seen:
+                seen.add(t)
+                yield phi, t
+
+    return _first_separating(model_left.poset.n, pairs, new_truth_sets())
+
+
+def search_distinguishing_formulas(
+    model_left, model_right, pairs, letters, depth, caps=DEFAULT_CAPS
+):
+    """The result of distinguishing_formulas on the stream
+    enumerate_formulas(letters, depth), found by truth set: only the first
+    formula of each truth set on the disjoint sum is built
+    (logic.first_formulas). Nothing is evaluated when there are no pairs.
+
+    caps.max_formulas bounds the connective applications, and the search
+    ends early once every definable truth set has been met; CapExceeded
+    names the depth whose applications would pass the cap.
+    """
+    model = _disjoint_sum(model_left, model_right)
+    return _first_separating(
+        model_left.poset.n, pairs, first_formulas(model, letters, depth, caps)
+    )
 
 
 def distinguishing_formula(model_left, x, model_right, y, formulas):

@@ -19,9 +19,9 @@ import time
 
 from .bisim import (
     coalgebraic_bisim_check,
-    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
+    search_distinguishing_formulas,
 )
 from .complexes import (
     build_complex,
@@ -59,13 +59,7 @@ from .freealg import (
     generator_poset,
 )
 from .heyting import up_functor
-from .logic import (
-    enumerate_formulas,
-    formula_count,
-    parse,
-    print_formula,
-    truth_mask,
-)
+from .logic import parse, print_formula, truth_mask
 from .poset import format_label, terminal_map
 
 EXIT_OK = 0
@@ -285,12 +279,6 @@ def cmd_bisim(args):
         model1 = ff1.build_model(close=args.close_valuations, frame=frame1)
         model2 = ff2.build_model(close=args.close_valuations, frame=frame2)
         letters = sorted(set(model1.valuation) & set(model2.valuation))
-        count = formula_count(len(letters), args.distinguish)
-        if count > caps.max_formulas:
-            raise CapExceeded(
-                f"{count} formulas up to depth {args.distinguish} exceed "
-                f"cap {caps.max_formulas}"
-            )
         labels1, labels2 = frame1.poset.labels, frame2.poset.labels
         unrelated = [
             (x, y)
@@ -298,11 +286,8 @@ def cmd_bisim(args):
             for y in range(frame2.poset.n)
             if (x, y) not in bis.pairs
         ]
-        found = distinguishing_formulas(
-            model1,
-            model2,
-            unrelated,
-            enumerate_formulas(letters, args.distinguish),
+        found = search_distinguishing_formulas(
+            model1, model2, unrelated, letters, args.distinguish, caps
         )
         for x, y in unrelated:
             phi = found[x, y]

@@ -539,8 +539,11 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
 
 def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
     """Apply an endofunctor, then build the terminal complex over
-    the result: the depth-truncated intuitionistic lifting of the functor."""
-    value = functor.apply(p, caps)
+    the result: the depth-truncated intuitionistic lifting of the functor.
+
+    ``functor(p, caps)`` returns a FunctorValue, as heyting.up_functor does.
+    """
+    value = functor(p, caps)
     return build_complex(terminal_map(value.poset), depth, caps)
 
 

@@ -14,7 +14,7 @@ class Caps:
     max_depth: int = 4           # complex depth
     max_candidates: int = 1 << 21  # candidate subsets scanned per stage
     max_enumeration: int = 200_000  # maps enumerated by adjunction checks
-    max_formulas: int = 1 << 20  # formulas streamed by a distinguishing search
+    max_formulas: int = 1 << 20  # connective applications of a formula search
 
     def with_stage(self, max_stage):
         return replace(self, max_stage=max_stage)

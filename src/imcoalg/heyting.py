@@ -9,7 +9,7 @@ Two distinct order conventions live here and must not be confused:
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
 from .errors import NotMonotone, StageTooLarge, ValueNotUpset
@@ -91,6 +91,22 @@ def up_functor_map(f, source_value=None, target_value=None):
     return PosetMap(sv.poset, tv.poset, assign)
 
 
+def impl_mask(poset, a, b):
+    """Heyting implication of two masks: the points x with up(x) & a <= b,
+    the complement of the down-closure of a \\ b."""
+    return poset.full_mask & ~poset.down_close(a & ~b)
+
+
+def box_mask(frame, body):
+    """Box of a mask along the frame's relation: {x : R[x] <= body}."""
+    rel = frame.rel
+    out = 0
+    for x in range(frame.poset.n):
+        if rel[x] & ~body == 0:
+            out |= 1 << x
+    return out
+
+
 class UpsetAlgebra:
     """Up(base) as a finite Heyting algebra, ordered by inclusion."""
 
@@ -102,7 +118,7 @@ class UpsetAlgebra:
         if len(self.masks) <= _TABLE_LIMIT:
             for a in self.masks:
                 for b in self.masks:
-                    self._impl[(a, b)] = self._impl_raw(a, b)
+                    self._impl[(a, b)] = impl_mask(base, a, b)
 
     @property
     def carrier(self):
@@ -127,15 +143,11 @@ class UpsetAlgebra:
     def join(self, a, b):
         return a | b
 
-    def _impl_raw(self, a, b):
-        # {x : up(x) & a <= b}, the complement of the down-closure of a \ b
-        return self.base.full_mask & ~self.base.down_close(a & ~b)
-
     def impl(self, a, b):
         key = (a, b)
         got = self._impl.get(key)
         if got is None:
-            got = self._impl_raw(a, b)
+            got = impl_mask(self.base, a, b)
             self._impl[key] = got
         return got
 
@@ -161,11 +173,7 @@ def box_op(frame, a):
     p = frame.poset
     if not p.is_upset(mask):
         raise ValueNotUpset("box_op expects an upset of the frame's poset")
-    out = 0
-    for x in range(p.n):
-        if frame.rel[x] & ~mask == 0:
-            out |= 1 << x
-    return Subset(p, out)
+    return Subset(p, box_mask(frame, mask))
 
 
 def join_irreducibles(algebra):
@@ -195,25 +203,3 @@ def join_irreducibles(algebra):
             )
         labels.append(base.labels[root])
     return Poset(labels, containment_rows(irred, base.n), _trusted=True)
-
-
-@dataclass(frozen=True)
-class Functor:
-    """A poset endofunctor: a name plus an object action.
-
-    ``apply(p, caps)`` returns a FunctorValue.
-    """
-
-    name: str
-    apply: callable = field(compare=False)
-
-    def __call__(self, p, caps=DEFAULT_CAPS):
-        return self.apply(p, caps)
-
-
-def _identity_apply(p, caps=DEFAULT_CAPS):
-    return FunctorValue("id", p, p, tuple(range(p.n)))
-
-
-UP_FUNCTOR = Functor("up", up_functor)
-IDENTITY_FUNCTOR = Functor("id", _identity_apply)

@@ -10,9 +10,19 @@ quantifies over principal upsets and the box clause over modal successor
 sets, so memoized set computation beats per-point queries.
 """
 
+import operator
 import re
+from functools import partial
 
-from .errors import FormulaSyntaxError, UndeclaredLetter, UnknownToken, ValueNotUpset
+from .config import DEFAULT_CAPS
+from .errors import (
+    CapExceeded,
+    FormulaSyntaxError,
+    UndeclaredLetter,
+    UnknownToken,
+    ValueNotUpset,
+)
+from .heyting import box_mask, impl_mask
 from .poset import Subset
 
 
@@ -336,16 +346,11 @@ def truth_mask(model, phi, _cache=None):
             model, phi.right, cache
         )
     elif isinstance(phi, Impl):
-        a = truth_mask(model, phi.left, cache)
-        b = truth_mask(model, phi.right, cache)
-        # x satisfies a -> b iff no point above x is in a but not b
-        out = p.full_mask & ~p.down_close(a & ~b)
+        out = impl_mask(
+            p, truth_mask(model, phi.left, cache), truth_mask(model, phi.right, cache)
+        )
     elif isinstance(phi, Box):
-        body = truth_mask(model, phi.body, cache)
-        out = 0
-        for x in range(p.n):
-            if model.frame.rel[x] & ~body == 0:
-                out |= 1 << x
+        out = box_mask(model.frame, truth_mask(model, phi.body, cache))
     else:
         raise TypeError(f"not a formula: {phi!r}")
     cache[phi] = out
@@ -358,19 +363,6 @@ def truth_set(model, phi):
 
 def valid_on_model(model, phi):
     return truth_mask(model, phi) == model.poset.full_mask
-
-
-def formula_count(n_letters, max_depth):
-    """Length of enumerate_formulas over n_letters letters, without building
-    a formula: size s holds one box per formula of size s-1 and three binary
-    nodes per pair of sizes adding up to s-1."""
-    counts = [n_letters + 2]
-    for size in range(1, max_depth + 1):
-        counts.append(
-            counts[size - 1]
-            + 3 * sum(counts[k] * counts[size - 1 - k] for k in range(size))
-        )
-    return sum(counts)
 
 
 def enumerate_formulas(letters, max_depth):
@@ -396,3 +388,110 @@ def enumerate_formulas(letters, max_depth):
                         bucket.append(make(a, b))
         by_size.append(bucket)
         yield from bucket
+
+
+def first_formulas(model, letters, max_depth, caps=DEFAULT_CAPS):
+    """(formula, truth mask) for the first formula of each truth set in
+    enumerate_formulas(letters, max_depth), in stream order, built without
+    the stream.
+
+    Swapping a subformula for the first formula with the same truth set
+    keeps the truth set and moves the formula no later in the stream, so
+    the first formula with a given truth set is built from first formulas
+    only. Size s therefore combines the first formulas of smaller sizes in
+    construction order and keeps each combination whose truth set is new.
+
+    caps.max_formulas bounds the connective applications: before a size is
+    built, the applications it needs are counted from the number of first
+    formulas per size, and CapExceeded names the size whose total would
+    pass the cap. Once a size adds no truth set, the model's definable
+    truth sets are counted (definable_masks, bounded by the same cap), and
+    the search ends as soon as all of them have been met.
+    """
+    p, frame = model.poset, model.frame
+    kernels = (
+        (And, operator.and_),
+        (Or, operator.or_),
+        (Impl, partial(impl_mask, p)),
+    )
+    seen = set()
+    atoms = []
+    for phi in [Var(l) for l in letters] + [TOP, BOT]:
+        t = truth_mask(model, phi)
+        if t not in seen:
+            seen.add(t)
+            atoms.append((phi, t))
+            yield phi, t
+    by_size = [atoms]
+    closure_size = None
+    applied = 0
+    for size in range(1, max_depth + 1):
+        if len(seen) == closure_size:
+            return
+        counts = [len(level) for level in by_size]
+        count = counts[size - 1] + 3 * sum(
+            counts[k] * counts[size - 1 - k] for k in range(size)
+        )
+        if not count:
+            return
+        applied += count
+        if applied > caps.max_formulas:
+            raise CapExceeded(
+                f"{applied} connective applications up to depth {size} "
+                f"exceed cap {caps.max_formulas}"
+            )
+        level = []
+        for phi, t in by_size[size - 1]:
+            t = box_mask(frame, t)
+            if t not in seen:
+                seen.add(t)
+                phi = Box(phi)
+                level.append((phi, t))
+                yield phi, t
+        for make, kernel in kernels:
+            for left_size in range(size):
+                rights = by_size[size - 1 - left_size]
+                for a, ta in by_size[left_size]:
+                    for b, tb in rights:
+                        t = kernel(ta, tb)
+                        if t not in seen:
+                            seen.add(t)
+                            phi = make(a, b)
+                            level.append((phi, t))
+                            yield phi, t
+        by_size.append(level)
+        if not level and closure_size is None and size < max_depth:
+            closure_size = len(definable_masks(model, caps))
+
+
+def definable_masks(model, caps=DEFAULT_CAPS):
+    """The truth sets of all formulas over the model's letters: the closure
+    of the valuations, T and F under and, or, -> and box.
+
+    Each mask, in the order found, is boxed and combined both ways with
+    every mask found before it; CapExceeded is raised before the connective
+    applications would pass caps.max_formulas.
+    """
+    p, frame = model.poset, model.frame
+    found = list(dict.fromkeys([*model.valuation.values(), p.full_mask, 0]))
+    known = set(found)
+    applied = 0
+    i = 0
+    while i < len(found):
+        a = found[i]
+        # box a, then a & b, a | b, a -> b and b -> a for every earlier b
+        applied += 1 + 4 * i
+        if applied > caps.max_formulas:
+            raise CapExceeded(
+                f"{applied} connective applications closing the definable "
+                f"truth sets exceed cap {caps.max_formulas}"
+            )
+        made = [box_mask(frame, a)]
+        for b in found[:i]:
+            made += (a & b, a | b, impl_mask(p, a, b), impl_mask(p, b, a))
+        for t in made:
+            if t not in known:
+                known.add(t)
+                found.append(t)
+        i += 1
+    return frozenset(found)

@@ -13,7 +13,9 @@ from imcoalg.bisim import (
     distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
+    largest_model_bisimulation,
     saturated_valuation,
+    search_distinguishing_formulas,
 )
 from imcoalg.config import Caps
 from imcoalg.complexes import TowerMap, nested_image
@@ -26,6 +28,7 @@ from imcoalg.errors import (
 )
 from imcoalg.frames import ModalFrame, frame_to_upmap, is_modal_pmorphism
 from imcoalg.heyting import up_functor, up_functor_map
+from imcoalg import logic
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
 from imcoalg.poset import (
     PosetMap,
@@ -538,9 +541,9 @@ def _assert_batch_matches_oracle(m1, m2, formulas):
         )
 
 
-def _sampled_models(count, seed=2406):
+def _sampled_models(count, seed=2406, letters=("p",)):
     """Seeded pairs of models on the 310 frames on at most 3 elements, each
-    side with a random upset for p."""
+    side with a random upset per letter."""
     frames = [
         f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
     ]
@@ -550,9 +553,9 @@ def _sampled_models(count, seed=2406):
     for _ in range(count):
         f1, f2 = rng.choice(frames), rng.choice(frames)
         out.append(
-            (
-                Model(f1, {"p": random_upset(rng, f1.poset)}),
-                Model(f2, {"p": random_upset(rng, f2.poset)}),
+            tuple(
+                Model(f, {l: random_upset(rng, f.poset) for l in letters})
+                for f in (f1, f2)
             )
         )
     return out
@@ -643,6 +646,126 @@ class TestDistinguishingBatchAgainstOracle:
                             assert got == _oracle_agreement(
                                 m1, a, m2, b, formulas
                             )
+
+
+# -- the truth-set search, checked against the streaming search ---------------
+
+
+def _assert_search_matches_stream(m1, m2, letters, depth, formulas=None):
+    pairs = _unrelated(m1, m2)
+    if formulas is None:
+        formulas = enumerate_formulas(letters, depth)
+    want = distinguishing_formulas(m1, m2, pairs, formulas)
+    got = search_distinguishing_formulas(m1, m2, pairs, letters, depth)
+    assert list(got) == pairs
+    assert got == want
+
+
+class TestTruthSetSearchAgainstStream:
+    def test_all_small_frame_pairs_and_valuations(self):
+        streams = [list(enumerate_formulas(["p"], d)) for d in range(4)]
+        frames = _small_frames()
+        assert len(frames) == 24
+        for f1 in frames:
+            for f2 in frames:
+                for v1 in upset_masks(f1.poset):
+                    for v2 in upset_masks(f2.poset):
+                        m1, m2 = Model(f1, {"p": v1}), Model(f2, {"p": v2})
+                        for depth, formulas in enumerate(streams):
+                            _assert_search_matches_stream(
+                                m1, m2, ["p"], depth, formulas
+                            )
+
+    @pytest.mark.parametrize("letters", [["p"], ["p", "q"]])
+    def test_sampled_three_element_frames(self, letters):
+        streams = [list(enumerate_formulas(letters, d)) for d in range(3)]
+        for m1, m2 in _sampled_models(1000, letters=letters):
+            for depth, formulas in enumerate(streams):
+                _assert_search_matches_stream(m1, m2, letters, depth, formulas)
+
+    def test_chains(self):
+        formulas = list(enumerate_formulas(["p"], 3))
+        for n in range(1, 9):
+            _assert_search_matches_stream(
+                _valued_chain(n), _valued_chain(n + 1), ["p"], 3, formulas
+            )
+        # 373 803 formulas, streamed rather than listed
+        _assert_search_matches_stream(_valued_chain(7), _valued_chain(8), ["p"], 4)
+
+    def test_no_pairs_evaluates_nothing(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a truth set was evaluated")
+
+        for name in ("truth_mask", "box_mask", "impl_mask"):
+            monkeypatch.setattr(logic, name, evaluated)
+        m1, m2 = _valued_chain(3), _valued_chain(4)
+        # "q" is valued on neither side and would raise if it were read
+        got = search_distinguishing_formulas(m1, m2, [], ["p", "q"], 10**6)
+        assert got == {}
+
+    def test_large_depth_ends_at_the_definable_truth_sets(self):
+        m1, m2 = _valued_chain(12), _valued_chain(13)
+        unrelated = _unrelated(m1, m2)
+        # bisimilar points agree on every formula, so these stay pending
+        # until the search has met every definable truth set
+        related = sorted(largest_bisimulation(m1.frame, m2.frame).pairs)
+        pairs = unrelated + related
+        assert len(logic.definable_masks(_disjoint_sum(m1, m2))) == 14
+        # all 14 are met within 404 connective applications, closure
+        # included; running on until a depth builds nothing would take 602
+        found = search_distinguishing_formulas(
+            m1, m2, pairs, ["p"], 10**6, Caps(max_formulas=404)
+        )
+        assert all(found[pair] is not None for pair in unrelated)
+        assert all(found[pair] is None for pair in related)
+        assert search_distinguishing_formulas(m1, m2, pairs, ["p"], 13) == found
+        with pytest.raises(CapExceeded, match="exceed cap 403"):
+            search_distinguishing_formulas(
+                m1, m2, pairs, ["p"], 10**6, Caps(max_formulas=403)
+            )
+
+    def test_letter_valued_on_one_side_is_undeclared(self):
+        fr = serial_chain_frame()
+        m1 = Model(fr, {"p": 0b10, "q": 0b10})
+        m2 = Model(fr, {"p": 0b10})
+        for left, right in ((m1, m2), (m2, m1)):
+            with pytest.raises(UndeclaredLetter):
+                search_distinguishing_formulas(left, right, [(0, 0)], ["q"], 1)
+
+
+# -- bisimulations that respect the valuations --------------------------------
+
+
+class TestLargestModelBisimulation:
+    def test_against_every_relation_on_small_frames(self):
+        frames = _small_frames()
+        for f1 in frames:
+            for f2 in frames:
+                n, m = f1.poset.n, f2.poset.n
+                relations = []
+                for bits in range(1 << (n * m)):
+                    rel = frozenset(
+                        (x, y) for x in range(n) for y in range(m)
+                        if (bits >> (x * m + y)) & 1
+                    )
+                    if is_box_bisimulation(Bisimulation(f1, f2, rel)):
+                        relations.append(rel)
+                for v1 in upset_masks(f1.poset):
+                    for v2 in upset_masks(f2.poset):
+                        m1, m2 = Model(f1, {"p": v1}), Model(f2, {"p": v2})
+                        want = frozenset().union(*(
+                            rel for rel in relations
+                            if all((v1 >> x) & 1 == (v2 >> y) & 1
+                                   for x, y in rel)
+                        ))
+                        assert largest_model_bisimulation(m1, m2).pairs == want
+
+    def test_no_shared_letter_is_the_frame_bisimulation(self):
+        for m1, m2 in _sampled_models(200, seed=5):
+            m2 = Model(m2.frame, {"q": m2.valuation["p"]})
+            assert largest_model_bisimulation(m1, m2) == largest_bisimulation(
+                m1.frame, m2.frame
+            )
 
 
 class TestCoalgebraicDepthCap:

@@ -287,6 +287,24 @@ class TestCliBehaviour:
         assert proc.stdout.count("\ndistinguish ") == 20 * 21 - 20
         assert elapsed < 10.0
 
+    def test_bisim_distinguish_depth_six_on_forty_element_chains(self,
+                                                               tmp_path):
+        f1 = tmp_path / "c40.frame"
+        f1.write_text(shifted_chain_text(40, 1, "l") + "[val]\np : l39\n")
+        f2 = tmp_path / "c41.frame"
+        f2.write_text(shifted_chain_text(41, 1, "r") + "[val]\np : r40\n")
+        start = time.perf_counter()
+        proc = run_cli(
+            ["bisim", str(f1), str(f2), "--depth", "2", "--distinguish", "6"],
+            str(tmp_path),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert proc.stdout.count("\ndistinguish ") == 40 * 41 - 40
+        assert "distinguish l0 vs r34: [][][][][][]p\n" in proc.stdout
+        assert "distinguish l0 vs r0: (none found)\n" in proc.stdout
+        assert elapsed < 5.0
+
     def test_bisim_distinguish(self, tmp_path):
         f1 = tmp_path / "one.frame"
         f1.write_text("[elements]\na b\n[order]\na < b\n[modal]\na R b\nb R b\n[val]\np : b\n")
@@ -538,19 +556,52 @@ class TestCliUsageGaps:
         assert "error:" in err and "--distinguish" in err
         assert out == ""
 
-    @pytest.mark.parametrize(
-        "extra, depth, count",
-        [("", "5", 10_617_633), ("q : b\n", "4", 1_462_868)],
-    )
-    def test_formula_stream_above_cap_exits_3(self, extra, depth, count,
-                                             tmp_path, capsys):
+    @pytest.mark.parametrize("extra, depth", [("", "5"), ("q : b\n", "4")])
+    def test_formerly_capped_stream_sizes_run(self, extra, depth, tmp_path,
+                                              capsys):
+        # 10 617 633 and 1 462 868 formulas, once a cap exit; the search
+        # builds one formula per truth set
         path = tmp_path / "chain.frame"
         path.write_text(CHAIN_FILE + extra)
+        dead = tmp_path / "dead.frame"
+        dead.write_text("[elements]\nx\n[val]\np :\n" + extra.replace("b", ""))
         argv = ["bisim", str(path), str(path), "--distinguish", depth]
+        assert main(argv) == 0
+        assert "distinguish" not in capsys.readouterr().out
+        argv = ["bisim", str(path), str(dead), "--distinguish", depth]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "distinguish a vs x: []F\n" in out
+        assert "distinguish b vs x: p\n" in out
+
+    def test_connective_applications_above_cap_exits_3(self, tmp_path,
+                                                       capsys):
+        # chains 8 and 9 next to a 16-element antichain on which four
+        # letters take every pattern: the chain pairs need deep boxes while
+        # the truth sets on the antichain multiply
+        def text(n, prefix):
+            chain = [f"{prefix}{i}" for i in range(n)]
+            wide = [f"w{j}" for j in range(16)]
+            lines = ["[elements]", " ".join(chain + wide), "[order]"]
+            lines += [f"{a} < {b}" for a, b in zip(chain, chain[1:])]
+            lines.append("[modal]")
+            lines += [f"{a} R {b}" for i, a in enumerate(chain)
+                      for b in chain[i + 1:]]
+            lines.append("[val]")
+            for bit, letter in enumerate("pqrs"):
+                members = [w for j, w in enumerate(wide) if (j >> bit) & 1]
+                lines.append(f"{letter} : {chain[-1]} {' '.join(members)}")
+            return "\n".join(lines) + "\n"
+
+        left, right = tmp_path / "l.frame", tmp_path / "r.frame"
+        left.write_text(text(8, "l"))
+        right.write_text(text(9, "r"))
+        argv = ["bisim", str(left), str(right), "--distinguish", "10"]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert err.startswith("error:")
-        assert f"{count} formulas" in err and str(1 << 20) in err
+        assert "connective applications up to depth 6" in err
+        assert f"exceed cap {1 << 20}" in err
         assert out == ""
 
     def test_formula_stream_at_depth_four_runs(self, chain_path, tmp_path,

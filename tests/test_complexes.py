@@ -17,7 +17,7 @@ from imcoalg.complexes import (
 )
 from imcoalg.config import Caps
 from imcoalg.errors import NotMonotone, StageTooLarge
-from imcoalg.heyting import IDENTITY_FUNCTOR, UP_FUNCTOR, up_functor
+from imcoalg.heyting import FunctorValue, up_functor
 from imcoalg.poset import (
     PosetMap,
     containment_rows,
@@ -308,16 +308,19 @@ class TestAdjunction:
 
 class TestIntuitionisticLift:
     def test_up_on_point(self):
-        cx = intuitionistic_lift(UP_FUNCTOR, point_poset(), 1)
+        cx = intuitionistic_lift(up_functor, point_poset(), 1)
         assert [s.n for s in cx.stages] == [1, 2]
 
     def test_identity_functor(self):
+        def identity(q, caps):
+            return FunctorValue("id", q, q, tuple(range(q.n)))
+
         p = chain2()
-        cx = intuitionistic_lift(IDENTITY_FUNCTOR, p, 1)
+        cx = intuitionistic_lift(identity, p, 1)
         assert cx.stages[1] == p
 
     def test_up_on_chain_depth2(self):
-        cx = intuitionistic_lift(UP_FUNCTOR, chain2(), 2)
+        cx = intuitionistic_lift(up_functor, chain2(), 2)
         # upsets of the 2-chain form a 3-chain; its rooted subsets are the 7
         # nonempty intervals-with-minimum
         assert [s.n for s in cx.stages] == [1, 3, 7]
@@ -325,8 +328,8 @@ class TestIntuitionisticLift:
     def test_functor_value_is_stage_one_under_the_given_caps(self):
         antichain = make_poset(list(range(13)), [])  # 8192 upsets
         with pytest.raises(StageTooLarge):
-            intuitionistic_lift(UP_FUNCTOR, antichain, 1)
-        cx = intuitionistic_lift(UP_FUNCTOR, antichain, 1, Caps(max_stage=8192))
+            intuitionistic_lift(up_functor, antichain, 1)
+        cx = intuitionistic_lift(up_functor, antichain, 1, Caps(max_stage=8192))
         assert [s.n for s in cx.stages] == [1, 8192]
 
 

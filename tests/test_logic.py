@@ -1,9 +1,17 @@
+import functools
 import random
 
 import pytest
 
-from imcoalg.errors import FormulaSyntaxError, UndeclaredLetter, ValueNotUpset
+from imcoalg.config import Caps
+from imcoalg.errors import (
+    CapExceeded,
+    FormulaSyntaxError,
+    UndeclaredLetter,
+    ValueNotUpset,
+)
 from imcoalg.frames import ModalFrame, check_mix_law
+from imcoalg.heyting import box_mask, impl_mask
 from imcoalg.logic import (
     And,
     Bot,
@@ -13,8 +21,9 @@ from imcoalg.logic import (
     Or,
     Top,
     Var,
+    definable_masks,
     enumerate_formulas,
-    formula_count,
+    first_formulas,
     iff,
     letters_of,
     parse,
@@ -24,7 +33,13 @@ from imcoalg.logic import (
     valid_on_model,
 )
 from imcoalg.poset import Subset, make_poset
-from imcoalg.enumeration import random_mix_frame, random_poset, random_upset
+from imcoalg.enumeration import (
+    all_posets,
+    frames_up_to_iso,
+    random_mix_frame,
+    random_poset,
+    random_upset,
+)
 
 
 def chain_model():
@@ -211,22 +226,121 @@ class TestEnumeration:
         assert len(list(enumerate_formulas(["p"], 2))) == 603
         assert len(list(enumerate_formulas(["p", "q"], 1))) == 56
 
-    @pytest.mark.parametrize("letters", [[], ["p"], ["p", "q"]])
-    def test_formula_count_matches_the_stream(self, letters):
-        for depth in range(4):
-            assert formula_count(len(letters), depth) == sum(
-                1 for _ in enumerate_formulas(letters, depth)
-            )
-
-    def test_formula_count_beyond_the_stream(self):
-        # sizes the distinguishing search caps instead of enumerating
-        assert formula_count(1, 4) == 373_803
-        assert formula_count(2, 4) == 1_462_868
-        assert formula_count(1, 5) == 10_617_633
-
     def test_no_duplicates(self):
         got = list(enumerate_formulas(["p"], 2))
         assert len(got) == len(set(got))
 
     def test_letters_of(self):
         assert letters_of(parse("[](p & q) -> r")) == {"p", "q", "r"}
+
+
+# -- truth sets: the closure and the first formula of each ------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_models():
+    """200 seeded one-letter models on the 310 frames on at most 3 elements,
+    each with the truth masks of every formula of depth at most 3, in
+    stream order."""
+    frames = [
+        f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
+    ]
+    assert len(frames) == 310
+    rng = random.Random(2406)
+    formulas = list(enumerate_formulas(["p"], 3))
+    out = []
+    for _ in range(200):
+        fr = rng.choice(frames)
+        model = Model(fr, {"p": random_upset(rng, fr.poset)})
+        cache = {}
+        masks = [truth_mask(model, phi, cache) for phi in formulas]
+        out.append((model, list(zip(formulas, masks))))
+    return out
+
+
+def _first_of_each_truth_set(stream):
+    seen = set()
+    out = []
+    for phi, t in stream:
+        if t not in seen:
+            seen.add(t)
+            out.append((phi, t))
+    return out
+
+
+class TestDefinableMasks:
+    def test_contains_every_truth_set_of_the_stream(self):
+        deeper = 0
+        for model, stream in _sampled_models():
+            closure = definable_masks(model)
+            reached = {t for _, t in stream}
+            assert reached <= closure
+            deeper += reached != closure
+        assert deeper  # some model needs formulas beyond depth 3
+
+    def test_closed_under_the_connectives(self):
+        models = [m for m, _ in _sampled_models()]
+        rng = random.Random(99)
+        for _ in range(100):
+            p = random_poset(rng, rng.randrange(1, 6))
+            fr = random_mix_frame(rng, p)
+            models.append(
+                Model(fr, {"p": random_upset(rng, p), "q": random_upset(rng, p)})
+            )
+        for model in models:
+            closure = definable_masks(model)
+            p = model.poset
+            assert {p.full_mask, 0, *model.valuation.values()} <= closure
+            for a in closure:
+                assert box_mask(model.frame, a) in closure
+                for b in closure:
+                    assert a & b in closure and a | b in closure
+                    assert impl_mask(p, a, b) in closure
+
+    def test_without_letters(self):
+        model = chain_model()
+        assert definable_masks(model) == {0, 0b10, 0b11}
+        # T, F and []F = F
+        assert definable_masks(Model(model.frame, {})) == {0, 0b11}
+
+    def test_cap_on_connective_applications(self):
+        model = chain_model()
+        # masks p, T, F: 1, 1 + 4 and 1 + 8 applications, nothing new
+        assert definable_masks(model, caps=Caps(max_formulas=15))
+        with pytest.raises(CapExceeded, match="15 connective applications"):
+            definable_masks(model, caps=Caps(max_formulas=14))
+
+
+class TestFirstFormulas:
+    def test_first_formula_of_each_truth_set_of_the_stream(self):
+        for model, stream in _sampled_models():
+            assert list(first_formulas(model, ["p"], 3)) == (
+                _first_of_each_truth_set(stream)
+            )
+
+    def test_two_letters_on_random_models(self):
+        rng = random.Random(5)
+        formulas = list(enumerate_formulas(["p", "q"], 2))
+        for _ in range(100):
+            p = random_poset(rng, rng.randrange(1, 5))
+            fr = random_mix_frame(rng, p)
+            model = Model(
+                fr, {"p": random_upset(rng, p), "q": random_upset(rng, p)}
+            )
+            stream = [(phi, truth_mask(model, phi)) for phi in formulas]
+            assert list(first_formulas(model, ["p", "q"], 2)) == (
+                _first_of_each_truth_set(stream)
+            )
+
+    def test_unbounded_depth_stops_at_the_closure(self):
+        for model, _ in _sampled_models()[:50]:
+            got = [t for _, t in first_formulas(model, ["p"], 10**9)]
+            assert set(got) == definable_masks(model)
+            assert len(got) == len(set(got))
+
+    def test_cap_names_the_depth(self):
+        model = chain_model()
+        # three atoms, so 3 boxes and 3 * 9 binary applications at depth 1
+        list(first_formulas(model, ["p"], 1, Caps(max_formulas=30)))
+        with pytest.raises(CapExceeded, match="^30 .* up to depth 1 exceed cap 29$"):
+            list(first_formulas(model, ["p"], 1, Caps(max_formulas=29)))
