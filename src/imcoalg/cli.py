@@ -11,6 +11,7 @@ inputs produce byte-identical output.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -149,11 +150,9 @@ def _caps(args):
     env = os.environ.get("IMCOALG_MAX_STAGE")
     if env is not None:
         try:
-            caps = caps.with_stage(int(env))
-        except ValueError:
-            raise UsageError(
-                f"IMCOALG_MAX_STAGE must be an integer, got {env!r}"
-            ) from None
+            caps = caps.with_stage(_int_at_least(0)(env))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"IMCOALG_MAX_STAGE: {exc}") from None
     if getattr(args, "max_stage", None) is not None:
         caps = caps.with_stage(args.max_stage)
     if getattr(args, "max_depth", None) is not None:
@@ -444,9 +443,9 @@ def _int_at_least(low):
 def _add_caps(sub, stage=True):
     if stage:
         sub.add_argument(
-            "--max-stage", type=int, metavar="N",
+            "--max-stage", type=_int_at_least(0), metavar="N",
             help=f"stage element cap (default {DEFAULT_CAPS.max_stage})")
-    sub.add_argument("--max-depth", type=int, metavar="N",
+    sub.add_argument("--max-depth", type=_int_at_least(0), metavar="N",
                      help=f"depth cap (default {DEFAULT_CAPS.max_depth})")
 
 
@@ -498,9 +497,9 @@ def build_parser():
     p.set_defaults(func=cmd_lift)
 
     p = subs.add_parser("freealg", help="truncated free-algebra stages")
-    p.add_argument("--generators", type=int, default=1)
-    p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--inner-depth", type=int, default=1)
+    p.add_argument("--generators", type=_int_at_least(0), default=1)
+    p.add_argument("--stages", type=_int_at_least(0), default=1)
+    p.add_argument("--inner-depth", type=_int_at_least(1), default=1)
     p.add_argument("--dot", metavar="OUT")
     p.add_argument("--json", metavar="OUT")
     _add_caps(p)
@@ -517,10 +516,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

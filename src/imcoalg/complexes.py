@@ -14,8 +14,10 @@ elements and record member bitmasks over the previous stage; they are only
 feasible while stages stay small. Nested values (an element of stage l is a
 frozenset of stage l-1 values, bottoming out at level-1 values) support the
 same lifting pointwise with no stage enumeration at all. Level-1 values are
-indices into a materialized base, or, in the frame and bisimulation checks,
-the upset masks R[x] themselves, so those checks never build Up(P).
+indices into a materialized base by default; a complex over Up(P) can carry
+the upset masks themselves instead, as the free-algebra layers do, and the
+frame and bisimulation checks lift the masks R[x] without ever building
+Up(P).
 """
 
 from dataclasses import dataclass, field
@@ -103,15 +105,18 @@ class Complex:
     """Stages P_0..P_n joined by root maps r_i: P_i -> P_{i-1}, with r_1 = g.
 
     P_0 is g's target and P_1 its source; every deeper stage is the rooted
-    stage over the previous root map.
+    stage over the previous root map. ``level1`` gives the nested value of
+    each element of P_1 (default: its own index).
     """
 
-    def __init__(self, g, stages, root_maps, member_masks):
+    def __init__(self, g, stages, root_maps, member_masks, level1=None):
         self.g = g
         self.stages = stages
         self.root_maps = root_maps  # index i >= 1 is r_i; [0] is None
         self.member_masks = member_masks  # per stage, None for i <= 1
-        self._values = {}
+        if level1 is None:
+            level1 = range(stages[1].n)
+        self._values = {1: tuple(level1)}
         self._value_index = {}
 
     @property
@@ -122,19 +127,14 @@ class Complex:
         return self.stages[0].n == 1
 
     def stage_values(self, i):
-        """Nested value of each element of stage i (indices at level 1)."""
-        if i in self._values:
-            return self._values[i]
-        if i == 1:
-            vals = tuple(range(self.stages[1].n))
-        else:
+        """Nested value of each element of stage i."""
+        if i not in self._values:
             prev = self.stage_values(i - 1)
-            vals = tuple(
+            self._values[i] = tuple(
                 frozenset(prev[j] for j in iter_bits(m))
                 for m in self.member_masks[i]
             )
-        self._values[i] = vals
-        return vals
+        return self._values[i]
 
     def value_index(self, i, value):
         """Stage index of a nested value; LiftOutsideStage when absent."""
@@ -175,8 +175,9 @@ class Tower:
         return len(self.indices) - 1
 
 
-def build_complex(g, depth, caps=DEFAULT_CAPS):
-    """Iterate rooted stages along root maps up to the requested depth."""
+def build_complex(g, depth, caps=DEFAULT_CAPS, level1=None):
+    """Iterate rooted stages along root maps up to the requested depth;
+    ``level1`` is passed on to the Complex."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
@@ -189,11 +190,11 @@ def build_complex(g, depth, caps=DEFAULT_CAPS):
         stages.append(st.poset)
         root_maps.append(st.root_map)
         member_masks.append(st.member_masks)
-    return Complex(g, stages, root_maps, member_masks)
+    return Complex(g, stages, root_maps, member_masks, level1)
 
 
-def terminal_complex(p, depth, caps=DEFAULT_CAPS):
-    return build_complex(terminal_map(p), depth, caps)
+def terminal_complex(p, depth, caps=DEFAULT_CAPS, level1=None):
+    return build_complex(terminal_map(p), depth, caps, level1)
 
 
 # -- nested tower values (no stage materialization) -------------------------
@@ -238,14 +239,6 @@ def value_root(base, level, v):
         if all(value_leq(base, level - 1, m, s) for s in v):
             return m
     return None
-
-
-def value_base_coord(base, level, v):
-    """Iterated root down to the level-1 coordinate."""
-    while level > 1:
-        v = value_root(base, level, v)
-        level -= 1
-    return v
 
 
 # -- tower maps --------------------------------------------------------------

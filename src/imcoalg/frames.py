@@ -203,7 +203,8 @@ def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
     """Sets of upsets of p, ordered by inclusion of families.
 
     Element i of the value poset is the family whose members are read off
-    ``masks[i]`` as indices into the upset carrier of p. Doubly exponential,
+    the bits of i as indices into the upset carrier of p, so ``masks[i]``
+    is i itself and a family mask is its own index. Doubly exponential,
     so the base is capped small. Memoized on every argument, so a call with
     tighter caps never returns a value built under looser ones.
     """
@@ -260,7 +261,7 @@ def pow_up_map(f, source_value=None, target_value=None):
         for b in range(tgt_up.poset.n):
             if (fam >> pre[b]) & 1:
                 out |= 1 << b
-        assign.append(tv.index_of_mask(out))
+        assign.append(out)
     return PosetMap(sv.poset, tv.poset, assign)
 
 
@@ -331,8 +332,7 @@ class NbhdFrame:
 
 def nbhd_to_coalgebra(nf, functor_value=None):
     fv = functor_value if functor_value is not None else pow_up_functor(nf.poset)
-    assign = [fv.index_of_mask(m) for m in nf.families]
-    return PosetMap(nf.poset, fv.poset, assign)
+    return PosetMap(nf.poset, fv.poset, nf.families)
 
 
 def coalgebra_to_nbhd(m, strict=False):
@@ -341,7 +341,7 @@ def coalgebra_to_nbhd(m, strict=False):
     fv = pow_up_functor(m.source)
     if m.target != fv.poset:
         raise ValueNotUpset("map target is not the canonical family poset")
-    return NbhdFrame(m.source, tuple(fv.masks[i] for i in m.assign), strict=strict)
+    return NbhdFrame(m.source, m.assign, strict=strict)
 
 
 def nbhd_morphism_condition(f, nf1, nf2):

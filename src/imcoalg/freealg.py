@@ -13,12 +13,7 @@ the stage that overflowed.
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    nested_image,
-    terminal_complex,
-    tower_coords,
-    value_base_coord,
-)
+from .complexes import nested_image, terminal_complex, tower_coords
 from .config import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -26,7 +21,7 @@ from .errors import (
     NotPMorphism,
     TooManyGenerators,
 )
-from .heyting import up_functor, up_functor_map
+from .heyting import up_functor
 from .poset import (
     Poset,
     PosetMap,
@@ -69,8 +64,10 @@ class FreeStage:
     relation into the previous layer (absent at stage 0).
 
     Elements of stage k >= 1 are pairs (generator element, inner stage
-    element); ``inner_values`` keeps the inner elements' nested towers so
-    projections and R_k stay computable.
+    element). ``inner_complex`` is the tower complex over the upsets of
+    stage k - 1 whose deepest stage holds the inner elements; its level-1
+    values are the upset masks themselves, so projections and R_k act on
+    masks directly.
     """
 
     index: int
@@ -80,8 +77,6 @@ class FreeStage:
     prev: Poset | None = None
     rel: tuple | None = None  # masks over prev, per element
     pairs: tuple | None = None  # (generator index, inner index) per element
-    inner_values: tuple | None = None
-    upsets_fv: object = None  # FunctorValue of Up(prev) for k >= 1
     inner_complex: object = None
 
 
@@ -89,49 +84,44 @@ def _build_next_stage(base, stage, inner_depth, caps):
     """Stage k+1 = base x (deepest stage of the tower complex over the
     upsets of stage k)."""
     fv = up_functor(stage.poset, caps)
-    cx = terminal_complex(fv.poset, inner_depth, caps)
+    cx = terminal_complex(fv.poset, inner_depth, caps, level1=fv.masks)
     inner = cx.stages[inner_depth]
-    inner_vals = cx.stage_values(inner_depth)
     next_poset = product(base, inner)
-    n_inner = inner.n
     pairs = tuple(
-        (i, j) for i in range(base.n) for j in range(n_inner)
+        (i, j) for i in range(base.n) for j in range(inner.n)
     )
     # step relation: (x, C) steps to y iff y lies in C's level-1 coordinate
-    rel = []
-    for i, j in pairs:
-        coord = value_base_coord(fv.poset, inner_depth, inner_vals[j])
-        rel.append(fv.masks[coord])
+    steps = [fv.masks[cx.tower_of(j).indices[1]] for j in range(inner.n)]
+    rel = tuple(steps[j] for _, j in pairs)
     # projection: stage 1 forgets the inner component; deeper stages push
-    # the inner tower through the upset image of the previous projection
+    # the inner tower through the upward-closed direct image of the
+    # previous projection
     if stage.index == 0:
         proj_assign = [i for i, _ in pairs]
-        projection = PosetMap(next_poset, stage.poset, proj_assign)
     else:
-        prev_fv = stage.upsets_fv
         prev_cx = stage.inner_complex
-        u = up_functor_map(stage.projection, fv, prev_fv)
-        proj_assign = []
-        for i, j in pairs:
-            moved = nested_image(
-                u.assign.__getitem__, inner_depth, inner_vals[j]
+
+        def image(mask):
+            return stage.prev.up_close(stage.projection.image_mask(mask))
+
+        moved = [
+            prev_cx.value_index(
+                inner_depth, nested_image(image, inner_depth, value)
             )
-            inner_idx = prev_cx.value_index(inner_depth, moved)
-            proj_assign.append(i * prev_cx.stages[inner_depth].n + inner_idx)
-        projection = PosetMap(next_poset, stage.poset, proj_assign)
-    out = FreeStage(
+            for value in cx.stage_values(inner_depth)
+        ]
+        prev_n = prev_cx.stages[inner_depth].n
+        proj_assign = [i * prev_n + moved[j] for i, j in pairs]
+    return FreeStage(
         index=stage.index + 1,
         poset=next_poset,
-        projection=projection,
+        projection=PosetMap(next_poset, stage.poset, proj_assign),
         inner_depth=inner_depth,
         prev=stage.poset,
-        rel=tuple(rel),
+        rel=rel,
         pairs=pairs,
-        inner_values=inner_vals,
-        upsets_fv=fv,
+        inner_complex=cx,
     )
-    out.inner_complex = cx
-    return out
 
 
 def build_free_stages(base, stages, inner_depth, caps=DEFAULT_CAPS):
@@ -167,30 +157,14 @@ def check_truncated_pmorphism(stage, assign, source):
     """
     if not is_monotone(PosetMap(source, stage.poset, assign)):
         return False
-    d = stage.inner_depth
-    fvp = stage.upsets_fv.poset
-    vals = stage.inner_values
-    pairs = stage.pairs
-
-    def prefix(inner_idx):
-        if d == 1:
-            return None
-        from .complexes import value_root
-
-        return value_root(fvp, d, vals[inner_idx])
-
+    # an element's generator component and the root of its inner tower,
+    # the tower up to depth d-1 (constant at d = 1: stage 0 is a point)
+    roots = stage.inner_complex.root_maps[stage.inner_depth].assign
+    keys = [(x, roots[c]) for x, c in stage.pairs]
     for y in range(source.n):
-        x0, c0 = pairs[assign[y]]
+        hit = {keys[assign[y2]] for y2 in iter_bits(source.up[y])}
         for e2 in iter_bits(stage.poset.up[assign[y]]):
-            x2, c2 = pairs[e2]
-            want = prefix(c2)
-            hit = False
-            for y2 in iter_bits(source.up[y]):
-                wx, wc = pairs[assign[y2]]
-                if wx == x2 and (d == 1 or prefix(wc) == want):
-                    hit = True
-                    break
-            if not hit:
+            if keys[e2] not in hit:
                 return False
     return True
 
@@ -226,7 +200,6 @@ def universal_lift(p, frame, stages=None, inner_depth=None, caps=DEFAULT_CAPS,
     maps = [p]
     for stage in free_stages[1:]:
         prev_map = maps[-1]
-        fv = stage.upsets_fv
         cx = stage.inner_complex
         # y -> p_k[R[y]] lands in the upsets of the previous stage; at
         # stage 1 the raw image is already an upset (exact back condition
@@ -242,9 +215,7 @@ def universal_lift(p, frame, stages=None, inner_depth=None, caps=DEFAULT_CAPS,
                     "is not a p-morphism for the frame"
                 )
             images.append(img)
-        coords = tower_coords(
-            source, [fv.index_of_mask(m) for m in images], inner_depth
-        )
+        coords = tower_coords(source, images, inner_depth)
         inner_n = cx.stages[inner_depth].n
         assign = []
         for y in range(source.n):

@@ -22,14 +22,10 @@ from .poset import (
     upset_masks,
 )
 
-# operation tables are precomputed below this carrier size, computed on
-# demand (with memoisation) above it
-_TABLE_LIMIT = 128
-
-
 @dataclass(frozen=True)
 class FunctorValue:
-    """Result of applying a registered endofunctor to a poset.
+    """Result of applying an endofunctor (up_functor, pow_up_functor) to a
+    poset.
 
     ``masks`` records, per element of the value poset, its provenance as a
     subset of the base (for Up: an upset mask of the base; for PowUp: a mask
@@ -73,11 +69,14 @@ def up_functor(p, caps=DEFAULT_CAPS):
 
 
 def up_functor_map(f, source_value=None, target_value=None):
-    """Direct image on upsets, closed upward so the result is an upset.
+    """Direct image on upsets, closed upward so the result is an upset,
+    as a map between the Up(P) index posets.
 
     Raw direct images of upsets need not be upsets under arbitrary monotone
     maps; the closure is the least fix keeping the functor inside Up. For
-    p-morphisms it is a no-op.
+    p-morphisms it is a no-op. The library acts on upset masks directly
+    (``up_close(f.image_mask(m))``); this index route is the reference the
+    tests compare the mask route against.
     """
     from .poset import is_monotone
 
@@ -113,12 +112,7 @@ class UpsetAlgebra:
     def __init__(self, base):
         self.base = base
         self.masks = upset_masks(base)
-        self._pos = {m: i for i, m in enumerate(self.masks)}
-        self._impl = {}
-        if len(self.masks) <= _TABLE_LIMIT:
-            for a in self.masks:
-                for b in self.masks:
-                    self._impl[(a, b)] = impl_mask(base, a, b)
+        self._upsets = frozenset(self.masks)
 
     @property
     def carrier(self):
@@ -133,7 +127,7 @@ class UpsetAlgebra:
         return self.base.full_mask
 
     def check_mask(self, mask):
-        if mask not in self._pos:
+        if mask not in self._upsets:
             raise ValueNotUpset(f"{mask:#x} is not an upset of the base")
         return mask
 
@@ -144,12 +138,7 @@ class UpsetAlgebra:
         return a | b
 
     def impl(self, a, b):
-        key = (a, b)
-        got = self._impl.get(key)
-        if got is None:
-            got = impl_mask(self.base, a, b)
-            self._impl[key] = got
-        return got
+        return impl_mask(self.base, a, b)
 
     def leq(self, a, b):
         return a & ~b == 0

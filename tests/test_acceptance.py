@@ -45,7 +45,6 @@ from imcoalg.frames import (
     frame_to_lifted,
     frame_to_upmap,
     is_modal_pmorphism,
-    mix_closure,
     nbhd_morphism_condition,
     pow_up_functor,
     upmap_to_frame,
@@ -54,7 +53,6 @@ from imcoalg.freealg import (
     build_free_stages,
     check_modal_stage_properties,
     check_truncated_pmorphism,
-    generator_poset,
     universal_lift,
 )
 from imcoalg.heyting import up_functor, up_functor_map
@@ -69,13 +67,9 @@ from imcoalg.logic import (
     truth_mask,
 )
 from imcoalg.poset import (
-    PosetMap,
-    identity_map,
     is_monotone,
     is_pmorphism,
     iter_bits,
-    make_poset,
-    point_poset,
     terminal_map,
     upset_masks,
 )
@@ -91,6 +85,13 @@ from imcoalg.enumeration import (
 )
 
 from test_frames import index_levels_as_masks
+from test_freealg import (
+    GOLDEN_STAGE_SIZES,
+    chain_to_gen,
+    free_bases,
+    hand_built_lifts,
+    reflexive_bottom_chain,
+)
 
 
 def report(name, detail, started):
@@ -537,18 +538,6 @@ def test_criterion_7_bisimulation_invariance():
     )
 
 
-# stage sizes frozen after the first oracle run: regression values only,
-# never ground truth
-GOLDEN_STAGE_SIZES = {
-    ("point", 2, 1): [1, 2, 3],
-    ("point", 2, 2): [1, 3, 29],
-    ("chain2", 2, 1): [2, 6, 20],
-    ("chain2", 1, 2): [2, 14],
-    ("gen1", 2, 1): [2, 6, 20],
-    ("gen1", 1, 2): [2, 14],
-}
-
-
 def test_criterion_8_free_stage_structure():
     """Truncated layer sequences over the 1-point poset, the 2-chain and
     the one-generator poset: projections monotone, step relations
@@ -557,11 +546,7 @@ def test_criterion_8_free_stage_structure():
     the frozen golden values. The (2-chain, stages 2, inner depth 2) combo
     overflows by necessity and must abort cleanly."""
     started = time.time()
-    bases = {
-        "point": point_poset(),
-        "chain2": make_poset(["a", "b"], [("a", "b")]),
-        "gen1": generator_poset(["p"]),
-    }
+    bases = free_bases()
     built = {}
     for (name, stages, depth), sizes in GOLDEN_STAGE_SIZES.items():
         seq = build_free_stages(bases[name], stages, depth)
@@ -575,37 +560,7 @@ def test_criterion_8_free_stage_structure():
             build_free_stages(bases[name], 2, 2)
 
     chain = bases["chain2"]
-    gen = bases["gen1"]
-    to_gen = PosetMap.from_dict(
-        chain, gen, {"a": frozenset({"p"}), "b": frozenset()}
-    )
-    diamond = make_poset(
-        ["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]
-    )
-    collapse = PosetMap.from_dict(
-        diamond, gen,
-        {
-            "o": frozenset({"p"}),
-            "l": frozenset(),
-            "r": frozenset(),
-            "t": frozenset(),
-        },
-    )
-    hand_built = [
-        # (target base key, seed map, frame)
-        ("gen1", to_gen, ModalFrame.from_pairs(chain, [("a", "b"), ("b", "b")])),
-        ("gen1", to_gen, ModalFrame.from_pairs(chain, [])),
-        ("gen1", to_gen, ModalFrame.from_pairs(
-            chain, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-        )),
-        ("gen1", collapse, mix_closure(
-            ModalFrame.from_pairs(diamond, [("o", "t"), ("l", "t"), ("r", "t"), ("t", "t")])
-        )),
-        ("gen1", identity_map(gen), ModalFrame.from_pairs(
-            gen, [(frozenset({"p"}), frozenset()), (frozenset(), frozenset())]
-        )),
-        ("point", terminal_map(chain), ModalFrame.from_pairs(chain, [("b", "b"), ("a", "b")])),
-    ]
+    hand_built = hand_built_lifts()
     lifted = 0
     for key, seed, frame in hand_built:
         assert is_pmorphism(seed)
@@ -629,9 +584,9 @@ def test_criterion_8_free_stage_structure():
     # (also in the untruncated limit: the inner tower of the top point sits
     # above the image of the bottom point, but only the top point carries
     # it, with a different generator component)
-    refl = mix_closure(ModalFrame.from_pairs(chain, [("a", "a")]))
+    refl = reflexive_bottom_chain()
     free = built[("gen1", 1, 2)]
-    maps = universal_lift(to_gen, refl, free_stages=free)
+    maps = universal_lift(chain_to_gen(), refl, free_stages=free)
     assert is_monotone(maps[1])
     assert not check_truncated_pmorphism(free[1], maps[1].assign, chain)
     report(

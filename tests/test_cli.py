@@ -550,6 +550,59 @@ class TestCliUsageGaps:
         assert err.startswith("error: cannot write")
         assert out in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["freealg", "--generators", "-1"], "--generators"),
+            (["freealg", "--stages", "-1"], "--stages"),
+            (["freealg", "--inner-depth", "0"], "--inner-depth"),
+            (["freealg", "--max-stage", "-5"], "--max-stage"),
+            (["freealg", "--max-depth", "-1"], "--max-depth"),
+            (["complex", "{frame}", "--max-stage", "-5"], "--max-stage"),
+            (["lift", "{frame}", "--max-depth", "-1"], "--max-depth"),
+            (["bisim", "{frame}", "{frame}", "--max-depth", "-1"],
+             "--max-depth"),
+        ],
+    )
+    def test_integer_below_range_is_usage_error(self, argv, flag, chain_path,
+                                                capsys):
+        assert main([a.format(frame=chain_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert "error:" in err and flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["complex", "freealg"])
+    def test_env_stage_cap_must_not_be_negative(self, command, chain_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("IMCOALG_MAX_STAGE", "-3")
+        argv = [command, chain_path] if command == "complex" else [command]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: IMCOALG_MAX_STAGE")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freealg", "--generators", "3"],
+            ["freealg", "--stages", "3"],
+            ["freealg", "--inner-depth", "3"],
+        ],
+    )
+    def test_freealg_upper_bounds_stay_caps(self, argv, capsys):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_usage_error_leaves_next_call_unchanged(self, chain_path, capsys):
+        # the parser is built once per process and reused by every call
+        argv = ["freealg", "--generators", "1", "--stages", "2"]
+        first = (main(argv), capsys.readouterr())
+        for bad in (["freealg", "--stages", "-1"], ["nosuch"],
+                    ["complex", chain_path, "--depth", "two"]):
+            assert main(bad) == 2
+            capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == first
+
     def test_negative_distinguish_is_usage_error(self, chain_path, capsys):
         assert main(["bisim", chain_path, chain_path, "--distinguish", "-1"]) == 2
         out, err = capsys.readouterr()

@@ -11,7 +11,6 @@ from imcoalg.complexes import (
     nested_image,
     terminal_complex,
     tower_coords,
-    value_base_coord,
     value_root,
     verify_complex,
 )
@@ -155,6 +154,22 @@ class TestComplexes:
         cx = build_complex(terminal_map(point_poset()), 4)
         assert [s.n for s in cx.stages] == [1, 1, 1, 1, 1]
 
+    def test_level1_values_from_the_caller(self):
+        # over Up(P) the masks can stand in for the indices at every level
+        for p in (chain2(), antichain2()):
+            fv = up_functor(p)
+            by_index = terminal_complex(fv.poset, 3)
+            by_mask = terminal_complex(fv.poset, 3, level1=fv.masks)
+            assert by_mask.stage_values(1) == fv.masks
+            for i in (1, 2, 3):
+                assert by_mask.stages[i] == by_index.stages[i]
+                assert by_mask.stage_values(i) == tuple(
+                    nested_image(fv.masks.__getitem__, i, v)
+                    for v in by_index.stage_values(i)
+                )
+                for k, v in enumerate(by_mask.stage_values(i)):
+                    assert by_mask.value_index(i, v) == k
+
     def test_towers_are_compatible_chains(self):
         cx = build_complex(terminal_map(chain2()), 3)
         for t in cx.towers():
@@ -263,12 +278,6 @@ class TestNestedValues:
                     value_root(p, level, levels[level - 1][x])
                     == levels[level - 2][x]
                 )
-
-    def test_base_coord(self):
-        p = chain2()
-        levels = tower_coords(p, range(p.n), 3)
-        for x in range(p.n):
-            assert value_base_coord(p, 3, levels[2][x]) == x
 
     def test_nested_image_identity(self):
         p = chain2()

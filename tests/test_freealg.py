@@ -1,18 +1,29 @@
+from types import SimpleNamespace
+
 import pytest
 
+from imcoalg.complexes import (
+    nested_image,
+    terminal_complex,
+    tower_coords,
+    value_root,
+)
+from imcoalg.enumeration import monotone_maps
 from imcoalg.errors import (
     CapExceeded,
     MixLawViolation,
     NotPMorphism,
     TooManyGenerators,
 )
-from imcoalg.frames import ModalFrame
+from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.freealg import (
     build_free_stages,
     check_modal_stage_properties,
+    check_truncated_pmorphism,
     generator_poset,
     universal_lift,
 )
+from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg.poset import (
     PosetMap,
     identity_map,
@@ -21,7 +32,227 @@ from imcoalg.poset import (
     iter_bits,
     make_poset,
     point_poset,
+    product,
+    terminal_map,
 )
+
+
+# -- the criterion-8 inputs (shared with tests/test_acceptance.py) -----------
+
+# (base key, stages, inner depth) -> stage sizes, frozen after the first
+# oracle run: regression values only, never ground truth
+GOLDEN_STAGE_SIZES = {
+    ("point", 2, 1): [1, 2, 3],
+    ("point", 2, 2): [1, 3, 29],
+    ("chain2", 2, 1): [2, 6, 20],
+    ("chain2", 1, 2): [2, 14],
+    ("gen1", 2, 1): [2, 6, 20],
+    ("gen1", 1, 2): [2, 14],
+}
+
+
+def free_bases():
+    return {
+        "point": point_poset(),
+        "chain2": make_poset(["a", "b"], [("a", "b")]),
+        "gen1": generator_poset(["p"]),
+    }
+
+
+def chain_to_gen():
+    """The 2-chain onto the one-generator poset, a below p."""
+    return PosetMap.from_dict(
+        free_bases()["chain2"], generator_poset(["p"]),
+        {"a": frozenset({"p"}), "b": frozenset()},
+    )
+
+
+def hand_built_lifts():
+    """(target base key, seed p-morphism, mix-law frame) triples whose
+    universal lifts pass the truncated back condition."""
+    chain = free_bases()["chain2"]
+    gen = generator_poset(["p"])
+    to_gen = chain_to_gen()
+    diamond = make_poset(
+        ["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]
+    )
+    collapse = PosetMap.from_dict(
+        diamond, gen,
+        {
+            "o": frozenset({"p"}),
+            "l": frozenset(),
+            "r": frozenset(),
+            "t": frozenset(),
+        },
+    )
+    return [
+        ("gen1", to_gen, ModalFrame.from_pairs(chain, [("a", "b"), ("b", "b")])),
+        ("gen1", to_gen, ModalFrame.from_pairs(chain, [])),
+        ("gen1", to_gen, ModalFrame.from_pairs(
+            chain, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+        )),
+        ("gen1", collapse, mix_closure(
+            ModalFrame.from_pairs(diamond, [("o", "t"), ("l", "t"), ("r", "t"), ("t", "t")])
+        )),
+        ("gen1", identity_map(gen), ModalFrame.from_pairs(
+            gen, [(frozenset({"p"}), frozenset()), (frozenset(), frozenset())]
+        )),
+        ("point", terminal_map(chain), ModalFrame.from_pairs(chain, [("b", "b"), ("a", "b")])),
+    ]
+
+
+def reflexive_bottom_chain():
+    """The documented negative: its lift fails the back condition."""
+    chain = free_bases()["chain2"]
+    return mix_closure(ModalFrame.from_pairs(chain, [("a", "a")]))
+
+
+# -- the index route: layers whose inner complexes carry Up(P) indices -------
+
+
+def index_route_stages(base, stages, inner_depth):
+    """The layer sequence with Up(P) indices as level-1 values: R_k by the
+    iterated root of the inner tower, projections through up_functor_map
+    and the previous complex's value index."""
+    out = [SimpleNamespace(
+        index=0, poset=base, projection=identity_map(base),
+        inner_depth=inner_depth,
+    )]
+    for _ in range(stages):
+        stage = out[-1]
+        fv = up_functor(stage.poset)
+        cx = terminal_complex(fv.poset, inner_depth)
+        vals = cx.stage_values(inner_depth)
+        poset = product(base, cx.stages[inner_depth])
+        pairs = tuple(
+            (i, j) for i in range(base.n)
+            for j in range(cx.stages[inner_depth].n)
+        )
+        rel = []
+        for _, j in pairs:
+            coord = vals[j]
+            for level in range(inner_depth, 1, -1):
+                coord = value_root(fv.poset, level, coord)
+            rel.append(fv.masks[coord])
+        if stage.index == 0:
+            assign = [i for i, _ in pairs]
+        else:
+            u = up_functor_map(stage.projection, fv, stage.fv).assign
+            prev_n = stage.cx.stages[inner_depth].n
+            assign = [
+                i * prev_n + stage.cx.value_index(
+                    inner_depth,
+                    nested_image(u.__getitem__, inner_depth, vals[j]),
+                )
+                for i, j in pairs
+            ]
+        out.append(SimpleNamespace(
+            index=stage.index + 1, poset=poset,
+            projection=PosetMap(poset, stage.poset, assign),
+            inner_depth=inner_depth, prev=stage.poset, rel=tuple(rel),
+            pairs=pairs, fv=fv, cx=cx,
+        ))
+    return out
+
+
+def index_route_lift(p, frame, stages):
+    """universal_lift's maps with successor images read as Up(P) indices."""
+    d = stages[0].inner_depth
+    source = p.source
+    maps = [p]
+    for stage in stages[1:]:
+        images = [
+            stage.fv.index_of_mask(
+                stage.prev.up_close(maps[-1].image_mask(frame.rel[y]))
+            )
+            for y in range(source.n)
+        ]
+        top = tower_coords(source, images, d)[d - 1]
+        inner_n = stage.cx.stages[d].n
+        maps.append(PosetMap(source, stage.poset, [
+            p.assign[y] * inner_n + stage.cx.value_index(d, top[y])
+            for y in range(source.n)
+        ]))
+    return maps
+
+
+def index_route_truncated_pmorphism(stage, assign, source):
+    """check_truncated_pmorphism with the depth d-1 tower recovered by
+    value_root over the nested index values."""
+    if not is_monotone(PosetMap(source, stage.poset, assign)):
+        return False
+    d = stage.inner_depth
+    vals = stage.cx.stage_values(d)
+
+    def prefix(c):
+        return None if d == 1 else value_root(stage.fv.poset, d, vals[c])
+
+    for y in range(source.n):
+        for e2 in iter_bits(stage.poset.up[assign[y]]):
+            x2, c2 = stage.pairs[e2]
+            if not any(
+                stage.pairs[assign[y2]][0] == x2
+                and prefix(stage.pairs[assign[y2]][1]) == prefix(c2)
+                for y2 in iter_bits(source.up[y])
+            ):
+                return False
+    return True
+
+
+class TestIndexRouteOracle:
+    """The mask-valued layers against the index route, on the criterion-8
+    configurations and hand-built frames."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_STAGE_SIZES))
+    def test_stages_match(self, key):
+        name, stages, depth = key
+        lib = build_free_stages(free_bases()[name], stages, depth)
+        ref = index_route_stages(free_bases()[name], stages, depth)
+        assert [s.poset.n for s in lib] == GOLDEN_STAGE_SIZES[key]
+        assert len(lib) == len(ref)
+        for a, b in zip(lib, ref):
+            assert a.poset == b.poset
+            assert a.projection == b.projection
+            if a.index:
+                assert a.rel == b.rel and a.pairs == b.pairs
+
+    @pytest.mark.parametrize("stages, depth", [(2, 1), (1, 2)])
+    def test_lifts_and_back_condition_match(self, stages, depth):
+        cases = hand_built_lifts() + [
+            ("gen1", chain_to_gen(), reflexive_bottom_chain())
+        ]
+        verdicts = []
+        for name, seed, frame in cases:
+            base = free_bases()[name]
+            lib = build_free_stages(base, stages, depth)
+            ref = index_route_stages(base, stages, depth)
+            maps = universal_lift(seed, frame, free_stages=lib)
+            assert maps == index_route_lift(seed, frame, ref)
+            for k in range(1, stages + 1):
+                verdict = check_truncated_pmorphism(
+                    lib[k], maps[k].assign, frame.poset
+                )
+                assert verdict == index_route_truncated_pmorphism(
+                    ref[k], maps[k].assign, frame.poset
+                )
+                verdicts.append(verdict)
+        # only the reflexive-bottom chain fails, at inner depth 2
+        assert verdicts[:-stages] == [True] * (len(verdicts) - stages)
+        assert verdicts[-stages:] == [depth == 1] * stages
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_STAGE_SIZES))
+    def test_back_condition_matches_on_monotone_maps(self, key):
+        name, stages, depth = key
+        lib = build_free_stages(free_bases()[name], stages, depth)
+        ref = index_route_stages(free_bases()[name], stages, depth)
+        for source in (point_poset(), free_bases()["chain2"]):
+            for k in range(1, stages + 1):
+                for f in monotone_maps(source, lib[k].poset):
+                    assert check_truncated_pmorphism(
+                        lib[k], f.assign, source
+                    ) == index_route_truncated_pmorphism(
+                        ref[k], f.assign, source
+                    )
 
 
 class TestGeneratorPoset:
