@@ -373,10 +373,11 @@ def cmd_freealg(args):
     )
     variables = [f"p{i}" for i in range(args.generators)]
     base = generator_poset(variables)
-    stages = build_free_stages(base, args.stages, args.inner_depth, _caps(args))
+    caps = _caps(args)
+    stages = build_free_stages(base, args.stages, args.inner_depth, caps)
     report.info(f"stage sizes: {[s.poset.n for s in stages]}")
     for stage in stages[1:]:
-        stage_report = check_modal_stage_properties(stage)
+        stage_report = check_modal_stage_properties(stage, caps)
         for name, passed in stage_report.checks.items():
             report.check(
                 f"stage{stage.index}-{name}",

@@ -38,6 +38,7 @@ from .poset import (
     is_monotone,
     is_open_mask,
     iter_bits,
+    mask_labels,
     open_table,
     terminal_map,
 )
@@ -57,12 +58,19 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     """All nonempty rooted g-open subsets of g's source, reverse-inclusion
     ordered, with the root map back to the source.
 
-    Enumerates candidates root by root (a rooted subset is determined by its
-    root plus a choice of elements above it), so the scanned space is
-    sum over x of 2^(|up(x)|-1). Both that candidate count and the resulting
-    stage size are capped. Openness is tested against g's per-fibre masks
-    (open_table), and the order rows come from column bitsets over the base
-    (containment_rows).
+    A rooted subset is its root plus a choice of elements above it, so the
+    candidate space is sum over x of 2^(|up(x)|-1); that count is capped
+    before any search, and so is the resulting stage size. A root whose
+    open_table row is empty (g is constant on up(root)) takes every such
+    choice untested; over a terminal map that is every root. Other
+    roots run a depth-first search that decides the elements above the
+    root from the top down (by |up(e)|), so when an element is included,
+    everything above it is already decided: it stays only if each of its
+    fibre masks meets the included set. The root's own fibre masks are
+    checked each time an element is left out, and the branch is abandoned
+    as soon as one of them has no element left among the included and
+    undecided ones, so every leaf is open. Labels and order rows come from
+    per-chunk tables (mask_labels, containment_rows).
     """
     base = g.source
     n = base.n
@@ -73,29 +81,63 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
             raise StageTooLarge(
                 stage_index, f"more than {caps.max_candidates} candidate subsets"
             )
-    table = open_table(g)
+    _, needs = open_table(g)
+    up = base.up
 
     found = []  # (mask, root)
+
+    def too_large():
+        return StageTooLarge(
+            stage_index, f"more than {caps.max_stage} elements"
+        )
+
     for root in range(n):
-        rest = base.up[root] & ~(1 << root)
-        sub = 0
-        while True:
-            mask = sub | (1 << root)
-            if is_open_mask(mask, table):
-                found.append((mask, root))
+        rest = up[root] & ~(1 << root)
+        if not needs[root]:
+            # g is constant on up(root), so no element there needs anything
+            if len(found) + (1 << rest.bit_count()) > caps.max_stage:
+                raise too_large()
+            sub = rest
+            while True:
+                found.append((sub | 1 << root, root))
+                if not sub:
+                    break
+                sub = (sub - 1) & rest  # next submask of rest, descending
+            continue
+        order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
+        last = len(order)
+        undecided = [0] * (last + 1)  # after the first k decisions
+        for k in range(last - 1, -1, -1):
+            undecided[k] = undecided[k + 1] | 1 << order[k]
+        # leaving out order[k] can only starve the root's needs holding it
+        starved = [
+            tuple(need for need in needs[root] if need >> e & 1)
+            for e in order
+        ]
+        stack = [(0, 1 << root)]
+        while stack:
+            k, included = stack.pop()
+            if k == last:
+                found.append((included, root))
                 if len(found) > caps.max_stage:
-                    raise StageTooLarge(
-                        stage_index, f"more than {caps.max_stage} elements"
-                    )
-            if sub == rest:
-                break
-            sub = (sub - rest) & rest  # next submask of rest
+                    raise too_large()
+                continue
+            left = included | undecided[k + 1]
+            for need in starved[k]:
+                if not need & left:
+                    break
+            else:
+                stack.append((k + 1, included))
+            e = order[k]
+            for need in needs[e]:
+                if not need & included:
+                    break
+            else:
+                stack.append((k + 1, included | 1 << e))
 
     found.sort()
     masks = tuple(m for m, _ in found)
-    labels = [
-        frozenset(base.labels[i] for i in iter_bits(m)) for m in masks
-    ]
+    labels = mask_labels(masks, base.labels)
     stage_poset = Poset(labels, containment_rows(masks, n), _trusted=True)
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
     return RootedStage(base, stage_poset, masks, root_map)
@@ -129,10 +171,8 @@ class Complex:
     def stage_values(self, i):
         """Nested value of each element of stage i."""
         if i not in self._values:
-            prev = self.stage_values(i - 1)
             self._values[i] = tuple(
-                frozenset(prev[j] for j in iter_bits(m))
-                for m in self.member_masks[i]
+                mask_labels(self.member_masks[i], self.stage_values(i - 1))
             )
         return self._values[i]
 
@@ -541,15 +581,20 @@ def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
 
 
 def verify_complex(cx):
-    """Re-check, post construction, that every stage element is rooted and
-    open relative to the incoming map, and that the recorded root is the
-    least member. The incoming map's openness table is built once per
-    stage."""
+    """Re-check, post construction, that every stage element is open
+    relative to the incoming map and rooted at its recorded root: the root
+    is a member and every member lies above it, which by antisymmetry makes
+    it the least member. The incoming map's openness table is built once
+    per stage."""
     for i in range(2, len(cx.stages)):
-        base = cx.stages[i - 1]
+        up = cx.stages[i - 1].up
         table = open_table(cx.root_maps[i - 1])
         roots = cx.root_maps[i].assign
-        for idx, mask in enumerate(cx.member_masks[i]):
-            if base.min_of(mask) != roots[idx] or not is_open_mask(mask, table):
+        for mask, root in zip(cx.member_masks[i], roots):
+            if (
+                not mask >> root & 1
+                or mask & ~up[root]
+                or not is_open_mask(mask, table)
+            ):
                 return False
     return True

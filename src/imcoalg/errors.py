@@ -54,10 +54,6 @@ class UndeclaredLetter(ConstructionError):
     pass
 
 
-class TooManyGenerators(ConstructionError):
-    pass
-
-
 class ProjectionNotPMorphism(ImcoalgError):
     """A candidate bisimulation whose projection is not a p-morphism."""
 
@@ -87,6 +83,10 @@ class StageTooLarge(CapExceeded):
 
 class EnumerationTooLarge(CapExceeded):
     pass
+
+
+class TooManyGenerators(CapExceeded):
+    """More free-algebra generators than the layer construction supports."""
 
 
 class FormulaSyntaxError(ImcoalgError):

@@ -31,6 +31,7 @@ from .poset import (
     is_monotone,
     is_pmorphism,
     iter_bits,
+    mask_labels,
 )
 
 
@@ -217,9 +218,7 @@ def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
     if size > caps.max_stage:
         raise StageTooLarge(0, f"{size} families exceed the stage cap")
     masks = tuple(range(size))
-    labels = [
-        frozenset(up_fv.poset.labels[i] for i in iter_bits(m)) for m in masks
-    ]
+    labels = mask_labels(masks, up_fv.poset.labels)
     # family inclusion m <= j is containment of complements, j^c in m^c
     rows = containment_rows([(size - 1) ^ m for m in masks], up_fv.poset.n)
     value = Poset(labels, rows, _trusted=True)

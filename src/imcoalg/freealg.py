@@ -19,6 +19,7 @@ from .errors import (
     CapExceeded,
     MixLawViolation,
     NotPMorphism,
+    StageTooLarge,
     TooManyGenerators,
 )
 from .heyting import up_functor
@@ -255,10 +256,11 @@ class StageReport:
             self.counterexamples[name] = witness
 
 
-def check_modal_stage_properties(stage):
+def check_modal_stage_properties(stage, caps=DEFAULT_CAPS):
     """Structural facts about a built layer: monotone projection, the step
     relation is upset-valued, and box along it carries upsets of the
-    previous layer to upsets of this one."""
+    previous layer to upsets of this one. More than caps.max_stage upsets
+    of the previous layer raise StageTooLarge."""
     report = StageReport(stage.index)
     report.record("projection-monotone", is_monotone(stage.projection))
     if stage.rel is None:
@@ -273,11 +275,14 @@ def check_modal_stage_properties(stage):
         None,
     )
     report.record("step-images-are-upsets", bad is None, bad)
-    if prev.n > 20:
-        raise CapExceeded("previous stage too large to enumerate upsets")
+    upsets = upset_masks(prev, limit=caps.max_stage)
+    if len(upsets) > caps.max_stage:
+        raise StageTooLarge(
+            stage.index - 1, f"more than {caps.max_stage} upsets"
+        )
     box_ok = True
     witness = None
-    for mask in upset_masks(prev):
+    for mask in upsets:
         box = 0
         for e in range(stage.poset.n):
             if stage.rel[e] & ~mask == 0:

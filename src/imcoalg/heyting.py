@@ -19,6 +19,7 @@ from .poset import (
     Subset,
     containment_rows,
     iter_bits,
+    mask_labels,
     upset_masks,
 )
 
@@ -63,8 +64,11 @@ def up_functor(p, caps=DEFAULT_CAPS):
     masks = upset_masks(p, limit=caps.max_stage)
     if len(masks) > caps.max_stage:
         raise StageTooLarge(1, f"more than {caps.max_stage} elements")
-    labels = [frozenset(p.labels[i] for i in iter_bits(m)) for m in masks]
-    value = Poset(labels, containment_rows(masks, p.n), _trusted=True)
+    value = Poset(
+        mask_labels(masks, p.labels),
+        containment_rows(masks, p.n),
+        _trusted=True,
+    )
     return FunctorValue("up", p, value, masks)
 
 

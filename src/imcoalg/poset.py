@@ -6,9 +6,11 @@ Conventions used throughout the package:
   - subsets of a poset are bitmasks over element indices; upsets are
     enumerated in time linear in their number (upset_masks), not by a scan
     over all 2^n subsets;
-  - a poset carried by masks takes its order rows from column bitsets
-    (containment_rows), and g-openness is read off per-fibre masks
-    (open_table);
+  - a poset carried by masks takes its order rows from per-chunk subset
+    tables over 8-bit chunks of the base (containment_rows) and its labels
+    from per-chunk frozenset tables (mask_labels), with no loop over bits;
+    g-openness is read off per-fibre masks, visiting only the elements
+    that have any (open_table);
   - every value is immutable after construction, so any operation can run
     from parallel workers without coordination;
   - iteration is always in index order, which keeps all derived output
@@ -395,28 +397,38 @@ def is_g_open(s, g):
 
 
 def open_table(g):
-    """Per source element i, the masks ↑i ∩ g⁻¹(t) for each t in g[↑i]
-    other than g(i), whose fibre already holds i itself."""
+    """g's openness table: per source element i, the masks ↑i ∩ g⁻¹(t) for
+    each t in g[↑i] other than g(i), whose fibre already holds i itself,
+    and the mask of the elements whose row is non-empty. Only those
+    elements can keep a subset from being open."""
     p = g.source
     fibre = {}
     for j, t in enumerate(g.assign):
         fibre[t] = fibre.get(t, 0) | 1 << j
-    table = []
+    needy = 0
+    rows = []
     for i in range(p.n):
         up = p.up[i]
         targets = {g.assign[j] for j in iter_bits(up)}
         targets.discard(g.assign[i])
-        table.append(tuple(up & fibre[t] for t in targets))
-    return tuple(table)
+        rows.append(tuple(up & fibre[t] for t in targets))
+        if targets:
+            needy |= 1 << i
+    return needy, tuple(rows)
 
 
 def is_open_mask(mask, table):
-    """Whether the subset is g-open, given g's open_table: each member must
-    meet every fibre mask of its row."""
-    for i in iter_bits(mask):
-        for need in table[i]:
+    """Whether the subset is g-open, given g's open_table: each member with
+    a non-empty row must meet every fibre mask of that row. Members with an
+    empty row are never visited, so over a terminal map this is one AND."""
+    needy, rows = table
+    todo = mask & needy
+    while todo:
+        low = todo & -todo
+        for need in rows[low.bit_length() - 1]:
             if not need & mask:
                 return False
+        todo ^= low
     return True
 
 
@@ -473,27 +485,81 @@ def enumerate_upsets(p):
     return [Subset(p, mask) for mask in upset_masks(p)]
 
 
+# _BIT_DIGITS[i] translates a byte to b"1" if its bit i is set, else b"0"
+_BIT_DIGITS = tuple(
+    bytes(ord("0") + (v >> i & 1) for v in range(256)) for i in range(8)
+)
+
+
 def containment_rows(masks, width):
     """Row k has bit j set iff masks[j] ⊆ masks[k]: the up-set rows of the
     masks under reverse inclusion. ``width`` bounds the base elements.
 
-    One column bitset per base element, col[i] = {j : i ∈ masks[j]}; then
-    row(m) clears every column of an element outside m, which is ``width``
-    big-int ORs per row instead of a test against every other mask.
+    The base is split into 8-bit chunks, and masks[j] ⊆ masks[k] iff every
+    chunk of masks[j] is a subset of the same chunk of masks[k]. Per chunk,
+    one bit plane per base element (the j whose chunk has that bit) and a
+    subset-union pass over the chunk's 256 values give, for each value b
+    that occurs, the j whose chunk lies inside b. Row k is the AND of one
+    such entry per chunk: width / 8 big-int ANDs per row and no loop over
+    bits. The tables live only for the call.
     """
-    cols = [0] * width
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        for i in iter_bits(m):
-            cols[i] |= bit
+    if not masks:
+        return ()
     full = (1 << len(masks)) - 1
-    outside = (1 << width) - 1
+    tables = []  # (shift, chunk mask, value -> j whose chunk lies inside)
+    for shift in range(0, width, 8):
+        bits = min(8, width - shift)
+        low = (1 << bits) - 1
+        values = [(m >> shift) & low for m in masks]
+        # one byte per mask, highest j first, so that a byte translated to
+        # "0"/"1" per bit and read in base 2 gives that bit's plane
+        data = bytes(reversed(values))
+        union = [0] * (low + 1)  # union[b]: j whose chunk meets b
+        for i in range(bits):
+            plane = int(data.translate(_BIT_DIGITS[i]), 2)
+            lo = 1 << i
+            for b in range(lo, lo << 1):
+                union[b] = union[b - lo] | plane
+        tables.append(
+            (shift, low, {b: full ^ union[low ^ b] for b in set(values)})
+        )
     rows = []
     for m in masks:
-        out = 0
-        for i in iter_bits(outside & ~m):
-            out |= cols[i]
-        # "& ~" keeps the allocation of `full`; "+ 0" copies the row into
-        # one sized to its value, which halves the memory of sorted rows
-        rows.append((full & ~out) + 0)
+        row = full
+        for shift, low, inside in tables:
+            row &= inside[(m >> shift) & low]
+        # "+ 0" copies the row into one sized to its value, which halves
+        # the memory of sorted rows
+        rows.append(row + 0)
     return tuple(rows)
+
+
+_EMPTY = frozenset()
+
+
+def mask_labels(masks, labels):
+    """The frozenset of labels[i] over the set bits i of each mask, for
+    masks over the base that ``labels`` indexes.
+
+    Each nonzero 8-bit chunk of a mask is looked up in a per-chunk table of
+    frozensets, filled the first time a chunk value occurs, so a label over
+    a base of at most 16 elements costs at most one union, and a mask
+    costs one step per nonzero chunk, never one per bit. The table lives
+    only for the call.
+    """
+    parts = {}  # chunk bits, kept in place -> frozenset of their labels
+    out = []
+    for m in masks:
+        label = _EMPTY
+        while m:
+            shift = ((m & -m).bit_length() - 1) & -8
+            key = m & (255 << shift)
+            m ^= key
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = frozenset(
+                    [labels[i] for i in iter_bits(key)]
+                )
+            label = label | part if label else part
+        out.append(label)
+    return out

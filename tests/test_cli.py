@@ -587,11 +587,24 @@ class TestCliUsageGaps:
             ["freealg", "--generators", "3"],
             ["freealg", "--stages", "3"],
             ["freealg", "--inner-depth", "3"],
+            ["freealg", "--generators", "4"],
         ],
     )
     def test_freealg_upper_bounds_stay_caps(self, argv, capsys):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_freealg_two_generators_two_stages(self, capsys):
+        # stage 1 has 24 elements and 494 upsets: a guard on the element
+        # count once made this exit 3 although the layers fit the caps
+        argv = ["freealg", "--generators", "2", "--stages", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "stage sizes: [4, 24, 1976]" in out
+        assert out.count("PASS ") == 6 and "FAIL" not in out
+        assert main(argv + ["--max-stage", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: stage 1 too large: more than 100 elements\n"
 
     def test_usage_error_leaves_next_call_unchanged(self, chain_path, capsys):
         # the parser is built once per process and reused by every call

@@ -18,17 +18,69 @@ from imcoalg.config import Caps
 from imcoalg.errors import NotMonotone, StageTooLarge
 from imcoalg.heyting import FunctorValue, up_functor
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     containment_rows,
     identity_map,
     iter_bits,
     make_poset,
+    open_table,
     point_poset,
     terminal_map,
 )
 from imcoalg.enumeration import all_posets, monotone_maps, random_poset
 
-from test_poset import containment_rows_oracle, g_open_by_images
+from test_poset import (
+    containment_rows_by_columns,
+    containment_rows_oracle,
+    g_open_by_images,
+    labels_by_bits,
+)
+
+# Up-set rows of the five-element posets whose depth-2 complexes over Up(P)
+# the benchmark's stages workload builds (stage 2: 111-2767 elements)
+STAGES_WORKLOAD_DEPTH2_POSETS = (
+    (29, 30, 28, 24, 16), (31, 26, 28, 24, 16), (31, 30, 20, 24, 16),
+    (31, 30, 28, 8, 16), (29, 30, 20, 24, 16), (29, 30, 28, 8, 16),
+    (31, 22, 20, 24, 16), (31, 26, 28, 8, 16), (29, 30, 12, 8, 16),
+    (31, 14, 12, 8, 16), (31, 26, 12, 8, 16), (27, 26, 12, 8, 16),
+    (29, 14, 12, 8, 16), (29, 26, 12, 8, 16), (25, 14, 12, 8, 16),
+    (23, 18, 20, 24, 16), (27, 18, 12, 8, 16), (15, 10, 12, 8, 16),
+    (27, 10, 12, 8, 16), (15, 14, 4, 8, 16),
+)
+
+
+def build_p_g_by_submasks(g):
+    """The submask scan that build_p_g replaced: every submask of each
+    root's strict up-set, kept when every member meets each fibre mask of
+    its open_table row. Sorted (mask, root) pairs."""
+    base = g.source
+    _, needs = open_table(g)
+    found = []
+    for root in range(base.n):
+        rest = base.up[root] & ~(1 << root)
+        sub = 0
+        while True:
+            mask = sub | 1 << root
+            if all(need & mask for i in iter_bits(mask) for need in needs[i]):
+                found.append((mask, root))
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
+    found.sort()
+    return found
+
+
+def assert_stage_matches_oracles(g, stage):
+    """Equal masks, roots, labels and order rows to the replaced kernels."""
+    base = g.source
+    found = build_p_g_by_submasks(g)
+    masks = tuple(m for m, _ in found)
+    assert stage.member_masks == masks
+    assert stage.root_map.assign == tuple(r for _, r in found)
+    assert [base.min_of(m) for m in masks] == [r for _, r in found]
+    assert list(stage.poset.labels) == labels_by_bits(masks, base.labels)
+    assert stage.poset.up == containment_rows_by_columns(masks, base.n)
 
 
 def chain2():
@@ -115,6 +167,72 @@ class TestBuildStage:
                 assert list(masks) == want
                 assert cx.stages[i].up == containment_rows_oracle(masks)
                 assert containment_rows(masks, base.n) == cx.stages[i].up
+
+    def test_stages_match_replaced_kernels_up_to_four_elements(self):
+        # every stage of the depth-3 terminal complexes over posets on at
+        # most 4 elements; stage 3 is built over the root map r_2, whose
+        # openness table has needs, and reaches 2856 elements
+        needy_stages = 0
+        for n in range(1, 5):
+            for p in all_posets(n):
+                cx = terminal_complex(p, 3)
+                for i in (2, 3):
+                    g = cx.root_maps[i - 1]
+                    needy_stages += open_table(g)[0] != 0
+                    assert_stage_matches_oracles(g, build_p_g(g))
+        assert needy_stages == 20
+
+    def test_stages_workload_shapes_match_replaced_kernels(self):
+        for up in STAGES_WORKLOAD_DEPTH2_POSETS:
+            g = terminal_map(up_functor(Poset(range(5), up)).poset)
+            stage = build_p_g(g)
+            assert 111 <= stage.poset.n <= 2767
+            assert_stage_matches_oracles(g, stage)
+
+    def test_verify_complex_rejects_every_single_corruption(self):
+        # each member of each stage, in turn: swapped for an open subset
+        # without a least member, recorded with any other root, and swapped
+        # for a subset rooted at its root that is not open
+        tried = {"non-rooted": 0, "wrong root": 0, "not open": 0}
+        for p in all_posets(3):
+            cx = terminal_complex(p, 3)
+            assert verify_complex(cx)
+            for i in (2, 3):
+                g = cx.root_maps[i - 1]
+                base = g.source
+                masks = cx.member_masks[i]
+                root_map = cx.root_maps[i]
+                subsets = range(1, 1 << base.n)
+                unrooted = [
+                    m for m in subsets
+                    if base.min_of(m) is None and g_open_by_images(m, g)
+                ]
+                for idx, root in enumerate(root_map.assign):
+                    closed = [
+                        m for m in subsets
+                        if base.min_of(m) == root
+                        and not g_open_by_images(m, g)
+                    ]
+                    for kind, swaps in (("non-rooted", unrooted[:3]),
+                                        ("not open", closed[:3])):
+                        for bad in swaps:
+                            cx.member_masks[i] = (
+                                masks[:idx] + (bad,) + masks[idx + 1:]
+                            )
+                            assert not verify_complex(cx)
+                            tried[kind] += 1
+                    cx.member_masks[i] = masks
+                    for other in range(base.n):
+                        if other == root:
+                            continue
+                        assign = list(root_map.assign)
+                        assign[idx] = other
+                        cx.root_maps[i] = PosetMap(cx.stages[i], base, assign)
+                        assert not verify_complex(cx)
+                        tried["wrong root"] += 1
+                    cx.root_maps[i] = root_map
+            assert verify_complex(cx)
+        assert min(tried.values()) > 0
 
     def test_verify_complex_rejects_corrupted_stage(self):
         cx = build_complex(identity_map(chain2()), 2)

@@ -8,11 +8,13 @@ from imcoalg.complexes import (
     tower_coords,
     value_root,
 )
+from imcoalg.config import Caps
 from imcoalg.enumeration import monotone_maps
 from imcoalg.errors import (
     CapExceeded,
     MixLawViolation,
     NotPMorphism,
+    StageTooLarge,
     TooManyGenerators,
 )
 from imcoalg.frames import ModalFrame, mix_closure
@@ -34,6 +36,7 @@ from imcoalg.poset import (
     point_poset,
     product,
     terminal_map,
+    upset_masks,
 )
 
 
@@ -279,8 +282,10 @@ class TestGeneratorPoset:
         assert not g.leq(sp, sq) and not g.leq(sq, sp)
 
     def test_cap(self):
-        with pytest.raises(TooManyGenerators):
+        # a cap, like the base-size cap that three generators pass
+        with pytest.raises(TooManyGenerators) as info:
             generator_poset(["p", "q", "r", "s"])
+        assert isinstance(info.value, CapExceeded)
 
 
 class TestBuildStages:
@@ -340,6 +345,14 @@ class TestBuildStages:
                 stages = build_free_stages(base, 1, d)
                 for stage in stages[1:]:
                     assert check_modal_stage_properties(stage).ok
+
+    def test_upsets_of_previous_layer_are_capped(self):
+        # stage 2 of one generator: its previous layer has 6 elements
+        stage = build_free_stages(generator_poset(["p"]), 2, 1)[2]
+        count = len(upset_masks(stage.prev))
+        assert check_modal_stage_properties(stage, Caps(max_stage=count)).ok
+        with pytest.raises(StageTooLarge, match="stage 1 too large"):
+            check_modal_stage_properties(stage, Caps(max_stage=count - 1))
 
     def test_corrupted_relation_detected(self):
         stages = build_free_stages(generator_poset(["p"]), 1, 1)

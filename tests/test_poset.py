@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -24,6 +25,7 @@ from imcoalg.poset import (
     is_rooted,
     iter_bits,
     make_poset,
+    mask_labels,
     open_table,
     point_poset,
     principal_up,
@@ -58,6 +60,29 @@ def containment_rows_oracle(masks):
                 row |= 1 << j
         rows.append(row)
     return tuple(rows)
+
+
+def containment_rows_by_columns(masks, width):
+    """The column-bitset kernel that containment_rows replaced: one column
+    col[i] = {j : i in masks[j]} per base element, and row k clears every
+    column of an element outside masks[k]."""
+    cols = [0] * width
+    for j, m in enumerate(masks):
+        for i in iter_bits(m):
+            cols[i] |= 1 << j
+    full = (1 << len(masks)) - 1
+    rows = []
+    for m in masks:
+        out = 0
+        for i in iter_bits(((1 << width) - 1) & ~m):
+            out |= cols[i]
+        rows.append(full & ~out)
+    return tuple(rows)
+
+
+def labels_by_bits(masks, labels):
+    """The per-bit comprehension that mask_labels replaced."""
+    return [frozenset(labels[i] for i in iter_bits(m)) for m in masks]
 
 
 def g_open_by_images(mask, g):
@@ -284,6 +309,10 @@ class TestRelativeOpen:
             for q in posets:
                 for g in monotone_maps(p, q):
                     table = open_table(g)
+                    needy, rows = table
+                    assert needy == sum(
+                        1 << i for i in range(p.n) if rows[i]
+                    )
                     for mask in range(1 << p.n):
                         want = g_open_by_images(mask, g)
                         assert is_open_mask(mask, table) == want
@@ -394,6 +423,35 @@ class TestContainmentRows:
 
     def test_no_masks(self):
         assert containment_rows((), 4) == ()
+        assert containment_rows((), 0) == ()
+        assert mask_labels((), "abcd") == []
+
+    def test_random_masks_match_column_kernel(self):
+        # widths 0-40 cover a partial last chunk and whole chunks; the
+        # masks are unsorted, repeated and of mixed density
+        rng = random.Random(8)
+        for width in range(41):
+            labels = [f"x{i}" for i in range(width)]
+            for count in (0, 1, 2, 7, 40):
+                for density in (0.1, 0.5, 0.9):
+                    masks = [
+                        sum(1 << i for i in range(width)
+                            if rng.random() < density)
+                        for _ in range(count)
+                    ]
+                    rows = containment_rows(masks, width)
+                    assert rows == containment_rows_by_columns(masks, width)
+                    assert rows == containment_rows_oracle(masks)
+                    assert mask_labels(masks, labels) == (
+                        labels_by_bits(masks, labels)
+                    )
+
+    def test_labels_of_nested_values(self):
+        # labels that are themselves frozensets, as in Up(P) and the stages
+        rng = random.Random(3)
+        labels = [frozenset(range(i % 5)) | {("v", i)} for i in range(20)]
+        masks = [rng.getrandbits(20) for _ in range(100)] + [0, (1 << 20) - 1]
+        assert mask_labels(masks, labels) == labels_by_bits(masks, labels)
 
 
 class TestAllPosets:
