@@ -7,79 +7,96 @@ the modal relation. The coalgebraic side endows the relation (as a
 componentwise-ordered sub-poset of the product) with the structure map
 b = (x, y) -> (R[x] x R[y]) restricted to the relation, lifts everything,
 and demands that both projection squares commute coordinatewise.
+
+A relation is held as rows, like every relation in the package: rows[x]
+masks the right-hand partners of left point x. Its columns come from
+poset.transpose, and the unions the clauses need from poset.image.
 """
 
 from dataclasses import dataclass
 
 from .complexes import nested_image, tower_coords
 from .config import DEFAULT_CAPS
-from .errors import CapExceeded, IncompatibleValuations, ProjectionNotPMorphism
+from .errors import (
+    CapExceeded,
+    IncompatibleValuations,
+    ProjectionNotPMorphism,
+    UnknownLabel,
+)
 from .frames import ModalFrame, frame_to_lifted
 from .logic import Model, first_formulas, truth_mask
-from .poset import Poset, PosetMap, is_pmorphism, iter_bits
+from .poset import Poset, PosetMap, image, is_pmorphism, iter_bits, transpose
+
+
+def _pair_list(rows):
+    """The index pairs of a relation held as rows, sorted."""
+    return [(x, y) for x, row in enumerate(rows) for y in iter_bits(row)]
 
 
 @dataclass(frozen=True)
 class Bisimulation:
     """A relation between the carriers of two modal frames.
 
-    ``pairs`` holds index pairs; use from_labels for label input.
+    ``rows[x]`` masks the right-hand points related to left point x; rows
+    given as any sequence are stored as a tuple. A row count other than
+    the left carrier's size, or a row with bits outside the right carrier,
+    raises UnknownLabel. Use from_pairs for index pairs and from_labels
+    for label pairs; ``pairs`` is the same relation as a frozenset of
+    index pairs.
     """
 
     left: ModalFrame
     right: ModalFrame
-    pairs: frozenset
+    rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(self.rows)
+        if len(rows) != self.left.poset.n:
+            raise UnknownLabel(
+                f"relation has {len(rows)} rows for {self.left.poset.n} "
+                "left-hand elements"
+            )
+        full = self.right.poset.full_mask
+        for row in rows:
+            if row & ~full:
+                raise UnknownLabel(
+                    f"relation row {row:#x} leaves the right-hand carrier"
+                )
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_pairs(cls, left, right, pairs):
+        nl, nr = left.poset.n, right.poset.n
+        rows = [0] * nl
+        for x, y in pairs:
+            if not (0 <= x < nl and 0 <= y < nr):
+                raise UnknownLabel(f"index pair {(x, y)} out of range")
+            rows[x] |= 1 << y
+        return cls(left, right, rows)
 
     @classmethod
     def from_labels(cls, left, right, label_pairs):
-        pairs = frozenset(
-            (left.poset.index(a), right.poset.index(b)) for a, b in label_pairs
-        )
-        return cls(left, right, pairs)
+        index_l, index_r = left.poset.index, right.poset.index
+        pairs = [(index_l(a), index_r(b)) for a, b in label_pairs]
+        return cls.from_pairs(left, right, pairs)
 
     @classmethod
     def full(cls, left, right):
-        return cls(
-            left,
-            right,
-            frozenset(
-                (x, y)
-                for x in range(left.poset.n)
-                for y in range(right.poset.n)
-            ),
-        )
+        return cls(left, right, [right.poset.full_mask] * left.poset.n)
+
+    @property
+    def pairs(self):
+        """The relation as a frozenset of index pairs (x, y)."""
+        return frozenset(_pair_list(self.rows))
+
+    def related(self, x, y):
+        return (self.rows[x] >> y) & 1 == 1
 
     def label_pairs(self):
         return sorted(
             (self.left.poset.labels[x], self.right.poset.labels[y])
             for x, y in self.pairs
         )
-
-    def right_of(self, x):
-        return {y for (a, y) in self.pairs if a == x}
-
-    def left_of(self, y):
-        return {x for (x, b) in self.pairs if b == y}
-
-
-def _transpose(rows, n):
-    """Columns of a relation given by its rows: y in rows[x] iff x in out[y]."""
-    out = [0] * n
-    for x, row in enumerate(rows):
-        for y in iter_bits(row):
-            out[y] |= 1 << x
-    return out
-
-
-def _unions(rows, masks):
-    """Per mask, the union of rows[i] over its members."""
-    out = []
-    for mask in masks:
-        acc = 0
-        for i in iter_bits(mask):
-            acc |= rows[i]
-        out.append(acc)
-    return out
 
 
 def _forth(up, rel, other_down, other_pre, rows, full):
@@ -91,8 +108,8 @@ def _forth(up, rel, other_down, other_pre, rows, full):
     other_down / other_pre are the down-sets and modal predecessors in the
     partner frame.
     """
-    below_partner = _unions(other_down, rows)
-    before_partner = _unions(other_pre, rows)
+    below_partner = [image(other_down, row) for row in rows]
+    before_partner = [image(other_pre, row) for row in rows]
     out = []
     for x in range(len(up)):
         acc = full
@@ -110,23 +127,22 @@ def _refine(left, right, rows):
     and back clauses, read on the columns, hold under the relation."""
     lp, rp = left.poset, right.poset
     forth = _forth(
-        lp.up, left.rel, rp.down, _transpose(right.rel, rp.n), rows,
+        lp.up, left.rel, rp.down, transpose(right.rel, rp.n), rows,
         rp.full_mask,
     )
     back = _forth(
-        rp.up, right.rel, lp.down, _transpose(left.rel, lp.n),
-        _transpose(rows, rp.n), lp.full_mask,
+        rp.up, right.rel, lp.down, transpose(left.rel, lp.n),
+        transpose(rows, rp.n), lp.full_mask,
     )
-    return [r & f & b for r, f, b in zip(rows, forth, _transpose(back, lp.n))]
+    return tuple(
+        r & f & b for r, f, b in zip(rows, forth, transpose(back, lp.n))
+    )
 
 
 def is_box_bisimulation(bis):
     """All four clauses (forth/back, for order and modal relation) hold:
     one refinement step removes no pair."""
-    rows = [0] * bis.left.poset.n
-    for x, y in bis.pairs:
-        rows[x] |= 1 << y
-    return _refine(bis.left, bis.right, rows) == rows
+    return _refine(bis.left, bis.right, bis.rows) == bis.rows
 
 
 def _largest_within(left, right, rows):
@@ -137,13 +153,11 @@ def _largest_within(left, right, rows):
     |X||Y| + 1 steps. Every bisimulation inside the start survives every
     step, so the result is the unique largest one.
     """
+    rows = tuple(rows)
     refined = _refine(left, right, rows)
     while refined != rows:
         rows, refined = refined, _refine(left, right, refined)
-    pairs = frozenset(
-        (x, y) for x, row in enumerate(rows) for y in iter_bits(row)
-    )
-    return Bisimulation(left, right, pairs)
+    return Bisimulation(left, right, rows)
 
 
 def largest_bisimulation(left, right):
@@ -169,22 +183,27 @@ def largest_model_bisimulation(model_left, model_right):
     return _largest_within(model_left.frame, model_right.frame, rows)
 
 
+def _pair_rows(bis, chosen, left_rows, right_rows):
+    """Per chosen pair (x, y), the mask of the chosen pairs (x2, y2) with
+    x2 in left_rows[x] and y2 in right_rows[y]: the pairs of each left
+    point over left_rows[x], met with the pairs of each right point over
+    right_rows[y]."""
+    by_left = transpose([1 << x for x, _ in chosen], bis.left.poset.n)
+    by_right = transpose([1 << y for _, y in chosen], bis.right.poset.n)
+    return [
+        image(by_left, left_rows[x]) & image(by_right, right_rows[y])
+        for x, y in chosen
+    ]
+
+
 def relation_poset(bis):
-    """The relation as a sub-poset of the product, componentwise order."""
-    chosen = sorted(bis.pairs)
+    """The relation as a sub-poset of the product, componentwise order,
+    and its pairs in the poset's index order (sorted)."""
+    chosen = _pair_list(bis.rows)
     labels = [
         (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
     ]
-    pos = {pair: i for i, pair in enumerate(chosen)}
-    up_rows = []
-    for x, y in chosen:
-        row = 0
-        for x2 in iter_bits(bis.left.poset.up[x]):
-            for y2 in iter_bits(bis.right.poset.up[y]):
-                j = pos.get((x2, y2))
-                if j is not None:
-                    row |= 1 << j
-        up_rows.append(row)
+    up_rows = _pair_rows(bis, chosen, bis.left.poset.up, bis.right.poset.up)
     return Poset(labels, up_rows, _trusted=True), chosen
 
 
@@ -209,15 +228,7 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     if not is_pmorphism(proj_right):
         raise ProjectionNotPMorphism("right")
 
-    lrel, rrel = bis.left.rel, bis.right.rel
-    rho_masks = []
-    for x, y in chosen:
-        m = 0
-        for j, (x2, y2) in enumerate(chosen):
-            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
-                m |= 1 << j
-        rho_masks.append(m)
-
+    rho_masks = _pair_rows(bis, chosen, bis.left.rel, bis.right.rel)
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
     levels_b = tower_coords(bp, rho_masks, depth)
@@ -238,29 +249,29 @@ def saturated_valuation(bis, left_seed=0, right_seed=0):
     stable. Produces valuations compatible with the relation by
     construction."""
     lp, rp = bis.left.poset, bis.right.poset
+    rows, cols = bis.rows, transpose(bis.rows, rp.n)
     lm, rm = left_seed, right_seed
     while True:
         nl = lp.up_close(lm)
-        nr = rp.up_close(rm)
-        for x, y in bis.pairs:
-            if (nl >> x) & 1:
-                nr |= 1 << y
-            if (nr >> y) & 1:
-                nl |= 1 << x
+        nr = rp.up_close(rm) | image(rows, nl)
+        nl |= image(cols, nr)
         if (nl, nr) == (lm, rm):
             return lm, rm
         lm, rm = nl, nr
 
 
 def _compatible(bis, model_left, model_right):
+    """Every letter is valued on both sides, and related points agree on
+    it: the relation maps the letter's truth set into the right-hand one
+    and its complement into the complement."""
+    outside = bis.left.poset.full_mask
     for letter in set(model_left.valuation) | set(model_right.valuation):
         lv = model_left.valuation.get(letter)
         rv = model_right.valuation.get(letter)
         if lv is None or rv is None:
             return False
-        for x, y in bis.pairs:
-            if (lv >> x) & 1 != (rv >> y) & 1:
-                return False
+        if image(bis.rows, lv) & ~rv or image(bis.rows, outside & ~lv) & rv:
+            return False
     return True
 
 
@@ -273,7 +284,7 @@ def bisimilarity_preserves_truth(model_left, x, model_right, y, formulas):
     bis = largest_bisimulation(model_left.frame, model_right.frame)
     xi = model_left.poset.index(x)
     yi = model_right.poset.index(y)
-    if (xi, yi) not in bis.pairs:
+    if not bis.related(xi, yi):
         raise IncompatibleValuations(f"points {x!r} and {y!r} are not bisimilar")
     if not _compatible(bis, model_left, model_right):
         raise IncompatibleValuations(

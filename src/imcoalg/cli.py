@@ -283,7 +283,7 @@ def cmd_bisim(args):
             (x, y)
             for x in range(frame1.poset.n)
             for y in range(frame2.poset.n)
-            if (x, y) not in bis.pairs
+            if not bis.related(x, y)
         ]
         found = search_distinguishing_formulas(
             model1, model2, unrelated, letters, args.distinguish, caps

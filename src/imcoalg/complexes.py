@@ -250,13 +250,7 @@ def tower_coords(source, first, depth):
     """
     levels = [tuple(first)]
     for _ in range(depth - 1):
-        prev = levels[-1]
-        levels.append(
-            tuple(
-                frozenset(prev[y] for y in iter_bits(source.up[x]))
-                for x in range(source.n)
-            )
-        )
+        levels.append(tuple(mask_labels(source.up, levels[-1])))
     return levels
 
 

@@ -8,17 +8,22 @@ over all label permutations).
 
 from itertools import permutations, product as iproduct
 
-from .poset import Poset, PosetMap, iter_bits, upset_masks
+from .poset import (
+    Poset,
+    PosetMap,
+    image,
+    is_pmorphism,
+    iter_bits,
+    upset_masks,
+)
 
 
 def _permuted(up, perm):
     """Rows (up-sets or successor sets) relabelled: x becomes perm[x]."""
+    moved = [1 << t for t in perm]
     out = [0] * len(up)
     for x, row in enumerate(up):
-        moved = 0
-        for y in iter_bits(row):
-            moved |= 1 << perm[y]
-        out[perm[x]] = moved
+        out[perm[x]] = image(moved, row)
     return tuple(out)
 
 
@@ -64,7 +69,7 @@ def all_posets(n, labels=None):
         for k, (i, j) in enumerate(slots):
             if (bits >> k) & 1:
                 up[i] |= 1 << j
-        if any(up[j] & ~up[i] for i in range(n) for j in iter_bits(up[i])):
+        if any(image(up, row) & ~row for row in up):
             continue  # not transitive
         up = tuple(up)
         if up in seen:
@@ -111,16 +116,7 @@ def monotone_maps(p, q):
 
 
 def pmorphisms(p, q):
-    out = []
-    for f in monotone_maps(p, q):
-        back = True
-        for x in range(p.n):
-            if f.image_mask(p.up[x]) != q.up[f.assign[x]]:
-                back = False
-                break
-        if back:
-            out.append(f)
-    return out
+    return [f for f in monotone_maps(p, q) if is_pmorphism(f)]
 
 
 def mix_relations(p):
@@ -187,10 +183,7 @@ def random_poset(rng, n, labels=None, edge_prob=0.35):
                 up[i] |= 1 << j
     # close transitively; i < j only, so the result is antisymmetric
     for i in range(n - 1, -1, -1):
-        acc = up[i]
-        for j in iter_bits(acc):
-            acc |= up[j]
-        up[i] = acc
+        up[i] = image(up, up[i])
     return Poset(labels, up, _trusted=True)
 
 

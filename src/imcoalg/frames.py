@@ -28,6 +28,7 @@ from .poset import (
     PosetMap,
     Poset,
     containment_rows,
+    image,
     is_monotone,
     is_pmorphism,
     iter_bits,
@@ -86,14 +87,16 @@ def check_mix_law(frame):
     return mix_law_witness(frame) is None
 
 
+def _mix_rows(frame):
+    """The rows of (<=);R;(<=): per x, the up-closure of R[↑x]."""
+    p, rel = frame.poset, frame.rel
+    return [p.up_close(image(rel, row)) for row in p.up]
+
+
 def mix_law_witness(frame):
     """A pair in (<=);R;(<=) missing from R, or None when the law holds."""
     p, rel = frame.poset, frame.rel
-    for x in range(p.n):
-        closed = 0
-        for u in iter_bits(p.up[x]):
-            for v in iter_bits(rel[u]):
-                closed |= p.up[v]
+    for x, closed in enumerate(_mix_rows(frame)):
         extra = closed & ~rel[x]
         if extra:
             z = next(iter_bits(extra))
@@ -109,15 +112,7 @@ def _require_mix_law(frame):
 
 def mix_closure(frame):
     """The least relation containing R that satisfies the mix law."""
-    p, rel = frame.poset, frame.rel
-    out = []
-    for x in range(p.n):
-        closed = 0
-        for u in iter_bits(p.up[x]):
-            for v in iter_bits(rel[u]):
-                closed |= p.up[v]
-        out.append(closed)
-    return ModalFrame(p, out)
+    return ModalFrame(frame.poset, _mix_rows(frame))
 
 
 def frame_to_upmap(frame, functor_value=None):
@@ -228,16 +223,9 @@ def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
 @functools.lru_cache
 def _preimage_table(f):
     """Per target upset, the index of its preimage in the source upsets."""
-    src_up = up_functor(f.source)
-    tgt_up = up_functor(f.target)
-    pre = []
-    for m in tgt_up.masks:
-        pm = 0
-        for x in range(f.source.n):
-            if (m >> f.assign[x]) & 1:
-                pm |= 1 << x
-        pre.append(src_up.index_of_mask(pm))
-    return tuple(pre)
+    src_up, tgt_up = up_functor(f.source), up_functor(f.target)
+    fibres = f.fibres()
+    return tuple(src_up.index_of_mask(image(fibres, m)) for m in tgt_up.masks)
 
 
 @functools.lru_cache
@@ -289,13 +277,11 @@ class NbhdFrame:
                         "neighbourhood assignment is not monotone"
                     )
         if strict:
-            for x in range(poset.n):
-                for i in iter_bits(families[x]):
-                    for j in iter_bits(up_fv.poset.up[i]):
-                        if not (families[x] >> j) & 1:
-                            raise ValueNotUpset(
-                                "family not up-closed under reverse inclusion"
-                            )
+            for fam in families:
+                if image(up_fv.poset.up, fam) & ~fam:
+                    raise ValueNotUpset(
+                        "family not up-closed under reverse inclusion"
+                    )
         self.poset = poset
         self.families = families
         self.strict = strict

@@ -22,7 +22,7 @@ from .errors import (
     StageTooLarge,
     TooManyGenerators,
 )
-from .heyting import up_functor
+from .heyting import box_mask, up_functor
 from .poset import (
     Poset,
     PosetMap,
@@ -283,11 +283,7 @@ def check_modal_stage_properties(stage, caps=DEFAULT_CAPS):
     box_ok = True
     witness = None
     for mask in upsets:
-        box = 0
-        for e in range(stage.poset.n):
-            if stage.rel[e] & ~mask == 0:
-                box |= 1 << e
-        if not stage.poset.is_upset(box):
+        if not stage.poset.is_upset(box_mask(stage, mask)):
             box_ok = False
             witness = mask
             break

@@ -18,7 +18,7 @@ from .poset import (
     PosetMap,
     Subset,
     containment_rows,
-    iter_bits,
+    image,
     mask_labels,
     upset_masks,
 )
@@ -182,10 +182,7 @@ def join_irreducibles(algebra):
     irred = []
     for k, row in enumerate(containment_rows(masks, base.n)):
         m = masks[k]
-        below = 0
-        for j in iter_bits(row & ~(1 << k)):
-            below |= masks[j]
-        if m and below != m:
+        if m and image(masks, row & ~(1 << k)) != m:
             irred.append(m)
     labels = []
     for m in irred:

@@ -6,6 +6,12 @@ Conventions used throughout the package:
   - subsets of a poset are bitmasks over element indices; upsets are
     enumerated in time linear in their number (upset_masks), not by a scan
     over all 2^n subsets;
+  - every relation is held as rows of bitmasks, ``rows[x]`` masking the
+    points related to x: the order (``Poset.up``/``down``), a modal
+    relation, a bisimulation and a map's fibres (``PosetMap.fibres``).
+    image (the union of the rows over the bits of a mask) and transpose
+    (the rows of the converse relation) are the only code that unions
+    such rows bit by bit or builds a converse;
   - a poset carried by masks takes its order rows from per-chunk subset
     tables over 8-bit chunks of the base (containment_rows) and its labels
     from per-chunk frozenset tables (mask_labels), with no loop over bits;
@@ -35,6 +41,30 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def image(rows, mask):
+    """The union of rows[i] over the set bits i of mask: the image of the
+    subset under the relation whose rows are given."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def transpose(rows, n):
+    """The rows of the converse relation over n targets: bit x of out[y]
+    is set iff bit y of rows[x] is."""
+    out = [0] * n
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
 
 
 def format_label(label):
@@ -108,11 +138,7 @@ class Poset:
     @property
     def down(self):
         if self._down is None:
-            down = [0] * self.n
-            for i in range(self.n):
-                for j in iter_bits(self.up[i]):
-                    down[j] |= 1 << i
-            self._down = tuple(down)
+            self._down = tuple(transpose(self.up, self.n))
         return self._down
 
     @property
@@ -120,23 +146,13 @@ class Poset:
         return (1 << self.n) - 1
 
     def is_upset(self, mask):
-        for i in iter_bits(mask):
-            if self.up[i] & ~mask:
-                return False
-        return True
+        return not image(self.up, mask) & ~mask
 
     def up_close(self, mask):
-        out = 0
-        for i in iter_bits(mask):
-            out |= self.up[i]
-        return out
+        return image(self.up, mask)
 
     def down_close(self, mask):
-        out = 0
-        down = self.down
-        for i in iter_bits(mask):
-            out |= down[i]
-        return out
+        return image(self.down, mask)
 
     def min_of(self, mask):
         """Index of the least element of the subset, or None."""
@@ -229,6 +245,11 @@ class PosetMap:
     def __call__(self, label):
         return self.target.labels[self.assign[self.source.index(label)]]
 
+    def fibres(self):
+        """Per target index t, the mask of the source elements mapped to t:
+        the converse of the map's graph."""
+        return transpose([1 << t for t in self.assign], self.target.n)
+
     def image_mask(self, mask):
         out = 0
         for i in iter_bits(mask):
@@ -298,9 +319,7 @@ def make_poset(labels, pairs, mode="covers"):
         while changed:
             changed = False
             for i in range(n):
-                acc = up[i]
-                for j in iter_bits(acc):
-                    acc |= up[j]
+                acc = image(up, up[i])
                 if acc != up[i]:
                     up[i] = acc
                     changed = True
@@ -331,16 +350,14 @@ def product(p, q):
     for a in p.labels:
         for b in q.labels:
             labels.append((a, b))
-    n_q = q.n
+    # (i2, j2) is bit i2 * q.n + j2, so block i2 starts at starts[i2]; the
+    # blocks do not overlap, so multiplying the spread of ↑i by ↑j copies
+    # ↑j into each block of ↑i without carries
+    starts = [1 << (i2 * q.n) for i2 in range(p.n)]
     up = []
     for i in range(p.n):
-        for j in range(q.n):
-            mask = 0
-            for i2 in iter_bits(p.up[i]):
-                base = i2 * n_q
-                for j2 in iter_bits(q.up[j]):
-                    mask |= 1 << (base + j2)
-            up.append(mask)
+        spread = image(starts, p.up[i])
+        up.extend(spread * row for row in q.up)
     return Poset(labels, up, _trusted=True)
 
 
@@ -348,14 +365,12 @@ def product(p, q):
 
 
 def is_monotone(f):
-    """x <= y implies f(x) <= f(y), checked over all source pairs."""
+    """x <= y implies f(x) <= f(y): each ↑x lies inside the preimage of
+    ↑f(x), read off the fibres of f."""
     src, tgt = f.source, f.target
-    for x in range(src.n):
-        fx = f.assign[x]
-        for y in iter_bits(src.up[x]):
-            if not tgt.leq(fx, f.assign[y]):
-                return False
-    return True
+    fibres = f.fibres()
+    pre = [image(fibres, row) for row in tgt.up]
+    return all(not row & ~pre[t] for row, t in zip(src.up, f.assign))
 
 
 def is_pmorphism(f):
@@ -402,16 +417,14 @@ def open_table(g):
     and the mask of the elements whose row is non-empty. Only those
     elements can keep a subset from being open."""
     p = g.source
-    fibre = {}
-    for j, t in enumerate(g.assign):
-        fibre[t] = fibre.get(t, 0) | 1 << j
+    fibres = g.fibres()
     needy = 0
     rows = []
     for i in range(p.n):
         up = p.up[i]
         targets = {g.assign[j] for j in iter_bits(up)}
         targets.discard(g.assign[i])
-        rows.append(tuple(up & fibre[t] for t in targets))
+        rows.append(tuple(up & fibres[t] for t in targets))
         if targets:
             needy |= 1 << i
     return needy, tuple(rows)
@@ -557,9 +570,11 @@ def mask_labels(masks, labels):
             m ^= key
             part = parts.get(key)
             if part is None:
-                part = parts[key] = frozenset(
-                    [labels[i] for i in iter_bits(key)]
-                )
+                part, k = [], key
+                while k:
+                    part.append(labels[(k & -k).bit_length() - 1])
+                    k &= k - 1
+                part = parts[key] = frozenset(part)
             label = label | part if label else part
         out.append(label)
     return out

@@ -402,7 +402,7 @@ def test_criterion_5_bisimulation_theorem(posets_123, iso_frames):
                             proj_failures += 1
                             if exhaustive_small or rng.random() < 0.0005:
                                 genuine += 1
-                                bis = Bisimulation(
+                                bis = Bisimulation.from_pairs(
                                     f1, f2, frozenset(pairs)
                                 )
                                 # order clauses fail, so it is no
@@ -424,7 +424,9 @@ def test_criterion_5_bisimulation_theorem(posets_123, iso_frames):
                             rng.random() < (0.01 if rel_ok else 0.0005)
                         ):
                             genuine += 1
-                            bis = Bisimulation(f1, f2, frozenset(pairs))
+                            bis = Bisimulation.from_pairs(
+                                f1, f2, frozenset(pairs)
+                            )
                             assert is_box_bisimulation(bis) == rel_ok
                             assert coalgebraic_bisim_check(bis, 2) == coalg_ok
     report(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from imcoalg import bisim
 from imcoalg.bisim import (
     Bisimulation,
     relation_poset,
@@ -25,12 +26,14 @@ from imcoalg.errors import (
     MixLawViolation,
     ProjectionNotPMorphism,
     UndeclaredLetter,
+    UnknownLabel,
 )
 from imcoalg.frames import ModalFrame, frame_to_upmap, is_modal_pmorphism
 from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg import logic
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     Subset,
     is_pmorphism,
@@ -137,7 +140,7 @@ def _oracle_largest_bisimulation(left, right):
                 removed = (x, x2)
                 break
         if removed is None:
-            return Bisimulation(left, right, frozenset(pairs))
+            return Bisimulation.from_pairs(left, right, frozenset(pairs))
         pairs.discard(removed)
 
 
@@ -190,7 +193,7 @@ class TestRowKernelAgainstOracle:
                     pairs = frozenset(
                         c for i, c in enumerate(cells) if (bits >> i) & 1
                     )
-                    bis = Bisimulation(f1, f2, pairs)
+                    bis = Bisimulation.from_pairs(f1, f2, pairs)
                     assert is_box_bisimulation(bis) == (
                         _oracle_clause_violation(bis) is None
                     )
@@ -198,6 +201,71 @@ class TestRowKernelAgainstOracle:
 
 def serial_chain_frame():
     return ModalFrame.from_pairs(chain2(), [("a", "b"), ("b", "b")])
+
+
+class TestRows:
+    def test_round_trip_through_pairs(self):
+        for f1 in _small_frames():
+            for f2 in _small_frames():
+                n, m = f1.poset.n, f2.poset.n
+                for bits in range(1 << (n * m)):
+                    pairs = frozenset(
+                        (x, y) for x in range(n) for y in range(m)
+                        if (bits >> (x * m + y)) & 1
+                    )
+                    bis = Bisimulation.from_pairs(f1, f2, pairs)
+                    assert bis.pairs == pairs
+                    assert Bisimulation(f1, f2, bis.rows) == bis
+                    assert all(
+                        bis.related(x, y) == ((x, y) in pairs)
+                        for x in range(n)
+                        for y in range(m)
+                    )
+
+    def test_full_and_label_built_relations(self):
+        fr = serial_chain_frame()
+        full = Bisimulation.full(fr, fr)
+        assert full.rows == (3, 3)
+        assert full.pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        by_labels = Bisimulation.from_labels(
+            fr, fr, [("b", "b"), ("a", "a"), ("a", "a")]
+        )
+        by_pairs = Bisimulation.from_pairs(fr, fr, [(0, 0), (1, 1)])
+        assert by_labels == by_pairs == Bisimulation(fr, fr, (1, 2))
+        assert hash(by_labels) == hash(by_pairs)
+        assert by_labels != full
+        assert by_labels.label_pairs() == [("a", "a"), ("b", "b")]
+
+    def test_list_rows_are_stored_as_a_tuple(self):
+        fr = serial_chain_frame()
+        bis = Bisimulation(fr, fr, [1, 2])
+        assert bis.rows == (1, 2) and isinstance(bis.rows, tuple)
+        assert bis == Bisimulation(fr, fr, (1, 2))
+        assert is_box_bisimulation(bis)
+        assert not is_box_bisimulation(Bisimulation(fr, fr, [1, 0]))
+
+    def test_wrong_row_count_rejected(self):
+        fr = serial_chain_frame()
+        point = ModalFrame(point_poset(), [0])
+        with pytest.raises(UnknownLabel):
+            Bisimulation(fr, point, [1])
+        with pytest.raises(UnknownLabel):
+            Bisimulation(point, fr, [1, 2])
+
+    def test_row_outside_right_carrier_rejected(self):
+        fr = serial_chain_frame()
+        point = ModalFrame(point_poset(), [0])
+        with pytest.raises(UnknownLabel):
+            Bisimulation(fr, point, [1, 2])
+        with pytest.raises(UnknownLabel):
+            Bisimulation(fr, fr, [1, -1])
+
+    def test_pair_out_of_range_rejected(self):
+        fr = serial_chain_frame()
+        point = ModalFrame(point_poset(), [0])
+        for pair in ((2, 0), (0, 1), (-1, 0), (0, -1)):
+            with pytest.raises(UnknownLabel):
+                Bisimulation.from_pairs(fr, point, [pair])
 
 
 class TestClauses:
@@ -208,7 +276,9 @@ class TestClauses:
 
     def test_empty_relation(self):
         fr = serial_chain_frame()
-        assert is_box_bisimulation(Bisimulation(fr, fr, frozenset()))
+        assert is_box_bisimulation(
+            Bisimulation.from_pairs(fr, fr, frozenset())
+        )
 
     def test_graph_of_modal_pmorphism(self):
         p = make_poset(["x", "y", "z"], [("x", "y"), ("x", "z")])
@@ -269,7 +339,7 @@ class TestLargest:
                             for i in range(n_pairs)
                             if (bits >> i) & 1
                         )
-                        bis = Bisimulation(f1, f2, pairs)
+                        bis = Bisimulation.from_pairs(f1, f2, pairs)
                         if is_box_bisimulation(bis):
                             assert pairs <= big.pairs
 
@@ -287,13 +357,14 @@ class TestLargest:
                             for i in range(n_pairs)
                             if (bits >> i) & 1
                         )
-                        if is_box_bisimulation(Bisimulation(f1, f2, pairs)):
+                        bis = Bisimulation.from_pairs(f1, f2, pairs)
+                        if is_box_bisimulation(bis):
                             found.append(pairs)
                     for _ in range(20):
                         a = rng.choice(found)
                         b = rng.choice(found)
                         assert is_box_bisimulation(
-                            Bisimulation(f1, f2, a | b)
+                            Bisimulation.from_pairs(f1, f2, a | b)
                         )
 
 
@@ -338,6 +409,131 @@ def index_bisim_check(bis, depth=2):
     return True
 
 
+def relation_poset_by_pairs(bis):
+    """The dict lookup per element of ↑x × ↑y that relation_poset
+    replaced."""
+    chosen = sorted(bis.pairs)
+    labels = [
+        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
+    ]
+    pos = {pair: i for i, pair in enumerate(chosen)}
+    up_rows = []
+    for x, y in chosen:
+        row = 0
+        for x2 in iter_bits(bis.left.poset.up[x]):
+            for y2 in iter_bits(bis.right.poset.up[y]):
+                j = pos.get((x2, y2))
+                if j is not None:
+                    row |= 1 << j
+        up_rows.append(row)
+    return Poset(labels, up_rows, _trusted=True), chosen
+
+
+def rho_by_pairs(bis, chosen):
+    """The structure map's masks by testing every pair of chosen pairs, as
+    coalgebraic_bisim_check built them before the pair rows."""
+    lrel, rrel = bis.left.rel, bis.right.rel
+    rho_masks = []
+    for x, y in chosen:
+        m = 0
+        for j, (x2, y2) in enumerate(chosen):
+            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
+                m |= 1 << j
+        rho_masks.append(m)
+    return rho_masks
+
+
+def saturated_valuation_by_pairs(bis, left_seed, right_seed):
+    """The pair loop that saturated_valuation replaced."""
+    lp, rp = bis.left.poset, bis.right.poset
+    lm, rm = left_seed, right_seed
+    while True:
+        nl = lp.up_close(lm)
+        nr = rp.up_close(rm)
+        for x, y in bis.pairs:
+            if (nl >> x) & 1:
+                nr |= 1 << y
+            if (nr >> y) & 1:
+                nl |= 1 << x
+        if (nl, nr) == (lm, rm):
+            return lm, rm
+        lm, rm = nl, nr
+
+
+def compatible_by_pairs(bis, model_left, model_right):
+    """The pair loop that bisim._compatible replaced."""
+    for letter in set(model_left.valuation) | set(model_right.valuation):
+        lv = model_left.valuation.get(letter)
+        rv = model_right.valuation.get(letter)
+        if lv is None or rv is None:
+            return False
+        for x, y in bis.pairs:
+            if (lv >> x) & 1 != (rv >> y) & 1:
+                return False
+    return True
+
+
+def _assert_pair_rows_match(bis):
+    bp, chosen = relation_poset(bis)
+    assert (bp, chosen) == relation_poset_by_pairs(bis)
+    assert bisim._pair_rows(
+        bis, chosen, bis.left.rel, bis.right.rel
+    ) == rho_by_pairs(bis, chosen)
+
+
+class TestPairRowsAgainstOracle:
+    def test_every_relation_up_to_two_elements(self):
+        for f1 in _small_frames():
+            for f2 in _small_frames():
+                for bits in range(1 << (f1.poset.n * f2.poset.n)):
+                    _assert_pair_rows_match(_relation(f1, f2, bits))
+
+    def test_sampled_three_element_frames(self):
+        frames = [
+            fr
+            for n in (1, 2, 3)
+            for p in all_posets(n)
+            for fr in frames_up_to_iso(p)
+        ]
+        assert len(frames) == 310
+        rng = random.Random(4117)
+        for _ in range(2000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            bits = rng.getrandbits(f1.poset.n * f2.poset.n)
+            _assert_pair_rows_match(_relation(f1, f2, bits))
+            _assert_pair_rows_match(largest_bisimulation(f1, f2))
+
+    def test_compatibility_every_relation_and_valuation(self):
+        seen = set()
+        for f1 in _small_frames():
+            for f2 in _small_frames():
+                for bits in range(1 << (f1.poset.n * f2.poset.n)):
+                    bis = _relation(f1, f2, bits)
+                    for v1 in upset_masks(f1.poset):
+                        for v2 in upset_masks(f2.poset):
+                            m1 = Model(f1, {"p": v1})
+                            m2 = Model(f2, {"p": v2})
+                            got = bisim._compatible(bis, m1, m2)
+                            assert got == compatible_by_pairs(bis, m1, m2)
+                            seen.add(got)
+        assert seen == {True, False}
+        fr = serial_chain_frame()
+        one_sided = Model(fr, {"p": 2, "q": 2}), Model(fr, {"p": 2})
+        assert not bisim._compatible(Bisimulation.full(fr, fr), *one_sided)
+
+    def test_saturated_valuation_every_relation_and_seed(self):
+        for f1 in _small_frames():
+            for f2 in _small_frames():
+                n, m = f1.poset.n, f2.poset.n
+                for bits in range(1 << (n * m)):
+                    bis = _relation(f1, f2, bits)
+                    for ls in range(1 << n):
+                        for rs in range(1 << m):
+                            assert saturated_valuation(bis, ls, rs) == (
+                                saturated_valuation_by_pairs(bis, ls, rs)
+                            )
+
+
 def _outcome(check, bis, depth):
     try:
         return check(bis, depth)
@@ -352,7 +548,7 @@ def _relation(f1, f2, bits):
         for y in range(f2.poset.n)
         if (bits >> (x * f2.poset.n + y)) & 1
     )
-    return Bisimulation(f1, f2, pairs)
+    return Bisimulation.from_pairs(f1, f2, pairs)
 
 
 class TestMaskRouteOracle:
@@ -748,7 +944,8 @@ class TestLargestModelBisimulation:
                         (x, y) for x in range(n) for y in range(m)
                         if (bits >> (x * m + y)) & 1
                     )
-                    if is_box_bisimulation(Bisimulation(f1, f2, rel)):
+                    bis = Bisimulation.from_pairs(f1, f2, rel)
+                    if is_box_bisimulation(bis):
                         relations.append(rel)
                 for v1 in upset_masks(f1.poset):
                     for v2 in upset_masks(f2.poset):

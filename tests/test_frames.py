@@ -36,6 +36,7 @@ from imcoalg.poset import (
     PosetMap,
     identity_map,
     is_pmorphism,
+    iter_bits,
     make_poset,
     point_poset,
 )
@@ -100,6 +101,42 @@ class TestMixLaw:
                     assert check_mix_law(fr) == upset_antitone
                 if p.n >= 3:
                     break  # 2^9 per poset is enough; skip the rest of size 3
+
+
+def mix_rows_by_bits(frame):
+    """The bit loops that the mix closure replaced: per x, the union of
+    ↑v over v in R[u] for u in ↑x."""
+    p, rel = frame.poset, frame.rel
+    out = []
+    for x in range(p.n):
+        closed = 0
+        for u in iter_bits(p.up[x]):
+            for v in iter_bits(rel[u]):
+                closed |= p.up[v]
+        out.append(closed)
+    return out
+
+
+def mix_law_witness_by_bits(frame):
+    p = frame.poset
+    for x, closed in enumerate(mix_rows_by_bits(frame)):
+        extra = closed & ~frame.rel[x]
+        if extra:
+            return (p.labels[x], p.labels[next(iter_bits(extra))])
+    return None
+
+
+class TestMixClosureAgainstOracle:
+    def test_every_relation_up_to_three_elements(self):
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                for bits in range(1 << (p.n * p.n)):
+                    rel = [
+                        (bits >> (x * p.n)) & p.full_mask for x in range(p.n)
+                    ]
+                    fr = ModalFrame.from_masks(p, rel)
+                    assert mix_closure(fr).rel == tuple(mix_rows_by_bits(fr))
+                    assert mix_law_witness(fr) == mix_law_witness_by_bits(fr)
 
 
 class TestCorrespondence:
@@ -394,6 +431,25 @@ class TestPowUp:
         NbhdFrame(p, [fam, fam])  # lax default accepts
         with pytest.raises(ValueNotUpset):
             NbhdFrame(p, [fam, fam], strict=True)
+
+    def test_strict_mode_matches_member_test(self):
+        # a family is up-closed when every upset below one of its members
+        # in the reverse-inclusion order is a member too
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                order = up_functor(p).poset
+                for fam in range(1 << order.n):
+                    closed = all(
+                        (fam >> j) & 1
+                        for i in iter_bits(fam)
+                        for j in iter_bits(order.up[i])
+                    )
+                    try:
+                        NbhdFrame(p, [fam] * p.n, strict=True)
+                        accepted = True
+                    except ValueNotUpset:
+                        accepted = False
+                    assert accepted == closed
 
     def test_from_label_families_rejects_non_upset(self):
         p = chain2()

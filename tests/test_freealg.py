@@ -19,6 +19,7 @@ from imcoalg.errors import (
 )
 from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.freealg import (
+    FreeStage,
     build_free_stages,
     check_modal_stage_properties,
     check_truncated_pmorphism,
@@ -374,6 +375,24 @@ class TestBuildStages:
         stage.rel = tuple(broken)
         report = check_modal_stage_properties(stage)
         assert not report.ok
+
+    def test_box_of_an_upset_that_is_not_an_upset_detected(self):
+        # x < y stepping to the upsets {b} and {a, b} of a < b: every step
+        # image is an upset, but box {b} = {x} is not
+        prev = make_poset(["a", "b"], [("a", "b")])
+        layer = make_poset(["x", "y"], [("x", "y")])
+        stage = FreeStage(
+            index=1,
+            poset=layer,
+            projection=PosetMap(layer, prev, [0, 1]),
+            inner_depth=1,
+            prev=prev,
+            rel=(0b10, 0b11),
+        )
+        report = check_modal_stage_properties(stage)
+        assert report.checks["step-images-are-upsets"]
+        assert not report.checks["box-preserves-upsets"]
+        assert report.counterexamples["box-preserves-upsets"] == 0b10
 
 
 class TestUniversalLift:

@@ -11,6 +11,7 @@ from imcoalg.errors import (
     NotTransitive,
     UnknownLabel,
 )
+from imcoalg.freealg import build_free_stages, generator_poset
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -18,6 +19,7 @@ from imcoalg.poset import (
     containment_rows,
     enumerate_upsets,
     identity_map,
+    image,
     is_g_open,
     is_monotone,
     is_open_mask,
@@ -32,10 +34,12 @@ from imcoalg.poset import (
     product,
     relative_open,
     terminal_map,
+    transpose,
     up_set,
     upset_masks,
 )
 from imcoalg.enumeration import (
+    all_functions,
     all_posets,
     canonical_poset_key,
     monotone_maps,
@@ -83,6 +87,35 @@ def containment_rows_by_columns(masks, width):
 def labels_by_bits(masks, labels):
     """The per-bit comprehension that mask_labels replaced."""
     return [frozenset(labels[i] for i in iter_bits(m)) for m in masks]
+
+
+def product_by_bits(p, q):
+    """The bit loops that product replaced: one bit per pair of members of
+    ↑i and ↑j."""
+    labels = [(a, b) for a in p.labels for b in q.labels]
+    up = []
+    for i in range(p.n):
+        for j in range(q.n):
+            mask = 0
+            for i2 in iter_bits(p.up[i]):
+                for j2 in iter_bits(q.up[j]):
+                    mask |= 1 << (i2 * q.n + j2)
+            up.append(mask)
+    return Poset(labels, up, _trusted=True)
+
+
+def is_monotone_by_pairs(f):
+    """The pair test that is_monotone replaced: f(x) <= f(y) for every
+    y in ↑x."""
+    for x in range(f.source.n):
+        for y in iter_bits(f.source.up[x]):
+            if not f.target.leq(f.assign[x], f.assign[y]):
+                return False
+    return True
+
+
+def posets_up_to_three():
+    return [p for n in (1, 2, 3) for p in all_posets(n)]
 
 
 def g_open_by_images(mask, g):
@@ -373,6 +406,70 @@ class TestProduct:
         for i in range(4):
             for j in range(4):
                 assert prod.leq(i, j) == (i == j)
+
+
+class TestRelationKernels:
+    def test_image_and_transpose_match_set_comprehensions(self):
+        rng = random.Random(9)
+        for width in range(41):
+            for count in (0, 1, 2, 7, 40):
+                for density in (0.1, 0.5, 0.9):
+                    rows = [
+                        sum(1 << i for i in range(width)
+                            if rng.random() < density)
+                        for _ in range(count)
+                    ]
+                    sets = [set(iter_bits(row)) for row in rows]
+                    mask = rng.getrandbits(count) if count else 0
+                    want = set().union(*(sets[i] for i in iter_bits(mask)))
+                    assert set(iter_bits(image(rows, mask))) == want
+                    assert image(rows, 0) == 0
+                    cols = transpose(rows, width)
+                    assert [set(iter_bits(col)) for col in cols] == [
+                        {x for x in range(count) if y in sets[x]}
+                        for y in range(width)
+                    ]
+                    assert transpose(cols, count) == rows
+
+    def test_no_rows(self):
+        assert image([], 0) == 0
+        assert transpose([], 0) == []
+        assert transpose([], 3) == [0, 0, 0]
+
+    def test_product_matches_bit_loops_up_to_three_elements(self):
+        posets = posets_up_to_three()
+        for p in posets:
+            for q in posets:
+                assert product(p, q) == product_by_bits(p, q)
+
+    def test_is_monotone_matches_pair_test_on_all_functions(self):
+        posets = posets_up_to_three()
+        for p in posets:
+            for q in posets:
+                for f in all_functions(p, q):
+                    assert is_monotone(f) == is_monotone_by_pairs(f)
+
+    def test_free_layers_match_replaced_kernels(self):
+        # the layers of `freealg --generators 2 --stages 2`: each layer is
+        # the product of the generator poset with an inner stage, and its
+        # projection is checked for monotonicity
+        base = generator_poset(["p0", "p1"])
+        stages = build_free_stages(base, 2, 1)
+        assert [s.poset.n for s in stages] == [4, 24, 1976]
+        for stage in stages[1:]:
+            inner = stage.inner_complex.stages[stage.inner_depth]
+            assert stage.poset == product_by_bits(base, inner)
+            assert is_monotone(stage.projection)
+            assert is_monotone_by_pairs(stage.projection)
+            # swapping the images of some x < y with f(x) < f(y) breaks it
+            swapped = list(stage.projection.assign)
+            up = stage.poset.up
+            x = max(range(stage.poset.n), key=lambda e: up[e].bit_count())
+            y = next(e for e in iter_bits(up[x]) if swapped[e] != swapped[x])
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            broken = PosetMap(stage.poset, stage.prev, swapped)
+            assert not is_monotone(broken)
+            assert not is_monotone_by_pairs(broken)
 
 
 class TestEnumerateUpsets:

@@ -2,23 +2,34 @@
 
 ``bench/layers.py`` lists every traced layer as (metric, module, attribute
 path). A deleted or renamed library function would only surface when a
-traced benchmark run fails; this test resolves every entry directly.
+traced benchmark run fails; this test resolves every entry directly. The
+work counters read library values the same way, so the ones that read a
+Bisimulation are run on a real result here.
 """
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from imcoalg.bisim import coalgebraic_bisim_check, largest_bisimulation
+from imcoalg.frames import ModalFrame
+from imcoalg.poset import make_poset, point_poset
+
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def traced_targets():
+def load_layers():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.TRACED
+    return layers
+
+
+def traced_targets():
+    return load_layers().TRACED
 
 
 @pytest.mark.parametrize(
@@ -29,3 +40,23 @@ def test_traced_attribute_resolves(metric, module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target), metric
+
+
+def test_bisimulation_counters_read_a_real_result():
+    # a < b with a R b, against a point without successors: only (b, *)
+    # survives, since a's successor has no partner among *'s
+    left = ModalFrame.from_pairs(make_poset(["a", "b"], [("a", "b")]),
+                                 [("a", "b")])
+    right = ModalFrame(point_poset(), [0])
+    bis = largest_bisimulation(left, right)
+    assert bis.pairs == {(1, 0)}
+    layers = load_layers()
+    counters = defaultdict(int)
+    layers._count_largest_bisimulation(counters, (left, right), {}, bis)
+    result = coalgebraic_bisim_check(bis, depth=2)
+    layers._count_coalgebraic(counters, (bis,), {"depth": 2}, result)
+    assert dict(counters) == {
+        "bisim.largest_bisimulation.pairs_start": 2,
+        "bisim.largest_bisimulation.pairs_removed": 1,
+        "bisim.coalgebraic_bisim_check.relation_size": 1,
+    }
