@@ -39,6 +39,7 @@ from .poset import (
     is_open_mask,
     iter_bits,
     mask_labels,
+    monotone_assignments,
     open_table,
     terminal_map,
 )
@@ -403,103 +404,74 @@ def check_limit_pmorphism(t, depth=None):
     cx = t.complex
     if cx is None:
         raise UnknownLabel("check_limit_pmorphism needs a materialized complex")
+    if depth > t.depth:
+        raise UnknownLabel("tower map not built deep enough")
     src = t.source
     stage_posets = cx.stages
+    towers = cx.towers(depth)
     for x in range(src.n):
         fx = [t.maps[i].assign[x] for i in range(depth + 1)]
-        for tower in cx.towers(depth):
+        for tower in towers:
             cs = tower.indices
             if not all(
                 stage_posets[i].leq(fx[i], cs[i]) for i in range(depth + 1)
             ):
                 continue
-            hit = False
-            for x2 in iter_bits(src.up[x]):
-                if all(t.maps[i].assign[x2] == cs[i] for i in range(depth)):
-                    hit = True
-                    break
-            if not hit:
+            if not any(
+                all(t.maps[i].assign[x2] == cs[i] for i in range(depth))
+                for x2 in iter_bits(src.up[x])
+            ):
                 return False
     return True
 
 
 def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAPS):
     """All coordinate-compatible monotone tower maps from source into the
-    complex, optionally with a fixed level-1 coordinate."""
-    from .enumeration import monotone_maps
+    complex, optionally with a fixed level-1 coordinate.
 
+    Level 1 is every monotone map into stage 1 (or base_map); each deeper
+    level is one monotone_assignments search whose candidates for x are the
+    stage elements rooted at x's coordinate one level down (a fibre of the
+    root map). The maps come out depth first, every level in lexicographic
+    order; EnumerationTooLarge is raised on the map past caps.max_enumeration.
+    """
+    if depth > complex.depth:
+        raise UnknownLabel("complex not built deep enough")
+    stages = complex.stages
+    fibres = {lv: complex.root_maps[lv].fibres() for lv in range(2, depth + 1)}
+    values = {lv: complex.stage_values(lv) for lv in range(1, depth + 1)}
+    bottom = terminal_map(source, stages[0])
     if base_map is not None:
-        firsts = [base_map]
+        firsts = [base_map.assign]
     else:
-        firsts = monotone_maps(source, complex.stages[1])
+        firsts = monotone_assignments(source, stages[1])
+
+    def chains(chain):
+        level = len(chain) + 1
+        if level > depth:
+            yield chain
+            return
+        allowed = [fibres[level][t] for t in chain[-1]]
+        for a in monotone_assignments(source, stages[level], allowed):
+            yield from chains(chain + (a,))
+
     out = []
-    budget = caps.max_enumeration
-    for f1 in firsts:
-        partial = [tuple(f1.assign)]
-
-        def extend(level):
-            nonlocal budget
-            if level > depth:
-                budget -= 1
-                if budget < 0:
-                    raise EnumerationTooLarge("too many tower maps")
-                values = [
-                    tuple(
-                        complex.stage_values(lv)[i] for i in partial[lv - 1]
-                    )
-                    for lv in range(1, depth + 1)
-                ]
-                out.append(
-                    TowerMap(
-                        source,
-                        complex.stages[1],
-                        depth,
-                        values,
-                        complex=complex,
-                        maps=tuple(
-                            [terminal_map(source, complex.stages[0])]
-                            + [
-                                PosetMap(
-                                    source, complex.stages[lv], partial[lv - 1]
-                                )
-                                for lv in range(1, depth + 1)
-                            ]
-                        ),
-                    )
+    for first in firsts:
+        for chain in chains((first,)):
+            if len(out) == caps.max_enumeration:
+                raise EnumerationTooLarge("too many tower maps")
+            coords = list(zip(range(1, depth + 1), chain))
+            out.append(
+                TowerMap(
+                    source,
+                    stages[1],
+                    depth,
+                    [tuple(values[lv][i] for i in a) for lv, a in coords],
+                    complex=complex,
+                    maps=(bottom,)
+                    + tuple(PosetMap(source, stages[lv], a) for lv, a in coords),
                 )
-                return
-            stage = complex.stages[level]
-            root = complex.root_maps[level].assign
-            fibers = [
-                [
-                    j
-                    for j in range(stage.n)
-                    if root[j] == partial[level - 2][x]
-                ]
-                for x in range(source.n)
-            ]
-
-            def assign_from(x, chosen):
-                if x == source.n:
-                    partial.append(tuple(chosen))
-                    extend(level + 1)
-                    partial.pop()
-                    return
-                for j in fibers[x]:
-                    ok = True
-                    for y in range(x):
-                        if source.leq(y, x) and not stage.leq(chosen[y], j):
-                            ok = False
-                            break
-                        if source.leq(x, y) and not stage.leq(j, chosen[y]):
-                            ok = False
-                            break
-                    if ok:
-                        assign_from(x + 1, chosen + [j])
-
-            assign_from(0, [])
-
-        extend(2)
+            )
     return out
 
 
@@ -540,15 +512,14 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
     map passing the limit back condition is the lift of its own level-1
     coordinate.
     """
-    from .enumeration import monotone_maps
-
     if target.n ** source.n > caps.max_enumeration:
         raise EnumerationTooLarge(
             f"{target.n}^{source.n} maps exceeds cap {caps.max_enumeration}"
         )
     cx = terminal_complex(target, depth, caps)
     report = AdjunctionReport(source, target, depth)
-    for f in monotone_maps(source, target):
+    for assign in monotone_assignments(source, target):
+        f = PosetMap(source, target, assign)
         report.monotone_maps += 1
         lifted = lift_map(f, cx, depth)
         if lifted.base_map.assign != f.assign:

@@ -4,6 +4,12 @@ These back the brute-force oracles: every theorem-shaped claim in the test
 suite is checked against enumerations produced here. Poset enumeration is
 up to isomorphism (canonical form = lexicographically least relation matrix
 over all label permutations).
+
+Monotone maps, p-morphisms, mix-law relations (monotone maps into the
+upsets under reverse inclusion) and automorphisms (bijective monotone
+self-maps) all come from poset.monotone_assignments, so each list is in
+lexicographic order of its assignments; callers that sample from these
+lists by index rely on that order.
 """
 
 from itertools import permutations, product as iproduct
@@ -11,9 +17,10 @@ from itertools import permutations, product as iproduct
 from .poset import (
     Poset,
     PosetMap,
+    containment_rows,
     image,
     is_pmorphism,
-    iter_bits,
+    monotone_assignments,
     upset_masks,
 )
 
@@ -82,15 +89,11 @@ def all_posets(n, labels=None):
 
 
 def automorphisms(p):
-    out = []
-    for perm in permutations(range(p.n)):
-        if all(
-            p.leq(i, j) == p.leq(perm[i], perm[j])
-            for i in range(p.n)
-            for j in range(p.n)
-        ):
-            out.append(perm)
-    return out
+    """Automorphisms of p as permutations, in lexicographic order: the
+    bijective monotone self-maps. On a finite poset these are exactly the
+    automorphisms, since a monotone bijection maps the comparable pairs
+    injectively, hence onto, themselves."""
+    return [a for a in monotone_assignments(p, p) if len(set(a)) == p.n]
 
 
 def all_functions(p, q):
@@ -99,20 +102,8 @@ def all_functions(p, q):
 
 
 def monotone_maps(p, q):
-    out = []
-    for assign in iproduct(range(q.n), repeat=p.n):
-        ok = True
-        for x in range(p.n):
-            ax = assign[x]
-            for y in iter_bits(p.up[x]):
-                if not q.leq(ax, assign[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(PosetMap(p, q, assign))
-    return out
+    """All monotone maps from p to q, in lexicographic order."""
+    return [PosetMap(p, q, a) for a in monotone_assignments(p, q)]
 
 
 def pmorphisms(p, q):
@@ -120,32 +111,15 @@ def pmorphisms(p, q):
 
 
 def mix_relations(p):
-    """All relations satisfying the mix law, as tuples of successor masks.
+    """All relations satisfying the mix law, as tuples of successor masks,
+    in lexicographic order of the upset masks.
 
-    Equivalent to all monotone maps from p into its reverse-inclusion-ordered
-    upsets: each rel[x] is an upset and x <= y forces rel[x] >= rel[y].
+    These are the monotone maps from p into its upsets ordered by reverse
+    inclusion: each rel[x] is an upset and x <= y forces rel[x] >= rel[y].
     """
     upsets = upset_masks(p)
-    out = []
-
-    def extend(i, chosen):
-        if i == p.n:
-            out.append(tuple(chosen))
-            return
-        for m in upsets:
-            ok = True
-            for j in range(i):
-                if p.leq(j, i) and m & ~chosen[j]:
-                    ok = False
-                    break
-                if p.leq(i, j) and chosen[j] & ~m:
-                    ok = False
-                    break
-            if ok:
-                extend(i + 1, chosen + [m])
-
-    extend(0, [])
-    return out
+    ups = Poset(upsets, containment_rows(upsets, p.n), _trusted=True)
+    return [tuple(upsets[k] for k in a) for a in monotone_assignments(p, ups)]
 
 
 def frames_on(p):

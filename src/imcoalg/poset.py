@@ -17,6 +17,10 @@ Conventions used throughout the package:
     from per-chunk frozenset tables (mask_labels), with no loop over bits;
     g-openness is read off per-fibre masks, visiting only the elements
     that have any (open_table);
+  - monotone maps are enumerated by one search (monotone_assignments):
+    each element's candidates are a mask, cut down by the up- and
+    down-set rows of the images of its decided neighbours, and the maps
+    come out in lexicographic order of their assignments;
   - every value is immutable after construction, so any operation can run
     from parallel workers without coordination;
   - iteration is always in index order, which keeps all derived output
@@ -371,6 +375,51 @@ def is_monotone(f):
     fibres = f.fibres()
     pre = [image(fibres, row) for row in tgt.up]
     return all(not row & ~pre[t] for row, t in zip(src.up, f.assign))
+
+
+def monotone_assignments(p, q, allowed=None):
+    """Every monotone map from p to q as a tuple of target indices, in
+    lexicographic order (the order of itertools.product over q's indices).
+
+    Decides the elements of p in index order. The candidates for x are the
+    mask allowed[x] (default: all of q) cut down to ↑a(y) for every earlier
+    y <= x and to ↓a(y) for every earlier y >= x, so every partial
+    assignment is monotone; they are taken lowest bit first. This is the
+    one search over monotone maps: mix-law frames, automorphisms and the
+    levels of a tower map are all read off monotone maps.
+    """
+    n = p.n
+    if n == 0:
+        yield ()
+        return
+    if allowed is None:
+        allowed = (q.full_mask,) * n
+    below = [tuple(iter_bits(p.down[x] & ((1 << x) - 1))) for x in range(n)]
+    above = [tuple(iter_bits(p.up[x] & ((1 << x) - 1))) for x in range(n)]
+    qup, qdown = q.up, q.down
+    last = n - 1
+    assign = [0] * n
+    todo = [0] * n  # per decided element, the candidates not yet tried
+    todo[0] = allowed[0]
+    x = 0
+    while x >= 0:
+        left = todo[x]
+        if not left:
+            x -= 1
+            continue
+        low = left & -left
+        todo[x] = left ^ low
+        assign[x] = low.bit_length() - 1
+        if x == last:
+            yield tuple(assign)
+            continue
+        x += 1
+        m = allowed[x]
+        for y in below[x]:
+            m &= qup[assign[y]]
+        for y in above[x]:
+            m &= qdown[assign[y]]
+        todo[x] = m
 
 
 def is_pmorphism(f):

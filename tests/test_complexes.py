@@ -1,5 +1,6 @@
 import pytest
 
+from imcoalg import complexes
 from imcoalg.complexes import (
     build_complex,
     build_p_g,
@@ -15,7 +16,12 @@ from imcoalg.complexes import (
     verify_complex,
 )
 from imcoalg.config import Caps
-from imcoalg.errors import NotMonotone, StageTooLarge
+from imcoalg.errors import (
+    EnumerationTooLarge,
+    NotMonotone,
+    StageTooLarge,
+    UnknownLabel,
+)
 from imcoalg.heyting import FunctorValue, up_functor
 from imcoalg.poset import (
     Poset,
@@ -385,6 +391,20 @@ class TestLift:
                     assert len(passing) == 1
                     assert passing[0] == lift_map(f, cx, 2)
 
+    def test_limit_check_refuses_a_depth_past_the_tower(self):
+        q = chain2()
+        t = lift_map(identity_map(q), terminal_complex(q, 2), 2)
+        assert check_limit_pmorphism(t, 2)
+        with pytest.raises(UnknownLabel, match="not built deep enough"):
+            check_limit_pmorphism(t, 3)
+
+    def test_tower_maps_refuse_a_depth_past_the_complex(self):
+        q = chain2()
+        cx = terminal_complex(q, 2)
+        assert enumerate_tower_maps(q, cx, 2)
+        with pytest.raises(UnknownLabel, match="not built deep enough"):
+            enumerate_tower_maps(q, cx, 3)
+
 
 class TestNestedValues:
     def test_roots_recover_previous_level(self):
@@ -407,6 +427,17 @@ class TestNestedValues:
 
 
 class TestAdjunction:
+    def test_cap_precedes_any_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumeration started before the cap check")
+
+        monkeypatch.setattr(complexes, "monotone_assignments", forbidden)
+        monkeypatch.setattr(complexes, "terminal_complex", forbidden)
+        p = make_poset(["x", "y", "z"], [])
+        q = make_poset(["a", "b", "c"], [])
+        with pytest.raises(EnumerationTooLarge, match=r"3\^3 maps"):
+            check_adjunction(p, q, 2, caps=Caps(max_enumeration=26))
+
     def test_chain_chain_depth2(self):
         p = chain2()
         rep = check_adjunction(p, p, 2)
