@@ -16,6 +16,7 @@ import pytest
 from imcoalg.complexes import TowerMap, build_complex, enumerate_tower_maps
 from imcoalg.config import DEFAULT_CAPS, Caps
 from imcoalg.enumeration import (
+    _permuted,
     all_posets,
     automorphisms,
     mix_relations,
@@ -43,12 +44,7 @@ def posets_up_to(n):
 
 def relabel(p, perm):
     """p with element x moved to index perm[x]."""
-    labels = [None] * p.n
-    up = [0] * p.n
-    for x in range(p.n):
-        labels[perm[x]] = p.labels[x]
-        up[perm[x]] = sum(1 << perm[y] for y in iter_bits(p.up[x]))
-    return Poset(labels, up)
+    return Poset(p.labels, _permuted(p.up, perm))
 
 
 def labellings(p):
