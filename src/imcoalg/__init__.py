@@ -7,23 +7,13 @@ from .config import Caps, DEFAULT_CAPS
 from .poset import (
     Poset,
     PosetMap,
-    Subset,
-    enumerate_upsets,
-    is_g_open,
     is_monotone,
     is_pmorphism,
-    is_rooted,
     make_poset,
     point_poset,
-    principal_up,
     product,
-    relative_open,
-    up_set,
 )
 from .heyting import (
-    UpsetAlgebra,
-    box_op,
-    heyting_impl,
     join_irreducibles,
     up_functor,
     up_functor_map,
@@ -73,7 +63,6 @@ from .logic import (
     first_formulas,
     parse,
     print_formula,
-    truth_set,
     valid_on_model,
 )
 from .freealg import (

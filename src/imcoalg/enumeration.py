@@ -125,7 +125,7 @@ def mix_relations(p):
 def frames_on(p):
     from .frames import ModalFrame
 
-    return [ModalFrame.from_masks(p, rel) for rel in mix_relations(p)]
+    return [ModalFrame(p, rel) for rel in mix_relations(p)]
 
 
 def frames_up_to_iso(p):
@@ -139,7 +139,7 @@ def frames_up_to_iso(p):
         key = min(_permuted(rel, perm) for perm in auts)
         if key not in seen:
             seen.add(key)
-            out.append(ModalFrame.from_masks(p, rel))
+            out.append(ModalFrame(p, rel))
     return out
 
 

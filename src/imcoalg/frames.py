@@ -37,7 +37,9 @@ from .poset import (
 
 
 class ModalFrame:
-    """Poset plus successor-mask relation; immutable."""
+    """Poset plus successor-mask relation; immutable. A row count other
+    than the poset's size, or a row that is negative or has a bit at or
+    past poset.n, raises UnknownLabel."""
 
     __slots__ = ("poset", "rel")
 
@@ -47,6 +49,10 @@ class ModalFrame:
             raise UnknownLabel(
                 f"relation has {len(rel)} rows for {poset.n} elements"
             )
+        full = poset.full_mask
+        for row in rel:
+            if row & ~full:
+                raise UnknownLabel(f"relation row {row:#x} leaves the carrier")
         self.poset = poset
         self.rel = rel
 
@@ -56,10 +62,6 @@ class ModalFrame:
         for a, b in pairs:
             rel[poset.index(a)] |= 1 << poset.index(b)
         return cls(poset, rel)
-
-    @classmethod
-    def from_masks(cls, poset, masks):
-        return cls(poset, masks)
 
     def pairs(self):
         out = []

@@ -1,10 +1,12 @@
 """The algebra of upsets of a finite poset, and the upset endofunctor.
 
-Two distinct order conventions live here and must not be confused:
+Upsets are bitmasks over the base's element indices (upset_masks lists
+them). Two distinct order conventions live here and must not be confused:
 
-  - UpsetAlgebra orders its carrier by inclusion: that is the logical order
-    (meet = intersection, join = union, top = full carrier).
-  - up_functor orders the same carrier by *reverse* inclusion; that poset is
+  - impl_mask and box_mask act on masks ordered by inclusion: that is the
+    logical order (meet = AND, join = OR, top = the full mask, and
+    implication is residuated against meet).
+  - up_functor orders the same upsets by *reverse* inclusion; that poset is
     the coalgebraic target for modal successor maps.
 """
 
@@ -16,7 +18,6 @@ from .errors import NotMonotone, StageTooLarge, ValueNotUpset
 from .poset import (
     Poset,
     PosetMap,
-    Subset,
     containment_rows,
     image,
     mask_labels,
@@ -110,75 +111,15 @@ def box_mask(frame, body):
     return out
 
 
-class UpsetAlgebra:
-    """Up(base) as a finite Heyting algebra, ordered by inclusion."""
-
-    def __init__(self, base):
-        self.base = base
-        self.masks = upset_masks(base)
-        self._upsets = frozenset(self.masks)
-
-    @property
-    def carrier(self):
-        return [Subset(self.base, m) for m in self.masks]
-
-    @property
-    def bottom(self):
-        return 0
-
-    @property
-    def top(self):
-        return self.base.full_mask
-
-    def check_mask(self, mask):
-        if mask not in self._upsets:
-            raise ValueNotUpset(f"{mask:#x} is not an upset of the base")
-        return mask
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def impl(self, a, b):
-        return impl_mask(self.base, a, b)
-
-    def leq(self, a, b):
-        return a & ~b == 0
-
-
-def heyting_impl(algebra, a, b):
-    """Heyting implication of two upsets, as a Subset."""
-    am = a.mask if isinstance(a, Subset) else a
-    bm = b.mask if isinstance(b, Subset) else b
-    algebra.check_mask(am)
-    algebra.check_mask(bm)
-    return Subset(algebra.base, algebra.impl(am, bm))
-
-
-def box_op(frame, a):
-    """Box of an upset along the frame's relation: {x : R[x] <= a}.
-
-    When the frame satisfies the mix law the result is again an upset.
-    """
-    mask = a.mask if isinstance(a, Subset) else a
-    p = frame.poset
-    if not p.is_upset(mask):
-        raise ValueNotUpset("box_op expects an upset of the frame's poset")
-    return Subset(p, box_mask(frame, mask))
-
-
-def join_irreducibles(algebra):
-    """The poset of join-irreducible upsets under reverse inclusion.
+def join_irreducibles(base):
+    """The poset of join-irreducible upsets of base under reverse inclusion.
 
     In Up(P) these are exactly the principal upsets, so the result is
-    order-isomorphic to the base poset; elements are relabeled by the
-    generator (the irreducible's least element). An algebra whose
-    irreducibles are not principal upsets of its base raises ValueNotUpset.
+    order-isomorphic to the base poset (Birkhoff duality); elements are
+    relabeled by the generator (the irreducible's least element). An
+    irreducible that is not a principal upset raises ValueNotUpset.
     """
-    base = algebra.base
-    masks = algebra.masks
+    masks = upset_masks(base)
     irred = []
     for k, row in enumerate(containment_rows(masks, base.n)):
         m = masks[k]

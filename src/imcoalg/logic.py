@@ -23,7 +23,6 @@ from .errors import (
     ValueNotUpset,
 )
 from .heyting import box_mask, impl_mask
-from .poset import Subset
 
 
 class Formula:
@@ -303,15 +302,19 @@ def letters_of(phi):
 
 
 class Model:
-    """A modal frame plus a valuation sending letters to upsets."""
+    """A modal frame plus a valuation sending letters to upset masks."""
 
     __slots__ = ("frame", "valuation")
 
     def __init__(self, frame, valuation):
         vals = {}
-        for letter, value in valuation.items():
-            mask = value.mask if isinstance(value, Subset) else value
-            if not frame.poset.is_upset(mask):
+        p = frame.poset
+        for letter, mask in valuation.items():
+            if mask & ~p.full_mask:
+                raise ValueNotUpset(
+                    f"valuation of {letter!r} ({mask:#x}) leaves the carrier"
+                )
+            if not p.is_upset(mask):
                 raise ValueNotUpset(f"valuation of {letter!r} is not an upset")
             vals[letter] = mask
         self.frame = frame
@@ -355,10 +358,6 @@ def truth_mask(model, phi, _cache=None):
         raise TypeError(f"not a formula: {phi!r}")
     cache[phi] = out
     return out
-
-
-def truth_set(model, phi):
-    return Subset(model.poset, truth_mask(model, phi))
 
 
 def valid_on_model(model, phi):

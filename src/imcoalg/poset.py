@@ -29,8 +29,6 @@ Conventions used throughout the package:
 ``up[i]`` is the bitmask of ``{j : i <= j}`` including ``i`` itself.
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     DuplicateLabel,
     NotAntisymmetric,
@@ -195,34 +193,6 @@ class Poset:
             f"{self._name(i)}<{self._name(j)}" for i, j in self.covers()
         )
         return f"Poset([{', '.join(map(self._name, range(self.n)))}]; {cov})"
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a poset's carrier, stored as a bitmask."""
-
-    carrier: Poset
-    mask: int
-
-    @classmethod
-    def from_labels(cls, carrier, labels):
-        mask = 0
-        for lab in labels:
-            mask |= 1 << carrier.index(lab)
-        return cls(carrier, mask)
-
-    @property
-    def members(self):
-        return tuple(self.carrier.labels[i] for i in iter_bits(self.mask))
-
-    def __contains__(self, label):
-        return (self.mask >> self.carrier.index(label)) & 1 == 1
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __repr__(self):
-        return "Subset{" + ",".join(format_label(m) for m in self.members) + "}"
 
 
 class PosetMap:
@@ -431,35 +401,6 @@ def is_pmorphism(f):
     return True
 
 
-def up_set(p, s):
-    """Upward closure of a subset."""
-    return Subset(p, p.up_close(s.mask))
-
-
-def principal_up(p, x):
-    return Subset(p, p.up_mask(p.index(x)))
-
-
-def is_rooted(p, s):
-    """The root of the subset (its least member) or None; {} is not rooted."""
-    if s.mask == 0:
-        return None
-    i = p.min_of(s.mask)
-    return None if i is None else p.labels[i]
-
-
-def is_g_open(s, g):
-    """Relative openness of a subset: every step up out of S can be matched
-    inside S up to g-fibers.
-
-    For each s in S and each b >= s there must be s' in S with s <= s' and
-    g(s') = g(b). Equivalently the g-image of ↑s ∩ S equals that of ↑s.
-    """
-    if s.carrier != g.source:
-        raise UnknownLabel("subset carrier differs from the map's source")
-    return is_open_mask(s.mask, open_table(g))
-
-
 def open_table(g):
     """g's openness table: per source element i, the masks ↑i ∩ g⁻¹(t) for
     each t in g[↑i] other than g(i), whose fibre already holds i itself,
@@ -494,22 +435,6 @@ def is_open_mask(mask, table):
     return True
 
 
-def relative_open(f, g):
-    """Openness of f: X -> Y relative to g: Y -> Z.
-
-    For all a in X and b in Y with f(a) <= b there is a' >= a such that
-    g(f(a')) = g(b).
-    """
-    if f.target != g.source:
-        raise UnknownLabel("f.target must be g.source")
-    gof = g.compose(f)
-    for a in range(f.source.n):
-        need = g.image_mask(f.target.up[f.assign[a]])
-        if need & ~gof.image_mask(f.source.up[a]):
-            return False
-    return True
-
-
 def upset_masks(p, limit=None):
     """Masks of all upsets of p, ascending.
 
@@ -539,12 +464,6 @@ def upset_masks(p, limit=None):
         if not down[i] & included:
             stack.append((i - 1, included))
     return tuple(out)
-
-
-def enumerate_upsets(p):
-    """All upward-closed subsets including {} and the carrier, ascending by
-    member bitmask."""
-    return [Subset(p, mask) for mask in upset_masks(p)]
 
 
 # _BIT_DIGITS[i] translates a byte to b"1" if its bit i is set, else b"0"

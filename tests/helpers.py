@@ -1,0 +1,61 @@
+"""Helpers shared by the test modules: relabelled posets, label masks and
+the benchmark modules the tests read.
+
+``all_posets`` and ``random_poset`` label naturally (i <= j only if i <= j
+as integers), so a kernel compared on their output alone never meets an
+element with an earlier element above it. ``relabel`` moves the elements of
+a poset to other indices, and ``move_mask`` moves a subset with them.
+"""
+
+import importlib.util
+from itertools import permutations
+from pathlib import Path
+
+from imcoalg.enumeration import _permuted, all_posets
+from imcoalg.poset import Poset, image
+
+
+def posets_up_to(n):
+    """Every poset on 1..n elements up to isomorphism, naturally labelled."""
+    return [p for k in range(1, n + 1) for p in all_posets(k)]
+
+
+def relabel(p, perm):
+    """p with element x moved to index perm[x]."""
+    return Poset(p.labels, _permuted(p.up, perm))
+
+
+def move_mask(mask, perm):
+    """mask with bit x moved to bit perm[x], as relabel moves elements."""
+    return image([1 << t for t in perm], mask)
+
+
+def relabellings(p):
+    """(perm, relabel(p, perm)) for every permutation of p's indices."""
+    return [(perm, relabel(p, perm)) for perm in permutations(range(p.n))]
+
+
+def labellings(p):
+    """Every labelling of p (one per distinct order rows), p itself first."""
+    out = {}
+    for _, q in relabellings(p):
+        out.setdefault(q.up, q)
+    return list(out.values())
+
+
+def mask_of(p, labels):
+    """The bitmask of the given labels of p."""
+    mask = 0
+    for lab in labels:
+        mask |= 1 << p.index(lab)
+    return mask
+
+
+def load_bench_module(name):
+    """bench/<name>.py loaded as a module, without adding bench/ to the
+    import path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

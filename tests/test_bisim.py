@@ -35,7 +35,6 @@ from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
 from imcoalg.poset import (
     Poset,
     PosetMap,
-    Subset,
     is_pmorphism,
     iter_bits,
     make_poset,
@@ -50,6 +49,8 @@ from imcoalg.enumeration import (
     random_poset,
     random_upset,
 )
+
+from helpers import mask_of
 
 
 def chain2():
@@ -650,8 +651,8 @@ class TestTruthPreservation:
 
     def test_incompatible_valuations_rejected(self):
         fr = serial_chain_frame()
-        m1 = Model(fr, {"p": Subset.from_labels(fr.poset, ["b"])})
-        m2 = Model(fr, {"p": Subset.from_labels(fr.poset, [])})
+        m1 = Model(fr, {"p": mask_of(fr.poset, ["b"])})
+        m2 = Model(fr, {"p": mask_of(fr.poset, [])})
         # b ~ b but p holds only on one side
         with pytest.raises(IncompatibleValuations):
             bisimilarity_preserves_truth(m1, "b", m2, "b", [])
@@ -674,8 +675,8 @@ class TestTruthPreservation:
         p = chain2()
         fr1 = ModalFrame.from_pairs(p, [("a", "b"), ("b", "b")])
         fr2 = ModalFrame.from_pairs(p, [])
-        m1 = Model(fr1, {"p": Subset.from_labels(p, ["b"])})
-        m2 = Model(fr2, {"p": Subset.from_labels(p, ["b"])})
+        m1 = Model(fr1, {"p": mask_of(p, ["b"])})
+        m2 = Model(fr2, {"p": mask_of(p, ["b"])})
         bis = largest_bisimulation(fr1, fr2)
         formulas = list(enumerate_formulas(["p"], 3))
         for x in range(p.n):

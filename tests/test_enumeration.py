@@ -16,7 +16,6 @@ import pytest
 from imcoalg.complexes import TowerMap, build_complex, enumerate_tower_maps
 from imcoalg.config import DEFAULT_CAPS, Caps
 from imcoalg.enumeration import (
-    _permuted,
     all_posets,
     automorphisms,
     mix_relations,
@@ -35,28 +34,9 @@ from imcoalg.poset import (
     upset_masks,
 )
 
+from helpers import labellings, posets_up_to, relabel
+
 EMPTY = Poset((), ())
-
-
-def posets_up_to(n):
-    return [p for k in range(1, n + 1) for p in all_posets(k)]
-
-
-def relabel(p, perm):
-    """p with element x moved to index perm[x]."""
-    return Poset(p.labels, _permuted(p.up, perm))
-
-
-def labellings(p):
-    """Every labelling of p (one per distinct order rows), p itself first.
-
-    all_posets labels naturally (i <= j only if i <= j as integers), so
-    without relabelling no element ever has an earlier element above it."""
-    out = {}
-    for perm in permutations(range(p.n)):
-        q = relabel(p, perm)
-        out.setdefault(q.up, q)
-    return list(out.values())
 
 
 def reversed_labelling(p):

@@ -89,7 +89,7 @@ class TestMixLaw:
                     rel = [
                         (bits >> (x * p.n)) & p.full_mask for x in range(p.n)
                     ]
-                    fr = ModalFrame.from_masks(p, rel)
+                    fr = ModalFrame(p, rel)
                     upset_antitone = all(
                         p.is_upset(rel[x]) for x in range(p.n)
                     ) and all(
@@ -134,7 +134,7 @@ class TestMixClosureAgainstOracle:
                     rel = [
                         (bits >> (x * p.n)) & p.full_mask for x in range(p.n)
                     ]
-                    fr = ModalFrame.from_masks(p, rel)
+                    fr = ModalFrame(p, rel)
                     assert mix_closure(fr).rel == tuple(mix_rows_by_bits(fr))
                     assert mix_law_witness(fr) == mix_law_witness_by_bits(fr)
 
@@ -216,6 +216,19 @@ class TestCorrespondence:
     def test_relation_length_checked(self):
         with pytest.raises(UnknownLabel):
             ModalFrame(chain2(), (0b10,))
+
+    @pytest.mark.parametrize("rows", [(0b10,), (0b11,), (1 << 70,)])
+    def test_row_outside_the_carrier_rejected(self, rows):
+        with pytest.raises(UnknownLabel):
+            ModalFrame(point_poset(), rows)
+        with pytest.raises(UnknownLabel):
+            ModalFrame(chain2(), (0b11,) + tuple(r << 1 for r in rows))
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(UnknownLabel):
+            ModalFrame(point_poset(), (-1,))
+        with pytest.raises(UnknownLabel):
+            ModalFrame(chain2(), (0b10, -2))
 
     def test_family_count_checked(self):
         with pytest.raises(UnknownLabel):

@@ -1,0 +1,77 @@
+"""The upset and openness kernels do not depend on how a poset is labelled.
+
+``all_posets`` labels naturally, so every other test meets only posets
+whose index order is a linear extension. Here each poset on at most four
+elements is taken under every permutation of its indices (419 labelled
+posets, repeats included), and each kernel is checked to commute with the
+relabelling: f(relabel(x)) == relabel(f(x)).
+"""
+
+from imcoalg.enumeration import _permuted, mix_relations, monotone_maps
+from imcoalg.frames import ModalFrame
+from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
+from imcoalg.poset import PosetMap, is_open_mask, open_table, upset_masks
+
+from helpers import labellings, move_mask, posets_up_to, relabellings
+from test_heyting import join_irreducibles_oracle
+from test_poset import g_open_by_images
+
+RELABELLED_4 = [
+    (p, perm, q) for p in posets_up_to(4) for perm, q in relabellings(p)
+]
+RELABELLED_3 = [(p, perm, q) for p, perm, q in RELABELLED_4 if p.n <= 3]
+
+
+def test_every_permutation_is_taken():
+    assert len(RELABELLED_4) == 419
+    assert len({q.up for _, _, q in RELABELLED_4}) == 242
+
+
+def test_upset_masks_are_the_relabelled_upsets():
+    for p, perm, q in RELABELLED_4:
+        moved = sorted(move_mask(m, perm) for m in upset_masks(p))
+        assert upset_masks(q) == tuple(moved)
+
+
+def test_impl_mask_commutes_with_relabelling():
+    for p, perm, q in RELABELLED_4:
+        upsets = upset_masks(p)
+        for a in upsets:
+            for b in upsets:
+                got = impl_mask(q, move_mask(a, perm), move_mask(b, perm))
+                assert got == move_mask(impl_mask(p, a, b), perm)
+
+
+def test_join_irreducibles_match_the_oracle():
+    for _, _, q in RELABELLED_4:
+        labels, up = join_irreducibles_oracle(q)
+        j = join_irreducibles(q)
+        assert j.labels == tuple(labels)
+        assert j.up == up
+
+
+def test_box_mask_commutes_with_relabelling():
+    for p, perm, q in RELABELLED_3:
+        for rel in mix_relations(p):
+            fr = ModalFrame(p, rel)
+            moved = ModalFrame(q, _permuted(rel, perm))
+            for body in range(1 << p.n):
+                got = box_mask(moved, move_mask(body, perm))
+                assert got == move_mask(box_mask(fr, body), perm)
+
+
+def test_open_table_commutes_with_relabelling():
+    targets = [t for s in posets_up_to(2) for t in labellings(s)]
+    for p, perm, q in RELABELLED_3:
+        for t in targets:
+            for g in monotone_maps(p, t):
+                assign = [0] * p.n
+                for x, y in enumerate(g.assign):
+                    assign[perm[x]] = y
+                moved = PosetMap(q, t, assign)
+                table, moved_table = open_table(g), open_table(moved)
+                for mask in range(1 << p.n):
+                    want = g_open_by_images(mask, g)
+                    assert is_open_mask(mask, table) == want
+                    assert is_open_mask(move_mask(mask, perm), moved_table) == want
+                    assert g_open_by_images(move_mask(mask, perm), moved) == want

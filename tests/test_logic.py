@@ -29,10 +29,9 @@ from imcoalg.logic import (
     parse,
     print_formula,
     truth_mask,
-    truth_set,
     valid_on_model,
 )
-from imcoalg.poset import Subset, make_poset
+from imcoalg.poset import make_poset, point_poset
 from imcoalg.enumeration import (
     all_posets,
     frames_up_to_iso,
@@ -41,11 +40,13 @@ from imcoalg.enumeration import (
     random_upset,
 )
 
+from helpers import mask_of
+
 
 def chain_model():
     p = make_poset(["a", "b"], [("a", "b")])
     fr = ModalFrame.from_pairs(p, [("a", "b"), ("b", "b")])
-    return Model(fr, {"p": Subset.from_labels(p, ["b"])})
+    return Model(fr, {"p": mask_of(p, ["b"])})
 
 
 class TestParser:
@@ -119,7 +120,7 @@ class TestPrinterRoundtrip:
 class TestTruth:
     def test_top(self):
         m = chain_model()
-        assert truth_set(m, Top()).mask == m.poset.full_mask
+        assert truth_mask(m, Top()) == m.poset.full_mask
 
     def test_box_top_axiom(self):
         m = chain_model()
@@ -128,8 +129,9 @@ class TestTruth:
 
     def test_chain_example(self):
         m = chain_model()
-        assert truth_set(m, parse("[]p")).members == ("a", "b")
-        assert truth_set(m, parse("p -> []p")).members == ("a", "b")
+        ab = mask_of(m.poset, ["a", "b"])
+        assert truth_mask(m, parse("[]p")) == ab
+        assert truth_mask(m, parse("p -> []p")) == ab
 
     def test_intuitionistic_failure_of_excluded_middle(self):
         m = chain_model()
@@ -141,13 +143,20 @@ class TestTruth:
 
     def test_undeclared_letter(self):
         with pytest.raises(UndeclaredLetter):
-            truth_set(chain_model(), parse("r"))
+            truth_mask(chain_model(), parse("r"))
 
     def test_valuation_must_be_upset(self):
         p = make_poset(["a", "b"], [("a", "b")])
         fr = ModalFrame.from_pairs(p, [])
         with pytest.raises(ValueNotUpset):
-            Model(fr, {"p": Subset.from_labels(p, ["a"])})
+            Model(fr, {"p": mask_of(p, ["a"])})
+
+    def test_valuation_must_lie_in_the_carrier(self):
+        fr = ModalFrame(point_poset(), (0,))
+        for mask in (0b10, 0b11, 1 << 70, -1, -2):
+            with pytest.raises(ValueNotUpset):
+                Model(fr, {"p": mask})
+        assert Model(fr, {"p": 1}).valuation == {"p": 1}
 
 
 class TestAxiomsAndPersistence:
@@ -183,7 +192,7 @@ class TestAxiomsAndPersistence:
         p = make_poset(["a", "b"], [("a", "b")])
         fr = ModalFrame.from_pairs(p, [("b", "b")])
         assert not check_mix_law(fr)
-        model = Model(fr, {"p": Subset.from_labels(p, ["b"])})
+        model = Model(fr, {"p": mask_of(p, ["b"])})
         mask = truth_mask(model, parse("[]F"))
         assert not p.is_upset(mask)
 

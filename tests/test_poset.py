@@ -9,33 +9,25 @@ from imcoalg.errors import (
     DuplicateLabel,
     NotAntisymmetric,
     NotTransitive,
-    UnknownLabel,
 )
 from imcoalg.freealg import build_free_stages, generator_poset
 from imcoalg.poset import (
     Poset,
     PosetMap,
-    Subset,
     containment_rows,
-    enumerate_upsets,
     identity_map,
     image,
-    is_g_open,
     is_monotone,
     is_open_mask,
     is_pmorphism,
-    is_rooted,
     iter_bits,
     make_poset,
     mask_labels,
     open_table,
     point_poset,
-    principal_up,
     product,
-    relative_open,
     terminal_map,
     transpose,
-    up_set,
     upset_masks,
 )
 from imcoalg.enumeration import (
@@ -45,6 +37,8 @@ from imcoalg.enumeration import (
     monotone_maps,
     random_poset,
 )
+
+from helpers import mask_of
 
 # SHA-256 of repr([p.up for p in all_posets(5)]) as the full scan over all
 # 2^20 strict relations returns it
@@ -279,43 +273,40 @@ class TestMapPredicates:
 class TestSubsets:
     def test_up_set_on_chain(self):
         p = chain2()
-        s = Subset.from_labels(p, ["a"])
-        assert up_set(p, s).members == ("a", "b")
+        assert p.up_close(mask_of(p, ["a"])) == mask_of(p, ["a", "b"])
 
     def test_up_set_empty_and_full(self):
         p = chain2()
-        assert up_set(p, Subset(p, 0)).members == ()
-        assert up_set(p, Subset(p, p.full_mask)).members == ("a", "b")
+        assert p.up_close(0) == 0
+        assert p.up_close(p.full_mask) == p.full_mask
 
     def test_principal_up(self):
         p = chain2()
-        assert principal_up(p, "a").members == ("a", "b")
-        assert principal_up(p, "b").members == ("b",)
+        assert p.up_mask(p.index("a")) == mask_of(p, ["a", "b"])
+        assert p.up_mask(p.index("b")) == mask_of(p, ["b"])
 
     def test_rooted_chain(self):
         p = chain2()
-        assert is_rooted(p, Subset.from_labels(p, ["a", "b"])) == "a"
+        assert p.min_of(mask_of(p, ["a", "b"])) == p.index("a")
 
     def test_rooted_antichain(self):
         p = antichain2()
-        assert is_rooted(p, Subset.from_labels(p, ["a", "b"])) is None
+        assert p.min_of(mask_of(p, ["a", "b"])) is None
 
     def test_singleton_rooted(self):
         p = antichain2()
-        assert is_rooted(p, Subset.from_labels(p, ["b"])) == "b"
+        assert p.min_of(mask_of(p, ["b"])) == p.index("b")
 
     def test_empty_not_rooted(self):
-        assert is_rooted(chain2(), Subset(chain2(), 0)) is None
+        assert chain2().min_of(0) is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.randoms(use_true_random=False))
     def test_root_is_least_member(self, n, rng):
         p = random_poset(rng, n)
         for mask in range(1, 1 << p.n):
-            s = Subset(p, mask)
-            root = is_rooted(p, s)
-            if root is not None:
-                r = p.index(root)
+            r = p.min_of(mask)
+            if r is not None:
                 assert (mask >> r) & 1
                 assert all(p.leq(r, i) for i in iter_bits(mask))
 
@@ -325,16 +316,17 @@ class TestRelativeOpen:
         p = chain2()
         g = terminal_map(p)
         for mask in range(1, 1 << p.n):
-            assert is_g_open(Subset(p, mask), g)
+            assert is_open_mask(mask, open_table(g))
 
     def test_identity_singleton_bottom_not_open(self):
         p = chain2()
-        g = identity_map(p)
-        assert not is_g_open(Subset.from_labels(p, ["a"]), g)
+        table = open_table(identity_map(p))
+        assert not is_open_mask(mask_of(p, ["a"]), table)
 
     def test_identity_full_open(self):
         p = chain2()
-        assert is_g_open(Subset.from_labels(p, ["a", "b"]), identity_map(p))
+        table = open_table(identity_map(p))
+        assert is_open_mask(mask_of(p, ["a", "b"]), table)
 
     def test_open_table_matches_images_up_to_three_elements(self):
         posets = [p for n in (1, 2, 3) for p in all_posets(n)]
@@ -349,35 +341,6 @@ class TestRelativeOpen:
                     for mask in range(1 << p.n):
                         want = g_open_by_images(mask, g)
                         assert is_open_mask(mask, table) == want
-                        assert is_g_open(Subset(p, mask), g) == want
-
-    def test_is_g_open_rejects_foreign_subset(self):
-        with pytest.raises(UnknownLabel):
-            is_g_open(Subset(antichain2(), 1), identity_map(chain2()))
-
-    def test_relative_open_constant_g(self):
-        p = chain2()
-        g = terminal_map(p)
-        for f in monotone_maps(p, p):
-            assert relative_open(f, PosetMap(p, g.target, g.assign))
-
-    def test_relative_open_identity_pair(self):
-        p = chain2()
-        assert relative_open(identity_map(p), identity_map(p))
-
-    def test_relative_open_constant_bottom_fails(self):
-        p = chain2()
-        f = PosetMap(p, p, [0, 0])
-        assert not relative_open(f, identity_map(p))
-
-    def test_relative_open_matches_pmorphism_under_identity_g(self):
-        posets = []
-        for n in (1, 2, 3):
-            posets.extend(all_posets(n))
-        for p in posets:
-            for q in posets:
-                for f in monotone_maps(p, q):
-                    assert relative_open(f, identity_map(q)) == is_pmorphism(f)
 
 
 class TestProduct:
@@ -474,14 +437,14 @@ class TestRelationKernels:
 
 class TestEnumerateUpsets:
     def test_chain(self):
-        sets = [s.members for s in enumerate_upsets(chain2())]
-        assert sets == [(), ("b",), ("a", "b")]
+        p = chain2()
+        assert upset_masks(p) == (0, mask_of(p, ["b"]), mask_of(p, ["a", "b"]))
 
     def test_antichain(self):
-        assert len(enumerate_upsets(antichain2())) == 4
+        assert len(upset_masks(antichain2())) == 4
 
     def test_point(self):
-        assert len(enumerate_upsets(point_poset())) == 2
+        assert len(upset_masks(point_poset())) == 2
 
     def test_count_equals_antichain_count(self):
         # oracle: upsets correspond to antichains (their minimal elements)
@@ -497,12 +460,11 @@ class TestEnumerateUpsets:
                         if i != j
                     ):
                         antichains += 1
-                assert len(enumerate_upsets(p)) == antichains
+                assert len(upset_masks(p)) == antichains
 
     def test_deterministic_order(self):
-        p = antichain2()
-        masks = [s.mask for s in enumerate_upsets(p)]
-        assert masks == sorted(masks)
+        masks = upset_masks(antichain2())
+        assert list(masks) == sorted(masks)
 
 
 class TestContainmentRows:

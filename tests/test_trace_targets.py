@@ -8,9 +8,7 @@ Bisimulation are run on a real result here.
 """
 
 import importlib
-import importlib.util
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 
@@ -18,18 +16,11 @@ from imcoalg.bisim import coalgebraic_bisim_check, largest_bisimulation
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import make_poset, point_poset
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
-
-
-def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+from helpers import load_bench_module
 
 
 def traced_targets():
-    return load_layers().TRACED
+    return load_bench_module("layers").TRACED
 
 
 @pytest.mark.parametrize(
@@ -50,7 +41,7 @@ def test_bisimulation_counters_read_a_real_result():
     right = ModalFrame(point_poset(), [0])
     bis = largest_bisimulation(left, right)
     assert bis.pairs == {(1, 0)}
-    layers = load_layers()
+    layers = load_bench_module("layers")
     counters = defaultdict(int)
     layers._count_largest_bisimulation(counters, (left, right), {}, bis)
     result = coalgebraic_bisim_check(bis, depth=2)
