@@ -21,7 +21,6 @@ from .heyting import (
 from .complexes import (
     Complex,
     RootedStage,
-    Tower,
     TowerMap,
     build_complex,
     build_p_g,
@@ -50,7 +49,6 @@ from .bisim import (
     bisimilarity_preserves_truth,
     coalgebraic_bisim_check,
     distinguishing_formula,
-    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
     largest_model_bisimulation,

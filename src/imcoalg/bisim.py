@@ -346,36 +346,18 @@ def _first_separating(n, pairs, candidates):
     return {pair: found.get(pair) for pair in pairs}
 
 
-def distinguishing_formulas(model_left, model_right, pairs, formulas):
-    """Per index pair (x, y), the first formula in the stream on which point
-    x of the left model and point y of the right model disagree, or None.
-
-    Truth at a point depends only on the points above it and its modal
-    successors, so it is the same in the disjoint sum of the two models.
-    Each formula is evaluated once there, for all pairs at once, and the
-    stream is read only until every pair has its formula.
-    """
-    model = _disjoint_sum(model_left, model_right)
-
-    def new_truth_sets():
-        cache = {}
-        seen = set()
-        for phi in formulas:
-            t = truth_mask(model, phi, cache)
-            if t not in seen:
-                seen.add(t)
-                yield phi, t
-
-    return _first_separating(model_left.poset.n, pairs, new_truth_sets())
-
-
 def search_distinguishing_formulas(
     model_left, model_right, pairs, letters, depth, caps=DEFAULT_CAPS
 ):
-    """The result of distinguishing_formulas on the stream
-    enumerate_formulas(letters, depth), found by truth set: only the first
-    formula of each truth set on the disjoint sum is built
-    (logic.first_formulas). Nothing is evaluated when there are no pairs.
+    """Per index pair (x, y), the first formula of the stream
+    enumerate_formulas(letters, depth) on which point x of the left model
+    and point y of the right model disagree, or None.
+
+    Truth at a point depends only on the points above it and its modal
+    successors, so it is the same in the disjoint sum of the two models.
+    The search runs there by truth set, for all pairs at once: only the
+    first formula of each truth set is built (logic.first_formulas).
+    Nothing is evaluated when there are no pairs.
 
     caps.max_formulas bounds the connective applications, and the search
     ends early once every definable truth set has been met; CapExceeded
@@ -388,7 +370,13 @@ def search_distinguishing_formulas(
 
 
 def distinguishing_formula(model_left, x, model_right, y, formulas):
-    """First formula in the stream on which the two points disagree."""
-    pair = (model_left.poset.index(x), model_right.poset.index(y))
-    found = distinguishing_formulas(model_left, model_right, [pair], formulas)
-    return found[pair]
+    """First formula in the stream on which the two points disagree, or
+    None. The stream is read only until that formula; each model keeps one
+    truth-set cache for the whole scan."""
+    xi, yi = model_left.poset.index(x), model_right.poset.index(y)
+    cache_left, cache_right = {}, {}
+    for phi in formulas:
+        left = (truth_mask(model_left, phi, cache_left) >> xi) & 1
+        if left != (truth_mask(model_right, phi, cache_right) >> yi) & 1:
+            return phi
+    return None

@@ -13,7 +13,6 @@ inputs produce byte-identical output.
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 import time
@@ -25,8 +24,8 @@ from .bisim import (
     search_distinguishing_formulas,
 )
 from .complexes import (
-    build_complex,
     check_limit_pmorphism,
+    intuitionistic_lift,
     lift_map,
     verify_complex,
 )
@@ -61,7 +60,7 @@ from .freealg import (
 )
 from .heyting import up_functor
 from .logic import parse, print_formula, truth_mask
-from .poset import format_label, terminal_map
+from .poset import format_label
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -171,6 +170,13 @@ def _order_check(report, ff):
     return poset
 
 
+def _mix_law_check(report, frame, name):
+    """Report the mix law as check name, with a witness when it fails."""
+    witness = mix_law_witness(frame)
+    detail = None if witness is None else f"witness {witness}"
+    return report.check(name, witness is None, detail)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -182,12 +188,7 @@ def cmd_check(args):
     if poset is None:
         return report.emit(args)
     frame = ff.build_frame(poset)
-    witness = mix_law_witness(frame)
-    report.check(
-        "mix-law",
-        witness is None,
-        None if witness is None else f"witness {witness}",
-    )
+    _mix_law_check(report, frame, "mix-law")
     try:
         ff.valuation_masks(poset, close=args.close_valuations)
         report.check("valuation-persistence", True)
@@ -215,12 +216,7 @@ def cmd_mc(args):
     if poset is None:
         return report.emit(args)
     frame = ff.build_frame(poset)
-    witness = mix_law_witness(frame)
-    report.check(
-        "mix-law",
-        witness is None,
-        None if witness is None else f"witness {witness}",
-    )
+    _mix_law_check(report, frame, "mix-law")
     model = ff.build_model(close=args.close_valuations, frame=frame)
     mask = truth_mask(model, phi)
     report.info(f"formula: {print_formula(phi)}")
@@ -240,12 +236,7 @@ def _build_checked_frame(report, ff, name):
     if poset is None:
         return None
     frame = ff.build_frame(poset)
-    witness = mix_law_witness(frame)
-    if not report.check(
-        f"mix-law-{name}",
-        witness is None,
-        None if witness is None else f"witness {witness}",
-    ):
+    if not _mix_law_check(report, frame, f"mix-law-{name}"):
         return None
     return frame
 
@@ -307,12 +298,9 @@ def cmd_complex(args):
     poset = _order_check(report, ff)
     if poset is None:
         return report.emit(args)
-    caps = _caps(args)
-    fv = up_functor(poset, caps)
-    cx = build_complex(terminal_map(fv.poset), args.depth, caps)
+    cx = intuitionistic_lift(poset, args.depth, _caps(args))
     report.info(f"stage sizes: {[s.n for s in cx.stages]}")
     for i in range(1, len(cx.stages)):
-        r = cx.root_maps[i]
         report.info(
             f"  r_{i}: stage {i} ({cx.stages[i].n} elements) -> "
             f"stage {i - 1} ({cx.stages[i - 1].n} elements)"
@@ -334,9 +322,9 @@ def cmd_lift(args):
         return report.emit(args)
     # the complex enforces the depth cap before any deep lifting starts
     caps = _caps(args)
-    fv = up_functor(frame.poset, caps)
-    cx = build_complex(terminal_map(fv.poset), args.depth, caps)
-    lifted = lift_map(frame_to_upmap(frame, fv), cx, args.depth)
+    cx = intuitionistic_lift(frame.poset, args.depth, caps)
+    upmap = frame_to_upmap(frame, up_functor(frame.poset, caps))
+    lifted = lift_map(upmap, cx, args.depth)
     for x in range(frame.poset.n):
         report.info(f"{format_label(frame.poset.labels[x])}:")
         for level in range(1, args.depth + 1):

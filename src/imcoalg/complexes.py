@@ -31,6 +31,7 @@ from .errors import (
     StageTooLarge,
     UnknownLabel,
 )
+from .heyting import up_functor
 from .poset import (
     Poset,
     PosetMap,
@@ -191,29 +192,18 @@ class Complex:
             ) from None
 
     def tower_of(self, idx, depth=None):
-        """The compatible chain determined by a deepest-stage element."""
+        """The compatible chain determined by an element of stage depth
+        (default: the deepest), as a tuple of stage indices from stage 0."""
         depth = self.depth if depth is None else depth
         chain = [0] * (depth + 1)
         chain[depth] = idx
         for i in range(depth, 0, -1):
             chain[i - 1] = self.root_maps[i].assign[chain[i]]
-        return Tower(self, tuple(chain))
+        return tuple(chain)
 
     def towers(self, depth=None):
         depth = self.depth if depth is None else depth
         return [self.tower_of(i, depth) for i in range(self.stages[depth].n)]
-
-
-@dataclass(frozen=True)
-class Tower:
-    """Depth-indexed compatible chain of stage elements (by stage index)."""
-
-    complex: Complex
-    indices: tuple
-
-    @property
-    def depth(self):
-        return len(self.indices) - 1
 
 
 def build_complex(g, depth, caps=DEFAULT_CAPS, level1=None):
@@ -411,8 +401,7 @@ def check_limit_pmorphism(t, depth=None):
     towers = cx.towers(depth)
     for x in range(src.n):
         fx = [t.maps[i].assign[x] for i in range(depth + 1)]
-        for tower in towers:
-            cs = tower.indices
+        for cs in towers:
             if not all(
                 stage_posets[i].leq(fx[i], cs[i]) for i in range(depth + 1)
             ):
@@ -535,14 +524,10 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
     return report
 
 
-def intuitionistic_lift(functor, p, depth, caps=DEFAULT_CAPS):
-    """Apply an endofunctor, then build the terminal complex over
-    the result: the depth-truncated intuitionistic lifting of the functor.
-
-    ``functor(p, caps)`` returns a FunctorValue, as heyting.up_functor does.
-    """
-    value = functor(p, caps)
-    return build_complex(terminal_map(value.poset), depth, caps)
+def intuitionistic_lift(p, depth, caps=DEFAULT_CAPS):
+    """The terminal complex over Up(p) (heyting.up_functor under caps): the
+    depth-truncated intuitionistic lifting of the upset functor."""
+    return build_complex(terminal_map(up_functor(p, caps).poset), depth, caps)
 
 
 def verify_complex(cx):

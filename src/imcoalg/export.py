@@ -4,7 +4,7 @@ DOT dialect: one node per element, label verbatim; solid arrows for order
 covers (low to high), dashed arrows for the modal relation. Complexes and
 free-stage sequences render one cluster per stage with dashed arrows for
 the connecting maps. JSON documents carry schema tag "imcoalg/1" and
-mirror the frame file sections plus whatever was computed.
+mirror the frame file sections.
 
 All output is sorted by element index, so identical inputs produce
 byte-identical files.
@@ -29,64 +29,61 @@ def poset_dot_lines(poset, prefix="", indent="  "):
     return names, lines
 
 
-def frame_to_dot(frame, graph_name="imcoalg"):
+def frame_to_dot(frame):
     names, lines = poset_dot_lines(frame.poset)
     for x in range(frame.poset.n):
         for y in iter_bits(frame.rel[x]):
             lines.append(
                 f"  {_quote(names[x])} -> {_quote(names[y])} [style=dashed];"
             )
-    return "digraph " + graph_name + " {\n" + "\n".join(lines) + "\n}\n"
+    return "digraph imcoalg {\n" + "\n".join(lines) + "\n}\n"
 
 
-def complex_to_dot(cx, graph_name="complex"):
-    out = ["digraph " + graph_name + " {"]
+def _stages_to_dot(graph, prefix, posets, arrows):
+    """One cluster per stage poset, nodes named prefix + stage index, and a
+    dashed arrow per (i, a, b) in arrows from element a of stage i to
+    element b of stage i - 1."""
+    out = ["digraph " + graph + " {"]
     all_names = []
-    for i, stage in enumerate(cx.stages):
-        names, lines = poset_dot_lines(stage, prefix=f"P{i}:", indent="    ")
+    for i, poset in enumerate(posets):
+        names, lines = poset_dot_lines(
+            poset, prefix=f"{prefix}{i}:", indent="    "
+        )
         all_names.append(names)
         out.append(f"  subgraph cluster_{i} {{")
         out.append(f'    label="stage {i}";')
         out.extend(lines)
         out.append("  }")
-    for i in range(1, len(cx.stages)):
-        r = cx.root_maps[i]
-        for src in range(cx.stages[i].n):
-            out.append(
-                f"  {_quote(all_names[i][src])} -> "
-                f"{_quote(all_names[i - 1][r.assign[src]])} [style=dashed];"
-            )
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def free_stages_to_dot(stages, graph_name="freealg"):
-    out = ["digraph " + graph_name + " {"]
-    all_names = []
-    for stage in stages:
-        names, lines = poset_dot_lines(
-            stage.poset, prefix=f"M{stage.index}:", indent="    "
+    for i, a, b in arrows:
+        out.append(
+            f"  {_quote(all_names[i][a])} -> "
+            f"{_quote(all_names[i - 1][b])} [style=dashed];"
         )
-        all_names.append(names)
-        out.append(f"  subgraph cluster_{stage.index} {{")
-        out.append(f'    label="stage {stage.index}";')
-        out.extend(lines)
-        out.append("  }")
-    for stage in stages:
-        if stage.rel is None:
-            continue
-        k = stage.index
-        for e in range(stage.poset.n):
-            for y in iter_bits(stage.rel[e]):
-                out.append(
-                    f"  {_quote(all_names[k][e])} -> "
-                    f"{_quote(all_names[k - 1][y])} [style=dashed];"
-                )
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def frame_to_json_dict(frame, valuations=None, nbhd=None, computed=None):
+def complex_to_dot(cx):
+    arrows = (
+        (i, src, t)
+        for i in range(1, len(cx.stages))
+        for src, t in enumerate(cx.root_maps[i].assign)
+    )
+    return _stages_to_dot("complex", "P", cx.stages, arrows)
+
+
+def free_stages_to_dot(stages):
+    arrows = (
+        (stage.index, e, y)
+        for stage in stages
+        if stage.rel is not None
+        for e, row in enumerate(stage.rel)
+        for y in iter_bits(row)
+    )
+    return _stages_to_dot("freealg", "M", [s.poset for s in stages], arrows)
+
+
+def frame_to_json_dict(frame, valuations=None, nbhd=None):
     p = frame.poset
     doc = {
         "schema": JSON_SCHEMA,
@@ -106,8 +103,6 @@ def frame_to_json_dict(frame, valuations=None, nbhd=None, computed=None):
         }
     if nbhd is not None:
         doc["nbhd"] = nbhd
-    if computed is not None:
-        doc["computed"] = computed
     return doc
 
 

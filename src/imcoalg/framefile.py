@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ValueNotUpset
 from .frames import ModalFrame, NbhdFrame
+from .heyting import up_functor
 from .logic import Model
-from .poset import iter_bits, make_poset
+from .poset import make_poset
 
 _SECTIONS = ("elements", "order", "modal", "val", "nbhd")
 
@@ -40,7 +41,7 @@ class FrameFile:
     nbhd: dict = field(default_factory=dict)
 
     def build_poset(self):
-        return make_poset(self.labels, self.order_pairs, mode="covers")
+        return make_poset(self.labels, self.order_pairs)
 
     def build_frame(self, poset=None):
         p = poset if poset is not None else self.build_poset()
@@ -48,43 +49,49 @@ class FrameFile:
 
     def valuation_masks(self, poset, close=False):
         """Letter -> mask; non-upset values are rejected unless close=True."""
-        out = {}
-        for letter, members in sorted(self.valuations.items()):
-            mask = 0
-            for lab in members:
-                mask |= 1 << poset.index(lab)
-            if not poset.is_upset(mask):
-                if not close:
-                    raise ValueNotUpset(
-                        f"valuation of {letter!r} is not upward closed "
-                        "(use --close-valuations to close it)"
-                    )
-                mask = poset.up_close(mask)
-            out[letter] = mask
-        return out
+        return {
+            letter: _upset_mask(
+                poset, members, close,
+                f"valuation of {letter!r} is not upward closed "
+                "(use --close-valuations to close it)",
+            )
+            for letter, members in sorted(self.valuations.items())
+        }
 
     def build_model(self, close=False, frame=None):
         f = frame if frame is not None else self.build_frame()
         return Model(f, self.valuation_masks(f.poset, close=close))
 
     def build_nbhd_frame(self, poset=None, close=False, strict=False):
+        """The neighbourhood frame; each family member is an upset mask,
+        closed or rejected as valuation_masks does, and the family of an
+        element masks the indices of its members in Up(P)."""
         p = poset if poset is not None else self.build_poset()
-        families = {}
-        for lab, fams in sorted(self.nbhd.items()):
-            fixed = []
-            for fam in fams:
-                mask = 0
-                for member in fam:
-                    mask |= 1 << p.index(member)
-                if not p.is_upset(mask):
-                    if not close:
-                        raise ValueNotUpset(
-                            f"neighbourhood of {lab!r} contains a non-upset"
-                        )
-                    mask = p.up_close(mask)
-                fixed.append([p.labels[i] for i in iter_bits(mask)])
-            families[lab] = fixed
-        return NbhdFrame.from_label_families(p, families, strict=strict)
+        members = [
+            (p.index(lab), _upset_mask(
+                p, fam, close, f"neighbourhood of {lab!r} contains a non-upset"
+            ))
+            for lab, fams in sorted(self.nbhd.items())
+            for fam in fams
+        ]
+        carrier = up_functor(p)
+        families = [0] * p.n
+        for x, mask in members:
+            families[x] |= 1 << carrier.index_of_mask(mask)
+        return NbhdFrame(p, families, strict=strict)
+
+
+def _upset_mask(poset, labels, close, message):
+    """The mask of the labels; when it is not an upset, its upward closure
+    if close is set, else ValueNotUpset(message)."""
+    mask = 0
+    for lab in labels:
+        mask |= 1 << poset.index(lab)
+    if poset.is_upset(mask):
+        return mask
+    if not close:
+        raise ValueNotUpset(message)
+    return poset.up_close(mask)
 
 
 def parse_frame_file(text):

@@ -196,19 +196,23 @@ def check_coalgebra_morphism(f, frame1, frame2, depth=3):
 # -- neighbourhood frames ----------------------------------------------------
 
 
+_MAX_POW_UP_BASE = 3
+
+
 @functools.lru_cache
-def pow_up_functor(p, caps=DEFAULT_CAPS, max_base=3):
+def pow_up_functor(p, caps=DEFAULT_CAPS):
     """Sets of upsets of p, ordered by inclusion of families.
 
     Element i of the value poset is the family whose members are read off
     the bits of i as indices into the upset carrier of p, so ``masks[i]``
     is i itself and a family mask is its own index. Doubly exponential,
-    so the base is capped small. Memoized on every argument, so a call with
-    tighter caps never returns a value built under looser ones.
+    so the base is capped at _MAX_POW_UP_BASE elements. Memoized on every
+    argument, so a call with tighter caps never returns a value built under
+    looser ones.
     """
-    if p.n > max_base:
+    if p.n > _MAX_POW_UP_BASE:
         raise StageTooLarge(
-            0, f"pow_up_functor base capped at {max_base} elements"
+            0, f"pow_up_functor base capped at {_MAX_POW_UP_BASE} elements"
         )
     up_fv = up_functor(p)
     size = 1 << up_fv.poset.n
@@ -231,7 +235,7 @@ def _preimage_table(f):
 
 
 @functools.lru_cache
-def pow_up_map(f, source_value=None, target_value=None):
+def pow_up_map(f):
     """Morphism action of the neighbourhood functor.
 
     A family over the source maps to the upsets of the target whose
@@ -240,8 +244,7 @@ def pow_up_map(f, source_value=None, target_value=None):
     """
     if not is_monotone(f):
         raise NotMonotone("pow_up_map needs a monotone map")
-    sv = source_value if source_value is not None else pow_up_functor(f.source)
-    tv = target_value if target_value is not None else pow_up_functor(f.target)
+    sv, tv = pow_up_functor(f.source), pow_up_functor(f.target)
     tgt_up = up_functor(f.target)
     pre = _preimage_table(f)
     assign = []
@@ -257,10 +260,12 @@ def pow_up_map(f, source_value=None, target_value=None):
 class NbhdFrame:
     """Poset with a monotone assignment of families of upsets to points.
 
-    ``families[x]`` is a mask over the canonical upset carrier. Monotone
-    means inclusion of families along the order. With strict=True each
-    family must additionally be up-closed in the reverse-inclusion order on
-    upsets; the default leaves the inner order unconstrained.
+    ``families[x]`` is a mask over the canonical upset carrier; a family
+    count other than the poset's size, or a mask that is negative or has a
+    bit past the carrier, raises UnknownLabel. Monotone means inclusion of
+    families along the order. With strict=True each family must
+    additionally be up-closed in the reverse-inclusion order on upsets; the
+    default leaves the inner order unconstrained.
     """
 
     __slots__ = ("poset", "families", "strict")
@@ -272,6 +277,10 @@ class NbhdFrame:
                 f"{len(families)} families for {poset.n} elements"
             )
         up_fv = up_functor(poset)
+        full = up_fv.poset.full_mask
+        for fam in families:
+            if fam & ~full:
+                raise UnknownLabel(f"family {fam:#x} leaves the upset carrier")
         for x in range(poset.n):
             for y in iter_bits(poset.up[x]):
                 if families[x] & ~families[y]:
@@ -288,24 +297,6 @@ class NbhdFrame:
         self.families = families
         self.strict = strict
 
-    @classmethod
-    def from_label_families(cls, poset, nbhd, strict=False):
-        """nbhd maps element label -> iterable of iterables of labels."""
-        up_fv = up_functor(poset)
-        families = [0] * poset.n
-        for lab, fams in nbhd.items():
-            x = poset.index(lab)
-            for fam in fams:
-                mask = 0
-                for member in fam:
-                    mask |= 1 << poset.index(member)
-                if not poset.is_upset(mask):
-                    raise ValueNotUpset(
-                        f"neighbourhood of {lab!r} contains a non-upset"
-                    )
-                families[x] |= 1 << up_fv.index_of_mask(mask)
-        return cls(poset, families, strict=strict)
-
     def __eq__(self, other):
         return (
             isinstance(other, NbhdFrame)
@@ -317,9 +308,8 @@ class NbhdFrame:
         return hash((self.poset, self.families))
 
 
-def nbhd_to_coalgebra(nf, functor_value=None):
-    fv = functor_value if functor_value is not None else pow_up_functor(nf.poset)
-    return PosetMap(nf.poset, fv.poset, nf.families)
+def nbhd_to_coalgebra(nf):
+    return PosetMap(nf.poset, pow_up_functor(nf.poset).poset, nf.families)
 
 
 def coalgebra_to_nbhd(m, strict=False):
@@ -349,11 +339,9 @@ def check_nbhd_coalgebra_morphism(f, nf1, nf2, depth=1):
     """Commutation of the lifted neighbourhood coalgebra square up to depth."""
     if not is_monotone(f):
         return False
-    sv = pow_up_functor(f.source)
-    tv = pow_up_functor(f.target)
-    u = pow_up_map(f, sv, tv)
-    t1 = TowerMap.from_map(nbhd_to_coalgebra(nf1, sv), depth)
-    t2 = TowerMap.from_map(nbhd_to_coalgebra(nf2, tv), depth)
+    u = pow_up_map(f)
+    t1 = TowerMap.from_map(nbhd_to_coalgebra(nf1), depth)
+    t2 = TowerMap.from_map(nbhd_to_coalgebra(nf2), depth)
     for x in range(f.source.n):
         fx = f.assign[x]
         for level in range(1, depth + 1):

@@ -92,7 +92,7 @@ def _build_next_stage(base, stage, inner_depth, caps):
         (i, j) for i in range(base.n) for j in range(inner.n)
     )
     # step relation: (x, C) steps to y iff y lies in C's level-1 coordinate
-    steps = [fv.masks[cx.tower_of(j).indices[1]] for j in range(inner.n)]
+    steps = [fv.masks[cx.tower_of(j)[1]] for j in range(inner.n)]
     rel = tuple(steps[j] for _, j in pairs)
     # projection: stage 1 forgets the inner component; deeper stages push
     # the inner tower through the upward-closed direct image of the
@@ -170,10 +170,10 @@ def check_truncated_pmorphism(stage, assign, source):
     return True
 
 
-def universal_lift(p, frame, stages=None, inner_depth=None, caps=DEFAULT_CAPS,
-                   free_stages=None):
+def universal_lift(p, frame, free_stages):
     """The stagewise lifting of a p-morphism from a modal frame into the
-    layer sequence.
+    layer sequence free_stages, built by build_free_stages over p's target
+    (layers over another base raise NotPMorphism).
 
     p_0 is p itself; p_{k+1}(y) pairs p(y) with the tower lifting of
     y -> p_k[R[y]]. Every constructed coordinate is verified monotone and
@@ -194,8 +194,8 @@ def universal_lift(p, frame, stages=None, inner_depth=None, caps=DEFAULT_CAPS,
         raise MixLawViolation("universal_lift needs a mix-law frame")
     if frame.poset != p.source:
         raise NotPMorphism("frame and map disagree on the source poset")
-    if free_stages is None:
-        free_stages = build_free_stages(p.target, stages, inner_depth, caps)
+    if free_stages[0].poset != p.target:
+        raise NotPMorphism("the layers are not over the map's target poset")
     inner_depth = free_stages[0].inner_depth
     source = p.source
     maps = [p]

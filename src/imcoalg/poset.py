@@ -10,8 +10,9 @@ Conventions used throughout the package:
     points related to x: the order (``Poset.up``/``down``), a modal
     relation, a bisimulation and a map's fibres (``PosetMap.fibres``).
     image (the union of the rows over the bits of a mask) and transpose
-    (the rows of the converse relation) are the only code that unions
-    such rows bit by bit or builds a converse;
+    (the rows of the converse relation) are the kernels that union such
+    rows bit by bit or build a converse; PosetMap.image_mask keeps a loop
+    of its own, over the map's assignment rather than a relation's rows;
   - a poset carried by masks takes its order rows from per-chunk subset
     tables over 8-bit chunks of the base (containment_rows) and its labels
     from per-chunk frozenset tables (mask_labels), with no loop over bits;
@@ -230,14 +231,6 @@ class PosetMap:
             out |= 1 << self.assign[i]
         return out
 
-    def compose(self, other):
-        """self after other (other's target must be self's source)."""
-        if other.target is not self.source and other.target != self.source:
-            raise UnknownLabel("composition mismatch")
-        return PosetMap(
-            other.source, self.target, tuple(self.assign[i] for i in other.assign)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, PosetMap)
@@ -261,15 +254,11 @@ class PosetMap:
 # -- construction ----------------------------------------------------------
 
 
-def make_poset(labels, pairs, mode="covers"):
-    """Build a poset from ordered label pairs.
-
-    mode="covers": leq is the reflexive-transitive closure of the pairs.
-    mode="full":   the pairs are taken verbatim (plus the diagonal, which is
-                   definitional) and the order axioms are verified, never
-                   repaired; silent closure would mask errors in hand-written
-                   frame files.
-    """
+def make_poset(labels, pairs):
+    """Build a poset from ordered label pairs: leq is the
+    reflexive-transitive closure of the pairs. Taking pairs verbatim, with
+    the order axioms verified rather than repaired, is
+    ``Poset(labels, rows)``."""
     labels = tuple(labels)
     if not labels:
         raise UnknownLabel("a poset needs at least one element")
@@ -288,19 +277,15 @@ def make_poset(labels, pairs, mode="covers"):
         if ib is None:
             raise UnknownLabel(f"unknown element {format_label(b)!r}")
         up[ia] |= 1 << ib
-    if mode == "covers":
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = image(up, up[i])
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        return Poset(labels, up)
-    if mode == "full":
-        return Poset(labels, up)
-    raise ValueError(f"unknown mode {mode!r}")
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = image(up, up[i])
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return Poset(labels, up)
 
 
 def point_poset(label="*"):

@@ -12,7 +12,7 @@ from itertools import permutations
 from pathlib import Path
 
 from imcoalg.enumeration import _permuted, all_posets
-from imcoalg.poset import Poset, image
+from imcoalg.poset import Poset, PosetMap, image
 
 
 def posets_up_to(n):
@@ -41,6 +41,12 @@ def labellings(p):
     for _, q in relabellings(p):
         out.setdefault(q.up, q)
     return list(out.values())
+
+
+def compose(g, f):
+    """g after f (f's target must be g's source)."""
+    assert f.target == g.source, "composition mismatch"
+    return PosetMap(f.source, g.target, [g.assign[i] for i in f.assign])
 
 
 def mask_of(p, labels):

@@ -11,7 +11,6 @@ from imcoalg.bisim import (
     _disjoint_sum,
     coalgebraic_bisim_check,
     distinguishing_formula,
-    distinguishing_formulas,
     is_box_bisimulation,
     largest_bisimulation,
     largest_model_bisimulation,
@@ -688,20 +687,45 @@ class TestTruthPreservation:
                     assert phi is not None
 
 
-# -- the per-pair formula search, kept as the oracle for the batch search -----
+# -- the streaming batch search, kept as the oracle for the truth-set search --
 
 
-def _oracle_distinguishing_formula(model_left, x, model_right, y, formulas):
-    """First formula in the stream on which the two points disagree."""
-    xi = model_left.poset.index(x)
-    yi = model_right.poset.index(y)
-    cache_l, cache_r = {}, {}
-    for phi in formulas:
-        lt = truth_mask(model_left, phi, cache_l)
-        rt = truth_mask(model_right, phi, cache_r)
-        if (lt >> xi) & 1 != (rt >> yi) & 1:
-            return phi
-    return None
+def distinguishing_formulas_by_stream(model_left, model_right, pairs, formulas):
+    """Per index pair (x, y), the first formula in the stream on which point
+    x of the left model and point y of the right model disagree, or None.
+
+    Each formula is evaluated once on the disjoint sum, for all pairs at
+    once, and only when its truth set is new there; one mask of pending
+    partners is kept per left point, and the stream is read only until
+    every pair has its formula.
+    """
+    model = _disjoint_sum(model_left, model_right)
+    n = model_left.poset.n
+    pending = {}
+    for x, y in pairs:
+        pending[x] = pending.get(x, 0) | 1 << y
+    found = {}
+    cache, seen = {}, set()
+    formulas = iter(formulas)
+    while pending:
+        phi = next(formulas, None)
+        if phi is None:
+            break
+        t = truth_mask(model, phi, cache)
+        if t in seen:
+            continue
+        seen.add(t)
+        rt = t >> n
+        for x, want in list(pending.items()):
+            hit = want & (~rt if (t >> x) & 1 else rt)
+            if hit:
+                for y in iter_bits(hit):
+                    found[x, y] = phi
+                if hit == want:
+                    del pending[x]
+                else:
+                    pending[x] = want & ~hit
+    return {pair: found.get(pair) for pair in pairs}
 
 
 def _oracle_agreement(model_left, x, model_right, y, formulas):
@@ -729,11 +753,12 @@ def _unrelated(m1, m2):
 
 
 def _assert_batch_matches_oracle(m1, m2, formulas):
+    """The streaming batch agrees with the per-pair distinguishing_formula."""
     pairs = _unrelated(m1, m2)
-    got = distinguishing_formulas(m1, m2, pairs, formulas)
+    got = distinguishing_formulas_by_stream(m1, m2, pairs, formulas)
     assert list(got) == pairs
     for x, y in pairs:
-        assert got[x, y] == _oracle_distinguishing_formula(
+        assert got[x, y] == distinguishing_formula(
             m1, m1.poset.labels[x], m2, m2.poset.labels[y], formulas
         )
 
@@ -790,12 +815,13 @@ class TestDistinguishingBatchAgainstOracle:
 
     def test_stream_is_read_only_until_every_pair_is_found(self):
         m1, m2 = _valued_chain(3), _valued_chain(4)
-        pairs = _unrelated(m1, m2)
-        stream = enumerate_formulas(["p"], 3)
-        got = distinguishing_formulas(m1, m2, pairs, stream)
-        assert all(phi is not None for phi in got.values())
-        assert next(stream, None) is not None  # pairs resolved early
-        assert distinguishing_formulas(m1, m2, [], enumerate_formulas([], 0)) == {}
+        for x, y in _unrelated(m1, m2):
+            stream = enumerate_formulas(["p"], 3)
+            phi = distinguishing_formula(
+                m1, m1.poset.labels[x], m2, m2.poset.labels[y], stream
+            )
+            assert phi is not None
+            assert next(stream, None) is not None  # found early
 
     def test_truth_is_invariant_under_the_disjoint_sum(self):
         formulas = list(enumerate_formulas(["p"], 3))
@@ -814,13 +840,11 @@ class TestDistinguishingBatchAgainstOracle:
         m2 = Model(fr, {"p": 0b10})
         for left, right in ((m1, m2), (m2, m1)):
             with pytest.raises(UndeclaredLetter):
-                distinguishing_formulas(left, right, [(0, 0)], [Var("q")])
-            with pytest.raises(UndeclaredLetter):
                 distinguishing_formula(left, "a", right, "a", [Var("q")])
         # the shared letter separates a from b before q is reached
-        assert distinguishing_formulas(
-            m1, m2, [(0, 1)], [Var("p"), Var("q")]
-        ) == {(0, 1): Var("p")}
+        assert distinguishing_formula(
+            m1, "a", m2, "b", [Var("p"), Var("q")]
+        ) == Var("p")
 
     def test_agreement_on_bisimilar_pairs(self):
         # bisimilar points agree here even where the mix law fails, so both
@@ -852,7 +876,7 @@ def _assert_search_matches_stream(m1, m2, letters, depth, formulas=None):
     pairs = _unrelated(m1, m2)
     if formulas is None:
         formulas = enumerate_formulas(letters, depth)
-    want = distinguishing_formulas(m1, m2, pairs, formulas)
+    want = distinguishing_formulas_by_stream(m1, m2, pairs, formulas)
     got = search_distinguishing_formulas(m1, m2, pairs, letters, depth)
     assert list(got) == pairs
     assert got == want

@@ -22,7 +22,7 @@ from imcoalg.errors import (
     StageTooLarge,
     UnknownLabel,
 )
-from imcoalg.heyting import FunctorValue, up_functor
+from imcoalg.heyting import up_functor
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -296,11 +296,12 @@ class TestComplexes:
 
     def test_towers_are_compatible_chains(self):
         cx = build_complex(terminal_map(chain2()), 3)
-        for t in cx.towers():
-            for i in range(1, t.depth + 1):
-                assert (
-                    cx.root_maps[i].assign[t.indices[i]] == t.indices[i - 1]
-                )
+        towers = cx.towers()
+        assert len(towers) == cx.stages[3].n
+        for k, t in enumerate(towers):
+            assert len(t) == 4 and t[3] == k
+            for i in range(1, 4):
+                assert cx.root_maps[i].assign[t[i]] == t[i - 1]
 
 
 class TestLift:
@@ -466,19 +467,12 @@ class TestAdjunction:
 
 class TestIntuitionisticLift:
     def test_up_on_point(self):
-        cx = intuitionistic_lift(up_functor, point_poset(), 1)
+        cx = intuitionistic_lift(point_poset(), 1)
         assert [s.n for s in cx.stages] == [1, 2]
-
-    def test_identity_functor(self):
-        def identity(q, caps):
-            return FunctorValue("id", q, q, tuple(range(q.n)))
-
-        p = chain2()
-        cx = intuitionistic_lift(identity, p, 1)
-        assert cx.stages[1] == p
+        assert cx.stages[1] == up_functor(point_poset()).poset
 
     def test_up_on_chain_depth2(self):
-        cx = intuitionistic_lift(up_functor, chain2(), 2)
+        cx = intuitionistic_lift(chain2(), 2)
         # upsets of the 2-chain form a 3-chain; its rooted subsets are the 7
         # nonempty intervals-with-minimum
         assert [s.n for s in cx.stages] == [1, 3, 7]
@@ -486,8 +480,8 @@ class TestIntuitionisticLift:
     def test_functor_value_is_stage_one_under_the_given_caps(self):
         antichain = make_poset(list(range(13)), [])  # 8192 upsets
         with pytest.raises(StageTooLarge):
-            intuitionistic_lift(up_functor, antichain, 1)
-        cx = intuitionistic_lift(up_functor, antichain, 1, Caps(max_stage=8192))
+            intuitionistic_lift(antichain, 1)
+        cx = intuitionistic_lift(antichain, 1, Caps(max_stage=8192))
         assert [s.n for s in cx.stages] == [1, 8192]
 
 

@@ -50,6 +50,9 @@ from imcoalg.enumeration import (
     random_mix_frame,
     random_poset,
 )
+from imcoalg.framefile import parse_frame_file
+
+from helpers import compose
 
 
 def chain2():
@@ -464,10 +467,33 @@ class TestPowUp:
                         accepted = False
                     assert accepted == closed
 
-    def test_from_label_families_rejects_non_upset(self):
-        p = chain2()
+    def test_label_family_with_a_non_upset_rejected(self):
+        ff = parse_frame_file(
+            "[elements]\na b\n[order]\na < b\n[nbhd]\na : {a}\nb : {a b}\n"
+        )
         with pytest.raises(ValueNotUpset):
-            NbhdFrame.from_label_families(p, {"a": [["a"]]})
+            ff.build_nbhd_frame()
+        # closed upward on request: {a} becomes {a, b}, the full upset
+        nf = ff.build_nbhd_frame(close=True)
+        full = 1 << up_functor(nf.poset).index_of_mask(nf.poset.full_mask)
+        assert nf.families == (full, full)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_family_outside_the_carrier_rejected(self, strict):
+        # Up of a point has two elements, so bit 2 leaves the carrier
+        for fam in (0b100, 0b111, 1 << 70):
+            with pytest.raises(UnknownLabel, match="leaves the upset carrier"):
+                NbhdFrame(point_poset(), [fam], strict=strict)
+        NbhdFrame(point_poset(), [0b11], strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_negative_family_rejected(self, strict):
+        for fam in (-1, -2):
+            with pytest.raises(UnknownLabel, match="leaves the upset carrier"):
+                NbhdFrame(point_poset(), [fam], strict=strict)
+        p = chain2()
+        with pytest.raises(UnknownLabel):
+            NbhdFrame(p, [0, -1], strict=strict)
 
     def test_morphism_condition_hand_example(self):
         # identity on a one-point frame whose family is {{*}}
@@ -526,8 +552,6 @@ class TestPowUpMapAction:
         p, q, r = all_posets(2)[0], all_posets(2)[1], all_posets(1)[0]
         for f in monotone_maps(p, q):
             for g in monotone_maps(q, r):
-                lhs = pow_up_map(g.compose(f))
-                rhs = pow_up_map(
-                    g, pow_up_functor(q), pow_up_functor(r)
-                ).compose(pow_up_map(f, pow_up_functor(p), pow_up_functor(q)))
+                lhs = pow_up_map(compose(g, f))
+                rhs = compose(pow_up_map(g), pow_up_map(f))
                 assert lhs.assign == rhs.assign

@@ -399,12 +399,12 @@ class TestUniversalLift:
     def test_identity_empty_relation(self):
         g = generator_poset(["p"])
         frame = ModalFrame.from_pairs(g, [])
-        maps = universal_lift(identity_map(g), frame, stages=1, inner_depth=1)
+        stages = build_free_stages(g, 1, 1)
+        maps = universal_lift(identity_map(g), frame, stages)
         assert len(maps) == 2
         assert maps[0] == identity_map(g)
         assert is_monotone(maps[1])
         # empty relation: every lifted point pairs with the empty upset
-        stages = build_free_stages(g, 1, 1)
         for y in range(g.n):
             _, inner = stages[1].pairs[maps[1].assign[y]]
             assert stages[1].rel[maps[1].assign[y]] == 0
@@ -418,7 +418,7 @@ class TestUniversalLift:
         )
         assert is_pmorphism(pm)
         for stages, d in ((2, 1), (1, 2)):
-            maps = universal_lift(pm, frame, stages=stages, inner_depth=d)
+            maps = universal_lift(pm, frame, build_free_stages(g, stages, d))
             assert len(maps) == stages + 1
             for m in maps:
                 assert is_monotone(m)
@@ -453,10 +453,21 @@ class TestUniversalLift:
         assert not is_pmorphism(bad)
         frame = ModalFrame.from_pairs(p, [])
         with pytest.raises(NotPMorphism):
-            universal_lift(bad, frame, stages=1, inner_depth=1)
+            universal_lift(bad, frame, build_free_stages(g, 1, 1))
+
+    def test_rejects_layers_over_another_base(self):
+        p = make_poset(["a", "b"], [("a", "b")])
+        frame = ModalFrame.from_pairs(p, [("a", "b"), ("b", "b")])
+        pm = PosetMap.from_dict(
+            p, generator_poset(["p"]),
+            {"a": frozenset({"p"}), "b": frozenset()},
+        )
+        other = build_free_stages(generator_poset(["p", "q"]), 1, 1)
+        with pytest.raises(NotPMorphism, match="not over the map's target"):
+            universal_lift(pm, frame, other)
 
     def test_rejects_mix_violation(self):
         p = make_poset(["a", "b"], [("a", "b")])
         frame = ModalFrame.from_pairs(p, [("a", "a")])
         with pytest.raises(MixLawViolation):
-            universal_lift(identity_map(p), frame, stages=1, inner_depth=1)
+            universal_lift(identity_map(p), frame, build_free_stages(p, 1, 1))

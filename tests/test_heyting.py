@@ -22,7 +22,7 @@ from imcoalg.poset import (
 )
 from imcoalg.enumeration import all_posets, mix_relations, monotone_maps, pmorphisms
 
-from helpers import mask_of
+from helpers import compose, mask_of
 from test_poset import containment_rows_oracle
 
 
@@ -173,10 +173,11 @@ class TestUpFunctorMap:
                 for r in small[:3]:
                     for f in monotone_maps(p, q)[:5]:
                         for g in monotone_maps(q, r)[:5]:
-                            lhs = up_functor_map(g.compose(f))
-                            rhs = up_functor_map(
-                                g, up_functor(q), up_functor(r)
-                            ).compose(up_functor_map(f, up_functor(p), up_functor(q)))
+                            lhs = up_functor_map(compose(g, f))
+                            rhs = compose(
+                                up_functor_map(g, up_functor(q), up_functor(r)),
+                                up_functor_map(f, up_functor(p), up_functor(q)),
+                            )
                             assert lhs.assign == rhs.assign
 
     def test_closure_noop_for_pmorphisms(self):

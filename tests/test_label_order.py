@@ -1,20 +1,34 @@
-"""The upset and openness kernels do not depend on how a poset is labelled.
+"""The upset, openness and stage kernels do not depend on how a poset is
+labelled.
 
 ``all_posets`` labels naturally, so every other test meets only posets
 whose index order is a linear extension. Here each poset on at most four
 elements is taken under every permutation of its indices (419 labelled
 posets, repeats included), and each kernel is checked to commute with the
-relabelling: f(relabel(x)) == relabel(f(x)).
+relabelling: f(relabel(x)) == relabel(f(x)). containment_rows is checked
+the same way under permutations of the base bits, over one to three 8-bit
+chunks.
 """
 
+import random
+
+from imcoalg.complexes import build_p_g
 from imcoalg.enumeration import _permuted, mix_relations, monotone_maps
 from imcoalg.frames import ModalFrame
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
-from imcoalg.poset import PosetMap, is_open_mask, open_table, upset_masks
+from imcoalg.poset import (
+    PosetMap,
+    containment_rows,
+    is_open_mask,
+    open_table,
+    terminal_map,
+    upset_masks,
+)
 
 from helpers import labellings, move_mask, posets_up_to, relabellings
+from test_complexes import build_p_g_by_submasks
 from test_heyting import join_irreducibles_oracle
-from test_poset import g_open_by_images
+from test_poset import containment_rows_oracle, g_open_by_images
 
 RELABELLED_4 = [
     (p, perm, q) for p in posets_up_to(4) for perm, q in relabellings(p)
@@ -60,18 +74,62 @@ def test_box_mask_commutes_with_relabelling():
                 assert got == move_mask(box_mask(fr, body), perm)
 
 
+def moved_map(g, perm, q):
+    """g on the relabelled source q: element perm[x] goes where x went."""
+    assign = [0] * g.source.n
+    for x, y in enumerate(g.assign):
+        assign[perm[x]] = y
+    return PosetMap(q, g.target, assign)
+
+
 def test_open_table_commutes_with_relabelling():
     targets = [t for s in posets_up_to(2) for t in labellings(s)]
     for p, perm, q in RELABELLED_3:
         for t in targets:
             for g in monotone_maps(p, t):
-                assign = [0] * p.n
-                for x, y in enumerate(g.assign):
-                    assign[perm[x]] = y
-                moved = PosetMap(q, t, assign)
+                moved = moved_map(g, perm, q)
                 table, moved_table = open_table(g), open_table(moved)
                 for mask in range(1 << p.n):
                     want = g_open_by_images(mask, g)
                     assert is_open_mask(mask, table) == want
                     assert is_open_mask(move_mask(mask, perm), moved_table) == want
                     assert g_open_by_images(move_mask(mask, perm), moved) == want
+
+
+def test_containment_rows_ignore_the_order_of_base_bits():
+    # half the masks are drawn at random, half cut down from or grown out
+    # of earlier ones, so that rows hold more than the diagonal
+    rng = random.Random(2406)
+    for width in range(1, 25):
+        for _ in range(6):
+            masks = [rng.getrandbits(width)]
+            for _ in range(rng.randrange(30)):
+                m = rng.choice(masks)
+                r = rng.getrandbits(width)
+                masks.append(rng.choice((r, m & r, m | r)))
+            perm = list(range(width))
+            rng.shuffle(perm)
+            moved = [move_mask(m, perm) for m in masks]
+            want = containment_rows_oracle(masks)
+            assert containment_rows(masks, width) == want
+            assert containment_rows(moved, width) == want
+
+
+def test_build_p_g_commutes_with_relabelling():
+    # the terminal map and every monotone map into a two-element poset,
+    # under both labellings of the chain
+    targets = [t for s in posets_up_to(2) if s.n == 2 for t in labellings(s)]
+    for p, perm, q in RELABELLED_4:
+        for g in [terminal_map(p)] + [
+            f for t in targets for f in monotone_maps(p, t)
+        ]:
+            stage = build_p_g(g)
+            want = {
+                (move_mask(m, perm), perm[r])
+                for m, r in zip(stage.member_masks, stage.root_map.assign)
+            }
+            h = moved_map(g, perm, q)
+            moved = build_p_g(h)
+            got = set(zip(moved.member_masks, moved.root_map.assign))
+            assert got == want
+            assert got == set(build_p_g_by_submasks(h))

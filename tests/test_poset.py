@@ -187,16 +187,12 @@ class TestConstruction:
         with pytest.raises(DuplicateLabel):
             make_poset(["a", "a"], [])
 
-    def test_full_mode_requires_transitivity(self):
+    def test_constructor_requires_transitivity(self):
         with pytest.raises(NotTransitive):
-            make_poset(["a", "b", "c"], [("a", "b"), ("b", "c")], mode="full")
+            Poset(["a", "b", "c"], [0b011, 0b110, 0b100])
 
-    def test_full_mode_accepts_closed_input(self):
-        p = make_poset(
-            ["a", "b", "c"],
-            [("a", "b"), ("b", "c"), ("a", "c")],
-            mode="full",
-        )
+    def test_constructor_accepts_closed_input(self):
+        p = Poset(["a", "b", "c"], [0b111, 0b110, 0b100])
         assert p.leq_labels("a", "c")
 
     def test_covers_mode_closes(self):
