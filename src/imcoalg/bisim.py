@@ -1,6 +1,6 @@
-"""Relational bisimulations between modal frames, the greatest-bisimulation
-fixpoint (also the one that respects two valuations), the coalgebraic
-cross-check, and distinguishing formulas for unrelated points.
+"""Relational bisimulations between modal frames, the greatest bisimulation
+(also the one that respects two valuations), the coalgebraic cross-check,
+and distinguishing formulas for unrelated points.
 
 A bisimulation must satisfy forth and back clauses for both the order and
 the modal relation. The coalgebraic side endows the relation (as a
@@ -11,6 +11,15 @@ and demands that both projection squares commute coordinatewise.
 A relation is held as rows, like every relation in the package: rows[x]
 masks the right-hand partners of left point x. Its columns come from
 poset.transpose, and the unions the clauses need from poset.image.
+
+The greatest bisimulation is found by partition refinement on the disjoint
+sum of the two frames (Kanellakis & Smolka 1990; Paige & Tarjan 1987). On
+one frame the largest bisimulation is an equivalence, the coarsest
+partition stable under both the order and the modal relation; restricted
+to left x right points it is the largest bisimulation between the two
+frames. The clause check that is_box_bisimulation runs on a given relation
+is independent of it: one refinement step on the rows that must remove no
+pair.
 """
 
 from dataclasses import dataclass
@@ -145,42 +154,69 @@ def is_box_bisimulation(bis):
     return _refine(bis.left, bis.right, bis.rows) == bis.rows
 
 
-def _largest_within(left, right, rows):
-    """Apply the refinement step to rows until nothing changes: the largest
-    bisimulation contained in the starting relation.
+def _coarsest_stable(left, right, blocks):
+    """The largest bisimulation between two frames, read off the coarsest
+    partition of their disjoint sum that refines ``blocks`` and is stable
+    under the order and the modal relation.
 
-    Each step removes at least one pair or stops, so there are at most
-    |X||Y| + 1 steps. Every bisimulation inside the start survives every
-    step, so the result is the unique largest one.
+    Blocks are masks over the sum, left points first. A partition is
+    stable when, for every block B, each block lies wholly inside or
+    wholly outside the points below some point of B (the down-image) and
+    the points with a modal successor in B (the modal pre-image); the
+    bisimilar points are then exactly the points of one block. Each
+    splitter cuts every block by both images, and both halves of a split
+    block become splitters in turn, so every final block has been a
+    splitter and the final partition is stable. A splitter is always a
+    union of classes of the largest bisimulation inside the start, so no
+    cut separates two of its points.
     """
-    rows = tuple(rows)
-    refined = _refine(left, right, rows)
-    while refined != rows:
-        rows, refined = refined, _refine(left, right, refined)
+    n = left.poset.n
+    down = list(left.poset.down) + [row << n for row in right.poset.down]
+    pre = transpose(left.rel, n) + [
+        row << n for row in transpose(right.rel, right.poset.n)
+    ]
+    work = list(blocks)
+    while work:
+        splitter = work.pop()
+        for cut in (image(down, splitter), image(pre, splitter)):
+            kept = []
+            for block in blocks:
+                inside = block & cut
+                if inside and inside != block:
+                    halves = (inside, block ^ inside)
+                    kept += halves
+                    work += halves
+                else:
+                    kept.append(block)
+            blocks = kept
+    rows = [0] * n
+    for block in blocks:
+        for x in iter_bits(block & left.poset.full_mask):
+            rows[x] = block >> n
     return Bisimulation(left, right, rows)
 
 
 def largest_bisimulation(left, right):
-    """Greatest fixpoint: start from the full relation and apply the
-    refinement step, which removes every pair with a violated clause at
-    once, until nothing changes."""
-    return _largest_within(left, right, [right.poset.full_mask] * left.poset.n)
+    """The greatest bisimulation between two frames: partition refinement
+    on their disjoint sum from a single block."""
+    full = (1 << (left.poset.n + right.poset.n)) - 1
+    return _coarsest_stable(left, right, [full])
 
 
 def largest_model_bisimulation(model_left, model_right):
     """The largest bisimulation between the frames of two models whose
     related points satisfy the same letters: refinement starts from the
-    pairs that agree on every letter valued on both sides."""
-    full = model_right.poset.full_mask
-    rows = [full] * model_left.poset.n
+    blocks of points that agree on every letter valued on both sides."""
+    n = model_left.poset.n
+    blocks = [(1 << (n + model_right.poset.n)) - 1]
     lv, rv = model_left.valuation, model_right.valuation
     for letter in lv.keys() & rv.keys():
-        inside, outside = rv[letter], full & ~rv[letter]
-        rows = [
-            row & (inside if (lv[letter] >> x) & 1 else outside)
-            for x, row in enumerate(rows)
+        truth = lv[letter] | rv[letter] << n
+        blocks = [
+            half for block in blocks
+            for half in (block & truth, block & ~truth) if half
         ]
-    return _largest_within(model_left.frame, model_right.frame, rows)
+    return _coarsest_stable(model_left.frame, model_right.frame, blocks)
 
 
 def _pair_rows(bis, chosen, left_rows, right_rows):

@@ -387,14 +387,17 @@ def cmd_export(args):
     if poset is None:
         return report.emit(args)
     frame = ff.build_frame(poset)
+    if args.json:
+        # built before anything is written, so that a rejected valuation
+        # or family leaves no file behind
+        close = args.close_valuations
+        vals = ff.valuation_masks(poset, close=close)
+        nbhd = ff.build_nbhd_frame(poset, close=close) if ff.nbhd else None
+        doc = dump_json(frame_to_json_dict(frame, vals, nbhd))
     if args.dot:
         _write_file(args.dot, frame_to_dot(frame), report)
     if args.json:
-        vals = ff.valuation_masks(poset, close=args.close_valuations)
-        doc = frame_to_json_dict(
-            frame, valuations=vals, nbhd=ff.nbhd if ff.nbhd else None
-        )
-        _write_file(args.json, dump_json(doc), report)
+        _write_file(args.json, doc, report)
     return report.emit(args)
 
 

@@ -12,6 +12,7 @@ byte-identical files.
 
 import json
 
+from .heyting import up_functor
 from .poset import format_label, iter_bits
 
 JSON_SCHEMA = "imcoalg/1"
@@ -84,6 +85,9 @@ def free_stages_to_dot(stages):
 
 
 def frame_to_json_dict(frame, valuations=None, nbhd=None):
+    """The frame as a JSON document; valuations maps letters to upset
+    masks, and nbhd is an NbhdFrame on the frame's poset, written as the
+    members of every element's family, each member in index order."""
     p = frame.poset
     doc = {
         "schema": JSON_SCHEMA,
@@ -102,7 +106,14 @@ def frame_to_json_dict(frame, valuations=None, nbhd=None):
             for letter, mask in sorted(valuations.items())
         }
     if nbhd is not None:
-        doc["nbhd"] = nbhd
+        upsets = up_functor(p).masks
+        doc["nbhd"] = {
+            format_label(p.labels[x]): [
+                [format_label(p.labels[i]) for i in iter_bits(upsets[j])]
+                for j in iter_bits(family)
+            ]
+            for x, family in enumerate(nbhd.families)
+        }
     return doc
 
 

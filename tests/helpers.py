@@ -12,6 +12,7 @@ from itertools import permutations
 from pathlib import Path
 
 from imcoalg.enumeration import _permuted, all_posets
+from imcoalg.frames import ModalFrame
 from imcoalg.poset import Poset, PosetMap, image
 
 
@@ -25,9 +26,23 @@ def relabel(p, perm):
     return Poset(p.labels, _permuted(p.up, perm))
 
 
+def relabel_frame(fr, perm):
+    """fr with element x moved to index perm[x], its modal relation too."""
+    return ModalFrame(relabel(fr.poset, perm), _permuted(fr.rel, perm))
+
+
 def move_mask(mask, perm):
     """mask with bit x moved to bit perm[x], as relabel moves elements."""
     return image([1 << t for t in perm], mask)
+
+
+def move_rows(rows, perm_left, perm_right):
+    """A relation between two carriers held as rows, with its left points
+    moved by perm_left and its right points by perm_right."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        out[perm_left[x]] = move_mask(row, perm_right)
+    return tuple(out)
 
 
 def relabellings(p):

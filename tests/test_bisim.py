@@ -62,7 +62,7 @@ def shifted_chain_frame(n, shift):
     return ModalFrame(p, [p.up[x + shift] if x + shift < n else 0 for x in range(n)])
 
 
-# -- the pair-at-a-time fixpoint, kept as the oracle for the row kernel -------
+# -- the pair-at-a-time fixpoint, kept as the oracle for the refinement -----
 
 
 def _oracle_clause_violation(bis):
@@ -144,8 +144,122 @@ def _oracle_largest_bisimulation(left, right):
         pairs.discard(removed)
 
 
+def _iso_frames_up_to_three():
+    """The 310 frames on posets of at most 3 elements, up to isomorphism."""
+    frames = [
+        f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
+    ]
+    assert len(frames) == 310
+    return frames
+
+
 def _small_frames():
     return [f for n in (1, 2) for p in all_posets(n) for f in frames_on(p)]
+
+
+# -- the row refinement, kept as the oracle for the partition refinement ----
+
+
+def _largest_within(left, right, rows):
+    """Apply the library's refinement step to rows until nothing changes:
+    the largest bisimulation contained in the starting relation.
+
+    Each step removes at least one pair or stops, so there are at most
+    |X||Y| + 1 steps. Every bisimulation inside the start survives every
+    step, so the result is the unique largest one.
+    """
+    rows = tuple(rows)
+    refined = bisim._refine(left, right, rows)
+    while refined != rows:
+        rows, refined = refined, bisim._refine(left, right, refined)
+    return Bisimulation(left, right, rows)
+
+
+def largest_bisimulation_by_rows(left, right):
+    return _largest_within(left, right, [right.poset.full_mask] * left.poset.n)
+
+
+def largest_model_bisimulation_by_rows(model_left, model_right):
+    """Row refinement from the pairs that agree on every letter valued on
+    both sides."""
+    full = model_right.poset.full_mask
+    rows = [full] * model_left.poset.n
+    lv, rv = model_left.valuation, model_right.valuation
+    for letter in lv.keys() & rv.keys():
+        inside, outside = rv[letter], full & ~rv[letter]
+        rows = [
+            row & (inside if (lv[letter] >> x) & 1 else outside)
+            for x, row in enumerate(rows)
+        ]
+    return _largest_within(model_left.frame, model_right.frame, rows)
+
+
+def _height_classes(n, m, shift):
+    """Rows of the relation between chains of n and m points (R[x] =
+    up(x + shift)) that relates heights from the top with equal quotient
+    by the shift: below the shift, the order alone cannot tell heights
+    apart."""
+    return tuple(
+        sum(
+            1 << y for y in range(m)
+            if (n - 1 - x) // shift == (m - 1 - y) // shift
+        )
+        for x in range(n)
+    )
+
+
+class TestPartitionRefinementAgainstRows:
+    def test_seeded_pairs_of_frames_up_to_three_elements(self):
+        frames = _iso_frames_up_to_three()
+        rng = random.Random(2024)
+        for _ in range(10000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            assert (
+                largest_bisimulation(f1, f2)
+                == largest_bisimulation_by_rows(f1, f2)
+            )
+
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_chain_pairs(self, shift):
+        for n in range(1, 11):
+            for m in range(1, 11):
+                f1 = shifted_chain_frame(n, shift)
+                f2 = shifted_chain_frame(m, shift)
+                want = largest_bisimulation_by_rows(f1, f2)
+                assert largest_bisimulation(f1, f2) == want
+                assert want.rows == _height_classes(n, m, shift)
+
+    def test_one_letter_census_models(self):
+        # every one-letter model on the frames of at most 3 elements against
+        # itself, and seeded pairs of them
+        models = [
+            Model(f, {"p": v})
+            for f in _iso_frames_up_to_three()
+            for v in upset_masks(f.poset)
+        ]
+        assert len(models) == 1922
+        rng = random.Random(13)
+        pairs = [(m, m) for m in models] + [
+            (rng.choice(models), rng.choice(models)) for _ in range(3000)
+        ]
+        for m1, m2 in pairs:
+            assert largest_model_bisimulation(
+                m1, m2
+            ) == largest_model_bisimulation_by_rows(m1, m2)
+
+
+class TestChainsBeyondTheOracle:
+    """At sizes the row refinement takes seconds to minutes on, the largest
+    bisimulation between shifted chains still has a closed form."""
+
+    @pytest.mark.parametrize("shift", [1, 2])
+    @pytest.mark.parametrize("n, m", [(40, 41), (200, 201), (201, 200)])
+    def test_relates_equal_height_classes(self, shift, n, m):
+        bis = largest_bisimulation(
+            shifted_chain_frame(n, shift), shifted_chain_frame(m, shift)
+        )
+        assert bis.rows == _height_classes(n, m, shift)
+        assert is_box_bisimulation(bis)
 
 
 class TestRowKernelAgainstOracle:
@@ -159,10 +273,7 @@ class TestRowKernelAgainstOracle:
                 )
 
     def test_largest_on_sampled_three_element_frames(self):
-        frames = [
-            f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
-        ]
-        assert len(frames) == 310
+        frames = _iso_frames_up_to_three()
         rng = random.Random(2406)
         for _ in range(2000):
             f1, f2 = rng.choice(frames), rng.choice(frames)
@@ -766,10 +877,7 @@ def _assert_batch_matches_oracle(m1, m2, formulas):
 def _sampled_models(count, seed=2406, letters=("p",)):
     """Seeded pairs of models on the 310 frames on at most 3 elements, each
     side with a random upset per letter."""
-    frames = [
-        f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
-    ]
-    assert len(frames) == 310
+    frames = _iso_frames_up_to_three()
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -426,6 +426,32 @@ class TestCliBehaviour:
         assert strict.returncode == 1
         assert "FAIL nbhd-wellformed" in strict.stdout
 
+    def test_export_json_closes_or_rejects_families(self, tmp_path):
+        # {a} is not an upset of a < b; closed it is {a b}, which b
+        # lists already
+        path = tmp_path / "nb.frame"
+        path.write_text(
+            "[elements]\na b\n[order]\na < b\n[nbhd]\na : {a}\n"
+            "b : {a} {a b}\n"
+        )
+        js, dot = tmp_path / "nb.json", tmp_path / "nb.dot"
+        rejected = run_cli(
+            ["export", str(path), "--dot", str(dot), "--json", str(js)],
+            str(tmp_path),
+        )
+        assert rejected.returncode == 2
+        assert rejected.stderr == (
+            "error: neighbourhood of 'a' contains a non-upset\n"
+        )
+        assert not js.exists() and not dot.exists()
+        closed = run_cli(
+            ["export", str(path), "--close-valuations", "--json", str(js)],
+            str(tmp_path),
+        )
+        assert closed.returncode == 0
+        doc = json.loads(js.read_text())
+        assert doc["nbhd"] == {"a": [["a", "b"]], "b": [["a", "b"]]}
+
     def test_freealg_exports(self, tmp_path):
         dot = tmp_path / "free.dot"
         js = tmp_path / "free.json"

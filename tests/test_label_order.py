@@ -7,15 +7,25 @@ elements is taken under every permutation of its indices (419 labelled
 posets, repeats included), and each kernel is checked to commute with the
 relabelling: f(relabel(x)) == relabel(f(x)). containment_rows is checked
 the same way under permutations of the base bits, over one to three 8-bit
-chunks.
+chunks. The greatest bisimulation, with and without a valuation, is checked
+on every pair of frames on at most two elements and on seeded pairs of
+three-element frames, each side under every labelling.
 """
 
 import random
+from itertools import permutations
 
+from imcoalg.bisim import largest_bisimulation, largest_model_bisimulation
 from imcoalg.complexes import build_p_g
-from imcoalg.enumeration import _permuted, mix_relations, monotone_maps
+from imcoalg.enumeration import (
+    _permuted,
+    mix_relations,
+    monotone_maps,
+    random_upset,
+)
 from imcoalg.frames import ModalFrame
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
+from imcoalg.logic import Model
 from imcoalg.poset import (
     PosetMap,
     containment_rows,
@@ -25,7 +35,15 @@ from imcoalg.poset import (
     upset_masks,
 )
 
-from helpers import labellings, move_mask, posets_up_to, relabellings
+from helpers import (
+    labellings,
+    move_mask,
+    move_rows,
+    posets_up_to,
+    relabel_frame,
+    relabellings,
+)
+from test_bisim import _iso_frames_up_to_three, _small_frames
 from test_complexes import build_p_g_by_submasks
 from test_heyting import join_irreducibles_oracle
 from test_poset import containment_rows_oracle, g_open_by_images
@@ -133,3 +151,45 @@ def test_build_p_g_commutes_with_relabelling():
             got = set(zip(moved.member_masks, moved.root_map.assign))
             assert got == want
             assert got == set(build_p_g_by_submasks(h))
+
+
+def _assert_bisimulation_commutes_with_relabelling(m1, m2):
+    """largest_model_bisimulation on the models moved by every pair of
+    labellings is the moved relation; with no valuation it is
+    largest_bisimulation of the moved frames."""
+    want = largest_model_bisimulation(m1, m2).rows
+    plain = largest_bisimulation(m1.frame, m2.frame).rows
+    for perm1 in permutations(range(m1.poset.n)):
+        moved1 = relabel_frame(m1.frame, perm1)
+        val1 = {l: move_mask(v, perm1) for l, v in m1.valuation.items()}
+        for perm2 in permutations(range(m2.poset.n)):
+            moved2 = relabel_frame(m2.frame, perm2)
+            val2 = {l: move_mask(v, perm2) for l, v in m2.valuation.items()}
+            got = largest_model_bisimulation(
+                Model(moved1, val1), Model(moved2, val2)
+            )
+            assert got.rows == move_rows(want, perm1, perm2)
+            got = largest_bisimulation(moved1, moved2)
+            assert got.rows == move_rows(plain, perm1, perm2)
+
+
+def test_largest_bisimulation_commutes_with_relabelling_up_to_two():
+    frames = _small_frames()
+    for f1 in frames:
+        for f2 in frames:
+            for v1 in upset_masks(f1.poset):
+                for v2 in upset_masks(f2.poset):
+                    _assert_bisimulation_commutes_with_relabelling(
+                        Model(f1, {"p": v1}), Model(f2, {"p": v2})
+                    )
+
+
+def test_largest_bisimulation_commutes_with_relabelling_on_three():
+    frames = [f for f in _iso_frames_up_to_three() if f.poset.n == 3]
+    rng = random.Random(2406)
+    for _ in range(500):
+        m1, m2 = (
+            Model(f, {"p": random_upset(rng, f.poset)})
+            for f in (rng.choice(frames), rng.choice(frames))
+        )
+        _assert_bisimulation_commutes_with_relabelling(m1, m2)
