@@ -24,7 +24,7 @@ pair.
 
 from dataclasses import dataclass
 
-from .complexes import nested_image, tower_coords
+from .complexes import image_tower_agrees
 from .config import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -251,9 +251,13 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     relation, as an upset mask of the relation poset; the projections act
     on upsets by direct image. Projections that fail the p-morphism
     condition raise ProjectionNotPMorphism: such a relation is not a
-    functor bisimulation in the p-morphism category at all. A depth above
-    caps.max_depth raises CapExceeded before anything is lifted.
+    functor bisimulation in the p-morphism category at all. A depth below 1
+    raises ValueError, and one above caps.max_depth CapExceeded, before
+    anything is lifted. The relation poset itself is never lifted: the
+    images of its level-1 values are (image_tower_agrees).
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
     bp, chosen = relation_poset(bis)
@@ -267,16 +271,12 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     rho_masks = _pair_rows(bis, chosen, bis.left.rel, bis.right.rel)
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
-    levels_b = tower_coords(bp, rho_masks, depth)
-    for level, vb, vl, vr in zip(
-        range(1, depth + 1), levels_b, levels_l, levels_r
-    ):
-        for i, (x, y) in enumerate(chosen):
-            if nested_image(proj_left.image_mask, level, vb[i]) != vl[x]:
-                return False
-            if nested_image(proj_right.image_mask, level, vb[i]) != vr[y]:
-                return False
-    return True
+    return all(
+        image_tower_agrees(
+            bp, map(proj.image_mask, rho_masks), levels, proj.assign
+        )
+        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+    )
 
 
 def saturated_valuation(bis, left_seed=0, right_seed=0):

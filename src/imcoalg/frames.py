@@ -14,7 +14,7 @@ request, which is handy when authoring frame files by hand.
 
 import functools
 
-from .complexes import TowerMap, nested_image, tower_coords
+from .complexes import image_tower_agrees, tower_coords
 from .config import DEFAULT_CAPS
 from .errors import (
     MixLawViolation,
@@ -176,21 +176,23 @@ def check_coalgebra_morphism(f, frame1, frame2, depth=3):
     frame2's lifted coalgebra after f, up to the given depth. On upsets the
     functor acts by direct image, which maps upsets to upsets because f is
     a p-morphism. Maps that are not p-morphisms are not coalgebra morphisms
-    in the p-morphism category, so they return False outright.
+    in the p-morphism category, so they return False outright. A depth
+    below 1 raises ValueError before anything else is checked.
+
+    Only frame2 is lifted: the image of frame1's lift is the lift of the
+    images f[R[x]] (image_tower_agrees).
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if f.source != frame1.poset or f.target != frame2.poset:
         return False
     if not is_pmorphism(f):
         return False
-    levels1 = frame_to_lifted(frame1, depth)
-    levels2 = frame_to_lifted(frame2, depth)
-    for x in range(frame1.poset.n):
-        fx = f.assign[x]
-        for level in range(1, depth + 1):
-            lhs = nested_image(f.image_mask, level, levels1[level - 1][x])
-            if lhs != levels2[level - 1][fx]:
-                return False
-    return True
+    _require_mix_law(frame1)
+    images = [f.image_mask(row) for row in frame1.rel]
+    return image_tower_agrees(
+        frame1.poset, images, frame_to_lifted(frame2, depth), f.assign
+    )
 
 
 # -- neighbourhood frames ----------------------------------------------------
@@ -336,16 +338,22 @@ def nbhd_morphism_condition(f, nf1, nf2):
 
 
 def check_nbhd_coalgebra_morphism(f, nf1, nf2, depth=1):
-    """Commutation of the lifted neighbourhood coalgebra square up to depth."""
+    """Commutation of the lifted neighbourhood coalgebra square up to depth.
+
+    A depth below 1 raises ValueError before anything else is checked; a
+    map that is not monotone, or not between the frames' posets, returns
+    False.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if f.source != nf1.poset or f.target != nf2.poset:
+        return False
     if not is_monotone(f):
         return False
     u = pow_up_map(f)
-    t1 = TowerMap.from_map(nbhd_to_coalgebra(nf1), depth)
-    t2 = TowerMap.from_map(nbhd_to_coalgebra(nf2), depth)
-    for x in range(f.source.n):
-        fx = f.assign[x]
-        for level in range(1, depth + 1):
-            lhs = nested_image(u.assign.__getitem__, level, t1.value(level, x))
-            if lhs != t2.value(level, fx):
-                return False
-    return True
+    return image_tower_agrees(
+        nf1.poset,
+        [u.assign[fam] for fam in nf1.families],
+        tower_coords(nf2.poset, nf2.families, depth),
+        f.assign,
+    )

@@ -277,14 +277,13 @@ def make_poset(labels, pairs):
         if ib is None:
             raise UnknownLabel(f"unknown element {format_label(b)!r}")
         up[ia] |= 1 << ib
-    changed = True
-    while changed:
-        changed = False
+    # Warshall's closure on bitset rows: once every row holding bit k has
+    # taken row k in, paths through 0..k need no further step
+    for k in range(n):
+        bit, row = 1 << k, up[k]
         for i in range(n):
-            acc = image(up, up[i])
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] & bit:
+                up[i] |= row
     return Poset(labels, up)
 
 

@@ -11,6 +11,7 @@ import importlib.util
 from itertools import permutations
 from pathlib import Path
 
+from imcoalg.complexes import nested_image
 from imcoalg.enumeration import _permuted, all_posets
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import Poset, PosetMap, image
@@ -62,6 +63,20 @@ def compose(g, f):
     """g after f (f's target must be g's source)."""
     assert f.target == g.source, "composition mismatch"
     return PosetMap(f.source, g.target, [g.assign[i] for i in f.assign])
+
+
+def first_disagreement(first, source_levels, target_levels, assign):
+    """The first level l at which pushing some x's level-l value through
+    ``first`` value by value (nested_image) misses target level l at
+    assign[x]; one past the last level when every level agrees. This is how
+    the lifted-square checks compared before image_tower_agrees, kept as
+    their oracle: a square check at depth d holds iff the result is > d."""
+    levels = enumerate(zip(source_levels, target_levels), 1)
+    for level, (source, target) in levels:
+        for x, t in enumerate(assign):
+            if nested_image(first, level, source[x]) != target[t]:
+                return level
+    return len(target_levels) + 1
 
 
 def mask_of(p, labels):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from imcoalg.bisim import (
     search_distinguishing_formulas,
 )
 from imcoalg.config import Caps
-from imcoalg.complexes import TowerMap, nested_image
+from imcoalg.complexes import TowerMap, nested_image, tower_coords
 from imcoalg.errors import (
     CapExceeded,
     IncompatibleValuations,
@@ -27,7 +28,12 @@ from imcoalg.errors import (
     UndeclaredLetter,
     UnknownLabel,
 )
-from imcoalg.frames import ModalFrame, frame_to_upmap, is_modal_pmorphism
+from imcoalg.frames import (
+    ModalFrame,
+    frame_to_lifted,
+    frame_to_upmap,
+    is_modal_pmorphism,
+)
 from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg import logic
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
@@ -49,7 +55,7 @@ from imcoalg.enumeration import (
     random_upset,
 )
 
-from helpers import mask_of
+from helpers import first_disagreement, mask_of
 
 
 def chain2():
@@ -260,6 +266,16 @@ class TestChainsBeyondTheOracle:
         )
         assert bis.rows == _height_classes(n, m, shift)
         assert is_box_bisimulation(bis)
+
+    @pytest.mark.parametrize("n, m", [(200, 201), (400, 401)])
+    def test_coalgebraic_check_at_scale(self, n, m):
+        # the largest bisimulation passes; the height classes of shift 2
+        # on chains of shift 1 have p-morphic projections but fail the
+        # square
+        f1, f2 = shifted_chain_frame(n, 1), shifted_chain_frame(m, 1)
+        assert coalgebraic_bisim_check(largest_bisimulation(f1, f2), 2)
+        coarse = Bisimulation(f1, f2, _height_classes(n, m, 2))
+        assert not coalgebraic_bisim_check(coarse, 2)
 
 
 class TestRowKernelAgainstOracle:
@@ -520,6 +536,27 @@ def index_bisim_check(bis, depth=2):
     return True
 
 
+def nested_bisim_check(bis, depth=2):
+    """coalgebraic_bisim_check as it lifted the relation poset and pushed
+    each nested value through the projections, before image_tower_agrees."""
+    bp, chosen = relation_poset(bis)
+    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
+    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
+    if not is_pmorphism(proj_left):
+        raise ProjectionNotPMorphism("left")
+    if not is_pmorphism(proj_right):
+        raise ProjectionNotPMorphism("right")
+    rho_masks = bisim._pair_rows(bis, chosen, bis.left.rel, bis.right.rel)
+    levels_l = frame_to_lifted(bis.left, depth)
+    levels_r = frame_to_lifted(bis.right, depth)
+    levels_b = tower_coords(bp, rho_masks, depth)
+    return all(
+        first_disagreement(proj.image_mask, levels_b, levels, proj.assign)
+        > depth
+        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+    )
+
+
 def relation_poset_by_pairs(bis):
     """The dict lookup per element of ↑x × ↑y that relation_poset
     replaced."""
@@ -701,6 +738,32 @@ class TestMaskRouteOracle:
                 assert got == _outcome(index_bisim_check, bis, depth)
                 seen.add(got)
         assert {True, False} <= seen
+
+    def test_largest_and_seeded_sub_relations(self):
+        # the largest bisimulation of seeded pairs of the 310 frames and
+        # two seeded sub-relations of it, at depths 1-3, against the
+        # nested-value and the index routes
+        frames = _iso_frames_up_to_three()
+        rng = random.Random(1414)
+        seen = Counter()
+        for _ in range(1000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            largest = largest_bisimulation(f1, f2)
+            bits = f2.poset.n
+            subs = [
+                Bisimulation(
+                    f1, f2, [r & rng.getrandbits(bits) for r in largest.rows]
+                )
+                for _ in range(2)
+            ]
+            for bis in [largest] + subs:
+                for depth in (1, 2, 3):
+                    got = _outcome(coalgebraic_bisim_check, bis, depth)
+                    assert got == _outcome(nested_bisim_check, bis, depth)
+                    assert got == _outcome(index_bisim_check, bis, depth)
+                    seen[got] += 1
+        sides = {"projection left", "projection right"}
+        assert set(seen) == {True, False} | sides
 
     def test_mix_law_violation_raises(self):
         p = make_poset(["a", "b"], [("a", "b")])
@@ -1096,6 +1159,24 @@ class TestLargestModelBisimulation:
             assert largest_model_bisimulation(m1, m2) == largest_bisimulation(
                 m1.frame, m2.frame
             )
+
+
+class TestCoalgebraicDepthBelowOne:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_raises_before_any_other_check(self, depth):
+        # used to pass vacuously; the projection and mix-law failures that
+        # would otherwise be raised lose to the depth
+        fr = serial_chain_frame()
+        p = make_poset(["a", "b"], [("a", "b")])
+        bad = ModalFrame.from_pairs(p, [("a", "a")])
+        cases = [
+            largest_bisimulation(fr, fr),
+            Bisimulation.from_labels(fr, fr, [("a", "a")]),
+            Bisimulation.from_labels(bad, bad, [("a", "a"), ("b", "b")]),
+        ]
+        for bis in cases:
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                coalgebraic_bisim_check(bis, depth)
 
 
 class TestCoalgebraicDepthCap:

@@ -1,12 +1,16 @@
+from itertools import product
+
 import pytest
 
 from imcoalg import complexes
 from imcoalg.complexes import (
+    TowerMap,
     build_complex,
     build_p_g,
     check_adjunction,
     check_limit_pmorphism,
     enumerate_tower_maps,
+    image_tower_agrees,
     intuitionistic_lift,
     lift_map,
     nested_image,
@@ -28,13 +32,21 @@ from imcoalg.poset import (
     PosetMap,
     containment_rows,
     identity_map,
+    is_pmorphism,
     iter_bits,
     make_poset,
     open_table,
     point_poset,
     terminal_map,
 )
-from imcoalg.enumeration import all_posets, monotone_maps, random_poset
+from imcoalg.enumeration import (
+    all_functions,
+    all_posets,
+    monotone_maps,
+    random_poset,
+)
+
+from helpers import first_disagreement, posets_up_to
 
 from test_poset import (
     containment_rows_by_columns,
@@ -425,6 +437,65 @@ class TestNestedValues:
         for x in range(p.n):
             image = nested_image(ident.assign.__getitem__, 3, levels[2][x])
             assert image == levels[2][x]
+
+
+class TestDepthBelowOne:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_lifts_refuse_it(self, depth):
+        p = chain2()
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            tower_coords(p, range(p.n), depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            TowerMap.from_map(identity_map(p), depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            lift_map(identity_map(p), terminal_complex(p, 2), depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            build_complex(terminal_map(p), depth)
+
+
+class TestImageTowerAgrees:
+    """image_tower_agrees against the nested_image route it replaced
+    (first_disagreement)."""
+
+    def test_every_two_valued_level_one_and_every_function(self):
+        # level-1 values in {0, 1} on both sides and every function between
+        # posets of at most three elements: the first disagreement falls on
+        # each of the levels 1-3, or on none
+        seen = set()
+        posets = posets_up_to(3)
+        for p in posets:
+            for q in posets:
+                maps = [f.assign for f in all_functions(p, q)]
+                for values in product((0, 1), repeat=q.n):
+                    target = tower_coords(q, values, 3)
+                    for images in product((0, 1), repeat=p.n):
+                        source = tower_coords(p, images, 3)
+                        for assign in maps:
+                            fail = first_disagreement(
+                                lambda v: v, source, target, assign
+                            )
+                            for depth in (1, 2, 3):
+                                got = image_tower_agrees(
+                                    p, images, target[:depth], assign
+                                )
+                                assert got == (fail > depth)
+                            seen.add(fail)
+        assert seen == {1, 2, 3, 4}
+
+    def test_identity_towers_agree_exactly_on_pmorphisms(self):
+        # on the lifts of the identity, level 1 always agrees, and the
+        # images lift onto the target's levels iff f is a p-morphism
+        for p in posets_up_to(3):
+            source = tower_coords(p, range(p.n), 3)
+            for q in posets_up_to(3):
+                target = tower_coords(q, range(q.n), 3)
+                for f in monotone_maps(p, q):
+                    first = f.assign.__getitem__
+                    fail = first_disagreement(first, source, target, f.assign)
+                    assert fail in (2, 4)
+                    assert (fail == 4) == is_pmorphism(f)
+                    got = image_tower_agrees(p, f.assign, target, f.assign)
+                    assert got == (fail == 4)
 
 
 class TestAdjunction:

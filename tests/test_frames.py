@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -52,7 +53,8 @@ from imcoalg.enumeration import (
 )
 from imcoalg.framefile import parse_frame_file
 
-from helpers import compose
+from helpers import compose, first_disagreement
+from test_bisim import _iso_frames_up_to_three
 
 
 def chain2():
@@ -325,6 +327,54 @@ class TestLiftedCoalgebra:
             with pytest.raises(MixLawViolation):
                 check_coalgebra_morphism(identity_map(fr.poset), fr, fr, 2)
 
+    def test_mix_law_checked_on_the_source_first(self):
+        # the source frame is never lifted, but its mix law is still
+        # checked, and before the target's
+        good = serial_chain_frame()
+        ident = identity_map(good.poset)
+        for bad in non_mix_frames():
+            for f1, f2 in ((bad, good), (good, bad), (bad, bad)):
+                with pytest.raises(MixLawViolation) as exc:
+                    check_coalgebra_morphism(ident, f1, f2, 2)
+                with pytest.raises(MixLawViolation) as want:
+                    frame_to_lifted(f1 if f1 is bad else f2, 2)
+                assert str(exc.value) == str(want.value)
+
+
+class TestDepthBelowOne:
+    """Depth below 1 used to pass the squares vacuously."""
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_lift_refuses_it(self, depth):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            frame_to_lifted(serial_chain_frame(), depth)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_coalgebra_square_refuses_it_first(self, depth):
+        p = chain2()
+        serial = serial_chain_frame()
+        other = ModalFrame.from_pairs(p, [("a", "b")])
+        ident = identity_map(p)
+        assert not check_coalgebra_morphism(ident, serial, other, 1)
+        swap = PosetMap(p, p, [1, 0])
+        point = ModalFrame.from_pairs(point_poset(), [])
+        # a differing R, a mismatched poset, a map that is no p-morphism
+        # and a mix-law violation all lose to the depth
+        cases = [(ident, serial, other), (ident, point, serial),
+                 (swap, serial, serial)]
+        cases += [(ident, bad, bad) for bad in non_mix_frames()]
+        for f, f1, f2 in cases:
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                check_coalgebra_morphism(f, f1, f2, depth)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_nbhd_square_refuses_it_first(self, depth):
+        p = chain2()
+        nf = NbhdFrame(p, [0, 0])
+        for f in (identity_map(p), PosetMap(p, p, [1, 0])):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                check_nbhd_coalgebra_morphism(f, nf, nf, depth)
+
 
 class TestModalPMorphism:
     def test_identity(self):
@@ -408,6 +458,33 @@ class TestMaskRouteOracle:
                 assert got == index_coalgebra_morphism(f, f1, f2, 3)
                 commuting += got
         assert commuting > 0
+
+    def test_every_pmorphism_between_frames_up_to_three(self):
+        # every p-morphism between the posets of each pair of the 310
+        # frames (735 776 instances), one depth each, the depths 1-3 in
+        # turn, against the nested-value route on lifts computed once
+        lifted = {}
+        for fr in _iso_frames_up_to_three():
+            levels = frame_to_lifted(fr, 3)
+            lifted.setdefault(fr.poset, []).append((fr, levels))
+        seen = Counter()
+        count = 0
+        for p, sources in lifted.items():
+            for q, targets in lifted.items():
+                for f in pmorphisms(p, q):
+                    for f1, levels1 in sources:
+                        for f2, levels2 in targets:
+                            fail = first_disagreement(
+                                f.image_mask, levels1, levels2, f.assign
+                            )
+                            depth = 1 + count % 3
+                            got = check_coalgebra_morphism(f, f1, f2, depth)
+                            assert got == (fail > depth)
+                            seen[depth, got] += 1
+                            count += 1
+        assert count == 735776
+        assert len(seen) == 6
+
 
 class TestPowUp:
     def test_point_has_four_families(self):
@@ -521,6 +598,50 @@ class TestPowUp:
                                 f, nf1, nf2, depth=1
                             )
                             assert cond == square
+
+    def test_square_refuses_a_map_between_other_posets(self):
+        # the square compared a map of the point on the first point of a
+        # two-element frame, and passed
+        one = point_poset()
+        ident = identity_map(one)
+        big, small = NbhdFrame(chain2(), [0, 0]), NbhdFrame(one, [0])
+        for nf1, nf2 in ((big, small), (small, big), (big, big)):
+            assert not check_nbhd_coalgebra_morphism(ident, nf1, nf2, 1)
+        assert check_nbhd_coalgebra_morphism(ident, small, small, 1)
+
+    def test_lifted_square_matches_nested_route_up_to_two(self):
+        # every monotone map between posets of at most two elements and
+        # every pair of neighbourhood frames on them (309 215 instances),
+        # one depth each, the depths 1-3 in turn, against the nested-value
+        # route on lifts computed once
+        posets = all_posets(1) + all_posets(2)
+        lifted = {
+            p: [
+                (nf, TowerMap.from_map(nbhd_to_coalgebra(nf), 3).values)
+                for nf in _all_nbhd_frames(p, pow_up_functor(p))
+            ]
+            for p in posets
+        }
+        seen = Counter()
+        count = 0
+        for p in posets:
+            for q in posets:
+                for f in monotone_maps(p, q):
+                    u = pow_up_map(f).assign.__getitem__
+                    for nf1, levels1 in lifted[p]:
+                        for nf2, levels2 in lifted[q]:
+                            fail = first_disagreement(
+                                u, levels1, levels2, f.assign
+                            )
+                            depth = 1 + count % 3
+                            got = check_nbhd_coalgebra_morphism(
+                                f, nf1, nf2, depth
+                            )
+                            assert got == (fail > depth)
+                            seen[fail] += 1
+                            count += 1
+        assert count == 309215
+        assert set(seen) == {1, 2, 4}
 
 
 def _all_nbhd_frames(p, fv):

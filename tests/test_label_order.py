@@ -7,16 +7,18 @@ elements is taken under every permutation of its indices (419 labelled
 posets, repeats included), and each kernel is checked to commute with the
 relabelling: f(relabel(x)) == relabel(f(x)). containment_rows is checked
 the same way under permutations of the base bits, over one to three 8-bit
-chunks. The greatest bisimulation, with and without a valuation, is checked
-on every pair of frames on at most two elements and on seeded pairs of
-three-element frames, each side under every labelling.
+chunks. The lift (tower_coords) is checked on the indices themselves, and
+the lifted-square kernel (image_tower_agrees) on every monotone map into a
+poset of at most two elements. The greatest bisimulation, with and without
+a valuation, is checked on every pair of frames on at most two elements and
+on seeded pairs of three-element frames, each side under every labelling.
 """
 
 import random
 from itertools import permutations
 
 from imcoalg.bisim import largest_bisimulation, largest_model_bisimulation
-from imcoalg.complexes import build_p_g
+from imcoalg.complexes import build_p_g, image_tower_agrees, tower_coords
 from imcoalg.enumeration import (
     _permuted,
     mix_relations,
@@ -36,6 +38,7 @@ from imcoalg.poset import (
 )
 
 from helpers import (
+    first_disagreement,
     labellings,
     move_mask,
     move_rows,
@@ -151,6 +154,44 @@ def test_build_p_g_commutes_with_relabelling():
             got = set(zip(moved.member_masks, moved.root_map.assign))
             assert got == want
             assert got == set(build_p_g_by_submasks(h))
+
+
+def test_tower_coords_commute_with_relabelling():
+    # level-1 values are the old indices, so every level carries them along
+    for p, perm, q in RELABELLED_4:
+        want = tower_coords(p, range(p.n), 3)
+        first = [0] * p.n
+        for x, y in enumerate(perm):
+            first[y] = x
+        got = tower_coords(q, first, 3)
+        for level_want, level_got in zip(want, got):
+            assert [level_got[y] for y in perm] == list(level_want)
+
+
+def test_image_tower_agrees_commutes_with_relabelling():
+    # the lift of every monotone map f into a poset on at most two
+    # elements, against the lift of the identity there: it agrees at
+    # depth d on the moved map iff it does on f, iff the nested-value route
+    # finds no disagreement up to d
+    targets = [t for s in posets_up_to(2) for t in labellings(s)]
+    seen = set()
+    for p, perm, q in RELABELLED_4:
+        source = tower_coords(q, range(q.n), 3)
+        for t in targets:
+            target = tower_coords(t, range(t.n), 3)
+            for f in monotone_maps(p, t):
+                moved = moved_map(f, perm, q).assign
+                fail = first_disagreement(
+                    moved.__getitem__, source, target, moved
+                )
+                for depth in (1, 2, 3):
+                    want = image_tower_agrees(
+                        p, f.assign, target[:depth], f.assign
+                    )
+                    got = image_tower_agrees(q, moved, target[:depth], moved)
+                    assert got == want == (fail > depth)
+                seen.add(fail)
+    assert seen == {2, 4}
 
 
 def _assert_bisimulation_commutes_with_relabelling(m1, m2):

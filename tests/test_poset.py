@@ -160,6 +160,33 @@ def all_posets_by_full_scan(n):
     return [found[k] for k in sorted(found)]
 
 
+def make_poset_by_fixpoint(labels, pairs):
+    """The closure loop that make_poset's Warshall pass replaced: replace
+    each row by the union of the rows over its bits until nothing changes."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = image(up, up[i])
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    return Poset(labels, up)
+
+
+def _built(build, labels, pairs):
+    """The rows build returns, or the type and message of its error."""
+    try:
+        return build(labels, pairs).up
+    except (NotAntisymmetric, NotTransitive) as exc:
+        return type(exc), str(exc)
+
+
 def chain2():
     return make_poset(["a", "b"], [("a", "b")])
 
@@ -224,6 +251,51 @@ class TestConstruction:
                         frontier.append(y)
             for b in labels:
                 assert p.leq_labels(a, b) == (b in reach)
+
+
+class TestClosureAgainstFixpoint:
+    """make_poset's Warshall pass against the fixpoint loop it replaced."""
+
+    def test_random_relations(self):
+        # dense enough for cycles, so the NotAntisymmetric messages are
+        # compared too
+        rng = random.Random(1616)
+        errors = 0
+        for _ in range(3000):
+            n = rng.randrange(1, 10)
+            density = rng.random() * 0.4
+            pairs = [
+                (a, b)
+                for a in range(n)
+                for b in range(n)
+                if rng.random() < density
+            ]
+            want = _built(make_poset_by_fixpoint, list(range(n)), pairs)
+            assert _built(make_poset, list(range(n)), pairs) == want
+            errors += isinstance(want[0], type)
+        assert 0 < errors < 3000
+
+    def test_reversed_and_permuted_labellings(self):
+        # the same order presented with its elements listed in reversed and
+        # in shuffled order, so that index order is no linear extension
+        rng = random.Random(1717)
+        for _ in range(1000):
+            n = rng.randrange(1, 12)
+            order = list(range(n))
+            rng.shuffle(order)
+            pairs = [
+                (order[i], order[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for labels in (list(range(n)), list(reversed(range(n))), shuffled):
+                got = make_poset(labels, pairs)
+                assert got.up == make_poset_by_fixpoint(labels, pairs).up
+                for a, b in pairs:
+                    assert got.leq_labels(a, b)
 
 
 class TestMapPredicates:
