@@ -81,8 +81,11 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     fibre masks meets the included set. The root's own fibre masks are
     checked each time an element is left out, and the branch is abandoned
     as soon as one of them has no element left among the included and
-    undecided ones, so every leaf is open. Labels and order rows come from
-    per-chunk tables (mask_labels, containment_rows).
+    undecided ones, so every leaf is open. The order rows come from
+    per-chunk tables (containment_rows); the stage poset is carried by the
+    member masks (Poset.over_masks), so its labels, the frozensets of the
+    members' base labels, are built by mask_labels only when something
+    reads them, such as the DOT and JSON writers.
     """
     base = g.source
     n = base.n
@@ -149,8 +152,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
 
     found.sort()
     masks = tuple(m for m, _ in found)
-    labels = mask_labels(masks, base.labels)
-    stage_poset = Poset(labels, containment_rows(masks, n), _trusted=True)
+    stage_poset = Poset.over_masks(masks, base, containment_rows(masks, n))
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
     return RootedStage(base, stage_poset, masks, root_map)
 

@@ -32,7 +32,6 @@ from .poset import (
     is_monotone,
     is_pmorphism,
     iter_bits,
-    mask_labels,
 )
 
 
@@ -221,10 +220,9 @@ def pow_up_functor(p, caps=DEFAULT_CAPS):
     if size > caps.max_stage:
         raise StageTooLarge(0, f"{size} families exceed the stage cap")
     masks = tuple(range(size))
-    labels = mask_labels(masks, up_fv.poset.labels)
     # family inclusion m <= j is containment of complements, j^c in m^c
     rows = containment_rows([(size - 1) ^ m for m in masks], up_fv.poset.n)
-    value = Poset(labels, rows, _trusted=True)
+    value = Poset.over_masks(masks, up_fv.poset, rows)
     return FunctorValue("powup", p, value, masks)
 
 

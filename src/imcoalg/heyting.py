@@ -20,7 +20,6 @@ from .poset import (
     PosetMap,
     containment_rows,
     image,
-    mask_labels,
     upset_masks,
 )
 
@@ -65,11 +64,7 @@ def up_functor(p, caps=DEFAULT_CAPS):
     masks = upset_masks(p, limit=caps.max_stage)
     if len(masks) > caps.max_stage:
         raise StageTooLarge(1, f"more than {caps.max_stage} elements")
-    value = Poset(
-        mask_labels(masks, p.labels),
-        containment_rows(masks, p.n),
-        _trusted=True,
-    )
+    value = Poset.over_masks(masks, p, containment_rows(masks, p.n))
     return FunctorValue("up", p, value, masks)
 
 

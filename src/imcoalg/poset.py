@@ -13,9 +13,11 @@ Conventions used throughout the package:
     (the rows of the converse relation) are the kernels that union such
     rows bit by bit or build a converse; PosetMap.image_mask keeps a loop
     of its own, over the map's assignment rather than a relation's rows;
-  - a poset carried by masks takes its order rows from per-chunk subset
-    tables over 8-bit chunks of the base (containment_rows) and its labels
-    from per-chunk frozenset tables (mask_labels), with no loop over bits;
+  - a poset carried by masks (Poset.over_masks) takes its order rows from
+    per-chunk subset tables over 8-bit chunks of the base
+    (containment_rows); its labels come from per-chunk frozenset tables
+    (mask_labels) the first time they are read, so a stage whose labels
+    nobody reads never builds them, and no table loops over bits;
     g-openness is read off per-fibre masks, visiting only the elements
     that have any (open_table);
   - monotone maps are enumerated by one search (monotone_assignments):
@@ -23,7 +25,9 @@ Conventions used throughout the package:
     down-set rows of the images of its decided neighbours, and the maps
     come out in lexicographic order of their assignments;
   - every value is immutable after construction, so any operation can run
-    from parallel workers without coordination;
+    from parallel workers without coordination; ``labels``, ``_index``,
+    ``down`` and ``_hash`` are idempotent caches, filled on first use with
+    the same value whichever worker fills them;
   - iteration is always in index order, which keeps all derived output
     byte-for-byte reproducible.
 
@@ -82,7 +86,7 @@ def format_label(label):
 class Poset:
     """Immutable finite poset over an indexed tuple of opaque labels."""
 
-    __slots__ = ("labels", "up", "n", "_index", "_down", "_hash")
+    __slots__ = ("_labels", "_carrier", "up", "n", "_index", "_down", "_hash")
 
     def __init__(self, labels, up, _trusted=False):
         labels = tuple(labels)
@@ -92,7 +96,8 @@ class Poset:
             if lab in index:
                 raise DuplicateLabel(f"duplicate label {format_label(lab)!r}")
             index[lab] = i
-        self.labels = labels
+        self._labels = labels
+        self._carrier = None
         self.up = up
         self.n = len(labels)
         self._index = index
@@ -100,6 +105,34 @@ class Poset:
         self._hash = None
         if not _trusted:
             self._verify()
+
+    @classmethod
+    def over_masks(cls, masks, base, rows):
+        """The poset whose element i is the subset masks[i] of base, with
+        order rows ``rows`` (trusted, as from containment_rows).
+
+        Its labels are mask_labels(masks, base.labels), built the first
+        time ``labels`` is read, and its label index on the first index()
+        call. The masks must be distinct, so the labels are too.
+        """
+        self = cls.__new__(cls)
+        self._labels = None
+        self._carrier = (masks, base)
+        self.up = tuple(rows)
+        self.n = len(self.up)
+        self._index = None
+        self._down = None
+        self._hash = None
+        return self
+
+    @property
+    def labels(self):
+        """The element labels, in index order; a poset made by over_masks
+        builds them here on first read."""
+        if self._labels is None:
+            masks, base = self._carrier
+            self._labels = tuple(mask_labels(masks, base.labels))
+        return self._labels
 
     def _verify(self):
         n = self.n
@@ -124,6 +157,8 @@ class Poset:
     # -- basic queries ----------------------------------------------------
 
     def index(self, label):
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
         try:
             return self._index[label]
         except KeyError:
@@ -178,10 +213,13 @@ class Poset:
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        # rows before labels: posets that differ mostly differ in their
+        # rows, and a mask-carried poset builds its labels when read
+        return self is other or (
             isinstance(other, Poset)
-            and self.labels == other.labels
+            and self.n == other.n
             and self.up == other.up
+            and self.labels == other.labels
         )
 
     def __hash__(self):

@@ -24,7 +24,7 @@ from imcoalg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "cli.json"
-FRAMES = ("chain.frame", "diamond.frame", "mixfail.frame")
+FRAMES = ("chain.frame", "diamond.frame", "mixfail.frame", "pair.frame")
 WRITES = ["--dot", "out.dot", "--json", "out.json"]
 
 CASES = {
@@ -51,6 +51,7 @@ CASES = {
     "export-diamond": ["export", "diamond.frame"] + WRITES,
     "complex-chain": ["complex", "chain.frame", "--depth", "2"] + WRITES,
     "complex-diamond": ["complex", "diamond.frame"] + WRITES,
+    "complex-pair-depth3": ["complex", "pair.frame", "--depth", "3"] + WRITES,
     "freealg-1": ["freealg", "--generators", "1", "--stages", "1"] + WRITES,
     "freealg-2": [
         "freealg", "--generators", "1", "--stages", "2", "--inner-depth", "1"

@@ -1,8 +1,9 @@
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from imcoalg import complexes
+from imcoalg import cli, complexes
 from imcoalg.complexes import (
     TowerMap,
     build_complex,
@@ -49,11 +50,15 @@ from imcoalg.enumeration import (
 from helpers import first_disagreement, posets_up_to
 
 from test_poset import (
+    assert_matches_eager,
     containment_rows_by_columns,
     containment_rows_oracle,
+    count_mask_labels,
     g_open_by_images,
     labels_by_bits,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Up-set rows of the five-element posets whose depth-2 complexes over Up(P)
 # the benchmark's stages workload builds (stage 2: 111-2767 elements)
@@ -554,6 +559,54 @@ class TestIntuitionisticLift:
             intuitionistic_lift(antichain, 1)
         cx = intuitionistic_lift(antichain, 1, Caps(max_stage=8192))
         assert [s.n for s in cx.stages] == [1, 8192]
+
+
+class TestStageLabels:
+    def test_terminal_complex_stages_match_eager_posets(self):
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                cx = terminal_complex(p, 3)
+                for i in (2, 3):
+                    assert_matches_eager(
+                        cx.stages[i], cx.member_masks[i], cx.stages[i - 1]
+                    )
+
+    def test_intuitionistic_lift_stages_match_eager_posets(self):
+        for p in posets_up_to(2):
+            cx = intuitionistic_lift(p, 2)
+            assert_matches_eager(cx.stages[1], up_functor(p).masks, p)
+            assert_matches_eager(
+                cx.stages[2], cx.member_masks[2], cx.stages[1]
+            )
+
+    def test_deep_stage_labelled_before_its_bases(self):
+        # stage 3 is read first, so its labels build stage 2's, which
+        # build stage 1's; stage 3 holds 29 and 718 elements
+        for p, size in ((chain2(), 29), (antichain2(), 718)):
+            fv = up_functor.__wrapped__(p)
+            cx = build_complex(terminal_map(fv.poset), 3)
+            deep = cx.stages[3].labels
+            want = labels_by_bits(fv.masks, p.labels)
+            assert cx.stages[1].labels == tuple(want)
+            for i in (2, 3):
+                want = labels_by_bits(cx.member_masks[i], want)
+                assert cx.stages[i].labels == tuple(want)
+            assert deep == tuple(want)
+            assert len(deep) == size
+
+    def test_complex_report_builds_no_stage_labels(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # the text report prints sizes and checks masks and rows only; the
+        # JSON writer prints the labels, so it has them built
+        calls = count_mask_labels(monkeypatch)
+        frame = str(GOLDEN / "diamond.frame")
+        assert cli.main(["complex", frame, "--depth", "2"]) == 0
+        assert calls == []
+        out = str(tmp_path / "out.json")
+        assert cli.main(["complex", frame, "--depth", "2", "--json", out]) == 0
+        assert calls
+        capsys.readouterr()
 
 
 class TestRandomPosets:

@@ -12,6 +12,9 @@ the lifted-square kernel (image_tower_agrees) on every monotone map into a
 poset of at most two elements. The greatest bisimulation, with and without
 a valuation, is checked on every pair of frames on at most two elements and
 on seeded pairs of three-element frames, each side under every labelling.
+The truth sets (truth_mask, definable_masks and the first formulas of
+first_formulas) are checked on every frame on at most three elements with
+every one-letter upset valuation, under every permutation.
 """
 
 import random
@@ -27,7 +30,13 @@ from imcoalg.enumeration import (
 )
 from imcoalg.frames import ModalFrame
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
-from imcoalg.logic import Model
+from imcoalg.logic import (
+    Model,
+    definable_masks,
+    enumerate_formulas,
+    first_formulas,
+    truth_mask,
+)
 from imcoalg.poset import (
     PosetMap,
     containment_rows,
@@ -234,3 +243,53 @@ def test_largest_bisimulation_commutes_with_relabelling_on_three():
             for f in (rng.choice(frames), rng.choice(frames))
         )
         _assert_bisimulation_commutes_with_relabelling(m1, m2)
+
+
+def _one_letter_models_relabelled():
+    """(model, perm, moved model) for each of the 310 frames on at most
+    three elements up to isomorphism, each upset valuation of p and each
+    permutation of the indices."""
+    out = []
+    for fr in _iso_frames_up_to_three():
+        for v in upset_masks(fr.poset):
+            model = Model(fr, {"p": v})
+            for perm in permutations(range(fr.poset.n)):
+                moved = Model(relabel_frame(fr, perm), {"p": move_mask(v, perm)})
+                out.append((model, perm, moved))
+    return out
+
+
+ONE_LETTER_3 = _one_letter_models_relabelled()
+
+# deep enough for first_formulas to meet every definable truth set on these
+# frames, which test_first_formulas_commute_with_relabelling checks
+FORMULA_DEPTH = 6
+
+
+def test_first_formulas_commute_with_relabelling():
+    for model, perm, moved in ONE_LETTER_3:
+        want = list(first_formulas(model, ("p",), FORMULA_DEPTH))
+        got = list(first_formulas(moved, ("p",), FORMULA_DEPTH))
+        assert [phi for phi, _ in got] == [phi for phi, _ in want]
+        assert [t for _, t in got] == [move_mask(t, perm) for _, t in want]
+        assert {t for _, t in want} == definable_masks(model)
+
+
+def test_truth_mask_commutes_with_relabelling():
+    # on the first formula of every truth set, and on the depth-1 formulas
+    for model, perm, moved in ONE_LETTER_3:
+        found = list(first_formulas(model, ("p",), FORMULA_DEPTH))
+        formulas = [phi for phi, _ in found]
+        formulas += enumerate_formulas(("p",), 1)
+        cache, moved_cache = {}, {}
+        for phi in formulas:
+            t = truth_mask(model, phi, cache)
+            assert truth_mask(moved, phi, moved_cache) == move_mask(t, perm)
+        for phi, t in found:
+            assert truth_mask(model, phi, cache) == t
+
+
+def test_definable_masks_commute_with_relabelling():
+    for model, perm, moved in ONE_LETTER_3:
+        want = {move_mask(t, perm) for t in definable_masks(model)}
+        assert definable_masks(moved) == want

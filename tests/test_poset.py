@@ -5,12 +5,16 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imcoalg import poset as poset_module
 from imcoalg.errors import (
     DuplicateLabel,
     NotAntisymmetric,
     NotTransitive,
+    UnknownLabel,
 )
+from imcoalg.frames import pow_up_functor
 from imcoalg.freealg import build_free_stages, generator_poset
+from imcoalg.heyting import up_functor
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -81,6 +85,35 @@ def containment_rows_by_columns(masks, width):
 def labels_by_bits(masks, labels):
     """The per-bit comprehension that mask_labels replaced."""
     return [frozenset(labels[i] for i in iter_bits(m)) for m in masks]
+
+
+def assert_matches_eager(lazy, masks, base):
+    """A poset carried by masks over base, read first through index(),
+    equals the eagerly labelled poset over the same masks and rows in its
+    labels, index(), == and hash."""
+    eager = Poset(labels_by_bits(masks, base.labels), lazy.up, _trusted=True)
+    assert lazy.n == eager.n == len(masks)
+    for i, label in enumerate(eager.labels):
+        assert lazy.index(label) == i
+    with pytest.raises(UnknownLabel):
+        lazy.index(("absent",))
+    assert lazy.labels == eager.labels
+    assert lazy == eager and eager == lazy
+    assert hash(lazy) == hash(eager)
+
+
+def count_mask_labels(monkeypatch):
+    """Patch the mask_labels that mask-carried posets label themselves with
+    so that each call is recorded; returns the list of recorded calls."""
+    calls = []
+    real = poset_module.mask_labels
+
+    def counting(masks, labels):
+        calls.append(len(masks))
+        return real(masks, labels)
+
+    monkeypatch.setattr(poset_module, "mask_labels", counting)
+    return calls
 
 
 def product_by_bits(p, q):
@@ -579,6 +612,55 @@ class TestContainmentRows:
         labels = [frozenset(range(i % 5)) | {("v", i)} for i in range(20)]
         masks = [rng.getrandbits(20) for _ in range(100)] + [0, (1 << 20) - 1]
         assert mask_labels(masks, labels) == labels_by_bits(masks, labels)
+
+
+class TestOverMasks:
+    def test_up_functor_values_match_eager_posets(self):
+        # up_functor is memoized, so its unwrapped body gives fresh values
+        for p in posets_up_to_three():
+            fv = up_functor.__wrapped__(p)
+            assert_matches_eager(fv.poset, fv.masks, p)
+
+    def test_pow_up_functor_values_match_eager_posets(self):
+        for p in posets_up_to_three():
+            fv = pow_up_functor.__wrapped__(p)
+            assert_matches_eager(fv.poset, fv.masks, up_functor(p).poset)
+
+    def test_hash_and_equality_read_before_labels(self):
+        p = chain2()
+        masks = upset_masks(p)
+        eager = Poset(
+            labels_by_bits(masks, p.labels),
+            containment_rows(masks, p.n),
+            _trusted=True,
+        )
+        assert hash(up_functor.__wrapped__(p).poset) == hash(eager)
+        assert up_functor.__wrapped__(p).poset == eager
+        assert eager == up_functor.__wrapped__(p).poset
+
+    def test_labels_are_built_once_on_first_read(self, monkeypatch):
+        calls = count_mask_labels(monkeypatch)
+        p = antichain2()
+        value = up_functor.__wrapped__(p).poset
+        assert calls == []
+        assert value.labels == tuple(labels_by_bits(upset_masks(p), p.labels))
+        value.index(frozenset())
+        hash(value)
+        assert value.labels is value.labels
+        assert calls == [4]
+
+    def test_posets_with_other_rows_compare_unequal_unlabelled(
+        self, monkeypatch
+    ):
+        calls = count_mask_labels(monkeypatch)
+        base = antichain2()
+        a = Poset.over_masks((1, 2), base, (1, 2))
+        assert a != Poset.over_masks((1, 3), base, (1, 3))
+        assert a != Poset.over_masks((1,), base, (1,))
+        assert a != point_poset()
+        assert calls == []
+        assert a == Poset.over_masks((1, 2), base, (1, 2))
+        assert calls == [2, 2]
 
 
 class TestAllPosets:
