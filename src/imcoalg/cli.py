@@ -328,26 +328,14 @@ def cmd_lift(args):
     for x in range(frame.poset.n):
         report.info(f"{format_label(frame.poset.labels[x])}:")
         for level in range(1, args.depth + 1):
+            i = lifted.maps[level].assign[x]
             report.info(
-                f"  level {level}: "
-                f"{_value_str(lifted.base, level, lifted.value(level, x))}"
+                f"  level {level}: {format_label(cx.stages[level].labels[i])}"
             )
     report.check("tower-compatible", lifted.compatible())
     report.check("coords-monotone", lifted.coords_monotone())
     report.check("limit-pmorphism", check_limit_pmorphism(lifted, args.depth))
     return report.emit(args)
-
-
-def _value_str(base, level, value):
-    if level == 1:
-        return format_label(base.labels[value])
-    return (
-        "{"
-        + ",".join(
-            sorted(_value_str(base, level - 1, v) for v in value)
-        )
-        + "}"
-    )
 
 
 def cmd_freealg(args):

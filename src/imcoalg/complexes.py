@@ -9,15 +9,14 @@ f: X -> Y lifts to a tower map with coordinates
 
     f_1 = f,    f_{l+1}(x) = f_l[up-set of x].
 
-Stage elements are represented two ways. Materialized stages index their
-elements and record member bitmasks over the previous stage; they are only
-feasible while stages stay small. Nested values (an element of stage l is a
-frozenset of stage l-1 values, bottoming out at level-1 values) support the
-same lifting pointwise with no stage enumeration at all. Level-1 values are
-indices into a materialized base by default; a complex over Up(P) can carry
-the upset masks themselves instead, as the free-algebra layers do, and the
-frame and bisimulation checks lift the masks R[x] without ever building
-Up(P).
+A materialized stage lists its elements by their member masks over the
+previous stage, in ascending order, so a tower map into a materialized
+complex is held as stage indices only: coordinate l+1 at x is the element
+whose member mask is the OR of 1 << f_l(y) over y >= x, found by one
+bisection (Complex.lift_level). Where no stage is materialized, the
+frame and bisimulation checks lift the masks R[x] themselves as nested
+values (an element of level l+1 is the frozenset of the level-l values
+over an up-set, tower_coords), so they never build Up(P).
 
 Those checks compare the image of one lift with another lift, and the
 direct image commutes with the lift: if level l+1 over a source is
@@ -25,9 +24,9 @@ mask_labels(source.up, level l), its image under a map is
 mask_labels(source.up, image of level l). image_tower_agrees therefore
 maps each point's level-1 value once and lifts the images, one
 mask_labels call per level, instead of pushing every nested value through
-the map (nested_image, which only the free-algebra layers still use).
-`bisim --depth 2` on chains of 400 and 401 points takes about 1.7 s as a
-process on a 2-core Xeon host, against 11 s with the nested route.
+the map. `bisim --depth 2` on chains of 400 and 401 points takes about
+1.7 s as a process on a 2-core Xeon host, against 11 s with the nested
+route.
 """
 
 from dataclasses import dataclass, field
@@ -47,11 +46,13 @@ from .poset import (
     PosetMap,
     containment_rows,
     is_monotone,
+    image,
     is_open_mask,
     iter_bits,
     mask_labels,
     monotone_assignments,
     open_table,
+    sorted_index,
     terminal_map,
 )
 
@@ -161,19 +162,15 @@ class Complex:
     """Stages P_0..P_n joined by root maps r_i: P_i -> P_{i-1}, with r_1 = g.
 
     P_0 is g's target and P_1 its source; every deeper stage is the rooted
-    stage over the previous root map. ``level1`` gives the nested value of
-    each element of P_1 (default: its own index).
+    stage over the previous root map, its elements listed by ascending
+    member mask over the stage below.
     """
 
-    def __init__(self, g, stages, root_maps, member_masks, level1=None):
+    def __init__(self, g, stages, root_maps, member_masks):
         self.g = g
         self.stages = stages
         self.root_maps = root_maps  # index i >= 1 is r_i; [0] is None
         self.member_masks = member_masks  # per stage, None for i <= 1
-        if level1 is None:
-            level1 = range(stages[1].n)
-        self._values = {1: tuple(level1)}
-        self._value_index = {}
 
     @property
     def depth(self):
@@ -182,26 +179,23 @@ class Complex:
     def is_terminal(self):
         return self.stages[0].n == 1
 
-    def stage_values(self, i):
-        """Nested value of each element of stage i."""
-        if i not in self._values:
-            self._values[i] = tuple(
-                mask_labels(self.member_masks[i], self.stage_values(i - 1))
-            )
-        return self._values[i]
-
-    def value_index(self, i, value):
-        """Stage index of a nested value; LiftOutsideStage when absent."""
-        if i not in self._value_index:
-            self._value_index[i] = {
-                v: k for k, v in enumerate(self.stage_values(i))
-            }
-        try:
-            return self._value_index[i][value]
-        except KeyError:
-            raise LiftOutsideStage(
-                f"value is not an element of stage {i}"
-            ) from None
+    def lift_level(self, level, below, rows):
+        """Per row, the index of the stage-``level`` element whose members
+        are the images under ``below`` (stage level-1 indices over some
+        source) of the row's bits; LiftOutsideStage when that set is not an
+        element of the stage. With the source's up-set rows this is the
+        lift recursion f_{l+1}(x) = f_l[up(x)]."""
+        bits = [1 << t for t in below]
+        masks = self.member_masks[level]
+        out = []
+        for row in rows:
+            i = sorted_index(masks, image(bits, row))
+            if i is None:
+                raise LiftOutsideStage(
+                    f"image is not an element of stage {level}"
+                )
+            out.append(i)
+        return out
 
     def tower_of(self, idx, depth=None):
         """The compatible chain determined by an element of stage depth
@@ -218,9 +212,8 @@ class Complex:
         return [self.tower_of(i, depth) for i in range(self.stages[depth].n)]
 
 
-def build_complex(g, depth, caps=DEFAULT_CAPS, level1=None):
-    """Iterate rooted stages along root maps up to the requested depth;
-    ``level1`` is passed on to the Complex."""
+def build_complex(g, depth, caps=DEFAULT_CAPS):
+    """Iterate rooted stages along root maps up to the requested depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
@@ -233,11 +226,11 @@ def build_complex(g, depth, caps=DEFAULT_CAPS, level1=None):
         stages.append(st.poset)
         root_maps.append(st.root_map)
         member_masks.append(st.member_masks)
-    return Complex(g, stages, root_maps, member_masks, level1)
+    return Complex(g, stages, root_maps, member_masks)
 
 
-def terminal_complex(p, depth, caps=DEFAULT_CAPS, level1=None):
-    return build_complex(terminal_map(p), depth, caps, level1)
+def terminal_complex(p, depth, caps=DEFAULT_CAPS):
+    return build_complex(terminal_map(p), depth, caps)
 
 
 # -- nested tower values (no stage materialization) -------------------------
@@ -269,8 +262,7 @@ def image_tower_agrees(source, images, target_levels, assign):
     mask_labels(source.up, level l), so its image is
     mask_labels(source.up, image of level l). The images are therefore
     lifted by one mask_labels call per level, each only after the level
-    below has agreed, and no nested value is ever pushed through the map
-    (nested_image does that point by point).
+    below has agreed, and no nested value is ever pushed through the map.
     """
     images = list(images)
     for level, target in enumerate(target_levels):
@@ -281,127 +273,79 @@ def image_tower_agrees(source, images, target_levels, assign):
     return True
 
 
-def nested_image(first, level, value):
-    """Apply a level-1 function coordinatewise through the nesting levels."""
-    if level == 1:
-        return first(value)
-    return frozenset(nested_image(first, level - 1, s) for s in value)
-
-
-def value_leq(base, level, a, b):
-    if level == 1:
-        return base.leq(a, b)
-    return a >= b  # frozenset superset: reverse inclusion order
-
-
-def value_root(base, level, v):
-    """The least member of a level->=2 value (None if not rooted)."""
-    for m in v:
-        if all(value_leq(base, level - 1, m, s) for s in v):
-            return m
-    return None
-
-
 # -- tower maps --------------------------------------------------------------
 
 
 class TowerMap:
     """Depth-indexed family of coordinate maps approximating a lifted
-    p-morphism into the inverse limit.
+    p-morphism into the inverse limit of a materialized complex.
 
-    ``values[l]`` (1 <= l <= depth) is the tuple of nested level-l values
-    over the source. When a materialized complex is attached, ``maps``
-    additionally expresses every coordinate as a PosetMap into its stage,
-    including the trivial stage-0 coordinate.
+    ``maps[l]`` (0 <= l <= depth) is the level-l coordinate as a PosetMap
+    from the source into stage l, the trivial stage-0 coordinate included.
     """
 
-    def __init__(self, source, base, depth, values, complex=None, maps=None):
+    def __init__(self, source, complex, depth, maps):
         self.source = source
-        self.base = base
-        self.depth = depth
-        self.values = values
         self.complex = complex
-        self.maps = maps
-
-    @classmethod
-    def from_map(cls, f, depth, complex=None):
-        levels = tower_coords(f.source, f.assign, depth)
-        tm = cls(f.source, f.target, depth, levels, complex=complex)
-        if complex is not None:
-            tm._resolve()
-        return tm
-
-    def _resolve(self):
-        cx = self.complex
-        maps = [terminal_map(self.source, cx.stages[0])]
-        if not cx.is_terminal():
-            raise UnknownLabel("tower maps are resolved over terminal complexes")
-        for level in range(1, self.depth + 1):
-            try:
-                assign = [
-                    cx.value_index(level, v) for v in self.values[level - 1]
-                ]
-            except LiftOutsideStage:
-                raise LiftOutsideStage(
-                    f"lift coordinate {level} left the stage; this indicates "
-                    "an implementation bug, not a user error"
-                ) from None
-            maps.append(PosetMap(self.source, cx.stages[level], assign))
+        self.base = complex.stages[1]
+        self.depth = depth
         self.maps = tuple(maps)
 
-    def value(self, level, x):
-        return self.values[level - 1][x]
-
-    def coordinate(self, level):
-        if self.maps is None:
-            raise UnknownLabel("no materialized complex attached")
-        return self.maps[level]
+    @classmethod
+    def from_map(cls, f, depth, complex):
+        """The lift of f (a map into stage 1) to the given depth, one
+        Complex.lift_level lookup per level."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if depth > complex.depth:
+            raise UnknownLabel("complex not built deep enough")
+        src = f.source
+        maps = [terminal_map(src, complex.stages[0]), f]
+        for level in range(2, depth + 1):
+            assign = complex.lift_level(level, maps[-1].assign, src.up)
+            maps.append(PosetMap(src, complex.stages[level], assign))
+        return cls(src, complex, depth, maps)
 
     @property
     def base_map(self):
         """The level-1 coordinate as a PosetMap into the base."""
-        return PosetMap(self.source, self.base, self.values[0])
+        return self.maps[1]
 
     def coords_monotone(self):
-        src = self.source
-        for level in range(1, self.depth + 1):
-            vals = self.values[level - 1]
-            for x in range(src.n):
-                for y in iter_bits(src.up[x]):
-                    if not value_leq(self.base, level, vals[x], vals[y]):
-                        return False
-        return True
+        return all(is_monotone(m) for m in self.maps[1:])
 
     def compatible(self):
-        """Root of each coordinate value equals the previous coordinate."""
+        """The root of each coordinate's element is the previous
+        coordinate."""
         for level in range(2, self.depth + 1):
-            vals = self.values[level - 1]
-            prev = self.values[level - 2]
-            for x in range(self.source.n):
-                if value_root(self.base, level, vals[x]) != prev[x]:
+            roots = self.complex.root_maps[level].assign
+            prev = self.maps[level - 1].assign
+            for x, i in enumerate(self.maps[level].assign):
+                if roots[i] != prev[x]:
                     return False
         return True
 
-    def __eq__(self, other):
+    def _key(self):
         return (
-            isinstance(other, TowerMap)
-            and self.source == other.source
-            and self.base == other.base
-            and self.depth == other.depth
-            and self.values == other.values
+            self.source,
+            self.base,
+            self.depth,
+            tuple(m.assign for m in self.maps),
         )
 
+    def __eq__(self, other):
+        return isinstance(other, TowerMap) and self._key() == other._key()
+
     def __hash__(self):
-        return hash((self.source, self.base, self.depth, self.values))
+        return hash(self._key())
 
 
 def lift_map(f, complex, depth=None):
     """The unique tower map extending a monotone map, to the given depth.
 
-    Coordinates follow the recursion f_1 = f, f_{l+1}(x) = f_l[up(x)]; each
-    is resolved against the materialized stage (LiftOutsideStage would mean
-    the recursion produced a non-member, which the lifting result rules
-    out).
+    Coordinates follow the recursion f_1 = f, f_{l+1}(x) = f_l[up(x)], each
+    looked up in the materialized stage (LiftOutsideStage would mean the
+    recursion produced a non-member, which the lifting result rules out).
     """
     if not is_monotone(f):
         raise NotMonotone("lift_map needs a monotone map")
@@ -410,9 +354,7 @@ def lift_map(f, complex, depth=None):
     if f.target != complex.stages[1]:
         raise UnknownLabel("complex is not over the map's target")
     depth = complex.depth if depth is None else depth
-    if depth > complex.depth:
-        raise UnknownLabel("complex not built deep enough")
-    return TowerMap.from_map(f, depth, complex=complex)
+    return TowerMap.from_map(f, depth, complex)
 
 
 def check_limit_pmorphism(t, depth=None):
@@ -424,14 +366,14 @@ def check_limit_pmorphism(t, depth=None):
     tower above the image whose extensions all die out is no witness against
     the limit map being a p-morphism (the limit argument reaches level n
     agreement from constraints at level n+1), so the witness is required to
-    agree on coordinates 0..n-1.
+    agree on coordinates 0..n-1. A depth below 1 raises ValueError.
     """
     depth = t.depth if depth is None else depth
-    cx = t.complex
-    if cx is None:
-        raise UnknownLabel("check_limit_pmorphism needs a materialized complex")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if depth > t.depth:
         raise UnknownLabel("tower map not built deep enough")
+    cx = t.complex
     src = t.source
     stage_posets = cx.stages
     towers = cx.towers(depth)
@@ -458,13 +400,15 @@ def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAP
     level is one monotone_assignments search whose candidates for x are the
     stage elements rooted at x's coordinate one level down (a fibre of the
     root map). The maps come out depth first, every level in lexicographic
-    order; EnumerationTooLarge is raised on the map past caps.max_enumeration.
+    order; EnumerationTooLarge is raised on the map past caps.max_enumeration,
+    and ValueError on a depth below 1.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if depth > complex.depth:
         raise UnknownLabel("complex not built deep enough")
     stages = complex.stages
     fibres = {lv: complex.root_maps[lv].fibres() for lv in range(2, depth + 1)}
-    values = {lv: complex.stage_values(lv) for lv in range(1, depth + 1)}
     bottom = terminal_map(source, stages[0])
     if base_map is not None:
         firsts = [base_map.assign]
@@ -485,18 +429,11 @@ def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAP
         for chain in chains((first,)):
             if len(out) == caps.max_enumeration:
                 raise EnumerationTooLarge("too many tower maps")
-            coords = list(zip(range(1, depth + 1), chain))
-            out.append(
-                TowerMap(
-                    source,
-                    stages[1],
-                    depth,
-                    [tuple(values[lv][i] for i in a) for lv, a in coords],
-                    complex=complex,
-                    maps=(bottom,)
-                    + tuple(PosetMap(source, stages[lv], a) for lv, a in coords),
-                )
-            )
+            maps = [bottom] + [
+                PosetMap(source, stages[lv], a)
+                for lv, a in enumerate(chain, 1)
+            ]
+            out.append(TowerMap(source, complex, depth, maps))
     return out
 
 

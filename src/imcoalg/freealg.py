@@ -13,7 +13,7 @@ the stage that overflowed.
 
 from dataclasses import dataclass, field
 
-from .complexes import nested_image, terminal_complex, tower_coords
+from .complexes import terminal_complex
 from .config import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -66,9 +66,10 @@ class FreeStage:
 
     Elements of stage k >= 1 are pairs (generator element, inner stage
     element). ``inner_complex`` is the tower complex over the upsets of
-    stage k - 1 whose deepest stage holds the inner elements; its level-1
-    values are the upset masks themselves, so projections and R_k act on
-    masks directly.
+    stage k - 1 whose deepest stage holds the inner elements; ``upsets`` is
+    that Up(stage k - 1) (up_functor), whose masks index the complex's
+    stage 1, so a tower into it starts from one index_of_mask lookup per
+    point and goes up by Complex.lift_level.
     """
 
     index: int
@@ -79,13 +80,14 @@ class FreeStage:
     rel: tuple | None = None  # masks over prev, per element
     pairs: tuple | None = None  # (generator index, inner index) per element
     inner_complex: object = None
+    upsets: object = None
 
 
 def _build_next_stage(base, stage, inner_depth, caps):
     """Stage k+1 = base x (deepest stage of the tower complex over the
     upsets of stage k)."""
     fv = up_functor(stage.poset, caps)
-    cx = terminal_complex(fv.poset, inner_depth, caps, level1=fv.masks)
+    cx = terminal_complex(fv.poset, inner_depth, caps)
     inner = cx.stages[inner_depth]
     next_poset = product(base, inner)
     pairs = tuple(
@@ -96,21 +98,19 @@ def _build_next_stage(base, stage, inner_depth, caps):
     rel = tuple(steps[j] for _, j in pairs)
     # projection: stage 1 forgets the inner component; deeper stages push
     # the inner tower through the upward-closed direct image of the
-    # previous projection
+    # previous projection, level by level over the member masks
     if stage.index == 0:
         proj_assign = [i for i, _ in pairs]
     else:
         prev_cx = stage.inner_complex
-
-        def image(mask):
-            return stage.prev.up_close(stage.projection.image_mask(mask))
-
         moved = [
-            prev_cx.value_index(
-                inner_depth, nested_image(image, inner_depth, value)
+            stage.upsets.index_of_mask(
+                stage.prev.up_close(stage.projection.image_mask(mask))
             )
-            for value in cx.stage_values(inner_depth)
+            for mask in fv.masks
         ]
+        for level in range(2, inner_depth + 1):
+            moved = prev_cx.lift_level(level, moved, cx.member_masks[level])
         prev_n = prev_cx.stages[inner_depth].n
         proj_assign = [i * prev_n + moved[j] for i, j in pairs]
     return FreeStage(
@@ -122,6 +122,7 @@ def _build_next_stage(base, stage, inner_depth, caps):
         rel=rel,
         pairs=pairs,
         inner_complex=cx,
+        upsets=fv,
     )
 
 
@@ -216,12 +217,11 @@ def universal_lift(p, frame, free_stages):
                     "is not a p-morphism for the frame"
                 )
             images.append(img)
-        coords = tower_coords(source, images, inner_depth)
+        inner = [stage.upsets.index_of_mask(img) for img in images]
+        for level in range(2, inner_depth + 1):
+            inner = cx.lift_level(level, inner, source.up)
         inner_n = cx.stages[inner_depth].n
-        assign = []
-        for y in range(source.n):
-            inner_idx = cx.value_index(inner_depth, coords[inner_depth - 1][y])
-            assign.append(p.assign[y] * inner_n + inner_idx)
+        assign = [p.assign[y] * inner_n + inner[y] for y in range(source.n)]
         nxt = PosetMap(source, stage.poset, assign)
         if not is_monotone(nxt):
             raise NotPMorphism(

@@ -20,6 +20,8 @@ from .poset import (
     PosetMap,
     containment_rows,
     image,
+    is_monotone,
+    sorted_index,
     upset_masks,
 )
 
@@ -39,16 +41,10 @@ class FunctorValue:
     masks: tuple
 
     def index_of_mask(self, mask):
-        lo, hi = 0, len(self.masks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.masks[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.masks) or self.masks[lo] != mask:
+        i = sorted_index(self.masks, mask)
+        if i is None:
             raise ValueNotUpset(f"mask {mask:#x} is not in the {self.tag} carrier")
-        return lo
+        return i
 
 
 @functools.lru_cache
@@ -68,7 +64,7 @@ def up_functor(p, caps=DEFAULT_CAPS):
     return FunctorValue("up", p, value, masks)
 
 
-def up_functor_map(f, source_value=None, target_value=None):
+def up_functor_map(f):
     """Direct image on upsets, closed upward so the result is an upset,
     as a map between the Up(P) index posets.
 
@@ -78,12 +74,10 @@ def up_functor_map(f, source_value=None, target_value=None):
     (``up_close(f.image_mask(m))``); this index route is the reference the
     tests compare the mask route against.
     """
-    from .poset import is_monotone
-
     if not is_monotone(f):
         raise NotMonotone("up_functor_map needs a monotone map")
-    sv = source_value if source_value is not None else up_functor(f.source)
-    tv = target_value if target_value is not None else up_functor(f.target)
+    sv = up_functor(f.source)
+    tv = up_functor(f.target)
     assign = [
         tv.index_of_mask(f.target.up_close(f.image_mask(m))) for m in sv.masks
     ]

@@ -34,6 +34,8 @@ Conventions used throughout the package:
 ``up[i]`` is the bitmask of ``{j : i <= j}`` including ``i`` itself.
 """
 
+from bisect import bisect_left
+
 from .errors import (
     DuplicateLabel,
     NotAntisymmetric,
@@ -59,6 +61,15 @@ def image(rows, mask):
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def sorted_index(items, value):
+    """The index of value in the ascending sequence items, found by one
+    bisection; None when value is absent."""
+    i = bisect_left(items, value)
+    if i < len(items) and items[i] == value:
+        return i
+    return None
 
 
 def transpose(rows, n):
@@ -362,10 +373,12 @@ def product(p, q):
 
 def is_monotone(f):
     """x <= y implies f(x) <= f(y): each ↑x lies inside the preimage of
-    ↑f(x), read off the fibres of f."""
+    ↑f(x), read off the fibres of f. Only the targets f hits have their
+    preimage built, so a map from a few points into a large stage costs
+    a few rows, not one per target element."""
     src, tgt = f.source, f.target
     fibres = f.fibres()
-    pre = [image(fibres, row) for row in tgt.up]
+    pre = {t: image(fibres, tgt.up[t]) for t in set(f.assign)}
     return all(not row & ~pre[t] for row, t in zip(src.up, f.assign))
 
 

@@ -1,20 +1,27 @@
-"""Helpers shared by the test modules: relabelled posets, label masks and
-the benchmark modules the tests read.
+"""Helpers shared by the test modules: relabelled posets, label masks, the
+nested-value route for tower lifts and the benchmark modules the tests
+read.
 
 ``all_posets`` and ``random_poset`` label naturally (i <= j only if i <= j
 as integers), so a kernel compared on their output alone never meets an
 element with an earlier element above it. ``relabel`` moves the elements of
 a poset to other indices, and ``move_mask`` moves a subset with them.
+
+The nested-value route holds an element of stage l+1 as the frozenset of
+the level-l values of its members (``stage_values``), so a lift is
+computed value by value (``tower_coords``) and resolved to stage indices
+through a value table (``nested_lift``). The library lifts by stage
+indices only; this route is the oracle it is compared with.
 """
 
 import importlib.util
 from itertools import permutations
 from pathlib import Path
 
-from imcoalg.complexes import nested_image
+from imcoalg.complexes import tower_coords
 from imcoalg.enumeration import _permuted, all_posets
 from imcoalg.frames import ModalFrame
-from imcoalg.poset import Poset, PosetMap, image
+from imcoalg.poset import Poset, PosetMap, image, iter_bits, mask_labels
 
 
 def posets_up_to(n):
@@ -63,6 +70,70 @@ def compose(g, f):
     """g after f (f's target must be g's source)."""
     assert f.target == g.source, "composition mismatch"
     return PosetMap(f.source, g.target, [g.assign[i] for i in f.assign])
+
+
+# -- the nested-value route -------------------------------------------------
+
+
+def nested_image(first, level, value):
+    """Apply a level-1 function coordinatewise through the nesting levels."""
+    if level == 1:
+        return first(value)
+    return frozenset(nested_image(first, level - 1, s) for s in value)
+
+
+def value_leq(base, level, a, b):
+    if level == 1:
+        return base.leq(a, b)
+    return a >= b  # frozenset superset: reverse inclusion order
+
+
+def value_root(base, level, v):
+    """The least member of a level->=2 value (None if not rooted)."""
+    for m in v:
+        if all(value_leq(base, level - 1, m, s) for s in v):
+            return m
+    return None
+
+
+def stage_values(cx, level):
+    """The nested value of each element of stage ``level`` of a
+    materialized complex: its index at level 1, the frozenset of its
+    members' values above."""
+    values = tuple(range(cx.stages[1].n))
+    for lv in range(2, level + 1):
+        values = tuple(mask_labels(cx.member_masks[lv], values))
+    return values
+
+
+def nested_lift(f, cx, depth):
+    """lift_map's coordinates 1..depth by the nested route: tower_coords
+    of f, each level-l value looked up among the values of stage l
+    (KeyError on a value off the stage)."""
+    out = []
+    for level, values in enumerate(tower_coords(f.source, f.assign, depth), 1):
+        index = {v: k for k, v in enumerate(stage_values(cx, level))}
+        out.append(tuple(index[v] for v in values))
+    return out
+
+
+def nested_monotone(source, base, levels):
+    """Every nested lift level is monotone over the source."""
+    for level, values in enumerate(levels, 1):
+        for x in range(source.n):
+            for y in iter_bits(source.up[x]):
+                if not value_leq(base, level, values[x], values[y]):
+                    return False
+    return True
+
+
+def nested_compatible(base, levels):
+    """The root of each nested value is the value one level down."""
+    for level in range(2, len(levels) + 1):
+        for v, below in zip(levels[level - 1], levels[level - 2]):
+            if value_root(base, level, v) != below:
+                return False
+    return True
 
 
 def first_disagreement(first, source_levels, target_levels, assign):

@@ -27,13 +27,11 @@ from imcoalg.bisim import (
     saturated_valuation,
 )
 from imcoalg.complexes import (
-    TowerMap,
     build_complex,
     check_adjunction,
     check_limit_pmorphism,
     enumerate_tower_maps,
     lift_map,
-    nested_image,
     tower_coords,
 )
 from imcoalg.errors import CapExceeded, ProjectionNotPMorphism
@@ -84,7 +82,8 @@ from imcoalg.enumeration import (
     random_upset,
 )
 
-from test_frames import index_levels_as_masks
+from helpers import nested_image
+from test_frames import index_levels_as_masks, index_lift_is_tower
 from test_freealg import (
     GOLDEN_STAGE_SIZES,
     chain_to_gen,
@@ -119,9 +118,9 @@ def _check_correspondence(fr):
     fv = up_functor(fr.poset)
     m = frame_to_upmap(fr, fv)
     assert upmap_to_frame(m) == fr
-    index = TowerMap.from_map(m, 3)
-    assert index.values[0] == m.assign
-    assert index.compatible() and index.coords_monotone()
+    index = tower_coords(fr.poset, m.assign, 3)
+    assert index[0] == m.assign
+    assert index_lift_is_tower(fr, index, fv)
     assert frame_to_lifted(fr, 3) == index_levels_as_masks(index, fv)
 
 
@@ -189,7 +188,6 @@ def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
         for q in posets:
             frames2 = iso_frames[q]
             towers2 = {fr: _index_levels(fr) for fr in frames2}
-            fv1, fv2 = up_functor(p), up_functor(q)
             exhaustive_small = p.n <= 2 and q.n <= 2
             for f in all_functions(p, q):
                 if not is_pmorphism(f):
@@ -198,7 +196,7 @@ def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
                     assert not is_modal_pmorphism(f, f1, f2)
                     assert not check_coalgebra_morphism(f, f1, f2, 3)
                     continue
-                u = up_functor_map(f, fv1, fv2).assign.__getitem__
+                u = up_functor_map(f).assign.__getitem__
                 by_key = {}
                 for f2 in frames2:
                     key = tuple(f2.rel[fx] for fx in f.assign)

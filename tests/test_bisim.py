@@ -19,7 +19,7 @@ from imcoalg.bisim import (
     search_distinguishing_formulas,
 )
 from imcoalg.config import Caps
-from imcoalg.complexes import TowerMap, nested_image, tower_coords
+from imcoalg.complexes import tower_coords
 from imcoalg.errors import (
     CapExceeded,
     IncompatibleValuations,
@@ -55,7 +55,7 @@ from imcoalg.enumeration import (
     random_upset,
 )
 
-from helpers import first_disagreement, mask_of
+from helpers import first_disagreement, mask_of, nested_image
 
 
 def chain2():
@@ -518,20 +518,22 @@ def index_bisim_check(bis, depth=2):
                 m |= 1 << j
         rho_masks.append(m)
     fv_b = up_functor(bp)
-    fv_l = up_functor(bis.left.poset)
-    fv_r = up_functor(bis.right.poset)
-    rho = PosetMap(bp, fv_b.poset, [fv_b.index_of_mask(m) for m in rho_masks])
-    towers_b = TowerMap.from_map(rho, depth)
-    towers_l = TowerMap.from_map(frame_to_upmap(bis.left, fv_l), depth)
-    towers_r = TowerMap.from_map(frame_to_upmap(bis.right, fv_r), depth)
-    u_l = up_functor_map(proj_left, fv_b, fv_l).assign.__getitem__
-    u_r = up_functor_map(proj_right, fv_b, fv_r).assign.__getitem__
+    rho = [fv_b.index_of_mask(m) for m in rho_masks]
+    towers_b = tower_coords(bp, rho, depth)
+    towers_l = tower_coords(
+        bis.left.poset, frame_to_upmap(bis.left).assign, depth
+    )
+    towers_r = tower_coords(
+        bis.right.poset, frame_to_upmap(bis.right).assign, depth
+    )
+    u_l = up_functor_map(proj_left).assign.__getitem__
+    u_r = up_functor_map(proj_right).assign.__getitem__
     for i, (x, y) in enumerate(chosen):
         for level in range(1, depth + 1):
-            value = towers_b.value(level, i)
-            if nested_image(u_l, level, value) != towers_l.value(level, x):
+            value = towers_b[level - 1][i]
+            if nested_image(u_l, level, value) != towers_l[level - 1][x]:
                 return False
-            if nested_image(u_r, level, value) != towers_r.value(level, y):
+            if nested_image(u_r, level, value) != towers_r[level - 1][y]:
                 return False
     return True
 

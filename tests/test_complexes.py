@@ -14,15 +14,14 @@ from imcoalg.complexes import (
     image_tower_agrees,
     intuitionistic_lift,
     lift_map,
-    nested_image,
     terminal_complex,
     tower_coords,
-    value_root,
     verify_complex,
 )
 from imcoalg.config import Caps
 from imcoalg.errors import (
     EnumerationTooLarge,
+    LiftOutsideStage,
     NotMonotone,
     StageTooLarge,
     UnknownLabel,
@@ -47,7 +46,16 @@ from imcoalg.enumeration import (
     random_poset,
 )
 
-from helpers import first_disagreement, posets_up_to
+from helpers import (
+    first_disagreement,
+    nested_compatible,
+    nested_image,
+    nested_lift,
+    nested_monotone,
+    posets_up_to,
+    stage_values,
+    value_root,
+)
 
 from test_poset import (
     assert_matches_eager,
@@ -295,22 +303,6 @@ class TestComplexes:
         cx = build_complex(terminal_map(point_poset()), 4)
         assert [s.n for s in cx.stages] == [1, 1, 1, 1, 1]
 
-    def test_level1_values_from_the_caller(self):
-        # over Up(P) the masks can stand in for the indices at every level
-        for p in (chain2(), antichain2()):
-            fv = up_functor(p)
-            by_index = terminal_complex(fv.poset, 3)
-            by_mask = terminal_complex(fv.poset, 3, level1=fv.masks)
-            assert by_mask.stage_values(1) == fv.masks
-            for i in (1, 2, 3):
-                assert by_mask.stages[i] == by_index.stages[i]
-                assert by_mask.stage_values(i) == tuple(
-                    nested_image(fv.masks.__getitem__, i, v)
-                    for v in by_index.stage_values(i)
-                )
-                for k, v in enumerate(by_mask.stage_values(i)):
-                    assert by_mask.value_index(i, v) == k
-
     def test_towers_are_compatible_chains(self):
         cx = build_complex(terminal_map(chain2()), 3)
         towers = cx.towers()
@@ -326,16 +318,17 @@ class TestLift:
         one = point_poset()
         cx = build_complex(terminal_map(one), 3)
         t = lift_map(identity_map(one), cx, 3)
-        assert all(len(set(t.values[l])) == 1 for l in range(3))
+        assert [m.assign for m in t.maps] == [(0,)] * 4
 
     def test_chain_identity_depth2(self):
         p = chain2()
         cx = build_complex(terminal_map(p), 2)
         t = lift_map(identity_map(p), cx, 2)
         a, b = p.index("a"), p.index("b")
-        assert t.value(1, a) == a and t.value(1, b) == b
-        assert t.value(2, a) == frozenset({a, b})
-        assert t.value(2, b) == frozenset({b})
+        assert t.base_map.assign[a] == a and t.base_map.assign[b] == b
+        values = stage_values(cx, 2)
+        assert values[t.maps[2].assign[a]] == frozenset({a, b})
+        assert values[t.maps[2].assign[b]] == frozenset({b})
 
     def test_base_coordinate_is_f(self):
         p, q = antichain2(), chain2()
@@ -360,18 +353,45 @@ class TestLift:
                         assert t.compatible()
                         assert t.coords_monotone()
 
-    def test_lift_values_are_valid_stage_members(self):
-        # every pointwise lift value is an element of the materialized
-        # stage (value_index raises LiftOutsideStage otherwise); the stages
-        # themselves are checked against the rooted-subset scan above
-        for q in all_posets(3):
+    def test_index_lift_matches_nested_route(self):
+        # every monotone map between posets of at most three elements, at
+        # depth 3: the stage-index lift is the nested-value lift resolved
+        # through the stage values, and both are compatible and monotone
+        posets = posets_up_to(3)
+        count = 0
+        for q in posets:
             cx = terminal_complex(q, 3)
-            for p in all_posets(2):
+            for p in posets:
                 for f in monotone_maps(p, q):
+                    t = lift_map(f, cx, 3)
+                    got = [m.assign for m in t.maps[1:]]
+                    assert got == nested_lift(f, cx, 3)
                     levels = tower_coords(p, f.assign, 3)
-                    for level in (1, 2, 3):
-                        for v in levels[level - 1]:
-                            cx.value_index(level, v)
+                    assert t.compatible() == nested_compatible(q, levels)
+                    assert t.coords_monotone() == nested_monotone(p, q, levels)
+                    assert t.compatible() and t.coords_monotone()
+                    count += 1
+        assert count == 476
+
+    def test_lift_level_refuses_a_non_member(self):
+        # a < b sent to the two points of an antichain: the image of up(a)
+        # is not rooted, so it is no element of stage 2
+        p, q = chain2(), antichain2()
+        cx = terminal_complex(q, 2)
+        assert cx.lift_level(2, [0, 0], p.up) == [0, 0]
+        with pytest.raises(LiftOutsideStage, match="stage 2"):
+            cx.lift_level(2, [0, 1], p.up)
+
+    def test_tower_map_equality_reads_the_assignments(self):
+        q = chain2()
+        cx, again = terminal_complex(q, 3), terminal_complex(q, 3)
+        for f in monotone_maps(q, q):
+            t = lift_map(f, cx, 3)
+            assert t == lift_map(f, again, 3)
+            assert hash(t) == hash(lift_map(f, again, 3))
+            assert t != lift_map(f, cx, 2)
+        lifts = {lift_map(f, cx, 3) for f in monotone_maps(q, q)}
+        assert len(lifts) == len(monotone_maps(q, q))
 
     def test_lift_passes_limit_check(self):
         for n in (1, 2, 3):
@@ -451,16 +471,31 @@ class TestDepthBelowOne:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             tower_coords(p, range(p.n), depth)
         with pytest.raises(ValueError, match="depth must be >= 1"):
-            TowerMap.from_map(identity_map(p), depth)
+            TowerMap.from_map(identity_map(p), depth, terminal_complex(p, 2))
         with pytest.raises(ValueError, match="depth must be >= 1"):
             lift_map(identity_map(p), terminal_complex(p, 2), depth)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             build_complex(terminal_map(p), depth)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_tower_map_search_refuses_it(self, depth):
+        # depth 0 used to return vacuous copies of the stage-0 coordinate
+        p = chain2()
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            enumerate_tower_maps(p, terminal_complex(p, 2), depth)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_limit_check_refuses_it(self, depth):
+        # depth 0 passed vacuously, and depth -1 raised IndexError
+        p = chain2()
+        t = lift_map(identity_map(p), terminal_complex(p, 2), 2)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            check_limit_pmorphism(t, depth)
+
 
 class TestImageTowerAgrees:
     """image_tower_agrees against the nested_image route it replaced
-    (first_disagreement)."""
+    (first_disagreement, in tests/helpers.py)."""
 
     def test_every_two_valued_level_one_and_every_function(self):
         # level-1 values in {0, 1} on both sides and every function between

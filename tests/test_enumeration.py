@@ -121,17 +121,12 @@ def tower_maps_by_backtracking(source, complex, depth, base_map=None,
                 budget -= 1
                 if budget < 0:
                     raise EnumerationTooLarge("too many tower maps")
-                values = [
-                    tuple(complex.stage_values(lv)[i] for i in partial[lv - 1])
-                    for lv in range(1, depth + 1)
-                ]
                 maps = [terminal_map(source, complex.stages[0])]
                 maps += [
                     PosetMap(source, complex.stages[lv], partial[lv - 1])
                     for lv in range(1, depth + 1)
                 ]
-                out.append(TowerMap(source, complex.stages[1], depth, values,
-                                    complex=complex, maps=tuple(maps)))
+                out.append(TowerMap(source, complex, depth, maps))
                 return
             stage = complex.stages[level]
             root = complex.root_maps[level].assign
@@ -214,7 +209,7 @@ class TestTowerMapSearch:
             for p in LABELLED_3:
                 got = enumerate_tower_maps(p, cx, 2)
                 want = tower_maps_by_backtracking(p, cx, 2)
-                # TowerMap equality reads only the values
+                # TowerMap equality reads the assignments
                 assert got == want
                 assert [t.maps for t in got] == [t.maps for t in want]
                 if p in posets:

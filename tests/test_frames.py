@@ -31,7 +31,7 @@ from imcoalg.frames import (
     check_nbhd_coalgebra_morphism,
     upmap_to_frame,
 )
-from imcoalg.complexes import TowerMap, nested_image
+from imcoalg.complexes import tower_coords
 from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg.poset import (
     PosetMap,
@@ -53,7 +53,13 @@ from imcoalg.enumeration import (
 )
 from imcoalg.framefile import parse_frame_file
 
-from helpers import compose, first_disagreement
+from helpers import (
+    compose,
+    first_disagreement,
+    nested_compatible,
+    nested_image,
+    nested_monotone,
+)
 from test_bisim import _iso_frames_up_to_three
 
 
@@ -244,17 +250,24 @@ class TestCorrespondence:
 
 
 def index_lifted(frame, depth, fv=None):
-    """The lift of x -> R[x] as a TowerMap over Up(P) indices."""
+    """The lift of x -> R[x] as nested levels over Up(P) indices."""
     fv = fv if fv is not None else up_functor(frame.poset)
-    return TowerMap.from_map(frame_to_upmap(frame, fv), depth)
+    return tower_coords(frame.poset, frame_to_upmap(frame, fv).assign, depth)
 
 
-def index_levels_as_masks(towers, fv):
+def index_levels_as_masks(levels, fv):
     """The levels of an index-valued lift, with each index read as its mask."""
     return [
         tuple(nested_image(fv.masks.__getitem__, level, v) for v in values)
-        for level, values in enumerate(towers.values, 1)
+        for level, values in enumerate(levels, 1)
     ]
+
+
+def index_lift_is_tower(frame, levels, fv):
+    """The index-valued lift is compatible and monotone (nested route)."""
+    return nested_compatible(fv.poset, levels) and nested_monotone(
+        frame.poset, fv.poset, levels
+    )
 
 
 def index_coalgebra_morphism(f, frame1, frame2, depth=3):
@@ -264,16 +277,14 @@ def index_coalgebra_morphism(f, frame1, frame2, depth=3):
         return False
     if not is_pmorphism(f):
         return False
-    fv1 = up_functor(frame1.poset)
-    fv2 = up_functor(frame2.poset)
-    u = up_functor_map(f, fv1, fv2).assign.__getitem__
-    towers1 = index_lifted(frame1, depth, fv1)
-    towers2 = index_lifted(frame2, depth, fv2)
+    u = up_functor_map(f).assign.__getitem__
+    towers1 = index_lifted(frame1, depth)
+    towers2 = index_lifted(frame2, depth)
     for x in range(frame1.poset.n):
         fx = f.assign[x]
         for level in range(1, depth + 1):
-            lhs = nested_image(u, level, towers1.value(level, x))
-            if lhs != towers2.value(level, fx):
+            lhs = nested_image(u, level, towers1[level - 1][x])
+            if lhs != towers2[level - 1][fx]:
                 return False
     return True
 
@@ -292,8 +303,7 @@ class TestLiftedCoalgebra:
         fr = ModalFrame.from_pairs(one, [])
         t = frame_to_lifted(fr, 3)
         assert t == [(0,), (frozenset({0}),), (frozenset({frozenset({0})}),)]
-        index = index_lifted(fr, 3)
-        assert index.compatible() and index.coords_monotone()
+        assert index_lift_is_tower(fr, index_lifted(fr, 3), up_functor(one))
 
     def test_level1_equals_upmap(self):
         fr = serial_chain_frame()
@@ -318,7 +328,7 @@ class TestLiftedCoalgebra:
                 t = frame_to_lifted(fr, 3)
                 index = index_lifted(fr, 3, fv)
                 assert t == index_levels_as_masks(index, fv)
-                assert index.compatible() and index.coords_monotone()
+                assert index_lift_is_tower(fr, index, fv)
 
     def test_mix_law_violation_raises(self):
         for fr in non_mix_frames():
@@ -426,7 +436,7 @@ class TestCoalgebraMorphism:
 
 class TestMaskRouteOracle:
     """check_coalgebra_morphism on upset masks agrees with the index route
-    over Up(P) (up_functor, up_functor_map, TowerMap.from_map)."""
+    over Up(P) (up_functor, up_functor_map, tower_coords)."""
 
     def test_exhaustive_small(self):
         posets = all_posets(1) + all_posets(2)
@@ -617,7 +627,7 @@ class TestPowUp:
         posets = all_posets(1) + all_posets(2)
         lifted = {
             p: [
-                (nf, TowerMap.from_map(nbhd_to_coalgebra(nf), 3).values)
+                (nf, tower_coords(p, nbhd_to_coalgebra(nf).assign, 3))
                 for nf in _all_nbhd_frames(p, pow_up_functor(p))
             ]
             for p in posets

@@ -2,14 +2,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from imcoalg.complexes import (
-    nested_image,
-    terminal_complex,
-    tower_coords,
-    value_root,
-)
+from imcoalg.complexes import terminal_complex, tower_coords
 from imcoalg.config import Caps
-from imcoalg.enumeration import monotone_maps
+from imcoalg.enumeration import frames_on, monotone_maps, pmorphisms
 from imcoalg.errors import (
     CapExceeded,
     MixLawViolation,
@@ -19,6 +14,8 @@ from imcoalg.errors import (
 )
 from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.freealg import (
+    MAX_INNER_DEPTH,
+    MAX_STAGES,
     FreeStage,
     build_free_stages,
     check_modal_stage_properties,
@@ -39,6 +36,8 @@ from imcoalg.poset import (
     terminal_map,
     upset_masks,
 )
+
+from helpers import nested_image, posets_up_to, stage_values, value_root
 
 
 # -- the criterion-8 inputs (shared with tests/test_acceptance.py) -----------
@@ -115,9 +114,10 @@ def reflexive_bottom_chain():
 
 
 def index_route_stages(base, stages, inner_depth):
-    """The layer sequence with Up(P) indices as level-1 values: R_k by the
-    iterated root of the inner tower, projections through up_functor_map
-    and the previous complex's value index."""
+    """The layer sequence by the nested-value route over Up(P) indices: R_k
+    by the iterated root of the inner tower's nested value, projections by
+    pushing nested values through up_functor_map and looking them up in
+    the previous complex's value table."""
     out = [SimpleNamespace(
         index=0, poset=base, projection=identity_map(base),
         inner_depth=inner_depth,
@@ -126,7 +126,7 @@ def index_route_stages(base, stages, inner_depth):
         stage = out[-1]
         fv = up_functor(stage.poset)
         cx = terminal_complex(fv.poset, inner_depth)
-        vals = cx.stage_values(inner_depth)
+        vals = stage_values(cx, inner_depth)
         poset = product(base, cx.stages[inner_depth])
         pairs = tuple(
             (i, j) for i in range(base.n)
@@ -141,13 +141,12 @@ def index_route_stages(base, stages, inner_depth):
         if stage.index == 0:
             assign = [i for i, _ in pairs]
         else:
-            u = up_functor_map(stage.projection, fv, stage.fv).assign
+            u = up_functor_map(stage.projection).assign
             prev_n = stage.cx.stages[inner_depth].n
             assign = [
-                i * prev_n + stage.cx.value_index(
-                    inner_depth,
-                    nested_image(u.__getitem__, inner_depth, vals[j]),
-                )
+                i * prev_n + stage.index_of[
+                    nested_image(u.__getitem__, inner_depth, vals[j])
+                ]
                 for i, j in pairs
             ]
         out.append(SimpleNamespace(
@@ -155,6 +154,7 @@ def index_route_stages(base, stages, inner_depth):
             projection=PosetMap(poset, stage.poset, assign),
             inner_depth=inner_depth, prev=stage.poset, rel=tuple(rel),
             pairs=pairs, fv=fv, cx=cx,
+            index_of={v: k for k, v in enumerate(vals)},
         ))
     return out
 
@@ -174,7 +174,7 @@ def index_route_lift(p, frame, stages):
         top = tower_coords(source, images, d)[d - 1]
         inner_n = stage.cx.stages[d].n
         maps.append(PosetMap(source, stage.poset, [
-            p.assign[y] * inner_n + stage.cx.value_index(d, top[y])
+            p.assign[y] * inner_n + stage.index_of[top[y]]
             for y in range(source.n)
         ]))
     return maps
@@ -186,7 +186,7 @@ def index_route_truncated_pmorphism(stage, assign, source):
     if not is_monotone(PosetMap(source, stage.poset, assign)):
         return False
     d = stage.inner_depth
-    vals = stage.cx.stage_values(d)
+    vals = stage_values(stage.cx, d)
 
     def prefix(c):
         return None if d == 1 else value_root(stage.fv.poset, d, vals[c])
@@ -204,8 +204,45 @@ def index_route_truncated_pmorphism(stage, assign, source):
 
 
 class TestIndexRouteOracle:
-    """The mask-valued layers against the index route, on the criterion-8
-    configurations and hand-built frames."""
+    """The stage-index layers against the nested-value route, on the
+    criterion-8 configurations, hand-built frames and every layer sequence
+    over a generator poset inside the caps."""
+
+    def test_every_generator_sequence_inside_the_caps(self):
+        # generators 0-2 (3 generators make an 8-element base, past
+        # MAX_BASE), every stage count and inner depth; the projections
+        # match, and so do the universal lifts of every p-morphism from a
+        # poset of at most two elements with every mix-law frame on it
+        refused = set()
+        lifts = 0
+        for g in range(3):
+            base = generator_poset([f"p{i}" for i in range(g)])
+            seeds = [
+                (f, frame)
+                for p in posets_up_to(2)
+                for f in pmorphisms(p, base)
+                for frame in frames_on(p)
+            ]
+            for stages in range(MAX_STAGES + 1):
+                for depth in range(1, MAX_INNER_DEPTH + 1):
+                    try:
+                        lib = build_free_stages(base, stages, depth)
+                    except StageTooLarge:
+                        refused.add((g, stages, depth))
+                        continue
+                    ref = index_route_stages(base, stages, depth)
+                    for a, b in zip(lib, ref, strict=True):
+                        assert a.poset == b.poset
+                        assert a.projection == b.projection
+                    for f, frame in seeds:
+                        try:
+                            maps = universal_lift(f, frame, lib)
+                        except NotPMorphism:
+                            continue
+                        assert maps == index_route_lift(f, frame, ref)
+                        lifts += 1
+        assert refused == {(1, 2, 2), (2, 2, 2)}
+        assert lifts == 474
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_STAGE_SIZES))
     def test_stages_match(self, key):

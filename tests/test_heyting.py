@@ -134,6 +134,16 @@ class TestUpFunctorMap:
                 m = up_functor_map(identity_map(p))
                 assert m.assign == tuple(range(m.source.n))
 
+    def test_index_of_mask_finds_every_upset_and_nothing_else(self):
+        for p in all_posets(3):
+            for tag, fv in (("up", up_functor(p)), ("powup", pow_up_functor(p))):
+                for i, mask in enumerate(fv.masks):
+                    assert fv.index_of_mask(mask) == i
+                others = set(range(1 << fv.base.n)) - set(fv.masks)
+                for mask in sorted(others)[:8]:
+                    with pytest.raises(ValueNotUpset, match=tag):
+                        fv.index_of_mask(mask)
+
     def test_terminal_map_action(self):
         p = chain2()
         m = up_functor_map(terminal_map(p))
@@ -175,8 +185,8 @@ class TestUpFunctorMap:
                         for g in monotone_maps(q, r)[:5]:
                             lhs = up_functor_map(compose(g, f))
                             rhs = compose(
-                                up_functor_map(g, up_functor(q), up_functor(r)),
-                                up_functor_map(f, up_functor(p), up_functor(q)),
+                                up_functor_map(g),
+                                up_functor_map(f),
                             )
                             assert lhs.assign == rhs.assign
 

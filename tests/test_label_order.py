@@ -7,8 +7,10 @@ elements is taken under every permutation of its indices (419 labelled
 posets, repeats included), and each kernel is checked to commute with the
 relabelling: f(relabel(x)) == relabel(f(x)). containment_rows is checked
 the same way under permutations of the base bits, over one to three 8-bit
-chunks. The lift (tower_coords) is checked on the indices themselves, and
-the lifted-square kernel (image_tower_agrees) on every monotone map into a
+chunks. The lift (tower_coords) is checked on the indices themselves, the
+stage-index lift (lift_map) on every monotone map between posets of at most
+three elements with source and target each under every labelling, its
+stage elements read by their labels, and the lifted-square kernel (image_tower_agrees) on every monotone map into a
 poset of at most two elements. The greatest bisimulation, with and without
 a valuation, is checked on every pair of frames on at most two elements and
 on seeded pairs of three-element frames, each side under every labelling.
@@ -21,7 +23,13 @@ import random
 from itertools import permutations
 
 from imcoalg.bisim import largest_bisimulation, largest_model_bisimulation
-from imcoalg.complexes import build_p_g, image_tower_agrees, tower_coords
+from imcoalg.complexes import (
+    build_p_g,
+    image_tower_agrees,
+    lift_map,
+    terminal_complex,
+    tower_coords,
+)
 from imcoalg.enumeration import (
     _permuted,
     mix_relations,
@@ -38,6 +46,7 @@ from imcoalg.logic import (
     truth_mask,
 )
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     containment_rows,
     is_open_mask,
@@ -175,6 +184,38 @@ def test_tower_coords_commute_with_relabelling():
         got = tower_coords(q, first, 3)
         for level_want, level_got in zip(want, got):
             assert [level_got[y] for y in perm] == list(level_want)
+
+
+def test_lift_map_commutes_with_relabelling():
+    # the target's labels travel with its elements, so a stage element of
+    # either complex is named by the same nested frozenset of labels
+    def lift_labels(f, cx):
+        t = lift_map(f, cx, 3)
+        return [
+            [cx.stages[lv].labels[i] for i in t.maps[lv].assign]
+            for lv in (1, 2, 3)
+        ]
+
+    count = 0
+    for t, sigma, moved_t in RELABELLED_3:
+        labels = [None] * t.n
+        for x, y in enumerate(sigma):
+            labels[y] = t.labels[x]
+        moved_t = Poset(labels, moved_t.up)
+        cx, moved_cx = terminal_complex(t, 3), terminal_complex(moved_t, 3)
+        for p, perm, q in RELABELLED_3:
+            for f in monotone_maps(p, t):
+                want = lift_labels(f, cx)
+                assign = [0] * p.n
+                for x, y in enumerate(f.assign):
+                    assign[perm[x]] = sigma[y]
+                got = lift_labels(PosetMap(q, moved_t, assign), moved_cx)
+                for level_want, level_got in zip(want, got):
+                    assert [level_got[perm[x]] for x in range(p.n)] == (
+                        level_want
+                    )
+                count += 1
+    assert count == 13145
 
 
 def test_image_tower_agrees_commutes_with_relabelling():

@@ -30,6 +30,7 @@ from imcoalg.poset import (
     open_table,
     point_poset,
     product,
+    sorted_index,
     terminal_map,
     transpose,
     upset_masks,
@@ -498,6 +499,14 @@ class TestRelationKernels:
     def test_no_rows(self):
         assert image([], 0) == 0
         assert transpose([], 0) == []
+
+    def test_sorted_index_matches_a_scan(self):
+        rng = random.Random(17)
+        for size in range(12):
+            items = sorted(rng.sample(range(40), size))
+            for value in range(-1, 42):
+                want = items.index(value) if value in items else None
+                assert sorted_index(items, value) == want
         assert transpose([], 3) == [0, 0, 0]
 
     def test_product_matches_bit_loops_up_to_three_elements(self):

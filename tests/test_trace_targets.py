@@ -2,8 +2,10 @@
 
 ``bench/layers.py`` lists every traced layer as (metric, module, attribute
 path). A deleted or renamed library function would only surface when a
-traced benchmark run fails; this test resolves every entry directly. The
-work counters read library values the same way, so the ones that read a
+traced benchmark run fails; this test resolves every entry directly. A
+dotted entry names a method that the tracer rebinds as a classmethod of the
+wrapped ``__func__``, so it must be a classmethod in its class ``__dict__``:
+a plain or static method would break traced runs only. The work counters read library values the same way, so the ones that read a
 Bisimulation are run on a real result here.
 """
 
@@ -31,6 +33,19 @@ def test_traced_attribute_resolves(metric, module, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target), metric
+
+
+@pytest.mark.parametrize(
+    "metric, module, attr",
+    [entry for entry in traced_targets() if "." in entry[2]],
+    ids=str,
+)
+def test_traced_method_is_a_classmethod(metric, module, attr):
+    owner = importlib.import_module("imcoalg." + module)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert isinstance(owner.__dict__.get(name), classmethod), metric
 
 
 def test_bisimulation_counters_read_a_real_result():
