@@ -329,9 +329,9 @@ def cmd_lift(args):
         report.info(f"{format_label(frame.poset.labels[x])}:")
         for level in range(1, args.depth + 1):
             i = lifted.maps[level].assign[x]
-            report.info(
-                f"  level {level}: {format_label(cx.stages[level].labels[i])}"
-            )
+            # label() builds the printed label alone, from its members down
+            label = cx.stages[level].label(i)
+            report.info(f"  level {level}: {format_label(label)}")
     report.check("tower-compatible", lifted.compatible())
     report.check("coords-monotone", lifted.coords_monotone())
     report.check("limit-pmorphism", check_limit_pmorphism(lifted, args.depth))

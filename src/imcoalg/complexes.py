@@ -44,10 +44,9 @@ from .heyting import up_functor
 from .poset import (
     Poset,
     PosetMap,
-    containment_rows,
+    all_open,
     is_monotone,
     image,
-    is_open_mask,
     iter_bits,
     mask_labels,
     monotone_assignments,
@@ -82,11 +81,13 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     fibre masks meets the included set. The root's own fibre masks are
     checked each time an element is left out, and the branch is abandoned
     as soon as one of them has no element left among the included and
-    undecided ones, so every leaf is open. The order rows come from
-    per-chunk tables (containment_rows); the stage poset is carried by the
-    member masks (Poset.over_masks), so its labels, the frozensets of the
-    members' base labels, are built by mask_labels only when something
-    reads them, such as the DOT and JSON writers.
+    undecided ones, so every leaf is open. The stage poset is carried by
+    the member masks (Poset.over_masks): its order rows (containment_rows)
+    are built the first time something reads them, such as the next
+    stage's build, a lift or the DOT writer's covers, and its labels, the
+    frozensets of the members' base labels, the first time something reads
+    those, such as the DOT and JSON writers. The text `complex` report
+    reads neither for its deepest stage.
     """
     base = g.source
     n = base.n
@@ -153,7 +154,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
 
     found.sort()
     masks = tuple(m for m, _ in found)
-    stage_poset = Poset.over_masks(masks, base, containment_rows(masks, n))
+    stage_poset = Poset.over_masks(masks, base)
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
     return RootedStage(base, stage_poset, masks, root_map)
 
@@ -504,20 +505,24 @@ def intuitionistic_lift(p, depth, caps=DEFAULT_CAPS):
 
 
 def verify_complex(cx):
-    """Re-check, post construction, that every stage element is open
-    relative to the incoming map and rooted at its recorded root: the root
-    is a member and every member lies above it, which by antisymmetry makes
-    it the least member. The incoming map's openness table is built once
-    per stage."""
+    """Re-check, post construction, that every stage element is rooted at
+    its recorded root and open relative to the incoming map.
+
+    Rooted: the root is a member and every member lies above it, which by
+    antisymmetry makes it the least member; one shift and one AND per
+    element. Open: read off the incoming map's openness table on bit planes
+    over the whole stage (all_open), built once per stage and only when
+    some element of the stage below has fibre masks to meet (never over a
+    terminal map). Only the order rows of the stages below the deepest are
+    read.
+    """
     for i in range(2, len(cx.stages)):
         up = cx.stages[i - 1].up
-        table = open_table(cx.root_maps[i - 1])
         roots = cx.root_maps[i].assign
-        for mask, root in zip(cx.member_masks[i], roots):
-            if (
-                not mask >> root & 1
-                or mask & ~up[root]
-                or not is_open_mask(mask, table)
-            ):
+        masks = cx.member_masks[i][: len(roots)]
+        for mask, root in zip(masks, roots):
+            if not mask >> root & 1 or mask & ~up[root]:
                 return False
+        if not all_open(masks, open_table(cx.root_maps[i - 1])):
+            return False
     return True

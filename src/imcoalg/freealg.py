@@ -97,16 +97,16 @@ def _build_next_stage(base, stage, inner_depth, caps):
     steps = [fv.masks[cx.tower_of(j)[1]] for j in range(inner.n)]
     rel = tuple(steps[j] for _, j in pairs)
     # projection: stage 1 forgets the inner component; deeper stages push
-    # the inner tower through the upward-closed direct image of the
-    # previous projection, level by level over the member masks
+    # the inner tower through the direct image of the previous projection,
+    # level by level over the member masks. That projection is a
+    # p-morphism, so the image of an upset is an upset (index_of_mask
+    # raises ValueNotUpset on anything else)
     if stage.index == 0:
         proj_assign = [i for i, _ in pairs]
     else:
         prev_cx = stage.inner_complex
         moved = [
-            stage.upsets.index_of_mask(
-                stage.prev.up_close(stage.projection.image_mask(mask))
-            )
+            stage.upsets.index_of_mask(stage.projection.image_mask(mask))
             for mask in fv.masks
         ]
         for level in range(2, inner_depth + 1):

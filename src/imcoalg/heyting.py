@@ -60,8 +60,7 @@ def up_functor(p, caps=DEFAULT_CAPS):
     masks = upset_masks(p, limit=caps.max_stage)
     if len(masks) > caps.max_stage:
         raise StageTooLarge(1, f"more than {caps.max_stage} elements")
-    value = Poset.over_masks(masks, p, containment_rows(masks, p.n))
-    return FunctorValue("up", p, value, masks)
+    return FunctorValue("up", p, Poset.over_masks(masks, p), masks)
 
 
 def up_functor_map(f):

@@ -13,21 +13,28 @@ Conventions used throughout the package:
     (the rows of the converse relation) are the kernels that union such
     rows bit by bit or build a converse; PosetMap.image_mask keeps a loop
     of its own, over the map's assignment rather than a relation's rows;
-  - a poset carried by masks (Poset.over_masks) takes its order rows from
-    per-chunk subset tables over 8-bit chunks of the base
-    (containment_rows); its labels come from per-chunk frozenset tables
-    (mask_labels) the first time they are read, so a stage whose labels
-    nobody reads never builds them, and no table loops over bits;
-    g-openness is read off per-fibre masks, visiting only the elements
-    that have any (open_table);
+  - a poset carried by masks (Poset.over_masks, a MaskPoset) builds its
+    order rows from per-chunk subset tables over 8-bit chunks of the base
+    (containment_rows) the first time ``up`` is read, unless it was given
+    them, and its labels from per-chunk frozenset tables (mask_labels) the
+    first time ``labels`` is read; one label alone (label(i)) is built
+    from the members down. So a stage whose rows or labels nobody reads
+    never builds them, and no table loops over bits. An eager Poset keeps
+    ``up`` and ``labels`` as plain slots, with no property in the way of
+    its reads;
+  - g-openness is read off per-fibre masks, visiting only the elements
+    that have any (open_table); a whole list of masks is checked at once
+    on bit planes, one int per base element whose bit j says whether
+    masks[j] holds it (bit_planes, all_open);
   - monotone maps are enumerated by one search (monotone_assignments):
     each element's candidates are a mask, cut down by the up- and
     down-set rows of the images of its decided neighbours, and the maps
     come out in lexicographic order of their assignments;
   - every value is immutable after construction, so any operation can run
-    from parallel workers without coordination; ``labels``, ``_index``,
-    ``down`` and ``_hash`` are idempotent caches, filled on first use with
-    the same value whichever worker fills them;
+    from parallel workers without coordination; a MaskPoset's ``up`` and
+    ``labels``, and every poset's ``_index``, ``down`` and ``_hash``, are
+    idempotent caches, filled on first use with the same value whichever
+    worker fills them;
   - iteration is always in index order, which keeps all derived output
     byte-for-byte reproducible.
 
@@ -97,7 +104,7 @@ def format_label(label):
 class Poset:
     """Immutable finite poset over an indexed tuple of opaque labels."""
 
-    __slots__ = ("_labels", "_carrier", "up", "n", "_index", "_down", "_hash")
+    __slots__ = ("labels", "up", "n", "_index", "_down", "_hash")
 
     def __init__(self, labels, up, _trusted=False):
         labels = tuple(labels)
@@ -107,8 +114,7 @@ class Poset:
             if lab in index:
                 raise DuplicateLabel(f"duplicate label {format_label(lab)!r}")
             index[lab] = i
-        self._labels = labels
-        self._carrier = None
+        self.labels = labels
         self.up = up
         self.n = len(labels)
         self._index = index
@@ -117,33 +123,18 @@ class Poset:
         if not _trusted:
             self._verify()
 
-    @classmethod
-    def over_masks(cls, masks, base, rows):
-        """The poset whose element i is the subset masks[i] of base, with
-        order rows ``rows`` (trusted, as from containment_rows).
+    @staticmethod
+    def over_masks(masks, base, rows=None):
+        """The poset whose element i is the subset masks[i] of base, ordered
+        by reverse inclusion (a MaskPoset). ``rows``, when given, are its
+        order rows, trusted; otherwise containment_rows builds them the
+        first time ``up`` is read. The masks must be distinct, so the
+        labels are too."""
+        return MaskPoset(masks, base, rows)
 
-        Its labels are mask_labels(masks, base.labels), built the first
-        time ``labels`` is read, and its label index on the first index()
-        call. The masks must be distinct, so the labels are too.
-        """
-        self = cls.__new__(cls)
-        self._labels = None
-        self._carrier = (masks, base)
-        self.up = tuple(rows)
-        self.n = len(self.up)
-        self._index = None
-        self._down = None
-        self._hash = None
-        return self
-
-    @property
-    def labels(self):
-        """The element labels, in index order; a poset made by over_masks
-        builds them here on first read."""
-        if self._labels is None:
-            masks, base = self._carrier
-            self._labels = tuple(mask_labels(masks, base.labels))
-        return self._labels
+    def label(self, i):
+        """The label of element i."""
+        return self.labels[i]
 
     def _verify(self):
         n = self.n
@@ -243,6 +234,50 @@ class Poset:
             f"{self._name(i)}<{self._name(j)}" for i, j in self.covers()
         )
         return f"Poset([{', '.join(map(self._name, range(self.n)))}]; {cov})"
+
+
+class MaskPoset(Poset):
+    """A poset carried by masks over a base poset (Poset.over_masks).
+
+    Element i is the subset masks[i] of the base, labelled by the frozenset
+    of its members' base labels. The order rows (containment_rows) and the
+    labels (mask_labels) are built the first time ``up`` or ``labels`` is
+    read, and the label index on the first index() call, so a stage whose
+    rows or labels nobody reads never builds them. The laziness lives in
+    this subclass only: on an eager Poset, ``up`` and ``labels`` stay plain
+    slot reads.
+    """
+
+    __slots__ = ("masks", "base", "_up", "_labels")
+
+    def __init__(self, masks, base, rows=None):
+        self.masks = masks
+        self.base = base
+        self._up = None if rows is None else tuple(rows)
+        self._labels = None
+        self.n = len(masks)
+        self._index = None
+        self._down = None
+        self._hash = None
+
+    @property
+    def up(self):
+        if self._up is None:
+            self._up = containment_rows(self.masks, self.base.n)
+        return self._up
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = tuple(mask_labels(self.masks, self.base.labels))
+        return self._labels
+
+    def label(self, i):
+        """The label of element i; before the labels are built, it is
+        built from the members down, through the base's own label()."""
+        if self._labels is not None:
+            return self._labels[i]
+        return frozenset(map(self.base.label, iter_bits(self.masks[i])))
 
 
 class PosetMap:
@@ -455,18 +490,30 @@ def open_table(g):
     return needy, tuple(rows)
 
 
-def is_open_mask(mask, table):
-    """Whether the subset is g-open, given g's open_table: each member with
-    a non-empty row must meet every fibre mask of that row. Members with an
-    empty row are never visited, so over a terminal map this is one AND."""
+def all_open(masks, table):
+    """Whether every mask is g-open, given g's open_table: each member e of
+    a mask with a non-empty row must meet every fibre mask N of that row.
+
+    Read on bit planes (bit_planes), one per element involved, bit j of
+    plane[e] set iff masks[j] holds e: the masks holding e that miss N are
+    plane[e] & ~OR(plane[b] for b in N). That is a few big-int operations
+    per (element, fibre mask) pair, and no loop over the masks. Bits of a
+    mask past the rows of the table are ignored.
+    """
     needy, rows = table
-    todo = mask & needy
-    while todo:
-        low = todo & -todo
-        for need in rows[low.bit_length() - 1]:
-            if not need & mask:
-                return False
-        todo ^= low
+    if not needy:
+        return True
+    involved = needy
+    for e in iter_bits(needy):
+        for need in rows[e]:
+            involved |= need
+    planes = bit_planes(masks, involved)
+    for e in iter_bits(needy):
+        holds = planes[e]
+        if holds:
+            for need in rows[e]:
+                if holds & ~image(planes, need):
+                    return False
     return True
 
 
@@ -507,37 +554,55 @@ _BIT_DIGITS = tuple(
 )
 
 
+def bit_planes(masks, elements):
+    """Per set bit e of ``elements``, the int whose bit j is set iff
+    masks[j] holds e; zero at every other index below the highest bit.
+
+    One 8-bit chunk of every mask at a time: the chunks are written one
+    byte per mask, highest j first, so a byte string translated to "0"/"1"
+    per bit and read in base 2 gives that bit's plane. No loop over bits.
+    """
+    planes = [0] * elements.bit_length()
+    if not masks:
+        return planes
+    for shift in range(0, len(planes), 8):
+        chunk = (elements >> shift) & 255
+        if chunk:
+            data = bytes([(m >> shift) & 255 for m in reversed(masks)])
+            for i in iter_bits(chunk):
+                planes[shift + i] = int(data.translate(_BIT_DIGITS[i]), 2)
+    return planes
+
+
 def containment_rows(masks, width):
     """Row k has bit j set iff masks[j] ⊆ masks[k]: the up-set rows of the
     masks under reverse inclusion. ``width`` bounds the base elements.
 
     The base is split into 8-bit chunks, and masks[j] ⊆ masks[k] iff every
     chunk of masks[j] is a subset of the same chunk of masks[k]. Per chunk,
-    one bit plane per base element (the j whose chunk has that bit) and a
-    subset-union pass over the chunk's 256 values give, for each value b
-    that occurs, the j whose chunk lies inside b. Row k is the AND of one
-    such entry per chunk: width / 8 big-int ANDs per row and no loop over
-    bits. The tables live only for the call.
+    the bit planes of its base elements (bit_planes: the j whose chunk has
+    that bit) and a subset-union pass over the chunk's 256 values give, for
+    each value b that occurs, the j whose chunk lies inside b. Row k is the
+    AND of one such entry per chunk: width / 8 big-int ANDs per row and no
+    loop over bits. The tables live only for the call.
     """
     if not masks:
         return ()
     full = (1 << len(masks)) - 1
+    planes = bit_planes(masks, (1 << width) - 1)
     tables = []  # (shift, chunk mask, value -> j whose chunk lies inside)
     for shift in range(0, width, 8):
         bits = min(8, width - shift)
         low = (1 << bits) - 1
-        values = [(m >> shift) & low for m in masks]
-        # one byte per mask, highest j first, so that a byte translated to
-        # "0"/"1" per bit and read in base 2 gives that bit's plane
-        data = bytes(reversed(values))
         union = [0] * (low + 1)  # union[b]: j whose chunk meets b
         for i in range(bits):
-            plane = int(data.translate(_BIT_DIGITS[i]), 2)
+            plane = planes[shift + i]
             lo = 1 << i
             for b in range(lo, lo << 1):
                 union[b] = union[b - lo] | plane
+        values = {(m >> shift) & low for m in masks}
         tables.append(
-            (shift, low, {b: full ^ union[low ^ b] for b in set(values)})
+            (shift, low, {b: full ^ union[low ^ b] for b in values})
         )
     rows = []
     for m in masks:

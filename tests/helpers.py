@@ -12,6 +12,10 @@ the level-l values of its members (``stage_values``), so a lift is
 computed value by value (``tower_coords``) and resolved to stage indices
 through a value table (``nested_lift``). The library lifts by stage
 indices only; this route is the oracle it is compared with.
+
+The per-member openness route (``is_open_mask``,
+``verify_complex_by_members``) tests one member mask at a time; the
+library re-checks a whole stage on bit planes (``poset.all_open``).
 """
 
 import importlib.util
@@ -21,7 +25,14 @@ from pathlib import Path
 from imcoalg.complexes import tower_coords
 from imcoalg.enumeration import _permuted, all_posets
 from imcoalg.frames import ModalFrame
-from imcoalg.poset import Poset, PosetMap, image, iter_bits, mask_labels
+from imcoalg.poset import (
+    Poset,
+    PosetMap,
+    image,
+    iter_bits,
+    mask_labels,
+    open_table,
+)
 
 
 def posets_up_to(n):
@@ -148,6 +159,42 @@ def first_disagreement(first, source_levels, target_levels, assign):
             if nested_image(first, level, source[x]) != target[t]:
                 return level
     return len(target_levels) + 1
+
+
+# -- the per-member openness route ----------------------------------------
+
+
+def is_open_mask(mask, table):
+    """Whether the subset is g-open, given g's open_table: each member with
+    a non-empty row must meet every fibre mask of that row. Members with an
+    empty row are never visited. The per-member loop that all_open
+    replaced, kept as its oracle."""
+    needy, rows = table
+    todo = mask & needy
+    while todo:
+        low = todo & -todo
+        for need in rows[low.bit_length() - 1]:
+            if not need & mask:
+                return False
+        todo ^= low
+    return True
+
+
+def verify_complex_by_members(cx):
+    """verify_complex as it read before the openness re-check moved to bit
+    planes: rooted and open, member mask by member mask (is_open_mask)."""
+    for i in range(2, len(cx.stages)):
+        up = cx.stages[i - 1].up
+        table = open_table(cx.root_maps[i - 1])
+        roots = cx.root_maps[i].assign
+        for mask, root in zip(cx.member_masks[i], roots):
+            if (
+                not mask >> root & 1
+                or mask & ~up[root]
+                or not is_open_mask(mask, table)
+            ):
+                return False
+    return True
 
 
 def mask_of(p, labels):

@@ -1,9 +1,11 @@
 from itertools import product
+import random
 from pathlib import Path
 
 import pytest
 
-from imcoalg import cli, complexes
+from imcoalg import cli, complexes, enumeration, frames, freealg, heyting
+from imcoalg import poset as poset_module
 from imcoalg.complexes import (
     TowerMap,
     build_complex,
@@ -31,6 +33,7 @@ from imcoalg.poset import (
     Poset,
     PosetMap,
     containment_rows,
+    format_label,
     identity_map,
     is_pmorphism,
     iter_bits,
@@ -55,6 +58,7 @@ from helpers import (
     posets_up_to,
     stage_values,
     value_root,
+    verify_complex_by_members,
 )
 
 from test_poset import (
@@ -174,6 +178,7 @@ class TestBuildStage:
                 for depth in (2, 3):
                     cx = build_complex(terminal_map(p), depth)
                     assert verify_complex(cx)
+                    assert verify_complex_by_members(cx)
 
     def test_stages_match_oracles(self):
         # every stage of terminal complexes over posets of <= 3 elements and
@@ -207,6 +212,8 @@ class TestBuildStage:
         for n in range(1, 5):
             for p in all_posets(n):
                 cx = terminal_complex(p, 3)
+                assert verify_complex(cx)
+                assert verify_complex_by_members(cx)
                 for i in (2, 3):
                     g = cx.root_maps[i - 1]
                     needy_stages += open_table(g)[0] != 0
@@ -219,6 +226,10 @@ class TestBuildStage:
             stage = build_p_g(g)
             assert 111 <= stage.poset.n <= 2767
             assert_stage_matches_oracles(g, stage)
+            cx = intuitionistic_lift(Poset(range(5), up), 2)
+            assert cx.member_masks[2] == stage.member_masks
+            assert verify_complex(cx)
+            assert verify_complex_by_members(cx)
 
     def test_verify_complex_rejects_every_single_corruption(self):
         # each member of each stage, in turn: swapped for an open subset
@@ -251,6 +262,7 @@ class TestBuildStage:
                                 masks[:idx] + (bad,) + masks[idx + 1:]
                             )
                             assert not verify_complex(cx)
+                            assert not verify_complex_by_members(cx)
                             tried[kind] += 1
                     cx.member_masks[i] = masks
                     for other in range(base.n):
@@ -260,10 +272,41 @@ class TestBuildStage:
                         assign[idx] = other
                         cx.root_maps[i] = PosetMap(cx.stages[i], base, assign)
                         assert not verify_complex(cx)
+                        assert not verify_complex_by_members(cx)
                         tried["wrong root"] += 1
                     cx.root_maps[i] = root_map
             assert verify_complex(cx)
         assert min(tried.values()) > 0
+
+    def test_verify_complex_matches_the_member_loop_on_flipped_bits(self):
+        # stage 3 of the depth-3 terminal complexes over posets of at most
+        # four elements: one member mask at a time with one bit of the
+        # stage below flipped, so that it stays rooted and loses or gains
+        # an element above the root (often not open then), loses its root,
+        # or gains an element elsewhere; and the stage truncated or padded
+        # against its root map
+        rng = random.Random(1706)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 5):
+            for p in all_posets(n):
+                cx = terminal_complex(p, 3)
+                masks = cx.member_masks[3]
+                width = cx.stages[2].n
+                picks = rng.sample(range(len(masks)), min(8, len(masks)))
+                for idx in picks:
+                    for bit in range(width):
+                        bad = masks[idx] ^ 1 << bit
+                        cx.member_masks[3] = (
+                            masks[:idx] + (bad,) + masks[idx + 1:]
+                        )
+                        want = verify_complex_by_members(cx)
+                        assert verify_complex(cx) == want
+                        verdicts[want] += 1
+                for cut in (masks[:-1], masks + (masks[0],), ()):
+                    cx.member_masks[3] = cut
+                    assert verify_complex(cx) == verify_complex_by_members(cx)
+                cx.member_masks[3] = masks
+        assert min(verdicts.values()) > 0
 
     def test_verify_complex_rejects_corrupted_stage(self):
         cx = build_complex(identity_map(chain2()), 2)
@@ -642,6 +685,78 @@ class TestStageLabels:
         assert cli.main(["complex", frame, "--depth", "2", "--json", out]) == 0
         assert calls
         capsys.readouterr()
+
+    def test_lift_report_labels_only_what_it_prints(self, monkeypatch, capsys):
+        # lift --depth 3 on the 3-chain prints 3 points x 3 levels; stage 3
+        # has 2856 elements, and mask_labels labels none of the stages
+        calls = count_mask_labels(monkeypatch)
+        frame = str(GOLDEN / "chain.frame")
+        assert cli.main(["lift", frame, "--depth", "3"]) == 0
+        out = capsys.readouterr().out
+        assert calls == []
+        # the printed labels are those the eager labels name
+        p = make_poset("abc", [("a", "b"), ("b", "c")])
+        cx = intuitionistic_lift(p, 3)
+        assert cx.stages[3].n == 2856
+        printed = [
+            line.split(": ", 1)[1] for line in out.splitlines()
+            if line.lstrip().startswith("level ")
+        ]
+        assert len(printed) == 9
+        labels = {
+            format_label(lab) for lv in (1, 2, 3) for lab in cx.stages[lv].labels
+        }
+        assert set(printed) <= labels
+
+
+def record_containment_rows(monkeypatch):
+    """Patch containment_rows in every module that builds order rows with
+    it, so that each call's masks are recorded; returns the list."""
+    calls = []
+    real = poset_module.containment_rows
+
+    def recording(masks, width):
+        calls.append(tuple(masks))
+        return real(masks, width)
+
+    for module in (poset_module, complexes, heyting, frames, freealg,
+                   enumeration):
+        if hasattr(module, "containment_rows"):
+            monkeypatch.setattr(module, "containment_rows", recording)
+    return calls
+
+
+class TestDeepestStageRows:
+    # the text and JSON reports read the order rows of the stages below the
+    # deepest only; the DOT writer draws covers, so it reads them all.
+    # up_functor is memoized, so whether stage 1's rows are built depends on
+    # what ran before: the guard asserts on the masks each call receives
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("writer", [None, "--json", "--dot"])
+    def test_only_the_dot_writer_builds_them(
+        self, monkeypatch, tmp_path, capsys, depth, writer
+    ):
+        frame = GOLDEN / "chain.frame"
+        p = make_poset("abc", [("a", "b"), ("b", "c")])
+        deepest = intuitionistic_lift(p, depth).member_masks[depth]
+        calls = record_containment_rows(monkeypatch)
+        argv = ["complex", str(frame), "--depth", str(depth)]
+        if writer:
+            argv += [writer, str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls.count(deepest) == (writer == "--dot")
+
+    def test_lift_builds_them_for_its_monotonicity_checks(
+        self, monkeypatch, capsys
+    ):
+        p = make_poset("abc", [("a", "b"), ("b", "c")])
+        deepest = intuitionistic_lift(p, 2).member_masks[2]
+        calls = record_containment_rows(monkeypatch)
+        frame = str(GOLDEN / "chain.frame")
+        assert cli.main(["lift", frame, "--depth", "2"]) == 0
+        capsys.readouterr()
+        assert calls.count(deepest) == 1
 
 
 class TestRandomPosets:

@@ -362,6 +362,31 @@ class TestBuildStages:
                 for e in range(stage.poset.n):
                     assert stage.prev.is_upset(stage.rel[e])
 
+    def test_projection_images_of_upsets_are_upsets(self):
+        # building layer k+1 pushes every upset of layer k through layer
+        # k's projection and looks the image up among the upsets of layer
+        # k-1 with no upward closure: every projection inside the caps is
+        # a p-morphism, so each image is already an upset
+        images = 0
+        for g in range(3):
+            base = generator_poset([f"p{i}" for i in range(g)])
+            for stages in range(MAX_STAGES + 1):
+                for depth in range(1, MAX_INNER_DEPTH + 1):
+                    try:
+                        lib = build_free_stages(base, stages, depth)
+                    except StageTooLarge:
+                        continue
+                    for stage in lib[1:]:
+                        assert is_pmorphism(stage.projection)
+                    for stage, nxt in zip(lib[1:], lib[2:]):
+                        for mask in nxt.upsets.masks:
+                            img = stage.projection.image_mask(mask)
+                            assert stage.prev.is_upset(img)
+                            images += 1
+        # upsets of layer 1: 3 and 4 over the point (inner depth 1, 2),
+        # 11 over one generator and 494 over two (inner depth 1)
+        assert images == 3 + 4 + 11 + 494
+
     def test_projection_matches_recursion(self):
         # the projection of (x, C) keeps x and pushes the inner tower
         stages = build_free_stages(generator_poset(["p"]), 2, 1)

@@ -7,7 +7,12 @@ elements is taken under every permutation of its indices (419 labelled
 posets, repeats included), and each kernel is checked to commute with the
 relabelling: f(relabel(x)) == relabel(f(x)). containment_rows is checked
 the same way under permutations of the base bits, over one to three 8-bit
-chunks. The lift (tower_coords) is checked on the indices themselves, the
+chunks. The rooted stage (build_p_g) over the terminal map and every
+monotone map into a two-element poset is compared by label, with the order
+rows it builds on first read, and verify_complex is checked on those
+complexes, uncorrupted and with one member's bits flipped, against the
+per-member loop it replaced. The lift (tower_coords) is checked on the
+indices themselves, the
 stage-index lift (lift_map) on every monotone map between posets of at most
 three elements with source and target each under every labelling, its
 stage elements read by their labels, and the lifted-square kernel (image_tower_agrees) on every monotone map into a
@@ -24,11 +29,13 @@ from itertools import permutations
 
 from imcoalg.bisim import largest_bisimulation, largest_model_bisimulation
 from imcoalg.complexes import (
+    build_complex,
     build_p_g,
     image_tower_agrees,
     lift_map,
     terminal_complex,
     tower_coords,
+    verify_complex,
 )
 from imcoalg.enumeration import (
     _permuted,
@@ -49,7 +56,7 @@ from imcoalg.poset import (
     Poset,
     PosetMap,
     containment_rows,
-    is_open_mask,
+    iter_bits,
     open_table,
     terminal_map,
     upset_masks,
@@ -57,12 +64,14 @@ from imcoalg.poset import (
 
 from helpers import (
     first_disagreement,
+    is_open_mask,
     labellings,
     move_mask,
     move_rows,
     posets_up_to,
     relabel_frame,
     relabellings,
+    verify_complex_by_members,
 )
 from test_bisim import _iso_frames_up_to_three, _small_frames
 from test_complexes import build_p_g_by_submasks
@@ -154,14 +163,46 @@ def test_containment_rows_ignore_the_order_of_base_bits():
             assert containment_rows(moved, width) == want
 
 
-def test_build_p_g_commutes_with_relabelling():
-    # the terminal map and every monotone map into a two-element poset,
-    # under both labellings of the chain
+def travelled(p, perm, q):
+    """q with p's labels moved along with its elements: element x of p is
+    element perm[x] of q, under the same label."""
+    labels = [None] * p.n
+    for x, y in enumerate(perm):
+        labels[y] = p.labels[x]
+    return Poset(labels, q.up)
+
+
+def stage_by_labels(stage):
+    """A rooted stage read by its elements' labels: per element, its
+    root's label and the labels of the stage elements above it, read
+    through the order rows that the stage builds on first read."""
+    poset, base = stage.poset, stage.base
+    return {
+        poset.labels[i]: (
+            base.labels[r],
+            frozenset(poset.labels[j] for j in iter_bits(poset.up[i])),
+        )
+        for i, r in enumerate(stage.root_map.assign)
+    }
+
+
+def maps_into_two_elements(p):
+    """The terminal map of p and every monotone map from p into a
+    two-element poset, under each labelling of the chain."""
     targets = [t for s in posets_up_to(2) if s.n == 2 for t in labellings(s)]
+    return [terminal_map(p)] + [
+        f for t in targets for f in monotone_maps(p, t)
+    ]
+
+
+def test_build_p_g_commutes_with_relabelling():
+    # the moved stage holds the moved masks and roots, those of the submask
+    # scan, and read by label it is the same poset: the same roots and the
+    # same elements above each, through the order rows built on first read
+    count = 0
     for p, perm, q in RELABELLED_4:
-        for g in [terminal_map(p)] + [
-            f for t in targets for f in monotone_maps(p, t)
-        ]:
+        q = travelled(p, perm, q)
+        for g in maps_into_two_elements(p):
             stage = build_p_g(g)
             want = {
                 (move_mask(m, perm), perm[r])
@@ -172,6 +213,42 @@ def test_build_p_g_commutes_with_relabelling():
             got = set(zip(moved.member_masks, moved.root_map.assign))
             assert got == want
             assert got == set(build_p_g_by_submasks(h))
+            assert moved.poset._up is None
+            assert stage_by_labels(moved) == stage_by_labels(stage)
+            assert moved.poset.up == containment_rows_oracle(
+                moved.member_masks
+            )
+            count += 1
+    assert count == 8829
+
+
+def test_verify_complex_commutes_with_relabelling():
+    # the depth-3 terminal complex and the depth-2 complex over every map
+    # into a two-element poset, each under every labelling: verify_complex
+    # accepts each, and on every single-bit corruption of one member of
+    # the deepest stage it agrees with the per-member loop under every
+    # labelling
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for p, perm, q in RELABELLED_4:
+        q = travelled(p, perm, q)
+        for g in maps_into_two_elements(p):
+            depth = 3 if g.target.n == 1 else 2
+            cx = build_complex(moved_map(g, perm, q), depth)
+            assert verify_complex(cx)
+            masks = cx.member_masks[depth]
+            width = cx.stages[depth - 1].n
+            for idx in rng.sample(range(len(masks)), 1):
+                for bit in range(width):
+                    bad = masks[idx] ^ 1 << bit
+                    cx.member_masks[depth] = (
+                        masks[:idx] + (bad,) + masks[idx + 1:]
+                    )
+                    want = verify_complex_by_members(cx)
+                    assert verify_complex(cx) == want
+                    verdicts[want] += 1
+            cx.member_masks[depth] = masks
+    assert min(verdicts.values()) > 0
 
 
 def test_tower_coords_commute_with_relabelling():

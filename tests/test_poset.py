@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcoalg import poset as poset_module
+from imcoalg.complexes import build_complex
 from imcoalg.errors import (
     DuplicateLabel,
     NotAntisymmetric,
@@ -16,13 +17,15 @@ from imcoalg.frames import pow_up_functor
 from imcoalg.freealg import build_free_stages, generator_poset
 from imcoalg.heyting import up_functor
 from imcoalg.poset import (
+    MaskPoset,
     Poset,
     PosetMap,
+    all_open,
+    bit_planes,
     containment_rows,
     identity_map,
     image,
     is_monotone,
-    is_open_mask,
     is_pmorphism,
     iter_bits,
     make_poset,
@@ -43,7 +46,7 @@ from imcoalg.enumeration import (
     random_poset,
 )
 
-from helpers import mask_of
+from helpers import is_open_mask, mask_of
 
 # SHA-256 of repr([p.up for p in all_posets(5)]) as the full scan over all
 # 2^20 strict relations returns it
@@ -419,16 +422,19 @@ class TestRelativeOpen:
         g = terminal_map(p)
         for mask in range(1, 1 << p.n):
             assert is_open_mask(mask, open_table(g))
+        assert all_open(range(1, 1 << p.n), open_table(g))
 
     def test_identity_singleton_bottom_not_open(self):
         p = chain2()
         table = open_table(identity_map(p))
         assert not is_open_mask(mask_of(p, ["a"]), table)
+        assert not all_open([mask_of(p, ["b"]), mask_of(p, ["a"])], table)
 
     def test_identity_full_open(self):
         p = chain2()
         table = open_table(identity_map(p))
         assert is_open_mask(mask_of(p, ["a", "b"]), table)
+        assert all_open([mask_of(p, ["b"]), mask_of(p, ["a", "b"])], table)
 
     def test_open_table_matches_images_up_to_three_elements(self):
         posets = [p for n in (1, 2, 3) for p in all_posets(n)]
@@ -440,9 +446,48 @@ class TestRelativeOpen:
                     assert needy == sum(
                         1 << i for i in range(p.n) if rows[i]
                     )
+                    opens = []
                     for mask in range(1 << p.n):
                         want = g_open_by_images(mask, g)
                         assert is_open_mask(mask, table) == want
+                        assert all_open([mask], table) == want
+                        if want:
+                            opens.append(mask)
+                    assert all_open(opens, table)
+                    assert all_open(range(1 << p.n), table) == (
+                        len(opens) == 1 << p.n
+                    )
+
+    def test_all_open_matches_the_member_loop_on_random_stages(self):
+        # whole lists of masks at once, over bases of up to 20 elements
+        # (three 8-bit chunks), with bits past the base and empty lists
+        rng = random.Random(17)
+        for _ in range(300):
+            p = random_poset(rng, rng.randrange(1, 21))
+            q = random_poset(rng, rng.randrange(1, 4))
+            g = PosetMap(p, q, [rng.randrange(q.n) for _ in range(p.n)])
+            table = open_table(g)
+            masks = [
+                rng.getrandbits(p.n + rng.choice((0, 0, 3)))
+                for _ in range(rng.randrange(6))
+            ]
+            want = all(is_open_mask(m, table) for m in masks)
+            assert all_open(masks, table) == want
+            assert all_open(tuple(masks), table) == want
+
+    def test_bit_planes_are_the_columns_of_the_masks(self):
+        rng = random.Random(5)
+        for width in (0, 1, 7, 8, 9, 24, 30):
+            masks = [rng.getrandbits(width) for _ in range(rng.randrange(9))]
+            elements = rng.getrandbits(width)
+            planes = bit_planes(masks, elements)
+            assert len(planes) == elements.bit_length()
+            for e, plane in enumerate(planes):
+                want = sum(
+                    1 << j for j, m in enumerate(masks)
+                    if elements >> e & 1 and m >> e & 1
+                )
+                assert plane == want
 
 
 class TestProduct:
@@ -657,6 +702,54 @@ class TestOverMasks:
         hash(value)
         assert value.labels is value.labels
         assert calls == [4]
+
+    def test_rows_are_built_once_on_first_read(self, monkeypatch):
+        built = []
+        real = poset_module.containment_rows
+
+        def recording(masks, width):
+            built.append(tuple(masks))
+            return real(masks, width)
+
+        monkeypatch.setattr(poset_module, "containment_rows", recording)
+        p = make_poset("abc", [("a", "b")])
+        fv = up_functor.__wrapped__(p)
+        value = fv.poset
+        assert isinstance(value, MaskPoset)
+        assert value.n == len(fv.masks)
+        assert built == []
+        assert value.up == containment_rows_oracle(fv.masks)
+        assert value.up is value.up
+        value.covers()
+        assert built == [fv.masks]
+        given = Poset.over_masks(fv.masks, p, value.up)
+        assert given.up == value.up
+        assert built == [fv.masks]
+
+    def test_label_of_one_element_builds_no_labels(self, monkeypatch):
+        # through two mask-carried levels down to the eager base
+        calls = count_mask_labels(monkeypatch)
+        p = make_poset("ab", [("a", "b")])
+        cx = build_complex(terminal_map(up_functor.__wrapped__(p).poset), 3)
+        got = [
+            [cx.stages[lv].label(i) for i in range(cx.stages[lv].n)]
+            for lv in (1, 2, 3)
+        ]
+        assert calls == []
+        for lv in (1, 2, 3):
+            assert tuple(got[lv - 1]) == cx.stages[lv].labels
+            assert [cx.stages[lv].label(i) for i in range(3)] == got[lv - 1][:3]
+        assert [p.label(i) for i in range(p.n)] == list(p.labels)
+
+    def test_eager_posets_read_rows_and_labels_from_slots(self):
+        # the laziness lives in MaskPoset only: on Poset itself ``up`` and
+        # ``labels`` are slot descriptors, not properties, and no
+        # __getattr__ hook slows every attribute read
+        for name in ("up", "labels"):
+            assert type(Poset.__dict__[name]).__name__ == "member_descriptor"
+            assert isinstance(MaskPoset.__dict__[name], property)
+        assert "__getattr__" not in Poset.__dict__
+        assert "__getattr__" not in MaskPoset.__dict__
 
     def test_posets_with_other_rows_compare_unequal_unlabelled(
         self, monkeypatch
