@@ -58,7 +58,6 @@ from .freealg import (
     check_modal_stage_properties,
     generator_poset,
 )
-from .heyting import up_functor
 from .logic import parse, print_formula, truth_mask
 from .poset import format_label
 
@@ -323,7 +322,7 @@ def cmd_lift(args):
     # the complex enforces the depth cap before any deep lifting starts
     caps = _caps(args)
     cx = intuitionistic_lift(frame.poset, args.depth, caps)
-    upmap = frame_to_upmap(frame, up_functor(frame.poset, caps))
+    upmap = frame_to_upmap(frame, caps)
     lifted = lift_map(upmap, cx, args.depth)
     for x in range(frame.poset.n):
         report.info(f"{format_label(frame.poset.labels[x])}:")

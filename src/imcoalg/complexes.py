@@ -9,11 +9,12 @@ f: X -> Y lifts to a tower map with coordinates
 
     f_1 = f,    f_{l+1}(x) = f_l[up-set of x].
 
-A materialized stage lists its elements by their member masks over the
-previous stage, in ascending order, so a tower map into a materialized
-complex is held as stage indices only: coordinate l+1 at x is the element
-whose member mask is the OR of 1 << f_l(y) over y >= x, found by one
-bisection (Complex.lift_level). Where no stage is materialized, the
+A materialized stage is a MaskPoset over the previous stage, whose
+``masks`` list its elements by member mask in ascending order; the complex
+keeps no other copy of them. So a tower map into a materialized complex is
+held as stage indices only: coordinate l+1 at x is the element whose
+member mask is the OR of 1 << f_l(y) over y >= x, found by one bisection
+(Complex.lift_level). Where no stage is materialized, the
 frame and bisimulation checks lift the masks R[x] themselves as nested
 values (an element of level l+1 is the frozenset of the level-l values
 over an up-set, tower_coords), so they never build Up(P).
@@ -163,15 +164,14 @@ class Complex:
     """Stages P_0..P_n joined by root maps r_i: P_i -> P_{i-1}, with r_1 = g.
 
     P_0 is g's target and P_1 its source; every deeper stage is the rooted
-    stage over the previous root map, its elements listed by ascending
-    member mask over the stage below.
+    stage over the previous root map, a MaskPoset whose ``masks`` list its
+    elements by ascending member mask over the stage below.
     """
 
-    def __init__(self, g, stages, root_maps, member_masks):
+    def __init__(self, g, stages, root_maps):
         self.g = g
         self.stages = stages
         self.root_maps = root_maps  # index i >= 1 is r_i; [0] is None
-        self.member_masks = member_masks  # per stage, None for i <= 1
 
     @property
     def depth(self):
@@ -187,7 +187,7 @@ class Complex:
         element of the stage. With the source's up-set rows this is the
         lift recursion f_{l+1}(x) = f_l[up(x)]."""
         bits = [1 << t for t in below]
-        masks = self.member_masks[level]
+        masks = self.stages[level].masks
         out = []
         for row in rows:
             i = sorted_index(masks, image(bits, row))
@@ -221,13 +221,11 @@ def build_complex(g, depth, caps=DEFAULT_CAPS):
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
     stages = [g.target, g.source]
     root_maps = [None, g]
-    member_masks = [None, None]
     while len(stages) <= depth:
         st = build_p_g(root_maps[-1], caps, stage_index=len(stages))
         stages.append(st.poset)
         root_maps.append(st.root_map)
-        member_masks.append(st.member_masks)
-    return Complex(g, stages, root_maps, member_masks)
+    return Complex(g, stages, root_maps)
 
 
 def terminal_complex(p, depth, caps=DEFAULT_CAPS):
@@ -501,14 +499,15 @@ def check_adjunction(source, target, depth, caps=DEFAULT_CAPS):
 def intuitionistic_lift(p, depth, caps=DEFAULT_CAPS):
     """The terminal complex over Up(p) (heyting.up_functor under caps): the
     depth-truncated intuitionistic lifting of the upset functor."""
-    return build_complex(terminal_map(up_functor(p, caps).poset), depth, caps)
+    return build_complex(terminal_map(up_functor(p, caps)), depth, caps)
 
 
 def verify_complex(cx):
     """Re-check, post construction, that every stage element is rooted at
     its recorded root and open relative to the incoming map.
 
-    Rooted: the root is a member and every member lies above it, which by
+    A stage whose mask list and root map differ in length fails. Rooted:
+    the root is a member and every member lies above it, which by
     antisymmetry makes it the least member; one shift and one AND per
     element. Open: read off the incoming map's openness table on bit planes
     over the whole stage (all_open), built once per stage and only when
@@ -519,7 +518,9 @@ def verify_complex(cx):
     for i in range(2, len(cx.stages)):
         up = cx.stages[i - 1].up
         roots = cx.root_maps[i].assign
-        masks = cx.member_masks[i][: len(roots)]
+        masks = cx.stages[i].masks
+        if len(masks) != len(roots):
+            return False
         for mask, root in zip(masks, roots):
             if not mask >> root & 1 or mask & ~up[root]:
                 return False

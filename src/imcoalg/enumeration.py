@@ -14,14 +14,13 @@ lists by index rely on that order.
 
 from itertools import permutations, product as iproduct
 
+from .heyting import up_functor
 from .poset import (
     Poset,
     PosetMap,
-    containment_rows,
     image,
     is_pmorphism,
     monotone_assignments,
-    upset_masks,
 )
 
 
@@ -115,11 +114,14 @@ def mix_relations(p):
     in lexicographic order of the upset masks.
 
     These are the monotone maps from p into its upsets ordered by reverse
-    inclusion: each rel[x] is an upset and x <= y forces rel[x] >= rel[y].
+    inclusion (up_functor, so more than DEFAULT_CAPS.max_stage upsets
+    raise StageTooLarge): each rel[x] is an upset and x <= y forces
+    rel[x] >= rel[y].
     """
-    upsets = upset_masks(p)
-    ups = Poset(upsets, containment_rows(upsets, p.n), _trusted=True)
-    return [tuple(upsets[k] for k in a) for a in monotone_assignments(p, ups)]
+    ups = up_functor(p)
+    return [
+        tuple(ups.masks[k] for k in a) for a in monotone_assignments(p, ups)
+    ]
 
 
 def frames_on(p):

@@ -23,7 +23,7 @@ from .errors import (
     UnknownLabel,
     ValueNotUpset,
 )
-from .heyting import FunctorValue, up_functor
+from .heyting import up_functor
 from .poset import (
     PosetMap,
     Poset,
@@ -116,12 +116,13 @@ def mix_closure(frame):
     return ModalFrame(frame.poset, _mix_rows(frame))
 
 
-def frame_to_upmap(frame, functor_value=None):
-    """The coalgebra map x -> R[x] into the reverse-inclusion upset poset."""
+def frame_to_upmap(frame, caps=DEFAULT_CAPS):
+    """The coalgebra map x -> R[x] into the reverse-inclusion upset poset,
+    built under caps (up_functor)."""
     _require_mix_law(frame)
-    fv = functor_value if functor_value is not None else up_functor(frame.poset)
-    assign = [fv.index_of_mask(m) for m in frame.rel]
-    return PosetMap(frame.poset, fv.poset, assign)
+    ups = up_functor(frame.poset, caps)
+    assign = [ups.index_of_mask(m) for m in frame.rel]
+    return PosetMap(frame.poset, ups, assign)
 
 
 def upmap_to_frame(m):
@@ -132,10 +133,10 @@ def upmap_to_frame(m):
     """
     if not is_monotone(m):
         raise NotMonotone("coalgebra maps must be monotone")
-    fv = up_functor(m.source)
-    if m.target != fv.poset:
+    ups = up_functor(m.source)
+    if m.target != ups:
         raise ValueNotUpset("map target is not the canonical upset poset")
-    rel = tuple(fv.masks[i] for i in m.assign)
+    rel = tuple(ups.masks[i] for i in m.assign)
     frame = ModalFrame(m.source, rel)
     _require_mix_law(frame)
     return frame
@@ -204,26 +205,25 @@ _MAX_POW_UP_BASE = 3
 def pow_up_functor(p, caps=DEFAULT_CAPS):
     """Sets of upsets of p, ordered by inclusion of families.
 
-    Element i of the value poset is the family whose members are read off
-    the bits of i as indices into the upset carrier of p, so ``masks[i]``
-    is i itself and a family mask is its own index. Doubly exponential,
-    so the base is capped at _MAX_POW_UP_BASE elements. Memoized on every
-    argument, so a call with tighter caps never returns a value built under
-    looser ones.
+    The value is a MaskPoset over the upset carrier up_functor(p): element
+    i is the family whose members are read off the bits of i as indices
+    into that carrier, so ``masks[i]`` is i itself and a family mask is its
+    own index. Doubly exponential, so the base is capped at
+    _MAX_POW_UP_BASE elements. Memoized on every argument, so a call with
+    tighter caps never returns a value built under looser ones.
     """
     if p.n > _MAX_POW_UP_BASE:
         raise StageTooLarge(
             0, f"pow_up_functor base capped at {_MAX_POW_UP_BASE} elements"
         )
-    up_fv = up_functor(p)
-    size = 1 << up_fv.poset.n
+    ups = up_functor(p)
+    size = 1 << ups.n
     if size > caps.max_stage:
         raise StageTooLarge(0, f"{size} families exceed the stage cap")
     masks = tuple(range(size))
     # family inclusion m <= j is containment of complements, j^c in m^c
-    rows = containment_rows([(size - 1) ^ m for m in masks], up_fv.poset.n)
-    value = Poset.over_masks(masks, up_fv.poset, rows)
-    return FunctorValue("powup", p, value, masks)
+    rows = containment_rows([(size - 1) ^ m for m in masks], ups.n)
+    return Poset.over_masks(masks, ups, rows)
 
 
 @functools.lru_cache
@@ -250,11 +250,11 @@ def pow_up_map(f):
     assign = []
     for fam in sv.masks:
         out = 0
-        for b in range(tgt_up.poset.n):
+        for b in range(tgt_up.n):
             if (fam >> pre[b]) & 1:
                 out |= 1 << b
         assign.append(out)
-    return PosetMap(sv.poset, tv.poset, assign)
+    return PosetMap(sv, tv, assign)
 
 
 class NbhdFrame:
@@ -276,8 +276,8 @@ class NbhdFrame:
             raise UnknownLabel(
                 f"{len(families)} families for {poset.n} elements"
             )
-        up_fv = up_functor(poset)
-        full = up_fv.poset.full_mask
+        ups = up_functor(poset)
+        full = ups.full_mask
         for fam in families:
             if fam & ~full:
                 raise UnknownLabel(f"family {fam:#x} leaves the upset carrier")
@@ -289,7 +289,7 @@ class NbhdFrame:
                     )
         if strict:
             for fam in families:
-                if image(up_fv.poset.up, fam) & ~fam:
+                if image(ups.up, fam) & ~fam:
                     raise ValueNotUpset(
                         "family not up-closed under reverse inclusion"
                     )
@@ -309,14 +309,13 @@ class NbhdFrame:
 
 
 def nbhd_to_coalgebra(nf):
-    return PosetMap(nf.poset, pow_up_functor(nf.poset).poset, nf.families)
+    return PosetMap(nf.poset, pow_up_functor(nf.poset), nf.families)
 
 
 def coalgebra_to_nbhd(m, strict=False):
     if not is_monotone(m):
         raise NotMonotone("coalgebra maps must be monotone")
-    fv = pow_up_functor(m.source)
-    if m.target != fv.poset:
+    if m.target != pow_up_functor(m.source):
         raise ValueNotUpset("map target is not the canonical family poset")
     return NbhdFrame(m.source, m.assign, strict=strict)
 

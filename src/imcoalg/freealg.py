@@ -19,7 +19,6 @@ from .errors import (
     CapExceeded,
     MixLawViolation,
     NotPMorphism,
-    StageTooLarge,
     TooManyGenerators,
 )
 from .heyting import box_mask, up_functor
@@ -32,7 +31,6 @@ from .poset import (
     is_pmorphism,
     iter_bits,
     product,
-    upset_masks,
 )
 
 MAX_GENERATORS = 3
@@ -67,9 +65,9 @@ class FreeStage:
     Elements of stage k >= 1 are pairs (generator element, inner stage
     element). ``inner_complex`` is the tower complex over the upsets of
     stage k - 1 whose deepest stage holds the inner elements; ``upsets`` is
-    that Up(stage k - 1) (up_functor), whose masks index the complex's
-    stage 1, so a tower into it starts from one index_of_mask lookup per
-    point and goes up by Complex.lift_level.
+    that Up(stage k - 1) (up_functor), a MaskPoset over ``prev`` and the
+    complex's stage 1, so a tower into it starts from one index_of_mask
+    lookup per point and goes up by Complex.lift_level.
     """
 
     index: int
@@ -86,15 +84,15 @@ class FreeStage:
 def _build_next_stage(base, stage, inner_depth, caps):
     """Stage k+1 = base x (deepest stage of the tower complex over the
     upsets of stage k)."""
-    fv = up_functor(stage.poset, caps)
-    cx = terminal_complex(fv.poset, inner_depth, caps)
+    ups = up_functor(stage.poset, caps)
+    cx = terminal_complex(ups, inner_depth, caps)
     inner = cx.stages[inner_depth]
     next_poset = product(base, inner)
     pairs = tuple(
         (i, j) for i in range(base.n) for j in range(inner.n)
     )
     # step relation: (x, C) steps to y iff y lies in C's level-1 coordinate
-    steps = [fv.masks[cx.tower_of(j)[1]] for j in range(inner.n)]
+    steps = [ups.masks[cx.tower_of(j)[1]] for j in range(inner.n)]
     rel = tuple(steps[j] for _, j in pairs)
     # projection: stage 1 forgets the inner component; deeper stages push
     # the inner tower through the direct image of the previous projection,
@@ -107,10 +105,10 @@ def _build_next_stage(base, stage, inner_depth, caps):
         prev_cx = stage.inner_complex
         moved = [
             stage.upsets.index_of_mask(stage.projection.image_mask(mask))
-            for mask in fv.masks
+            for mask in ups.masks
         ]
         for level in range(2, inner_depth + 1):
-            moved = prev_cx.lift_level(level, moved, cx.member_masks[level])
+            moved = prev_cx.lift_level(level, moved, cx.stages[level].masks)
         prev_n = prev_cx.stages[inner_depth].n
         proj_assign = [i * prev_n + moved[j] for i, j in pairs]
     return FreeStage(
@@ -122,7 +120,7 @@ def _build_next_stage(base, stage, inner_depth, caps):
         rel=rel,
         pairs=pairs,
         inner_complex=cx,
-        upsets=fv,
+        upsets=ups,
     )
 
 
@@ -259,8 +257,9 @@ class StageReport:
 def check_modal_stage_properties(stage, caps=DEFAULT_CAPS):
     """Structural facts about a built layer: monotone projection, the step
     relation is upset-valued, and box along it carries upsets of the
-    previous layer to upsets of this one. More than caps.max_stage upsets
-    of the previous layer raise StageTooLarge."""
+    previous layer to upsets of this one. The upsets are read from
+    up_functor under caps, the value the layer was built from, so more
+    than caps.max_stage of them raise StageTooLarge."""
     report = StageReport(stage.index)
     report.record("projection-monotone", is_monotone(stage.projection))
     if stage.rel is None:
@@ -275,14 +274,9 @@ def check_modal_stage_properties(stage, caps=DEFAULT_CAPS):
         None,
     )
     report.record("step-images-are-upsets", bad is None, bad)
-    upsets = upset_masks(prev, limit=caps.max_stage)
-    if len(upsets) > caps.max_stage:
-        raise StageTooLarge(
-            stage.index - 1, f"more than {caps.max_stage} upsets"
-        )
     box_ok = True
     witness = None
-    for mask in upsets:
+    for mask in up_functor(prev, caps).masks:
         if not stage.poset.is_upset(box_mask(stage, mask)):
             box_ok = False
             witness = mask

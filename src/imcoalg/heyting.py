@@ -7,11 +7,12 @@ them). Two distinct order conventions live here and must not be confused:
     logical order (meet = AND, join = OR, top = the full mask, and
     implication is residuated against meet).
   - up_functor orders the same upsets by *reverse* inclusion; that poset is
-    the coalgebraic target for modal successor maps.
+    the coalgebraic target for modal successor maps. It is the MaskPoset
+    of the upsets over the base (poset.MaskPoset), so its ``masks`` are
+    the upsets, ascending, and index_of_mask finds an upset's element.
 """
 
 import functools
-from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
 from .errors import NotMonotone, StageTooLarge, ValueNotUpset
@@ -21,35 +22,14 @@ from .poset import (
     containment_rows,
     image,
     is_monotone,
-    sorted_index,
     upset_masks,
 )
-
-@dataclass(frozen=True)
-class FunctorValue:
-    """Result of applying an endofunctor (up_functor, pow_up_functor) to a
-    poset.
-
-    ``masks`` records, per element of the value poset, its provenance as a
-    subset of the base (for Up: an upset mask of the base; for PowUp: a mask
-    over the Up-carrier of the base).
-    """
-
-    tag: str
-    base: Poset
-    poset: Poset
-    masks: tuple
-
-    def index_of_mask(self, mask):
-        i = sorted_index(self.masks, mask)
-        if i is None:
-            raise ValueNotUpset(f"mask {mask:#x} is not in the {self.tag} carrier")
-        return i
 
 
 @functools.lru_cache
 def up_functor(p, caps=DEFAULT_CAPS):
-    """The poset of upsets of p under reverse inclusion (C <= D iff C >= D).
+    """The poset of upsets of p under reverse inclusion (C <= D iff C >= D),
+    a MaskPoset over p whose masks are the upsets, ascending.
 
     This is stage 1 of the complexes over Up(p), so more than
     caps.max_stage upsets raise StageTooLarge(1); enumeration stops at the
@@ -60,7 +40,7 @@ def up_functor(p, caps=DEFAULT_CAPS):
     masks = upset_masks(p, limit=caps.max_stage)
     if len(masks) > caps.max_stage:
         raise StageTooLarge(1, f"more than {caps.max_stage} elements")
-    return FunctorValue("up", p, Poset.over_masks(masks, p), masks)
+    return Poset.over_masks(masks, p)
 
 
 def up_functor_map(f):
@@ -80,7 +60,7 @@ def up_functor_map(f):
     assign = [
         tv.index_of_mask(f.target.up_close(f.image_mask(m))) for m in sv.masks
     ]
-    return PosetMap(sv.poset, tv.poset, assign)
+    return PosetMap(sv, tv, assign)
 
 
 def impl_mask(poset, a, b):

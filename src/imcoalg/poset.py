@@ -13,15 +13,19 @@ Conventions used throughout the package:
     (the rows of the converse relation) are the kernels that union such
     rows bit by bit or build a converse; PosetMap.image_mask keeps a loop
     of its own, over the map's assignment rather than a relation's rows;
-  - a poset carried by masks (Poset.over_masks, a MaskPoset) builds its
-    order rows from per-chunk subset tables over 8-bit chunks of the base
-    (containment_rows) the first time ``up`` is read, unless it was given
-    them, and its labels from per-chunk frozenset tables (mask_labels) the
-    first time ``labels`` is read; one label alone (label(i)) is built
-    from the members down. So a stage whose rows or labels nobody reads
-    never builds them, and no table loops over bits. An eager Poset keeps
-    ``up`` and ``labels`` as plain slots, with no property in the way of
-    its reads;
+  - a poset whose elements are subsets of a base poset is a MaskPoset
+    (Poset.over_masks): Up(P) (heyting.up_functor), the neighbourhood
+    carrier PowUp(P) (frames.pow_up_functor) and every rooted stage of a
+    complex. index_of_mask finds an element by its subset in one
+    bisection, so it needs ascending masks, as all three list them. A
+    MaskPoset builds its order rows from per-chunk subset tables over
+    8-bit chunks of the base (containment_rows) the first time ``up`` is
+    read, unless it was given them, and its labels from per-chunk
+    frozenset tables (mask_labels) the first time ``labels`` is read; one
+    label alone (label(i)) is built from the members down. So a stage
+    whose rows or labels nobody reads never builds them, and no table
+    loops over bits. An eager Poset keeps ``up`` and ``labels`` as plain
+    slots, with no property in the way of its reads;
   - g-openness is read off per-fibre masks, visiting only the elements
     that have any (open_table); a whole list of masks is checked at once
     on bit planes, one int per base element whose bit j says whether
@@ -48,6 +52,7 @@ from .errors import (
     NotAntisymmetric,
     NotTransitive,
     UnknownLabel,
+    ValueNotUpset,
 )
 
 
@@ -278,6 +283,15 @@ class MaskPoset(Poset):
         if self._labels is not None:
             return self._labels[i]
         return frozenset(map(self.base.label, iter_bits(self.masks[i])))
+
+    def index_of_mask(self, mask):
+        """The index of the element whose subset is mask, by one bisection
+        over the masks, which must be ascending; ValueNotUpset when no
+        element has it."""
+        i = sorted_index(self.masks, mask)
+        if i is None:
+            raise ValueNotUpset(f"mask {mask:#x} is not an element's mask")
+        return i
 
 
 class PosetMap:

@@ -113,7 +113,7 @@ def stage_values(cx, level):
     members' values above."""
     values = tuple(range(cx.stages[1].n))
     for lv in range(2, level + 1):
-        values = tuple(mask_labels(cx.member_masks[lv], values))
+        values = tuple(mask_labels(cx.stages[lv].masks, values))
     return values
 
 
@@ -182,12 +182,16 @@ def is_open_mask(mask, table):
 
 def verify_complex_by_members(cx):
     """verify_complex as it read before the openness re-check moved to bit
-    planes: rooted and open, member mask by member mask (is_open_mask)."""
+    planes: rooted and open, member mask by member mask (is_open_mask); a
+    stage whose mask list and root map differ in length fails."""
     for i in range(2, len(cx.stages)):
         up = cx.stages[i - 1].up
         table = open_table(cx.root_maps[i - 1])
         roots = cx.root_maps[i].assign
-        for mask, root in zip(cx.member_masks[i], roots):
+        masks = cx.stages[i].masks
+        if len(masks) != len(roots):
+            return False
+        for mask, root in zip(masks, roots):
             if (
                 not mask >> root & 1
                 or mask & ~up[root]

@@ -116,7 +116,7 @@ def _check_correspondence(fr):
     the upset map with each Up-index read as its mask, and that index tower
     is compatible and monotone."""
     fv = up_functor(fr.poset)
-    m = frame_to_upmap(fr, fv)
+    m = frame_to_upmap(fr)
     assert upmap_to_frame(m) == fr
     index = tower_coords(fr.poset, m.assign, 3)
     assert index[0] == m.assign
@@ -633,13 +633,13 @@ def test_criterion_9_neighbourhood_correspondence():
     for p in posets:
         pv = pow_up_functor(p)
         nf1s = [
-            NbhdFrame(p, fams) for fams in _all_nbhd_families(p, pv.poset.n)
+            NbhdFrame(p, fams) for fams in _all_nbhd_families(p, pv.n)
         ]
         for q in posets:
             qv = pow_up_functor(q)
             nf2s = [
                 NbhdFrame(q, fams)
-                for fams in _all_nbhd_families(q, qv.poset.n)
+                for fams in _all_nbhd_families(q, qv.n)
             ]
             for f in monotone_maps(p, q):
                 for nf1 in nf1s:

@@ -187,7 +187,7 @@ class TestBuildStage:
         # image-based openness test, and the order rows equal the pairwise
         # inclusion loop
         bases = [p for n in (1, 2, 3) for p in all_posets(n)]
-        bases += [up_functor(p).poset for n in (1, 2) for p in all_posets(n)]
+        bases += [up_functor(p) for n in (1, 2) for p in all_posets(n)]
         for p in bases:
             cx = terminal_complex(p, 3)
             for i in range(2, 4):
@@ -199,7 +199,7 @@ class TestBuildStage:
                     if base.min_of(mask) is not None
                     and g_open_by_images(mask, g)
                 ]
-                masks = cx.member_masks[i]
+                masks = cx.stages[i].masks
                 assert list(masks) == want
                 assert cx.stages[i].up == containment_rows_oracle(masks)
                 assert containment_rows(masks, base.n) == cx.stages[i].up
@@ -222,12 +222,12 @@ class TestBuildStage:
 
     def test_stages_workload_shapes_match_replaced_kernels(self):
         for up in STAGES_WORKLOAD_DEPTH2_POSETS:
-            g = terminal_map(up_functor(Poset(range(5), up)).poset)
+            g = terminal_map(up_functor(Poset(range(5), up)))
             stage = build_p_g(g)
             assert 111 <= stage.poset.n <= 2767
             assert_stage_matches_oracles(g, stage)
             cx = intuitionistic_lift(Poset(range(5), up), 2)
-            assert cx.member_masks[2] == stage.member_masks
+            assert cx.stages[2].masks == stage.member_masks
             assert verify_complex(cx)
             assert verify_complex_by_members(cx)
 
@@ -242,7 +242,7 @@ class TestBuildStage:
             for i in (2, 3):
                 g = cx.root_maps[i - 1]
                 base = g.source
-                masks = cx.member_masks[i]
+                masks = cx.stages[i].masks
                 root_map = cx.root_maps[i]
                 subsets = range(1, 1 << base.n)
                 unrooted = [
@@ -258,13 +258,13 @@ class TestBuildStage:
                     for kind, swaps in (("non-rooted", unrooted[:3]),
                                         ("not open", closed[:3])):
                         for bad in swaps:
-                            cx.member_masks[i] = (
+                            cx.stages[i].masks = (
                                 masks[:idx] + (bad,) + masks[idx + 1:]
                             )
                             assert not verify_complex(cx)
                             assert not verify_complex_by_members(cx)
                             tried[kind] += 1
-                    cx.member_masks[i] = masks
+                    cx.stages[i].masks = masks
                     for other in range(base.n):
                         if other == root:
                             continue
@@ -283,42 +283,44 @@ class TestBuildStage:
         # four elements: one member mask at a time with one bit of the
         # stage below flipped, so that it stays rooted and loses or gains
         # an element above the root (often not open then), loses its root,
-        # or gains an element elsewhere; and the stage truncated or padded
-        # against its root map
+        # or gains an element elsewhere. A stage cut short, padded or
+        # emptied against its root map fails on both kernels
         rng = random.Random(1706)
         verdicts = {True: 0, False: 0}
         for n in range(1, 5):
             for p in all_posets(n):
                 cx = terminal_complex(p, 3)
-                masks = cx.member_masks[3]
+                masks = cx.stages[3].masks
                 width = cx.stages[2].n
                 picks = rng.sample(range(len(masks)), min(8, len(masks)))
                 for idx in picks:
                     for bit in range(width):
                         bad = masks[idx] ^ 1 << bit
-                        cx.member_masks[3] = (
+                        cx.stages[3].masks = (
                             masks[:idx] + (bad,) + masks[idx + 1:]
                         )
                         want = verify_complex_by_members(cx)
                         assert verify_complex(cx) == want
                         verdicts[want] += 1
                 for cut in (masks[:-1], masks + (masks[0],), ()):
-                    cx.member_masks[3] = cut
-                    assert verify_complex(cx) == verify_complex_by_members(cx)
-                cx.member_masks[3] = masks
+                    cx.stages[3].masks = cut
+                    assert not verify_complex(cx)
+                    assert not verify_complex_by_members(cx)
+                cx.stages[3].masks = masks
+                assert verify_complex(cx)
         assert min(verdicts.values()) > 0
 
     def test_verify_complex_rejects_corrupted_stage(self):
         cx = build_complex(identity_map(chain2()), 2)
-        ok = cx.member_masks[2]
+        ok = cx.stages[2].masks
         assert ok == (0b10, 0b11)
         # {a} alone is rooted at a but not open relative to the identity
-        cx.member_masks[2] = (0b10, 0b01)
+        cx.stages[2].masks = (0b10, 0b01)
         assert not verify_complex(cx)
         # the recorded root of {b} is b, not a
-        cx.member_masks[2] = (0b11, 0b11)
+        cx.stages[2].masks = (0b11, 0b11)
         assert not verify_complex(cx)
-        cx.member_masks[2] = ok
+        cx.stages[2].masks = ok
         assert verify_complex(cx)
 
     def test_root_map_monotone(self):
@@ -623,7 +625,7 @@ class TestIntuitionisticLift:
     def test_up_on_point(self):
         cx = intuitionistic_lift(point_poset(), 1)
         assert [s.n for s in cx.stages] == [1, 2]
-        assert cx.stages[1] == up_functor(point_poset()).poset
+        assert cx.stages[1] == up_functor(point_poset())
 
     def test_up_on_chain_depth2(self):
         cx = intuitionistic_lift(chain2(), 2)
@@ -646,7 +648,7 @@ class TestStageLabels:
                 cx = terminal_complex(p, 3)
                 for i in (2, 3):
                     assert_matches_eager(
-                        cx.stages[i], cx.member_masks[i], cx.stages[i - 1]
+                        cx.stages[i], cx.stages[i].masks, cx.stages[i - 1]
                     )
 
     def test_intuitionistic_lift_stages_match_eager_posets(self):
@@ -654,7 +656,7 @@ class TestStageLabels:
             cx = intuitionistic_lift(p, 2)
             assert_matches_eager(cx.stages[1], up_functor(p).masks, p)
             assert_matches_eager(
-                cx.stages[2], cx.member_masks[2], cx.stages[1]
+                cx.stages[2], cx.stages[2].masks, cx.stages[1]
             )
 
     def test_deep_stage_labelled_before_its_bases(self):
@@ -662,12 +664,12 @@ class TestStageLabels:
         # build stage 1's; stage 3 holds 29 and 718 elements
         for p, size in ((chain2(), 29), (antichain2(), 718)):
             fv = up_functor.__wrapped__(p)
-            cx = build_complex(terminal_map(fv.poset), 3)
+            cx = build_complex(terminal_map(fv), 3)
             deep = cx.stages[3].labels
             want = labels_by_bits(fv.masks, p.labels)
             assert cx.stages[1].labels == tuple(want)
             for i in (2, 3):
-                want = labels_by_bits(cx.member_masks[i], want)
+                want = labels_by_bits(cx.stages[i].masks, want)
                 assert cx.stages[i].labels == tuple(want)
             assert deep == tuple(want)
             assert len(deep) == size
@@ -738,7 +740,7 @@ class TestDeepestStageRows:
     ):
         frame = GOLDEN / "chain.frame"
         p = make_poset("abc", [("a", "b"), ("b", "c")])
-        deepest = intuitionistic_lift(p, depth).member_masks[depth]
+        deepest = intuitionistic_lift(p, depth).stages[depth].masks
         calls = record_containment_rows(monkeypatch)
         argv = ["complex", str(frame), "--depth", str(depth)]
         if writer:
@@ -751,7 +753,7 @@ class TestDeepestStageRows:
         self, monkeypatch, capsys
     ):
         p = make_poset("abc", [("a", "b"), ("b", "c")])
-        deepest = intuitionistic_lift(p, 2).member_masks[2]
+        deepest = intuitionistic_lift(p, 2).stages[2].masks
         calls = record_containment_rows(monkeypatch)
         frame = str(GOLDEN / "chain.frame")
         assert cli.main(["lift", frame, "--depth", "2"]) == 0

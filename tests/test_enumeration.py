@@ -26,6 +26,7 @@ from imcoalg.errors import EnumerationTooLarge
 from imcoalg.poset import (
     Poset,
     PosetMap,
+    containment_rows,
     is_pmorphism,
     iter_bits,
     make_poset,
@@ -87,6 +88,15 @@ def mix_relations_by_backtracking(p, upsets):
 
     extend(0, [])
     return out
+
+
+def mix_relations_by_own_carrier(p):
+    """mix_relations as it read before it searched into up_functor(p): the
+    monotone maps into a poset of the upset masks built here, its rows by
+    containment_rows."""
+    upsets = upset_masks(p)
+    ups = Poset(upsets, containment_rows(upsets, p.n), _trusted=True)
+    return [tuple(upsets[k] for k in a) for a in monotone_assignments(p, ups)]
 
 
 def automorphisms_by_permutations(p):
@@ -188,10 +198,12 @@ class TestMonotoneAssignments:
                     ]
 
     def test_mix_relations_match_backtracking(self):
+        # and their own-carrier route, in the same order: sweep samples the
+        # list by index
         for p in [EMPTY] + [q for p in posets_up_to(4) for q in labellings(p)]:
-            assert mix_relations(p) == mix_relations_by_backtracking(
-                p, upset_masks(p)
-            )
+            got = mix_relations(p)
+            assert got == mix_relations_by_own_carrier(p)
+            assert got == mix_relations_by_backtracking(p, upset_masks(p))
 
     def test_automorphisms_match_permutation_scan(self):
         posets = [q for p in posets_up_to(4) for q in labellings(p)]

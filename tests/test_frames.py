@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -34,6 +33,7 @@ from imcoalg.frames import (
 from imcoalg.complexes import tower_coords
 from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     identity_map,
     is_pmorphism,
@@ -195,7 +195,7 @@ class TestCorrespondence:
         p = chain2()
         fv = up_functor(p)
         m = PosetMap(
-            p, fv.poset, [fv.index_of_mask(p.up_mask(i)) for i in range(p.n)]
+            p, fv, [fv.index_of_mask(p.up_mask(i)) for i in range(p.n)]
         )
         fr = upmap_to_frame(m)
         assert set(fr.pairs()) == {("a", "a"), ("a", "b"), ("b", "b")}
@@ -205,7 +205,7 @@ class TestCorrespondence:
         fv = up_functor(p)
         m = PosetMap(
             p,
-            fv.poset,
+            fv,
             [fv.index_of_mask(0), fv.index_of_mask(p.full_mask)],
         )
         # assigns a smaller upset to the smaller point: not monotone in the
@@ -217,10 +217,9 @@ class TestCorrespondence:
         # a carrier whose middle "upset" is {a}, not an upset of a < b: the
         # recovered relation a R a then misses a R b
         p = chain2()
-        fv = up_functor(p)
-        broken = dataclasses.replace(fv, masks=(0, 0b01, 0b11))
+        broken = Poset.over_masks((0, 0b01, 0b11), p, up_functor(p).up)
         monkeypatch.setattr(frames, "up_functor", lambda q: broken)
-        m = PosetMap(p, fv.poset, [1, 1])
+        m = PosetMap(p, broken, [1, 1])
         with pytest.raises(MixLawViolation):
             upmap_to_frame(m)
 
@@ -249,10 +248,9 @@ class TestCorrespondence:
 # -- the index route over Up(P): the oracle for the mask-valued checks -------
 
 
-def index_lifted(frame, depth, fv=None):
+def index_lifted(frame, depth):
     """The lift of x -> R[x] as nested levels over Up(P) indices."""
-    fv = fv if fv is not None else up_functor(frame.poset)
-    return tower_coords(frame.poset, frame_to_upmap(frame, fv).assign, depth)
+    return tower_coords(frame.poset, frame_to_upmap(frame).assign, depth)
 
 
 def index_levels_as_masks(levels, fv):
@@ -265,8 +263,8 @@ def index_levels_as_masks(levels, fv):
 
 def index_lift_is_tower(frame, levels, fv):
     """The index-valued lift is compatible and monotone (nested route)."""
-    return nested_compatible(fv.poset, levels) and nested_monotone(
-        frame.poset, fv.poset, levels
+    return nested_compatible(fv, levels) and nested_monotone(
+        frame.poset, fv, levels
     )
 
 
@@ -326,7 +324,7 @@ class TestLiftedCoalgebra:
             fv = up_functor(p)
             for fr in frames_on(p)[::5]:
                 t = frame_to_lifted(fr, 3)
-                index = index_lifted(fr, 3, fv)
+                index = index_lifted(fr, 3)
                 assert t == index_levels_as_masks(index, fv)
                 assert index_lift_is_tower(fr, index, fv)
 
@@ -499,7 +497,7 @@ class TestMaskRouteOracle:
 class TestPowUp:
     def test_point_has_four_families(self):
         fv = pow_up_functor(point_poset())
-        assert fv.poset.n == 4
+        assert fv.n == 4
 
     def test_base_cap(self):
         p = make_poset(["a", "b", "c", "d"], [])
@@ -508,7 +506,7 @@ class TestPowUp:
 
     def test_memo_does_not_bypass_tighter_caps(self):
         p = make_poset(["a", "b"], [])
-        assert pow_up_functor(p).poset.n == 16
+        assert pow_up_functor(p).n == 16
         with pytest.raises(StageTooLarge):
             pow_up_functor(p, caps=Caps(max_stage=4))
 
@@ -540,7 +538,7 @@ class TestPowUp:
         # in the reverse-inclusion order is a member too
         for n in (1, 2, 3):
             for p in all_posets(n):
-                order = up_functor(p).poset
+                order = up_functor(p)
                 for fam in range(1 << order.n):
                     closed = all(
                         (fam >> j) & 1
@@ -656,7 +654,7 @@ class TestPowUp:
 
 def _all_nbhd_frames(p, fv):
     out = []
-    size = fv.poset.n
+    size = fv.n
 
     def extend(i, chosen):
         if i == p.n:

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from imcoalg import freealg, heyting
 from imcoalg.complexes import terminal_complex, tower_coords
 from imcoalg.config import Caps
 from imcoalg.enumeration import frames_on, monotone_maps, pmorphisms
@@ -38,6 +39,20 @@ from imcoalg.poset import (
 )
 
 from helpers import nested_image, posets_up_to, stage_values, value_root
+
+
+def layers_inside_the_caps():
+    """build_free_stages on 0-2 generators for every stage count and inner
+    depth the caps allow, skipping the runs past the stage cap."""
+    for g in range(3):
+        base = generator_poset([f"p{i}" for i in range(g)])
+        for stages in range(MAX_STAGES + 1):
+            for depth in range(1, MAX_INNER_DEPTH + 1):
+                try:
+                    lib = build_free_stages(base, stages, depth)
+                except StageTooLarge:
+                    continue
+                yield lib
 
 
 # -- the criterion-8 inputs (shared with tests/test_acceptance.py) -----------
@@ -125,7 +140,7 @@ def index_route_stages(base, stages, inner_depth):
     for _ in range(stages):
         stage = out[-1]
         fv = up_functor(stage.poset)
-        cx = terminal_complex(fv.poset, inner_depth)
+        cx = terminal_complex(fv, inner_depth)
         vals = stage_values(cx, inner_depth)
         poset = product(base, cx.stages[inner_depth])
         pairs = tuple(
@@ -136,7 +151,7 @@ def index_route_stages(base, stages, inner_depth):
         for _, j in pairs:
             coord = vals[j]
             for level in range(inner_depth, 1, -1):
-                coord = value_root(fv.poset, level, coord)
+                coord = value_root(fv, level, coord)
             rel.append(fv.masks[coord])
         if stage.index == 0:
             assign = [i for i, _ in pairs]
@@ -189,7 +204,7 @@ def index_route_truncated_pmorphism(stage, assign, source):
     vals = stage_values(stage.cx, d)
 
     def prefix(c):
-        return None if d == 1 else value_root(stage.fv.poset, d, vals[c])
+        return None if d == 1 else value_root(stage.fv, d, vals[c])
 
     for y in range(source.n):
         for e2 in iter_bits(stage.poset.up[assign[y]]):
@@ -368,21 +383,14 @@ class TestBuildStages:
         # k-1 with no upward closure: every projection inside the caps is
         # a p-morphism, so each image is already an upset
         images = 0
-        for g in range(3):
-            base = generator_poset([f"p{i}" for i in range(g)])
-            for stages in range(MAX_STAGES + 1):
-                for depth in range(1, MAX_INNER_DEPTH + 1):
-                    try:
-                        lib = build_free_stages(base, stages, depth)
-                    except StageTooLarge:
-                        continue
-                    for stage in lib[1:]:
-                        assert is_pmorphism(stage.projection)
-                    for stage, nxt in zip(lib[1:], lib[2:]):
-                        for mask in nxt.upsets.masks:
-                            img = stage.projection.image_mask(mask)
-                            assert stage.prev.is_upset(img)
-                            images += 1
+        for lib in layers_inside_the_caps():
+            for stage in lib[1:]:
+                assert is_pmorphism(stage.projection)
+            for stage, nxt in zip(lib[1:], lib[2:]):
+                for mask in nxt.upsets.masks:
+                    img = stage.projection.image_mask(mask)
+                    assert stage.prev.is_upset(img)
+                    images += 1
         # upsets of layer 1: 3 and 4 over the point (inner depth 1, 2),
         # 11 over one generator and 494 over two (inner depth 1)
         assert images == 3 + 4 + 11 + 494
@@ -416,6 +424,31 @@ class TestBuildStages:
         assert check_modal_stage_properties(stage, Caps(max_stage=count)).ok
         with pytest.raises(StageTooLarge, match="stage 1 too large"):
             check_modal_stage_properties(stage, Caps(max_stage=count - 1))
+
+    def test_stage_check_enumerates_no_upsets_of_its_own(self, monkeypatch):
+        # a layer is built from up_functor(prev, caps), so the check reads
+        # Up(prev) from that memo: with the layers built, no module that
+        # binds upset_masks sees a call while every layer is checked
+        calls = []
+
+        def recording(real):
+            def upset_masks(p, limit=None):
+                calls.append(p)
+                return real(p, limit)
+            return upset_masks
+
+        runs = 0
+        for lib in layers_inside_the_caps():
+            with monkeypatch.context() as patch:
+                for module in (heyting, freealg):
+                    real = getattr(module, "upset_masks", None)
+                    if real is not None:
+                        patch.setattr(module, "upset_masks", recording(real))
+                for stage in lib:
+                    assert check_modal_stage_properties(stage).ok
+            runs += 1
+        assert calls == []
+        assert runs == 16
 
     def test_corrupted_relation_detected(self):
         stages = build_free_stages(generator_poset(["p"]), 1, 1)

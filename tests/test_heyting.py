@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from imcoalg.config import Caps
@@ -13,6 +15,7 @@ from imcoalg.heyting import (
 )
 from imcoalg.frames import ModalFrame, check_mix_law, pow_up_functor
 from imcoalg.freealg import generator_poset
+from imcoalg.complexes import terminal_complex
 from imcoalg.poset import (
     PosetMap,
     identity_map,
@@ -88,43 +91,43 @@ class TestUpFunctor:
         with pytest.raises(StageTooLarge) as info:
             up_functor(antichain)
         assert info.value.stage_index == 1
-        assert up_functor(antichain, Caps(max_stage=8192)).poset.n == 8192
+        assert up_functor(antichain, Caps(max_stage=8192)).n == 8192
         with pytest.raises(StageTooLarge):
             up_functor(antichain, Caps(max_stage=8191))
 
     def test_memo_keyed_on_caps(self):
         p = chain2()
-        assert up_functor(p).poset.n == 3
+        assert up_functor(p).n == 3
         with pytest.raises(StageTooLarge):
             up_functor(p, Caps(max_stage=2))
-        assert up_functor(p, Caps(max_stage=3)).poset.n == 3
+        assert up_functor(p, Caps(max_stage=3)).n == 3
 
     def test_point(self):
         fv = up_functor(point_poset("x"))
         # bottom is the full upset, top the empty one, under reverse inclusion
-        assert fv.poset.n == 2
-        full = fv.poset.index(frozenset({"x"}))
-        empty = fv.poset.index(frozenset())
-        assert fv.poset.leq(full, empty)
-        assert not fv.poset.leq(empty, full)
+        assert fv.n == 2
+        full = fv.index(frozenset({"x"}))
+        empty = fv.index(frozenset())
+        assert fv.leq(full, empty)
+        assert not fv.leq(empty, full)
 
     def test_chain_gives_three_chain(self):
         fv = up_functor(chain2())
-        bot = fv.poset.index(frozenset({"a", "b"}))
-        mid = fv.poset.index(frozenset({"b"}))
-        top = fv.poset.index(frozenset())
-        assert fv.poset.leq(bot, mid) and fv.poset.leq(mid, top)
+        bot = fv.index(frozenset({"a", "b"}))
+        mid = fv.index(frozenset({"b"}))
+        top = fv.index(frozenset())
+        assert fv.leq(bot, mid) and fv.leq(mid, top)
 
     def test_antichain(self):
         fv = up_functor(make_poset(["a", "b"], []))
-        assert fv.poset.n == 4
-        bot = fv.poset.index(frozenset({"a", "b"}))
-        sa = fv.poset.index(frozenset({"a"}))
-        sb = fv.poset.index(frozenset({"b"}))
-        top = fv.poset.index(frozenset())
-        assert fv.poset.leq(bot, sa) and fv.poset.leq(bot, sb)
-        assert fv.poset.leq(sa, top) and fv.poset.leq(sb, top)
-        assert not fv.poset.leq(sa, sb) and not fv.poset.leq(sb, sa)
+        assert fv.n == 4
+        bot = fv.index(frozenset({"a", "b"}))
+        sa = fv.index(frozenset({"a"}))
+        sb = fv.index(frozenset({"b"}))
+        top = fv.index(frozenset())
+        assert fv.leq(bot, sa) and fv.leq(bot, sb)
+        assert fv.leq(sa, top) and fv.leq(sb, top)
+        assert not fv.leq(sa, sb) and not fv.leq(sb, sa)
 
 
 class TestUpFunctorMap:
@@ -135,14 +138,32 @@ class TestUpFunctorMap:
                 assert m.assign == tuple(range(m.source.n))
 
     def test_index_of_mask_finds_every_upset_and_nothing_else(self):
-        for p in all_posets(3):
-            for tag, fv in (("up", up_functor(p)), ("powup", pow_up_functor(p))):
-                for i, mask in enumerate(fv.masks):
-                    assert fv.index_of_mask(mask) == i
-                others = set(range(1 << fv.base.n)) - set(fv.masks)
-                for mask in sorted(others)[:8]:
-                    with pytest.raises(ValueNotUpset, match=tag):
-                        fv.index_of_mask(mask)
+        # Up(P), PowUp(P) and every stage >= 2 of the depth-3 terminal
+        # complex over P, for every P of at most 3 elements: each is a
+        # MaskPoset, each mask is found at its index, and the first 8
+        # masks below 2^(width + 1) that are no element's raise (PowUp's
+        # masks fill 2^width, so its non-members lie past it)
+        checked = 0
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                cx = terminal_complex(p, 3)
+                values = (up_functor(p), pow_up_functor(p), *cx.stages[2:])
+                for value in values:
+                    for i, mask in enumerate(value.masks):
+                        assert value.index_of_mask(mask) == i
+                    members = set(value.masks)
+                    others = (
+                        m for m in range(2 << value.base.n) if m not in members
+                    )
+                    tried = list(islice(others, 8))
+                    assert tried
+                    for mask in tried:
+                        with pytest.raises(
+                            ValueNotUpset, match="is not an element's mask"
+                        ):
+                            value.index_of_mask(mask)
+                    checked += 1
+        assert checked == 4 * sum(len(all_posets(n)) for n in (1, 2, 3))
 
     def test_terminal_map_action(self):
         p = chain2()
@@ -164,8 +185,8 @@ class TestUpFunctorMap:
         fv_src = up_functor(one)
         fv_tgt = up_functor(p)
         got = {
-            frozenset(fv_src.poset.labels[i]): fv_tgt.masks[m.assign[i]]
-            for i in range(fv_src.poset.n)
+            frozenset(fv_src.labels[i]): fv_tgt.masks[m.assign[i]]
+            for i in range(fv_src.n)
         }
         assert got[frozenset()] == 0
         assert got[frozenset({"b"})] == 1 << p.index("b")
@@ -320,7 +341,7 @@ class TestMaskCarriedRows:
         for n in (1, 2, 3, 4):
             for p in all_posets(n):
                 fv = up_functor(p)
-                assert fv.poset.up == containment_rows_oracle(fv.masks)
+                assert fv.up == containment_rows_oracle(fv.masks)
 
     def test_pow_up_functor(self):
         for n in (1, 2, 3):
@@ -333,7 +354,7 @@ class TestMaskCarriedRows:
                         if m & ~j == 0:  # family inclusion
                             row |= 1 << j
                     want.append(row)
-                assert fv.poset.up == tuple(want)
+                assert fv.up == tuple(want)
 
     def test_generator_poset(self):
         for k in range(4):

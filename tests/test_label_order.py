@@ -236,18 +236,18 @@ def test_verify_complex_commutes_with_relabelling():
             depth = 3 if g.target.n == 1 else 2
             cx = build_complex(moved_map(g, perm, q), depth)
             assert verify_complex(cx)
-            masks = cx.member_masks[depth]
+            masks = cx.stages[depth].masks
             width = cx.stages[depth - 1].n
             for idx in rng.sample(range(len(masks)), 1):
                 for bit in range(width):
                     bad = masks[idx] ^ 1 << bit
-                    cx.member_masks[depth] = (
+                    cx.stages[depth].masks = (
                         masks[:idx] + (bad,) + masks[idx + 1:]
                     )
                     want = verify_complex_by_members(cx)
                     assert verify_complex(cx) == want
                     verdicts[want] += 1
-            cx.member_masks[depth] = masks
+            cx.stages[depth].masks = masks
     assert min(verdicts.values()) > 0
 
 

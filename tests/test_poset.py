@@ -673,12 +673,12 @@ class TestOverMasks:
         # up_functor is memoized, so its unwrapped body gives fresh values
         for p in posets_up_to_three():
             fv = up_functor.__wrapped__(p)
-            assert_matches_eager(fv.poset, fv.masks, p)
+            assert_matches_eager(fv, fv.masks, p)
 
     def test_pow_up_functor_values_match_eager_posets(self):
         for p in posets_up_to_three():
             fv = pow_up_functor.__wrapped__(p)
-            assert_matches_eager(fv.poset, fv.masks, up_functor(p).poset)
+            assert_matches_eager(fv, fv.masks, up_functor(p))
 
     def test_hash_and_equality_read_before_labels(self):
         p = chain2()
@@ -688,14 +688,14 @@ class TestOverMasks:
             containment_rows(masks, p.n),
             _trusted=True,
         )
-        assert hash(up_functor.__wrapped__(p).poset) == hash(eager)
-        assert up_functor.__wrapped__(p).poset == eager
-        assert eager == up_functor.__wrapped__(p).poset
+        assert hash(up_functor.__wrapped__(p)) == hash(eager)
+        assert up_functor.__wrapped__(p) == eager
+        assert eager == up_functor.__wrapped__(p)
 
     def test_labels_are_built_once_on_first_read(self, monkeypatch):
         calls = count_mask_labels(monkeypatch)
         p = antichain2()
-        value = up_functor.__wrapped__(p).poset
+        value = up_functor.__wrapped__(p)
         assert calls == []
         assert value.labels == tuple(labels_by_bits(upset_masks(p), p.labels))
         value.index(frozenset())
@@ -713,24 +713,23 @@ class TestOverMasks:
 
         monkeypatch.setattr(poset_module, "containment_rows", recording)
         p = make_poset("abc", [("a", "b")])
-        fv = up_functor.__wrapped__(p)
-        value = fv.poset
+        value = up_functor.__wrapped__(p)
         assert isinstance(value, MaskPoset)
-        assert value.n == len(fv.masks)
+        assert value.n == len(value.masks)
         assert built == []
-        assert value.up == containment_rows_oracle(fv.masks)
+        assert value.up == containment_rows_oracle(value.masks)
         assert value.up is value.up
         value.covers()
-        assert built == [fv.masks]
-        given = Poset.over_masks(fv.masks, p, value.up)
+        assert built == [value.masks]
+        given = Poset.over_masks(value.masks, p, value.up)
         assert given.up == value.up
-        assert built == [fv.masks]
+        assert built == [value.masks]
 
     def test_label_of_one_element_builds_no_labels(self, monkeypatch):
         # through two mask-carried levels down to the eager base
         calls = count_mask_labels(monkeypatch)
         p = make_poset("ab", [("a", "b")])
-        cx = build_complex(terminal_map(up_functor.__wrapped__(p).poset), 3)
+        cx = build_complex(terminal_map(up_functor.__wrapped__(p)), 3)
         got = [
             [cx.stages[lv].label(i) for i in range(cx.stages[lv].n)]
             for lv in (1, 2, 3)

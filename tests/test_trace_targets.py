@@ -5,8 +5,10 @@ path). A deleted or renamed library function would only surface when a
 traced benchmark run fails; this test resolves every entry directly. A
 dotted entry names a method that the tracer rebinds as a classmethod of the
 wrapped ``__func__``, so it must be a classmethod in its class ``__dict__``:
-a plain or static method would break traced runs only. The work counters read library values the same way, so the ones that read a
-Bisimulation are run on a real result here.
+a plain or static method would break traced runs only. The work counters
+read library values the same way, so each one that reads a result (a
+Bisimulation, a rooted stage, a list of upset masks) is run on a real one
+here.
 """
 
 import importlib
@@ -15,8 +17,10 @@ from collections import defaultdict
 import pytest
 
 from imcoalg.bisim import coalgebraic_bisim_check, largest_bisimulation
+from imcoalg.complexes import build_p_g, terminal_complex
+from imcoalg.enumeration import all_posets
 from imcoalg.frames import ModalFrame
-from imcoalg.poset import make_poset, point_poset
+from imcoalg.poset import make_poset, point_poset, terminal_map, upset_masks
 
 from helpers import load_bench_module
 
@@ -66,3 +70,36 @@ def test_bisimulation_counters_read_a_real_result():
         "bisim.largest_bisimulation.pairs_removed": 1,
         "bisim.coalgebraic_bisim_check.relation_size": 1,
     }
+
+
+def test_stage_counter_reads_a_real_result():
+    # build_p_g as build_complex calls it: accepted is the stage size, and
+    # candidates the rooted subsets, sum over x of 2^(|up(x)| - 1)
+    layers = load_bench_module("layers")
+    for n in (1, 2, 3):
+        for p in all_posets(n):
+            for g in (terminal_map(p), terminal_complex(p, 2).root_maps[2]):
+                counters = defaultdict(int)
+                stage = build_p_g(g)
+                layers._count_build_p_g(counters, (g,), {}, stage)
+                base = g.source
+                assert dict(counters) == {
+                    "complexes.build_p_g.candidates": sum(
+                        1 << (row.bit_count() - 1) for row in base.up
+                    ),
+                    "complexes.build_p_g.accepted": stage.poset.n,
+                }
+
+
+def test_upset_counter_reads_a_real_result():
+    layers = load_bench_module("layers")
+    for n in (1, 2, 3):
+        for p in all_posets(n):
+            counters = defaultdict(int)
+            masks = upset_masks(p)
+            layers._count_upset_masks(counters, (p,), {}, masks)
+            found = sum(p.is_upset(m) for m in range(1 << n))
+            assert dict(counters) == {
+                "heyting.upset_masks.scanned": 1 << n,
+                "heyting.upset_masks.found": found,
+            }
