@@ -31,6 +31,8 @@ route.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import and_, or_, rshift
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -73,22 +75,27 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
 
     A rooted subset is its root plus a choice of elements above it, so the
     candidate space is sum over x of 2^(|up(x)|-1); that count is capped
-    before any search, and so is the resulting stage size. A root whose
-    open_table row is empty (g is constant on up(root)) takes every such
-    choice untested; over a terminal map that is every root. Other
-    roots run a depth-first search that decides the elements above the
-    root from the top down (by |up(e)|), so when an element is included,
-    everything above it is already decided: it stays only if each of its
-    fibre masks meets the included set. The root's own fibre masks are
-    checked each time an element is left out, and the branch is abandoned
-    as soon as one of them has no element left among the included and
-    undecided ones, so every leaf is open. The stage poset is carried by
-    the member masks (Poset.over_masks): its order rows (containment_rows)
-    are built the first time something reads them, such as the next
-    stage's build, a lift or the DOT writer's covers, and its labels, the
-    frozensets of the members' base labels, the first time something reads
-    those, such as the DOT and JSON writers. The text `complex` report
-    reads neither for its deepest stage.
+    before any search, and so is the resulting stage size. Each root's
+    subsets are built as one list of ints, one decision level at a time,
+    by C-level map and filter passes. A root whose open_table row is empty
+    (g is constant on up(root)) takes every such choice untested: its list
+    doubles over each element above it, OR-ing that element's bit into a
+    copy. Over a terminal map that is every root. For other roots the
+    elements above are decided from the top down (by |up(e)|), so when an
+    element is taken, everything above it is already decided: the take
+    branch keeps the partial subsets that meet each of its fibre masks.
+    The leave-out branch keeps those that still meet each of the root's
+    own fibre masks holding the element, among the included and undecided
+    elements, so every subset left after the last level is open. A subset
+    is held as ``mask << s | root`` (s bits hold any root), so one int sort
+    orders the stage by member mask, and the masks and roots are read off
+    by a shift and an AND. The stage poset is carried by the member masks
+    (Poset.over_masks): its order rows (containment_rows) are built the
+    first time something reads them, such as the next stage's build, a
+    lift or the DOT writer's covers, and its labels, the frozensets of the
+    members' base labels, the first time something reads those, such as
+    the DOT and JSON writers. The text `complex` report reads neither for
+    its deepest stage.
     """
     base = g.source
     n = base.n
@@ -101,8 +108,8 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
             )
     _, needs = open_table(g)
     up = base.up
-
-    found = []  # (mask, root)
+    s = n.bit_length()
+    found = []  # mask << s | root
 
     def too_large():
         return StageTooLarge(
@@ -111,52 +118,50 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
 
     for root in range(n):
         rest = up[root] & ~(1 << root)
+        run = [1 << root << s | root]
         if not needs[root]:
             # g is constant on up(root), so no element there needs anything
             if len(found) + (1 << rest.bit_count()) > caps.max_stage:
                 raise too_large()
-            sub = rest
-            while True:
-                found.append((sub | 1 << root, root))
-                if not sub:
-                    break
-                sub = (sub - 1) & rest  # next submask of rest, descending
+            for e in iter_bits(rest):
+                run += list(map(or_, run, repeat(1 << e << s)))
+            found += run
             continue
         order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
-        last = len(order)
-        undecided = [0] * (last + 1)  # after the first k decisions
-        for k in range(last - 1, -1, -1):
-            undecided[k] = undecided[k + 1] | 1 << order[k]
-        # leaving out order[k] can only starve the root's needs holding it
-        starved = [
-            tuple(need for need in needs[root] if need >> e & 1)
-            for e in order
-        ]
-        stack = [(0, 1 << root)]
-        while stack:
-            k, included = stack.pop()
-            if k == last:
-                found.append((included, root))
-                if len(found) > caps.max_stage:
-                    raise too_large()
-                continue
-            left = included | undecided[k + 1]
-            for need in starved[k]:
-                if not need & left:
-                    break
-            else:
-                stack.append((k + 1, included))
-            e = order[k]
+        later = [0] * len(order)  # the elements decided after order[k]
+        for k in range(len(order) - 1, 0, -1):
+            later[k - 1] = later[k] | 1 << order[k]
+        for k, e in enumerate(order):
+            # leaving e out can only starve a root need holding e, and not
+            # one that an element decided later still meets
+            kept = run
+            for need in needs[root]:
+                if need >> e & 1 and not need & later[k]:
+                    kept = filter((need << s).__and__, kept)
+            taken = run
             for need in needs[e]:
-                if not need & included:
-                    break
-            else:
-                stack.append((k + 1, included | 1 << e))
+                taken = filter((need << s).__and__, taken)
+            taken = list(map(or_, taken, repeat(1 << e << s)))
+            if kept is not run:
+                run = list(kept)
+            run += taken
+            if len(found) + len(run) > caps.max_stage:
+                # a partial meeting every root need has at least one leaf:
+                # the one leaving out every element still undecided
+                met = run
+                for need in needs[root]:
+                    met = filter((need << s).__and__, met)
+                if len(found) + len(list(met)) > caps.max_stage:
+                    raise too_large()
+        found += run
 
     found.sort()
-    masks = tuple(m for m, _ in found)
+    # read off into lists, so that no tuple is resized as it grows
+    masks = tuple([*map(rshift, found, repeat(s))])
+    roots = [*map(and_, found, repeat((1 << s) - 1))]
+    del found
     stage_poset = Poset.over_masks(masks, base)
-    root_map = PosetMap(stage_poset, base, [r for _, r in found])
+    root_map = PosetMap(stage_poset, base, roots)
     return RootedStage(base, stage_poset, masks, root_map)
 
 

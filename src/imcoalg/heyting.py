@@ -84,12 +84,15 @@ def join_irreducibles(base):
 
     In Up(P) these are exactly the principal upsets, so the result is
     order-isomorphic to the base poset (Birkhoff duality); elements are
-    relabeled by the generator (the irreducible's least element). An
+    relabeled by the generator (the irreducible's least element). The
+    upsets and their containment rows are those of up_functor(base), so
+    more than DEFAULT_CAPS.max_stage upsets raise StageTooLarge(1). An
     irreducible that is not a principal upset raises ValueNotUpset.
     """
-    masks = upset_masks(base)
+    ups = up_functor(base)
+    masks = ups.masks
     irred = []
-    for k, row in enumerate(containment_rows(masks, base.n)):
+    for k, row in enumerate(ups.up):
         m = masks[k]
         if m and image(masks, row & ~(1 << k)) != m:
             irred.append(m)

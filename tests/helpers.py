@@ -16,14 +16,20 @@ indices only; this route is the oracle it is compared with.
 The per-member openness route (``is_open_mask``,
 ``verify_complex_by_members``) tests one member mask at a time; the
 library re-checks a whole stage on bit planes (``poset.all_open``).
+
+``build_p_g_by_search`` builds a rooted stage by a depth-first search, one
+(mask, root) pair per element; the library builds each root's subsets one
+decision level at a time (``complexes.build_p_g``).
 """
 
 import importlib.util
 from itertools import permutations
 from pathlib import Path
 
-from imcoalg.complexes import tower_coords
+from imcoalg.complexes import RootedStage, tower_coords
+from imcoalg.config import DEFAULT_CAPS
 from imcoalg.enumeration import _permuted, all_posets
+from imcoalg.errors import StageTooLarge
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import (
     Poset,
@@ -199,6 +205,84 @@ def verify_complex_by_members(cx):
             ):
                 return False
     return True
+
+
+# -- the depth-first rooted-stage search ---------------------------------
+
+
+def build_p_g_by_search(g, caps=DEFAULT_CAPS, stage_index=2):
+    """build_p_g as a depth-first search per root, kept as its oracle: the
+    same candidate cap, stage cap and decision order, one (mask, root) pair
+    per element found. StageTooLarge is raised on the first element past
+    the stage cap."""
+    base = g.source
+    n = base.n
+    total = 0
+    for i in range(n):
+        total += 1 << (base.up[i].bit_count() - 1)
+        if total > caps.max_candidates:
+            raise StageTooLarge(
+                stage_index, f"more than {caps.max_candidates} candidate subsets"
+            )
+    _, needs = open_table(g)
+    up = base.up
+
+    found = []  # (mask, root)
+
+    def too_large():
+        return StageTooLarge(
+            stage_index, f"more than {caps.max_stage} elements"
+        )
+
+    for root in range(n):
+        rest = up[root] & ~(1 << root)
+        if not needs[root]:
+            # g is constant on up(root), so no element there needs anything
+            if len(found) + (1 << rest.bit_count()) > caps.max_stage:
+                raise too_large()
+            sub = rest
+            while True:
+                found.append((sub | 1 << root, root))
+                if not sub:
+                    break
+                sub = (sub - 1) & rest  # next submask of rest, descending
+            continue
+        order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
+        last = len(order)
+        undecided = [0] * (last + 1)  # after the first k decisions
+        for k in range(last - 1, -1, -1):
+            undecided[k] = undecided[k + 1] | 1 << order[k]
+        # leaving out order[k] can only starve the root's needs holding it
+        starved = [
+            tuple(need for need in needs[root] if need >> e & 1)
+            for e in order
+        ]
+        stack = [(0, 1 << root)]
+        while stack:
+            k, included = stack.pop()
+            if k == last:
+                found.append((included, root))
+                if len(found) > caps.max_stage:
+                    raise too_large()
+                continue
+            left = included | undecided[k + 1]
+            for need in starved[k]:
+                if not need & left:
+                    break
+            else:
+                stack.append((k + 1, included))
+            e = order[k]
+            for need in needs[e]:
+                if not need & included:
+                    break
+            else:
+                stack.append((k + 1, included | 1 << e))
+
+    found.sort()
+    masks = tuple(m for m, _ in found)
+    stage_poset = Poset.over_masks(masks, base)
+    root_map = PosetMap(stage_poset, base, [r for _, r in found])
+    return RootedStage(base, stage_poset, masks, root_map)
 
 
 def mask_of(p, labels):

@@ -204,6 +204,21 @@ class TestCliExitCodes:
         )
         assert proc.returncode == 3
 
+    def test_rooted_stage_cap_is_exit_3(self, tmp_path):
+        # stage 3 over Up(3-chain) has 2856 elements, built over a root map
+        # with needs
+        path = tmp_path / "c3.frame"
+        path.write_text("[elements]\na b c\n[order]\na < b\nb < c\n")
+        proc = run_cli(
+            ["complex", str(path), "--depth", "3", "--max-stage", "1000"],
+            str(tmp_path),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: stage 3 too large: more than 1000 elements\n"
+        )
+
     def test_usage_error_is_exit_2(self, tmp_path):
         proc = run_cli(["definitely-not-a-command"], str(tmp_path))
         assert proc.returncode == 2

@@ -50,7 +50,9 @@ from imcoalg.enumeration import (
 )
 
 from helpers import (
+    build_p_g_by_search,
     first_disagreement,
+    labellings,
     nested_compatible,
     nested_image,
     nested_lift,
@@ -116,6 +118,41 @@ def assert_stage_matches_oracles(g, stage):
     assert [base.min_of(m) for m in masks] == [r for _, r in found]
     assert list(stage.poset.labels) == labels_by_bits(masks, base.labels)
     assert stage.poset.up == containment_rows_by_columns(masks, base.n)
+
+
+def raised(build, g, caps, stage_index):
+    """The stage index and message of the StageTooLarge a build raises."""
+    with pytest.raises(StageTooLarge) as info:
+        build(g, caps, stage_index=stage_index)
+    return info.value.stage_index, str(info.value)
+
+
+def assert_builders_agree(g, stage_index):
+    """build_p_g equals the depth-first search and the submask scan in
+    masks and roots, builds at a stage cap of exactly its size and at a
+    candidate cap of exactly its candidate count, and raises as the search
+    does one below either."""
+    stage = build_p_g(g, stage_index=stage_index)
+    search = build_p_g_by_search(g, stage_index=stage_index)
+    found = build_p_g_by_submasks(g)
+    masks = stage.member_masks
+    assert masks == search.member_masks == tuple(m for m, _ in found)
+    assert stage.root_map.assign == search.root_map.assign
+    assert stage.root_map.assign == tuple(r for _, r in found)
+    assert stage.poset.masks == masks
+    size = len(masks)
+    count = sum(1 << (row.bit_count() - 1) for row in g.source.up)
+    for at_cap, under, detail in (
+        (Caps(max_stage=size), Caps(max_stage=size - 1),
+         f"more than {size - 1} elements"),
+        (Caps(max_candidates=count), Caps(max_candidates=count - 1),
+         f"more than {count - 1} candidate subsets"),
+    ):
+        assert build_p_g(g, at_cap, stage_index).member_masks == masks
+        want = (stage_index, f"stage {stage_index} too large: {detail}")
+        assert raised(build_p_g, g, under, stage_index) == want
+        assert raised(build_p_g_by_search, g, under, stage_index) == want
+    return stage
 
 
 def chain2():
@@ -218,7 +255,30 @@ class TestBuildStage:
                     g = cx.root_maps[i - 1]
                     needy_stages += open_table(g)[0] != 0
                     assert_stage_matches_oracles(g, build_p_g(g))
+                    assert_builders_agree(g, i)
         assert needy_stages == 20
+
+    def test_stage_cap_counts_only_partial_subsets_with_a_leaf(self):
+        # root 3 of this map keeps partial subsets that no later decision
+        # can close, so at some level they outnumber its 2 elements; the
+        # stage (5 elements) must still build under a cap of exactly 5
+        source = Poset(range(4), (3, 2, 4, 15))
+        g = PosetMap(source, Poset(range(3), (7, 6, 4)), (1, 2, 2, 0))
+        assert len(assert_builders_agree(g, 2).member_masks) == 5
+
+    def test_every_monotone_map_up_to_three_elements_matches_the_search(self):
+        # every labelling of every source of <= 3 elements, so elements
+        # sit above elements of higher index too; caps at the stage size
+        # and the candidate count, and one below each
+        maps = needy = 0
+        for p in posets_up_to(3):
+            for source in labellings(p):
+                for target in posets_up_to(3):
+                    for g in monotone_maps(source, target):
+                        assert_builders_agree(g, 2)
+                        maps += 1
+                        needy += open_table(g)[0] != 0
+        assert (maps, needy) == (1304, 474)
 
     def test_stages_workload_shapes_match_replaced_kernels(self):
         for up in STAGES_WORKLOAD_DEPTH2_POSETS:

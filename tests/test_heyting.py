@@ -17,6 +17,7 @@ from imcoalg.frames import ModalFrame, check_mix_law, pow_up_functor
 from imcoalg.freealg import generator_poset
 from imcoalg.complexes import terminal_complex
 from imcoalg.poset import (
+    Poset,
     PosetMap,
     identity_map,
     make_poset,
@@ -327,11 +328,39 @@ class TestJoinIrreducibles:
                 assert j.up == up
 
     def test_non_principal_irreducible_raises(self, monkeypatch):
-        # an upset enumeration that yields {a} on a < b: {a} is not an
-        # upset, so it is no principal upset
-        monkeypatch.setattr(heyting, "upset_masks", lambda p: (0, 0b01, 0b11))
+        # an Up(P) whose masks hold {a} on a < b: {a} is not an upset, so
+        # it is no principal upset
+        monkeypatch.setattr(
+            heyting,
+            "up_functor",
+            lambda p: Poset.over_masks((0, 0b01, 0b11), p),
+        )
         with pytest.raises(ValueNotUpset):
             join_irreducibles(chain2())
+
+    def test_upsets_past_the_stage_cap_raise(self):
+        # the 13-element antichain has 8192 upsets, past the default 5000
+        p = make_poset([f"x{i}" for i in range(13)], [])
+        with pytest.raises(StageTooLarge, match="stage 1 too large"):
+            join_irreducibles(p)
+
+    def test_reads_upsets_from_the_up_functor_memo(self, monkeypatch):
+        # once up_functor(p) is memoized, join_irreducibles enumerates no
+        # upset of its own
+        calls = []
+        real = heyting.upset_masks
+
+        def recording(p, limit=None):
+            calls.append(p)
+            return real(p, limit)
+
+        bases = [p for n in (1, 2, 3, 4) for p in all_posets(n)]
+        for p in bases:
+            up_functor(p)
+        monkeypatch.setattr(heyting, "upset_masks", recording)
+        for p in bases:
+            assert join_irreducibles(p).n == p.n
+        assert calls == []
 
 
 class TestMaskCarriedRows:
