@@ -3,8 +3,10 @@
 Each case runs ``imcoalg.cli.main(argv)`` in a fresh directory holding the
 frame files of ``tests/golden/`` and compares the exit code, stdout,
 stderr and every file the command wrote with ``tests/golden/cli.json``.
-The benchmark digests cover only the complex, freealg and bisim reports;
-these cases cover check, mc, lift, export and the DOT/JSON writers.
+The benchmark digests cover only the complex, freealg and bisim reports
+of passing runs; these cases cover check, mc, lift, export, the DOT/JSON
+writers, and bisim runs that fail, stop on an error or print
+distinguishing formulas.
 
 Record the expected outputs again with ``python tests/test_cli_golden.py``
 (``src/`` on the import path); only do so for an intended report change.
@@ -24,7 +26,10 @@ from imcoalg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "cli.json"
-FRAMES = ("chain.frame", "diamond.frame", "mixfail.frame", "pair.frame")
+FRAMES = (
+    "chain.frame", "cycle.frame", "diamond.frame", "mixfail.frame",
+    "pair.frame", "step.frame", "undeclared.frame",
+)
 WRITES = ["--dot", "out.dot", "--json", "out.json"]
 
 CASES = {
@@ -42,6 +47,22 @@ CASES = {
     "mc-diamond": ["mc", "diamond.frame", "q | ~q"],
     "mc-diamond-box": ["mc", "diamond.frame", "[]p & (q -> []q)"],
     "mc-mixfail": ["mc", "mixfail.frame", "p"],
+    "bisim-chain-diamond": [
+        "bisim", "chain.frame", "diamond.frame", "--close-valuations",
+        "--report", "report.json",
+    ],
+    "bisim-chain-step-distinguish": [
+        "bisim", "chain.frame", "step.frame", "--distinguish", "1",
+        "--close-valuations",
+    ],
+    "bisim-step-chain-distinguish": [
+        "bisim", "step.frame", "chain.frame", "--distinguish", "2",
+        "--close-valuations",
+    ],
+    "bisim-mixfail": ["bisim", "chain.frame", "mixfail.frame"],
+    "bisim-cycle": ["bisim", "chain.frame", "cycle.frame"],
+    "bisim-undeclared": ["bisim", "chain.frame", "undeclared.frame"],
+    "bisim-missing-file": ["bisim", "chain.frame", "nope.frame"],
     "lift-chain": ["lift", "chain.frame", "--depth", "2"],
     "lift-diamond": ["lift", "diamond.frame", "--depth", "2"],
     "lift-mixfail": ["lift", "mixfail.frame", "--depth", "2"],
