@@ -10,7 +10,9 @@ and demands that both projection squares commute coordinatewise.
 
 A relation is held as rows, like every relation in the package: rows[x]
 masks the right-hand partners of left point x. Its columns come from
-poset.transpose, and the unions the clauses need from poset.image.
+poset.transpose, and the unions the clauses need from poset.image. The
+converse of a frame's modal relation is the frame's own ``pre``, built
+once per frame however many checks read it.
 
 The greatest bisimulation is found by partition refinement on the disjoint
 sum of the two frames (Kanellakis & Smolka 1990; Paige & Tarjan 1987). On
@@ -135,13 +137,10 @@ def _refine(left, right, rows):
     partners of x): keep the pairs whose forth clauses, read on the rows,
     and back clauses, read on the columns, hold under the relation."""
     lp, rp = left.poset, right.poset
-    forth = _forth(
-        lp.up, left.rel, rp.down, transpose(right.rel, rp.n), rows,
-        rp.full_mask,
-    )
+    forth = _forth(lp.up, left.rel, rp.down, right.pre, rows, rp.full_mask)
     back = _forth(
-        rp.up, right.rel, lp.down, transpose(left.rel, lp.n),
-        transpose(rows, rp.n), lp.full_mask,
+        rp.up, right.rel, lp.down, left.pre, transpose(rows, rp.n),
+        lp.full_mask,
     )
     return tuple(
         r & f & b for r, f, b in zip(rows, forth, transpose(back, lp.n))
@@ -172,9 +171,7 @@ def _coarsest_stable(left, right, blocks):
     """
     n = left.poset.n
     down = list(left.poset.down) + [row << n for row in right.poset.down]
-    pre = transpose(left.rel, n) + [
-        row << n for row in transpose(right.rel, right.poset.n)
-    ]
+    pre = list(left.pre) + [row << n for row in right.pre]
     work = list(blocks)
     while work:
         splitter = work.pop()
@@ -219,28 +216,44 @@ def largest_model_bisimulation(model_left, model_right):
     return _coarsest_stable(model_left.frame, model_right.frame, blocks)
 
 
-def _pair_rows(bis, chosen, left_rows, right_rows):
+def _pair_columns(bis, chosen):
+    """Per left point x, the mask of the chosen pairs (x, y), and per right
+    point y, the mask of the chosen pairs (x, y): the transposes of the
+    chosen pairs' two projections."""
+    return (
+        transpose([1 << x for x, _ in chosen], bis.left.poset.n),
+        transpose([1 << y for _, y in chosen], bis.right.poset.n),
+    )
+
+
+def _pair_rows(columns, chosen, left_rows, right_rows):
     """Per chosen pair (x, y), the mask of the chosen pairs (x2, y2) with
     x2 in left_rows[x] and y2 in right_rows[y]: the pairs of each left
     point over left_rows[x], met with the pairs of each right point over
-    right_rows[y]."""
-    by_left = transpose([1 << x for x, _ in chosen], bis.left.poset.n)
-    by_right = transpose([1 << y for _, y in chosen], bis.right.poset.n)
+    right_rows[y], read through the _pair_columns of the chosen pairs."""
+    by_left, by_right = columns
     return [
         image(by_left, left_rows[x]) & image(by_right, right_rows[y])
         for x, y in chosen
     ]
 
 
-def relation_poset(bis):
-    """The relation as a sub-poset of the product, componentwise order,
-    and its pairs in the poset's index order (sorted)."""
+def _relation(bis):
+    """relation_poset, and the _pair_columns of the chosen pairs."""
     chosen = _pair_list(bis.rows)
+    columns = _pair_columns(bis, chosen)
     labels = [
         (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
     ]
-    up_rows = _pair_rows(bis, chosen, bis.left.poset.up, bis.right.poset.up)
-    return Poset(labels, up_rows, _trusted=True), chosen
+    up_rows = _pair_rows(columns, chosen, bis.left.poset.up, bis.right.poset.up)
+    return Poset(labels, up_rows, _trusted=True), chosen, columns
+
+
+def relation_poset(bis):
+    """The relation as a sub-poset of the product, componentwise order,
+    and its pairs in the poset's index order (sorted)."""
+    bp, chosen, _ = _relation(bis)
+    return bp, chosen
 
 
 def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
@@ -260,7 +273,7 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
-    bp, chosen = relation_poset(bis)
+    bp, chosen, columns = _relation(bis)
     proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
     proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
     if not is_pmorphism(proj_left):
@@ -268,7 +281,7 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     if not is_pmorphism(proj_right):
         raise ProjectionNotPMorphism("right")
 
-    rho_masks = _pair_rows(bis, chosen, bis.left.rel, bis.right.rel)
+    rho_masks = _pair_rows(columns, chosen, bis.left.rel, bis.right.rel)
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
     return all(

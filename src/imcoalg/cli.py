@@ -129,7 +129,12 @@ def _read_file(path):
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0)
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: not {exc.encoding} text "
+            f"({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _write_file(path, text, report=None):
@@ -253,10 +258,14 @@ def cmd_bisim(args):
     if frame1 is None or frame2 is None:
         return report.emit(args)
     bis = largest_bisimulation(frame1, frame2)
-    pairs = bis.label_pairs()
+    labels1, labels2 = frame1.poset.labels, frame2.poset.labels
+    names1 = [format_label(lab) for lab in labels1]
+    names2 = [format_label(lab) for lab in labels2]
+    # in the order of bis.label_pairs(), each label formatted once
+    pairs = sorted(bis.pairs, key=lambda p: (labels1[p[0]], labels2[p[1]]))
     report.info(f"largest bisimulation: {len(pairs)} pairs")
-    for a, b in pairs:
-        report.info(f"  {format_label(a)} ~ {format_label(b)}")
+    for x, y in pairs:
+        report.info(f"  {names1[x]} ~ {names2[y]}")
     report.check("largest-is-bisimulation", is_box_bisimulation(bis))
     caps = _caps(args)
     try:
@@ -268,7 +277,6 @@ def cmd_bisim(args):
         model1 = ff1.build_model(close=args.close_valuations, frame=frame1)
         model2 = ff2.build_model(close=args.close_valuations, frame=frame2)
         letters = sorted(set(model1.valuation) & set(model2.valuation))
-        labels1, labels2 = frame1.poset.labels, frame2.poset.labels
         unrelated = [
             (x, y)
             for x in range(frame1.poset.n)
@@ -278,13 +286,12 @@ def cmd_bisim(args):
         found = search_distinguishing_formulas(
             model1, model2, unrelated, letters, args.distinguish, caps
         )
+        shown = {None: "(none found)"}  # each distinct formula printed once
         for x, y in unrelated:
             phi = found[x, y]
-            shown = print_formula(phi) if phi is not None else "(none found)"
-            report.info(
-                f"distinguish {format_label(labels1[x])} vs "
-                f"{format_label(labels2[y])}: {shown}"
-            )
+            if phi not in shown:
+                shown[phi] = print_formula(phi)
+            report.info(f"distinguish {names1[x]} vs {names2[y]}: {shown[phi]}")
     return report.emit(args)
 
 

@@ -102,8 +102,9 @@ class UnknownToken(FormulaSyntaxError):
 
 
 class UsageError(ImcoalgError):
-    """An unusable command-line value: an environment setting or an output
-    path that cannot be written."""
+    """An unusable command-line value: an environment setting, an input
+    file that cannot be read as text or an output path that cannot be
+    written."""
 
 
 class ParseError(ImcoalgError):

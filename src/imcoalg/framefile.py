@@ -19,6 +19,7 @@ axioms, mix law, upward closure of valuations) belong to the commands so
 they can be reported rather than thrown.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValueNotUpset
@@ -94,45 +95,63 @@ def _upset_mask(poset, labels, close, message):
     return poset.up_close(mask)
 
 
+_TOKEN = re.compile(r"\S+")
+
+
 def parse_frame_file(text):
+    """The sections of a frame file, checked for syntax and label
+    references. A ParseError names the 1-based line and, for an undeclared
+    element, the column of the token that names it.
+
+    An [order] or [modal] line, nearly every line of a large frame, is
+    taken on one test: three tokens, the section's symbol in the middle and
+    both labels declared. Only a line that fails it goes through the
+    checks that say what is wrong with it."""
     ff = FrameFile()
     section = None
+    pairs = symbol = None  # set inside [order] and [modal]
     declared = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+        line = raw.partition("#")[0]
         stripped = line.strip()
-        if stripped.startswith("["):
+        if not stripped:
+            continue
+        if stripped[0] == "[":
             if not stripped.endswith("]"):
                 raise ParseError("unterminated section header", lineno)
             name = stripped[1:-1].strip().lower()
             if name not in _SECTIONS:
                 raise ParseError(f"unknown section [{name}]", lineno)
             section = name
+            if name == "order":
+                pairs, symbol = ff.order_pairs, "<"
+            elif name == "modal":
+                pairs, symbol = ff.modal_pairs, "R"
+            else:
+                pairs = symbol = None
             continue
-        if section is None:
+        if pairs is not None:
+            parts = stripped.split()
+            if (
+                len(parts) == 3
+                and parts[1] == symbol
+                and parts[0] in declared
+                and parts[2] in declared
+            ):
+                pairs.append((parts[0], parts[2]))
+                continue
+            if len(parts) != 3 or parts[1] != symbol:
+                raise ParseError(f"expected 'a {symbol} b'", lineno)
+            k = 0 if parts[0] not in declared else 2
+            raise _undeclared(parts[k], lineno, _columns(line)[k])
+        elif section is None:
             raise ParseError("content before any section header", lineno)
-        if section == "elements":
+        elif section == "elements":
             for tok in stripped.split():
                 if tok in declared:
                     raise ParseError(f"duplicate element {tok!r}", lineno)
                 declared.add(tok)
                 ff.labels.append(tok)
-        elif section == "order":
-            parts = stripped.split()
-            if len(parts) != 3 or parts[1] != "<":
-                raise ParseError("expected 'a < b'", lineno)
-            _require(parts[0], declared, lineno, line)
-            _require(parts[2], declared, lineno, line)
-            ff.order_pairs.append((parts[0], parts[2]))
-        elif section == "modal":
-            parts = stripped.split()
-            if len(parts) != 3 or parts[1] != "R":
-                raise ParseError("expected 'a R b'", lineno)
-            _require(parts[0], declared, lineno, line)
-            _require(parts[2], declared, lineno, line)
-            ff.modal_pairs.append((parts[0], parts[2]))
         elif section == "val":
             if ":" not in stripped:
                 raise ParseError("expected 'letter : e1 e2 ...'", lineno)
@@ -143,15 +162,18 @@ def parse_frame_file(text):
             if letter in ff.valuations:
                 raise ParseError(f"duplicate valuation for {letter!r}", lineno)
             members = rest.split()
-            for tok in members:
-                _require(tok, declared, lineno, line)
+            for k, tok in enumerate(members):
+                if tok not in declared:
+                    column = _columns(line, line.index(":") + 1)[k]
+                    raise _undeclared(tok, lineno, column)
             ff.valuations[letter] = members
         elif section == "nbhd":
             if ":" not in stripped:
                 raise ParseError("expected 'e : {e1 e2} ...'", lineno)
             lab, _, rest = stripped.partition(":")
             lab = lab.strip()
-            _require(lab, declared, lineno, line)
+            if lab not in declared:
+                raise _undeclared(lab, lineno, _columns(line)[0])
             if lab in ff.nbhd:
                 raise ParseError(f"duplicate neighbourhood for {lab!r}", lineno)
             ff.nbhd[lab] = _parse_families(rest, declared, lineno)
@@ -160,10 +182,14 @@ def parse_frame_file(text):
     return ff
 
 
-def _require(tok, declared, lineno, line):
-    if tok not in declared:
-        col = line.find(tok) + 1
-        raise ParseError(f"undeclared element {tok!r}", lineno, max(col, 1))
+def _columns(line, start=0):
+    """The 1-based columns of the whitespace-separated tokens of line that
+    start at or after index start."""
+    return [m.start() + 1 for m in _TOKEN.finditer(line, start)]
+
+
+def _undeclared(tok, lineno, column):
+    return ParseError(f"undeclared element {tok!r}", lineno, column)
 
 
 def _parse_families(rest, declared, lineno):

@@ -32,15 +32,19 @@ from .poset import (
     is_monotone,
     is_pmorphism,
     iter_bits,
+    transpose,
+    unknown_label,
 )
 
 
 class ModalFrame:
     """Poset plus successor-mask relation; immutable. A row count other
     than the poset's size, or a row that is negative or has a bit at or
-    past poset.n, raises UnknownLabel."""
+    past poset.n, raises UnknownLabel. ``pre``, the rows of the converse
+    relation (the modal predecessors of each point), is built the first
+    time it is read, like ``Poset.down``."""
 
-    __slots__ = ("poset", "rel")
+    __slots__ = ("poset", "rel", "_pre")
 
     def __init__(self, poset, rel):
         rel = tuple(rel)
@@ -54,13 +58,24 @@ class ModalFrame:
                 raise UnknownLabel(f"relation row {row:#x} leaves the carrier")
         self.poset = poset
         self.rel = rel
+        self._pre = None
 
     @classmethod
     def from_pairs(cls, poset, pairs):
+        index = poset.label_index
         rel = [0] * poset.n
-        for a, b in pairs:
-            rel[poset.index(a)] |= 1 << poset.index(b)
+        try:
+            for a, b in pairs:
+                rel[index[a]] |= 1 << index[b]
+        except KeyError as exc:
+            raise unknown_label(exc.args[0]) from None
         return cls(poset, rel)
+
+    @property
+    def pre(self):
+        if self._pre is None:
+            self._pre = tuple(transpose(self.rel, self.poset.n))
+        return self._pre
 
     def pairs(self):
         out = []

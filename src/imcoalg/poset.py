@@ -9,10 +9,11 @@ Conventions used throughout the package:
   - every relation is held as rows of bitmasks, ``rows[x]`` masking the
     points related to x: the order (``Poset.up``/``down``), a modal
     relation, a bisimulation and a map's fibres (``PosetMap.fibres``).
-    image (the union of the rows over the bits of a mask) and transpose
-    (the rows of the converse relation) are the kernels that union such
-    rows bit by bit or build a converse; PosetMap.image_mask keeps a loop
-    of its own, over the map's assignment rather than a relation's rows;
+    image (the union of the rows over the bits of a mask) is the kernel
+    that unions such rows bit by bit; transpose (the rows of the converse
+    relation) reads them off the bit planes of the rows (bit_planes), with
+    no loop over bits. PosetMap.image_mask keeps a loop of its own, over
+    the map's assignment rather than a relation's rows;
   - a poset whose elements are subsets of a base poset is a MaskPoset
     (Poset.over_masks): Up(P) (heyting.up_functor), the neighbourhood
     carrier PowUp(P) (frames.pow_up_functor) and every rooted stage of a
@@ -85,16 +86,15 @@ def sorted_index(items, value):
 
 
 def transpose(rows, n):
-    """The rows of the converse relation over n targets: bit x of out[y]
-    is set iff bit y of rows[x] is."""
-    out = [0] * n
-    for x, row in enumerate(rows):
-        bit = 1 << x
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
-    return out
+    """The rows of the converse relation over n targets, as a list: bit x
+    of out[y] is set iff bit y of rows[x] is. These are the bit planes of
+    the rows (bit_planes); bits of a row at or past n are ignored."""
+    return bit_planes(rows, (1 << n) - 1)
+
+
+def unknown_label(label):
+    """The UnknownLabel error for a label that names no element."""
+    return UnknownLabel(f"unknown element {format_label(label)!r}")
 
 
 def format_label(label):
@@ -163,13 +163,18 @@ class Poset:
 
     # -- basic queries ----------------------------------------------------
 
-    def index(self, label):
+    @property
+    def label_index(self):
+        """The dict from each label to its element's index."""
         if self._index is None:
             self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._index
+
+    def index(self, label):
         try:
-            return self._index[label]
+            return self.label_index[label]
         except KeyError:
-            raise UnknownLabel(f"unknown element {format_label(label)!r}") from None
+            raise unknown_label(label) from None
 
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
@@ -356,33 +361,45 @@ def make_poset(labels, pairs):
     """Build a poset from ordered label pairs: leq is the
     reflexive-transitive closure of the pairs. Taking pairs verbatim, with
     the order axioms verified rather than repaired, is
-    ``Poset(labels, rows)``."""
+    ``Poset(labels, rows)``.
+
+    The closure is reflexive and transitive by construction, so only
+    antisymmetry is checked: a cycle through i and j shows as bit j of
+    up[i] & down[i]. NotAntisymmetric names the least such i, then the
+    least such j, as Poset's own check does; the poset keeps the down
+    rows it was checked with."""
     labels = tuple(labels)
     if not labels:
         raise UnknownLabel("a poset needs at least one element")
-    seen = {}
+    index = {}
     for i, lab in enumerate(labels):
-        if lab in seen:
+        if lab in index:
             raise DuplicateLabel(f"duplicate label {format_label(lab)!r}")
-        seen[lab] = i
+        index[lab] = i
     n = len(labels)
     up = [1 << i for i in range(n)]
-    for a, b in pairs:
-        ia = seen.get(a)
-        ib = seen.get(b)
-        if ia is None:
-            raise UnknownLabel(f"unknown element {format_label(a)!r}")
-        if ib is None:
-            raise UnknownLabel(f"unknown element {format_label(b)!r}")
-        up[ia] |= 1 << ib
+    try:
+        for a, b in pairs:
+            up[index[a]] |= 1 << index[b]
+    except KeyError as exc:
+        raise unknown_label(exc.args[0]) from None
     # Warshall's closure on bitset rows: once every row holding bit k has
     # taken row k in, paths through 0..k need no further step
     for k in range(n):
         bit, row = 1 << k, up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row
-    return Poset(labels, up)
+        up = [r | row if r & bit else r for r in up]
+    down = transpose(up, n)
+    for i, (row, col) in enumerate(zip(up, down)):
+        cycle = row & col & ~(1 << i)
+        if cycle:
+            j = (cycle & -cycle).bit_length() - 1
+            raise NotAntisymmetric(
+                f"cycle between {format_label(labels[i])} and "
+                f"{format_label(labels[j])}"
+            )
+    poset = Poset(labels, up, _trusted=True)
+    poset._down = tuple(down)
+    return poset
 
 
 def point_poset(label="*"):

@@ -20,6 +20,12 @@ library re-checks a whole stage on bit planes (``poset.all_open``).
 ``build_p_g_by_search`` builds a rooted stage by a depth-first search, one
 (mask, root) pair per element; the library builds each root's subsets one
 decision level at a time (``complexes.build_p_g``).
+
+The loops the ``bisim`` input path replaced are kept as oracles:
+``parse_frame_file_by_lines`` checks every [order]/[modal] line step by
+step, ``make_poset_by_verify`` checks all three order axioms after the
+closure (``Poset._verify``), and ``transpose_by_bits`` builds a converse
+one bit at a time.
 """
 
 import importlib.util
@@ -29,11 +35,18 @@ from pathlib import Path
 from imcoalg.complexes import RootedStage, tower_coords
 from imcoalg.config import DEFAULT_CAPS
 from imcoalg.enumeration import _permuted, all_posets
-from imcoalg.errors import StageTooLarge
+from imcoalg.errors import (
+    DuplicateLabel,
+    ParseError,
+    StageTooLarge,
+    UnknownLabel,
+)
+from imcoalg.framefile import _SECTIONS, FrameFile, _parse_families
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import (
     Poset,
     PosetMap,
+    format_label,
     image,
     iter_bits,
     mask_labels,
@@ -283,6 +296,136 @@ def build_p_g_by_search(g, caps=DEFAULT_CAPS, stage_index=2):
     stage_poset = Poset.over_masks(masks, base)
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
     return RootedStage(base, stage_poset, masks, root_map)
+
+
+# -- the step-by-step bisim inputs -------------------------------------------
+
+
+def transpose_by_bits(rows, n):
+    """The rows of the converse relation over n targets, one set bit of
+    the rows at a time: the loop that bit planes replaced in
+    poset.transpose."""
+    out = [0] * n
+    for x, row in enumerate(rows):
+        for y in iter_bits(row):
+            out[y] |= 1 << x
+    return out
+
+
+def make_poset_by_verify(labels, pairs):
+    """make_poset as it read before it checked antisymmetry alone:
+    Warshall's closure, then Poset(labels, rows), whose _verify checks
+    reflexivity, antisymmetry and transitivity element by element."""
+    labels = tuple(labels)
+    if not labels:
+        raise UnknownLabel("a poset needs at least one element")
+    seen = {}
+    for i, lab in enumerate(labels):
+        if lab in seen:
+            raise DuplicateLabel(f"duplicate label {format_label(lab)!r}")
+        seen[lab] = i
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        for lab in (a, b):
+            if lab not in seen:
+                raise UnknownLabel(f"unknown element {format_label(lab)!r}")
+        up[seen[a]] |= 1 << seen[b]
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
+    return Poset(labels, up)
+
+
+def token_column(line, k, start=0):
+    """The 1-based column of the k-th whitespace-separated token of line
+    that starts at or after index start, found by walking the
+    characters."""
+    prev_space = True
+    for i in range(start, len(line)):
+        space = line[i].isspace()
+        if prev_space and not space:
+            if k == 0:
+                return i + 1
+            k -= 1
+        prev_space = space
+    raise IndexError(k)
+
+
+def _require_by_lines(tok, declared, lineno, column):
+    if tok not in declared:
+        raise ParseError(f"undeclared element {tok!r}", lineno, column)
+
+
+def parse_frame_file_by_lines(text):
+    """parse_frame_file as it read before its one-test fast path: every
+    [order]/[modal] line goes through the token count, the symbol and both
+    label checks in turn. An undeclared element's column is its token's
+    own (token_column), not the first substring match in the line."""
+    ff = FrameFile()
+    section = None
+    declared = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if stripped.startswith("["):
+            if not stripped.endswith("]"):
+                raise ParseError("unterminated section header", lineno)
+            name = stripped[1:-1].strip().lower()
+            if name not in _SECTIONS:
+                raise ParseError(f"unknown section [{name}]", lineno)
+            section = name
+            continue
+        if section is None:
+            raise ParseError("content before any section header", lineno)
+        if section == "elements":
+            for tok in stripped.split():
+                if tok in declared:
+                    raise ParseError(f"duplicate element {tok!r}", lineno)
+                declared.add(tok)
+                ff.labels.append(tok)
+        elif section in ("order", "modal"):
+            symbol = "<" if section == "order" else "R"
+            parts = stripped.split()
+            if len(parts) != 3 or parts[1] != symbol:
+                raise ParseError(f"expected 'a {symbol} b'", lineno)
+            _require_by_lines(parts[0], declared, lineno,
+                              token_column(line, 0))
+            _require_by_lines(parts[2], declared, lineno,
+                              token_column(line, 2))
+            pairs = ff.order_pairs if section == "order" else ff.modal_pairs
+            pairs.append((parts[0], parts[2]))
+        elif section == "val":
+            if ":" not in stripped:
+                raise ParseError("expected 'letter : e1 e2 ...'", lineno)
+            letter, _, rest = stripped.partition(":")
+            letter = letter.strip()
+            if not letter:
+                raise ParseError("missing letter before ':'", lineno)
+            if letter in ff.valuations:
+                raise ParseError(f"duplicate valuation for {letter!r}", lineno)
+            members = rest.split()
+            after = line.index(":") + 1
+            for k, tok in enumerate(members):
+                _require_by_lines(tok, declared, lineno,
+                                  token_column(line, k, after))
+            ff.valuations[letter] = members
+        elif section == "nbhd":
+            if ":" not in stripped:
+                raise ParseError("expected 'e : {e1 e2} ...'", lineno)
+            lab, _, rest = stripped.partition(":")
+            lab = lab.strip()
+            _require_by_lines(lab, declared, lineno, token_column(line, 0))
+            if lab in ff.nbhd:
+                raise ParseError(f"duplicate neighbourhood for {lab!r}", lineno)
+            ff.nbhd[lab] = _parse_families(rest, declared, lineno)
+    if not ff.labels:
+        raise ParseError("no [elements] declared", 1)
+    return ff
 
 
 def mask_of(p, labels):

@@ -548,7 +548,9 @@ def nested_bisim_check(bis, depth=2):
         raise ProjectionNotPMorphism("left")
     if not is_pmorphism(proj_right):
         raise ProjectionNotPMorphism("right")
-    rho_masks = bisim._pair_rows(bis, chosen, bis.left.rel, bis.right.rel)
+    rho_masks = bisim._pair_rows(
+        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
+    )
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
     levels_b = tower_coords(bp, rho_masks, depth)
@@ -627,7 +629,7 @@ def _assert_pair_rows_match(bis):
     bp, chosen = relation_poset(bis)
     assert (bp, chosen) == relation_poset_by_pairs(bis)
     assert bisim._pair_rows(
-        bis, chosen, bis.left.rel, bis.right.rel
+        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
     ) == rho_by_pairs(bis, chosen)
 
 

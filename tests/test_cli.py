@@ -1,22 +1,30 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from imcoalg import bisim, cli, frames, poset as poset_module
 from imcoalg.cli import main
 from imcoalg.errors import ParseError, ValueNotUpset
 from imcoalg.export import frame_to_dot, frame_to_json_dict, dump_json
 from imcoalg.framefile import parse_frame_file
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import make_poset, point_poset
+
+from helpers import parse_frame_file_by_lines
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CHAIN_FILE = """\
 # two-point chain with a serial relation
@@ -67,6 +75,21 @@ class TestFrameFileParsing:
         assert err.value.line == 4
         assert err.value.column == 5
 
+    def test_undeclared_label_column_is_its_own_token(self):
+        # the undeclared a also occurs inside the declared ab, earlier on
+        # the line
+        cases = (
+            ("[elements]\nab b\n[modal]\nab R a\n", 4, 6),
+            ("[elements]\nab b\n[val]\np : b ab a\n", 4, 10),
+            ("[elements]\nab b\n[order]\n  ab < a # a\n", 4, 8),
+            ("[elements]\n< a\n[order]\na < <<\n", 4, 5),
+            ("[elements]\nab\n[nbhd]\n a : {ab}\n", 4, 2),
+        )
+        for text, line, column in cases:
+            with pytest.raises(ParseError) as err:
+                parse_frame_file(text)
+            assert (err.value.line, err.value.column) == (line, column), text
+
     def test_unknown_section(self):
         with pytest.raises(ParseError) as err:
             parse_frame_file("[wat]\n")
@@ -92,6 +115,71 @@ class TestFrameFileParsing:
         with pytest.raises(ValueNotUpset):
             ff.valuation_masks(poset)
         assert ff.valuation_masks(poset, close=True)["p"] == poset.full_mask
+
+
+def _parsed(parse, text):
+    """The FrameFile parse returns, or the message, line and column of its
+    ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# pieces inserted into frame files: separators, section headers, symbols,
+# declared and undeclared labels, and characters that split lines or
+# words in Python but rarely in frame files
+_PIECES = (
+    " ", "\t", "\n", "#", "[", "]", "<", "R", ":", "{", "}", "a", "ab", "z",
+    "[order]", "[modal]", "[val]", "[nbhd]", "[elements]", "x R y", "a < b",
+    "p : b", "\x1c", "\x85", "\u2028", "\u3000",
+)
+
+
+def _mutated(rng, text):
+    """text after one to three random edits: a character dropped, a piece
+    inserted, or a line repeated or swapped with another."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(4)
+        if edit == 0 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        else:
+            lines = text.split("\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if edit == 2:
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+class TestParserAgainstLineLoop:
+    """parse_frame_file's one-test [order]/[modal] lines against the
+    step-by-step loop it replaced (parse_frame_file_by_lines), on mutated
+    frame files: the same FrameFile, or the same message, line and
+    column."""
+
+    def test_frame_files_and_their_mutants(self):
+        seeds = [CHAIN_FILE, POINT_FILE, NBHD_FILE] + [
+            path.read_text() for path in sorted(GOLDEN.glob("*.frame"))
+        ]
+        rng = random.Random(2406)
+        mutants = (_mutated(rng, rng.choice(seeds)) for _ in range(10000))
+        parsed = columns = 0
+        for text in itertools.chain(seeds, mutants):
+            want = _parsed(parse_frame_file_by_lines, text)
+            assert _parsed(parse_frame_file, text) == want, text
+            if isinstance(want, tuple):
+                columns += want[2] > 1
+            else:
+                parsed += 1
+        # about a quarter parse; over 600 errors name a column past the first
+        assert parsed > 2000 and columns > 500
 
 
 class TestExport:
@@ -240,6 +328,28 @@ class TestCliExitCodes:
     def test_mc_undeclared_letter(self, chain_path, tmp_path):
         proc = run_cli(["mc", chain_path, "zz"], str(tmp_path))
         assert proc.returncode == 2
+
+    def test_unreadable_file_is_a_usage_error(self, chain_path, tmp_path,
+                                              capsys):
+        missing = str(tmp_path / "nope.frame")
+        assert main(["bisim", chain_path, missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: cannot read {missing}: No such file or directory\n"
+        )
+        assert main(["check", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {tmp_path}: Is a directory\n"
+        )
+
+    def test_file_that_is_not_text_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.frame"
+        path.write_bytes(b"\xff\xfe[elements]\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: not ")
+        assert "at byte 0" in err and "Traceback" not in err
 
 
 class TestCliBehaviour:
@@ -498,6 +608,50 @@ class TestCliBehaviour:
         assert "stage sizes: [1, 15, 19187]" in proc.stdout
         assert "PASS stages-valid" in proc.stdout
         assert elapsed < 10.0
+
+
+class TestBisimJobWork:
+    """What one bisim job derives from its inputs, counted by patching the
+    kernels where the job looks them up."""
+
+    def test_each_modal_relation_is_transposed_once(self, monkeypatch,
+                                                    capsys):
+        calls = []
+        real = poset_module.transpose
+
+        def recording(rows, n):
+            calls.append(tuple(rows))
+            return real(rows, n)
+
+        for module in (poset_module, frames, bisim):
+            if hasattr(module, "transpose"):
+                monkeypatch.setattr(module, "transpose", recording)
+        paths = [str(GOLDEN / name) for name in ("chain.frame", "diamond.frame")]
+        argv = ["bisim", *paths, "--distinguish", "2", "--close-valuations"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for path in paths:
+            rel = parse_frame_file(Path(path).read_text()).build_frame().rel
+            assert calls.count(rel) == 1, path
+
+    def test_labels_and_formulas_are_printed_once(self, monkeypatch, capsys):
+        # chain.frame against step.frame at D = 1: []F tells y from all three
+        # chain points, and x is told from none
+        counts = {"format_label": 0, "print_formula": 0}
+        for name in counts:
+            real = getattr(cli, name)
+
+            def counting(value, name=name, real=real):
+                counts[name] += 1
+                return real(value)
+
+            monkeypatch.setattr(cli, name, counting)
+        paths = [str(GOLDEN / name) for name in ("chain.frame", "step.frame")]
+        argv = ["bisim", *paths, "--distinguish", "1", "--close-valuations"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count(": []F\n") == 3 and out.count("(none found)") == 3
+        assert counts == {"format_label": 3 + 2, "print_formula": 1}
 
 
 class TestCliWideAntichains:

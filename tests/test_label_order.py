@@ -16,9 +16,12 @@ indices themselves, the
 stage-index lift (lift_map) on every monotone map between posets of at most
 three elements with source and target each under every labelling, its
 stage elements read by their labels, and the lifted-square kernel (image_tower_agrees) on every monotone map into a
-poset of at most two elements. The greatest bisimulation, with and without
-a valuation, is checked on every pair of frames on at most two elements and
-on seeded pairs of three-element frames, each side under every labelling.
+poset of at most two elements. The converse rows of a frame
+(ModalFrame.pre) are checked on every frame on at most three elements
+under every labelling, against the bit loop. The greatest bisimulation,
+with and without a valuation, is checked on every pair of frames on at
+most two elements and on seeded pairs of three-element frames, each side
+under every labelling.
 The truth sets (truth_mask, definable_masks and the first formulas of
 first_formulas) are checked on every frame on at most three elements with
 every one-letter upset valuation, under every permutation.
@@ -71,6 +74,7 @@ from helpers import (
     posets_up_to,
     relabel_frame,
     relabellings,
+    transpose_by_bits,
     verify_complex_by_members,
 )
 from test_bisim import _iso_frames_up_to_three, _small_frames
@@ -319,6 +323,16 @@ def test_image_tower_agrees_commutes_with_relabelling():
                     assert got == want == (fail > depth)
                 seen.add(fail)
     assert seen == {2, 4}
+
+
+def test_modal_predecessors_commute_with_relabelling():
+    for f in _iso_frames_up_to_three():
+        pre = f.pre
+        assert pre == tuple(transpose_by_bits(f.rel, f.poset.n))
+        for perm in permutations(range(f.poset.n)):
+            moved = relabel_frame(f, perm)
+            assert moved.pre == move_rows(pre, perm, perm)
+            assert moved.pre == tuple(transpose_by_bits(moved.rel, f.poset.n))
 
 
 def _assert_bisimulation_commutes_with_relabelling(m1, m2):

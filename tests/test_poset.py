@@ -46,7 +46,12 @@ from imcoalg.enumeration import (
     random_poset,
 )
 
-from helpers import is_open_mask, mask_of
+from helpers import (
+    is_open_mask,
+    make_poset_by_verify,
+    mask_of,
+    transpose_by_bits,
+)
 
 # SHA-256 of repr([p.up for p in all_posets(5)]) as the full scan over all
 # 2^20 strict relations returns it
@@ -224,6 +229,17 @@ def _built(build, labels, pairs):
         return type(exc), str(exc)
 
 
+def _made(build, labels, pairs):
+    """The poset build returns with its down rows, or the type and message
+    of any library error it raises."""
+    try:
+        p = build(labels, pairs)
+    except (DuplicateLabel, NotAntisymmetric, NotTransitive,
+            UnknownLabel) as exc:
+        return type(exc), str(exc)
+    return p, p.down
+
+
 def chain2():
     return make_poset(["a", "b"], [("a", "b")])
 
@@ -333,6 +349,41 @@ class TestClosureAgainstFixpoint:
                 assert got.up == make_poset_by_fixpoint(labels, pairs).up
                 for a, b in pairs:
                     assert got.leq_labels(a, b)
+
+
+class TestMakePosetAgainstVerify:
+    """make_poset's antisymmetry-only check against the closure followed by
+    Poset's check of all three axioms (make_poset_by_verify)."""
+
+    def test_every_relation_on_up_to_four_labels(self):
+        # every set of label pairs, loops and cycles included; the labels
+        # are listed in reverse, so index order is no linear extension
+        cycles = 0
+        for n in range(1, 5):
+            labels = [chr(ord("a") + n - 1 - i) for i in range(n)]
+            every = [(a, b) for a in labels for b in labels]
+            for bits in range(1 << len(every)):
+                pairs = [every[k] for k in iter_bits(bits)]
+                want = _made(make_poset_by_verify, labels, pairs)
+                assert _made(make_poset, labels, pairs) == want
+                cycles += want[0] is NotAntisymmetric
+        assert 0 < cycles < 2 + 16 + 512 + 65536
+
+    def test_label_errors(self):
+        for labels, pairs in (
+            ([], []),
+            (["a", "a"], []),
+            (["a", "b"], [("a", "z")]),
+            (["a", "b"], [("y", "z")]),
+            (["a", "b"], [("a", "b"), ("b", "y")]),
+        ):
+            want = _made(make_poset_by_verify, labels, pairs)
+            assert isinstance(want[0], type)
+            assert _made(make_poset, labels, pairs) == want
+
+    def test_down_rows_are_kept(self):
+        p = make_poset("abc", [("a", "b"), ("b", "c")])
+        assert p._down == (0b001, 0b011, 0b111)
 
 
 class TestMapPredicates:
@@ -544,6 +595,18 @@ class TestRelationKernels:
     def test_no_rows(self):
         assert image([], 0) == 0
         assert transpose([], 0) == []
+
+    def test_transpose_matches_the_bit_loop(self):
+        # n runs from the highest set bit to well past it, across 8-bit
+        # chunk edges; all-zero rows and empty row lists included
+        rng = random.Random(2020)
+        for count in (0, 1, 2, 5, 9, 17, 40):
+            for top in (0, 1, 7, 8, 9, 16, 33):
+                rows = [rng.getrandbits(top) for _ in range(count)]
+                if count:
+                    rows[rng.randrange(count)] = 0
+                for n in range(top, top + 10):
+                    assert transpose(rows, n) == transpose_by_bits(rows, n)
 
     def test_sorted_index_matches_a_scan(self):
         rng = random.Random(17)
