@@ -4,7 +4,9 @@ Subcommands: check, mc, bisim, complex, lift, freealg, export. Every
 command prints a deterministic human-readable report (one PASS/FAIL line
 per check) and can write the same report as JSON. Exit codes are a stable
 contract: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 standard output closed before the report was
+written (as by ``| head -1``): nothing more is written, a --report file
+included.
 
 Timing is measured but only emitted under --timing so that identical
 inputs produce byte-identical output.
@@ -52,7 +54,7 @@ from .export import (
     free_stages_to_json_dict,
 )
 from .framefile import parse_frame_file
-from .frames import frame_to_upmap, mix_law_witness
+from .frames import frame_to_upmap
 from .freealg import (
     build_free_stages,
     check_modal_stage_properties,
@@ -65,6 +67,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_OUTPUT_CLOSED = 4
 
 
 class Report:
@@ -175,8 +178,9 @@ def _order_check(report, ff):
 
 
 def _mix_law_check(report, frame, name):
-    """Report the mix law as check name, with a witness when it fails."""
-    witness = mix_law_witness(frame)
+    """Report the mix law as check name, with a witness when it fails;
+    the frame holds the witness (ModalFrame.mix_witness)."""
+    witness = frame.mix_witness
     detail = None if witness is None else f"witness {witness}"
     return report.check(name, witness is None, detail)
 
@@ -502,6 +506,16 @@ def build_parser():
     return parser
 
 
+def _discard_stdout():
+    """Point standard output at devnull once its reader has gone, so that
+    the flush at interpreter exit cannot raise a second BrokenPipeError."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on first use and kept for the process."""
@@ -514,7 +528,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_OUTPUT_CLOSED
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -96,6 +96,7 @@ def _upset_mask(poset, labels, close, message):
 
 
 _TOKEN = re.compile(r"\S+")
+_FAMILY_TOKEN = re.compile(r"[{}]|[^\s{}]+")  # a brace, or a run up to one
 
 
 def parse_frame_file(text):
@@ -170,13 +171,14 @@ def parse_frame_file(text):
         elif section == "nbhd":
             if ":" not in stripped:
                 raise ParseError("expected 'e : {e1 e2} ...'", lineno)
-            lab, _, rest = stripped.partition(":")
-            lab = lab.strip()
+            lab = stripped.partition(":")[0].strip()
             if lab not in declared:
                 raise _undeclared(lab, lineno, _columns(line)[0])
             if lab in ff.nbhd:
                 raise ParseError(f"duplicate neighbourhood for {lab!r}", lineno)
-            ff.nbhd[lab] = _parse_families(rest, declared, lineno)
+            ff.nbhd[lab] = _parse_families(
+                line, line.index(":") + 1, declared, lineno
+            )
     if not ff.labels:
         raise ParseError("no [elements] declared", 1)
     return ff
@@ -192,10 +194,14 @@ def _undeclared(tok, lineno, column):
     return ParseError(f"undeclared element {tok!r}", lineno, column)
 
 
-def _parse_families(rest, declared, lineno):
+def _parse_families(line, start, declared, lineno):
+    """The families written on line from index start on: each a list of
+    member labels in braces. An undeclared member's ParseError names its
+    token's own column."""
     families = []
     current = None
-    for tok in rest.replace("{", " { ").replace("}", " } ").split():
+    for m in _FAMILY_TOKEN.finditer(line, start):
+        tok = m.group()
         if tok == "{":
             if current is not None:
                 raise ParseError("nested '{'", lineno)
@@ -209,7 +215,7 @@ def _parse_families(rest, declared, lineno):
             if current is None:
                 raise ParseError("family member outside braces", lineno)
             if tok not in declared:
-                raise ParseError(f"undeclared element {tok!r}", lineno)
+                raise _undeclared(tok, lineno, m.start() + 1)
             current.append(tok)
     if current is not None:
         raise ParseError("unterminated '{'", lineno)

@@ -10,6 +10,14 @@ tower coalgebras; both directions are implemented and checked here.
 R is stored extensionally; nothing is closed silently. check_mix_law
 reports violations and mix_closure computes the repaired relation on
 request, which is handy when authoring frame files by hand.
+
+The law is decided once per frame. ModalFrame.mix_witness holds the answer
+of mix_law_witness, found the first time it is read, and every check here
+(_require_mix_law) and in the CLI reads it. mix_law_witness decides on the
+order's generating pairs (Poset.generating_rows): the law holds iff, for
+each such pair z <= w, R[w] is inside R[z] (R is antitone) and pre[z] is
+inside pre[w] (each R[x] is an upset). Only a frame that fails goes
+through the rows of (<=);R;(<=) (_mix_rows) to name its witness.
 """
 
 import functools
@@ -37,14 +45,19 @@ from .poset import (
 )
 
 
+_UNDECIDED = object()  # a ModalFrame's mix_witness before it is read
+
+
 class ModalFrame:
     """Poset plus successor-mask relation; immutable. A row count other
     than the poset's size, or a row that is negative or has a bit at or
     past poset.n, raises UnknownLabel. ``pre``, the rows of the converse
     relation (the modal predecessors of each point), is built the first
-    time it is read, like ``Poset.down``."""
+    time it is read, like ``Poset.down``. So is ``mix_witness``, the mix
+    law's witness (mix_law_witness), which the frame then holds. Equality
+    and hashing read the poset and the rows only."""
 
-    __slots__ = ("poset", "rel", "_pre")
+    __slots__ = ("poset", "rel", "_pre", "_witness")
 
     def __init__(self, poset, rel):
         rel = tuple(rel)
@@ -59,6 +72,7 @@ class ModalFrame:
         self.poset = poset
         self.rel = rel
         self._pre = None
+        self._witness = _UNDECIDED
 
     @classmethod
     def from_pairs(cls, poset, pairs):
@@ -76,6 +90,14 @@ class ModalFrame:
         if self._pre is None:
             self._pre = tuple(transpose(self.rel, self.poset.n))
         return self._pre
+
+    @property
+    def mix_witness(self):
+        """mix_law_witness(self): a pair in (<=);R;(<=) missing from R, or
+        None when the mix law holds. Decided the first time it is read."""
+        if self._witness is _UNDECIDED:
+            self._witness = mix_law_witness(self)
+        return self._witness
 
     def pairs(self):
         out = []
@@ -100,7 +122,7 @@ class ModalFrame:
 
 
 def check_mix_law(frame):
-    return mix_law_witness(frame) is None
+    return frame.mix_witness is None
 
 
 def _mix_rows(frame):
@@ -109,8 +131,26 @@ def _mix_rows(frame):
     return [p.up_close(image(rel, row)) for row in p.up]
 
 
+def _holds_on_generators(frame):
+    """Whether R[w] lies inside R[z] and pre[z] inside pre[w] for every
+    generating pair z <= w of the order: the mix law."""
+    rel, pre = frame.rel, frame.pre
+    for z, row in enumerate(frame.poset.generating_rows):
+        rel_z, pre_z = rel[z], pre[z]
+        for w in iter_bits(row):
+            if rel[w] & ~rel_z or pre_z & ~pre[w]:
+                return False
+    return True
+
+
 def mix_law_witness(frame):
-    """A pair in (<=);R;(<=) missing from R, or None when the law holds."""
+    """A pair in (<=);R;(<=) missing from R, or None when the law holds:
+    the least such x, then the least z in its row. The law is decided on
+    the order's generating pairs; only when it fails are the rows of
+    (<=);R;(<=) built to find the witness. ModalFrame.mix_witness holds
+    the answer."""
+    if _holds_on_generators(frame):
+        return None
     p, rel = frame.poset, frame.rel
     for x, closed in enumerate(_mix_rows(frame)):
         extra = closed & ~rel[x]
@@ -121,7 +161,7 @@ def mix_law_witness(frame):
 
 
 def _require_mix_law(frame):
-    witness = mix_law_witness(frame)
+    witness = frame.mix_witness
     if witness is not None:
         raise MixLawViolation(f"mix law fails at witness {witness}")
 

@@ -27,6 +27,15 @@ Conventions used throughout the package:
     whose rows or labels nobody reads never builds them, and no table
     loops over bits. An eager Poset keeps ``up`` and ``labels`` as plain
     slots, with no property in the way of its reads;
+  - make_poset keeps the rows it closed, each point with the points its
+    pairs put above it, as the poset's generating rows
+    (Poset.generating_rows); a poset given by its rows, a MaskPoset
+    included, is generated by its ``up`` rows, every pair of the order. A
+    property that holds along the whole order once it holds along a
+    generating set, such as the mix law (frames.mix_law_witness), is
+    tested on these rows, so a chain given by its covers is tested on
+    n-1 pairs. __eq__ and __hash__ ignore them: one order given by two
+    pair lists is one poset;
   - g-openness is read off per-fibre masks, visiting only the elements
     that have any (open_table); a whole list of masks is checked at once
     on bit planes, one int per base element whose bit j says whether
@@ -109,7 +118,7 @@ def format_label(label):
 class Poset:
     """Immutable finite poset over an indexed tuple of opaque labels."""
 
-    __slots__ = ("labels", "up", "n", "_index", "_down", "_hash")
+    __slots__ = ("labels", "up", "n", "_index", "_down", "_hash", "_gen")
 
     def __init__(self, labels, up, _trusted=False):
         labels = tuple(labels)
@@ -125,6 +134,7 @@ class Poset:
         self._index = index
         self._down = None
         self._hash = None
+        self._gen = None
         if not _trusted:
             self._verify()
 
@@ -190,6 +200,14 @@ class Poset:
         if self._down is None:
             self._down = tuple(transpose(self.up, self.n))
         return self._down
+
+    @property
+    def generating_rows(self):
+        """Rows of a relation whose reflexive-transitive closure is the
+        order: the rows make_poset closed (each point with the points its
+        pairs put above it), or else ``up`` itself, every pair of the
+        order. Equality and hashing ignore them."""
+        return self.up if self._gen is None else self._gen
 
     @property
     def full_mask(self):
@@ -269,6 +287,7 @@ class MaskPoset(Poset):
         self._index = None
         self._down = None
         self._hash = None
+        self._gen = None
 
     @property
     def up(self):
@@ -367,7 +386,8 @@ def make_poset(labels, pairs):
     antisymmetry is checked: a cycle through i and j shows as bit j of
     up[i] & down[i]. NotAntisymmetric names the least such i, then the
     least such j, as Poset's own check does; the poset keeps the down
-    rows it was checked with."""
+    rows it was checked with, and the rows before the closure as its
+    generating rows (generating_rows)."""
     labels = tuple(labels)
     if not labels:
         raise UnknownLabel("a poset needs at least one element")
@@ -383,6 +403,7 @@ def make_poset(labels, pairs):
             up[index[a]] |= 1 << index[b]
     except KeyError as exc:
         raise unknown_label(exc.args[0]) from None
+    gen = tuple(up)
     # Warshall's closure on bitset rows: once every row holding bit k has
     # taken row k in, paths through 0..k need no further step
     for k in range(n):
@@ -399,6 +420,7 @@ def make_poset(labels, pairs):
             )
     poset = Poset(labels, up, _trusted=True)
     poset._down = tuple(down)
+    poset._gen = gen
     return poset
 
 

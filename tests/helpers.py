@@ -23,7 +23,8 @@ decision level at a time (``complexes.build_p_g``).
 
 The loops the ``bisim`` input path replaced are kept as oracles:
 ``parse_frame_file_by_lines`` checks every [order]/[modal] line step by
-step, ``make_poset_by_verify`` checks all three order axioms after the
+step and reads [nbhd] families one character at a time,
+``make_poset_by_verify`` checks all three order axioms after the
 closure (``Poset._verify``), and ``transpose_by_bits`` builds a converse
 one bit at a time.
 """
@@ -41,7 +42,7 @@ from imcoalg.errors import (
     StageTooLarge,
     UnknownLabel,
 )
-from imcoalg.framefile import _SECTIONS, FrameFile, _parse_families
+from imcoalg.framefile import _SECTIONS, FrameFile
 from imcoalg.frames import ModalFrame
 from imcoalg.poset import (
     Poset,
@@ -354,6 +355,45 @@ def token_column(line, k, start=0):
     raise IndexError(k)
 
 
+def _families_by_chars(line, start, declared, lineno):
+    """The families written on line from index start on, read one
+    character at a time: a brace is a token of its own, and so is each run
+    of other characters up to a space or a brace. An undeclared member is
+    reported at the column where its run starts."""
+    families = []
+    current = None
+    i = start
+    while i < len(line):
+        ch = line[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "{":
+            if current is not None:
+                raise ParseError("nested '{'", lineno)
+            current = []
+            i += 1
+            continue
+        if ch == "}":
+            if current is None:
+                raise ParseError("unmatched '}'", lineno)
+            families.append(current)
+            current = None
+            i += 1
+            continue
+        j = i
+        while j < len(line) and not line[j].isspace() and line[j] not in "{}":
+            j += 1
+        if current is None:
+            raise ParseError("family member outside braces", lineno)
+        _require_by_lines(line[i:j], declared, lineno, i + 1)
+        current.append(line[i:j])
+        i = j
+    if current is not None:
+        raise ParseError("unterminated '{'", lineno)
+    return families
+
+
 def _require_by_lines(tok, declared, lineno, column):
     if tok not in declared:
         raise ParseError(f"undeclared element {tok!r}", lineno, column)
@@ -417,12 +457,13 @@ def parse_frame_file_by_lines(text):
         elif section == "nbhd":
             if ":" not in stripped:
                 raise ParseError("expected 'e : {e1 e2} ...'", lineno)
-            lab, _, rest = stripped.partition(":")
-            lab = lab.strip()
+            lab = stripped.partition(":")[0].strip()
             _require_by_lines(lab, declared, lineno, token_column(line, 0))
             if lab in ff.nbhd:
                 raise ParseError(f"duplicate neighbourhood for {lab!r}", lineno)
-            ff.nbhd[lab] = _parse_families(rest, declared, lineno)
+            ff.nbhd[lab] = _families_by_chars(
+                line, line.index(":") + 1, declared, lineno
+            )
     if not ff.labels:
         raise ParseError("no [elements] declared", 1)
     return ff

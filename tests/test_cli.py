@@ -23,6 +23,7 @@ from imcoalg.frames import ModalFrame
 from imcoalg.poset import make_poset, point_poset
 
 from helpers import parse_frame_file_by_lines
+from test_frames import counted_mix_law_witness
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -84,6 +85,9 @@ class TestFrameFileParsing:
             ("[elements]\nab b\n[order]\n  ab < a # a\n", 4, 8),
             ("[elements]\n< a\n[order]\na < <<\n", 4, 5),
             ("[elements]\nab\n[nbhd]\n a : {ab}\n", 4, 2),
+            ("[elements]\na\n[nbhd]\na : {a} {z}", 4, 10),
+            ("[elements]\nab\n[nbhd]\nab : {ab}{a}\n", 4, 11),
+            ("[elements]\nab b\n[nbhd]\nb :{b\tab  a }\n", 4, 11),
         )
         for text, line, column in cases:
             with pytest.raises(ParseError) as err:
@@ -235,16 +239,22 @@ def antichain_text(n, prefix):
     return f"[elements]\n{labels}\n"
 
 
-def run_cli(args, cwd):
+def cli_env():
+    """The environment for a `python -m imcoalg` child: this checkout's
+    package first on the import path."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def run_cli(args, cwd):
     proc = subprocess.run(
         [sys.executable, "-m", "imcoalg", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=cli_env(),
     )
     return proc
 
@@ -350,6 +360,67 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: not ")
         assert "at byte 0" in err and "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early (``| head -1``) ends the
+    run with exit code 4 and nothing on stderr, whether the write that
+    fails comes in the middle of the report or at its final flush."""
+
+    def run_into_closed_pipe(self, args, cwd):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "imcoalg", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=cwd,
+                env=cli_env(),
+            )
+        finally:
+            os.close(write_end)
+
+    def test_short_report(self, chain_path, point_path, tmp_path):
+        proc = self.run_into_closed_pipe(
+            ["bisim", chain_path, point_path], str(tmp_path)
+        )
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OUTPUT_CLOSED, "")
+        assert cli.EXIT_OUTPUT_CLOSED == 4
+
+    @staticmethod
+    def long_report_argv(tmp_path):
+        """bisim --distinguish 1 on chains of 100 and 101 points: a report
+        of 10 107 lines (365 kB), past any pipe's buffer."""
+        paths = []
+        for prefix, n in (("l", 100), ("r", 101)):
+            path = tmp_path / f"{prefix}.frame"
+            top = f"{prefix}{n - 1}"
+            path.write_text(shifted_chain_text(n, 1, prefix) + f"[val]\np : {top}\n")
+            paths.append(str(path))
+        return ["bisim", *paths, "--distinguish", "1"]
+
+    def test_report_longer_than_the_buffer(self, tmp_path):
+        proc = self.run_into_closed_pipe(
+            self.long_report_argv(tmp_path), str(tmp_path)
+        )
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OUTPUT_CLOSED, "")
+
+    def test_reader_that_stops_after_one_line(self, tmp_path):
+        argv = self.long_report_argv(tmp_path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "imcoalg", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=str(tmp_path),
+            env=cli_env(),
+        )
+        assert proc.stdout.readline() == b"PASS order-axioms\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), stderr) == (cli.EXIT_OUTPUT_CLOSED, b"")
 
 
 class TestCliBehaviour:
@@ -633,6 +704,16 @@ class TestBisimJobWork:
         for path in paths:
             rel = parse_frame_file(Path(path).read_text()).build_frame().rel
             assert calls.count(rel) == 1, path
+
+    @pytest.mark.parametrize("extra", [(), ("--distinguish", "2")])
+    def test_each_frame_decides_the_mix_law_once(self, monkeypatch, capsys,
+                                                 extra):
+        calls = counted_mix_law_witness(monkeypatch)
+        paths = [str(GOLDEN / name) for name in ("chain.frame", "diamond.frame")]
+        argv = ["bisim", *paths, "--close-valuations", *extra]
+        assert main(argv) == 0
+        assert "PASS coalgebraic-agreement" in capsys.readouterr().out
+        assert len(calls) == 2
 
     def test_labels_and_formulas_are_printed_once(self, monkeypatch, capsys):
         # chain.frame against step.frame at D = 1: []F tells y from all three

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -148,6 +149,132 @@ class TestMixClosureAgainstOracle:
                     fr = ModalFrame(p, rel)
                     assert mix_closure(fr).rel == tuple(mix_rows_by_bits(fr))
                     assert mix_law_witness(fr) == mix_law_witness_by_bits(fr)
+
+
+def generated_posets(p, rng):
+    """p rebuilt by make_poset from four pair lists: its covers, the
+    covers with a seeded half of the other strict pairs (redundant,
+    transitive ones), and both of these shuffled. Each poset equals p, but
+    keeps the pairs it was given as its generating rows."""
+    name = p.labels
+    covers = p.covers()
+    redundant = [
+        (i, j)
+        for i in range(p.n)
+        for j in iter_bits(p.up[i] & ~(1 << i))
+        if (i, j) not in covers and rng.random() < 0.5
+    ]
+    lists = [covers, covers + redundant]
+    lists += [rng.sample(pairs, len(pairs)) for pairs in lists]
+    out = []
+    for pairs in lists:
+        q = make_poset(name, [(name[i], name[j]) for i, j in pairs])
+        assert q == p and hash(q) == hash(p)
+        assert sum(row.bit_count() for row in q.generating_rows) == (
+            p.n + len(pairs)
+        )
+        out.append(q)
+    return out
+
+
+def decided_as_oracle(posets, rel):
+    """The oracle's witness for rel, after checking that the generating-pair
+    test, mix_law_witness and the held mix_witness agree with it on each
+    of the posets (one order, generated by different rows)."""
+    want = mix_law_witness_by_bits(ModalFrame(posets[0], rel))
+    for q in posets:
+        fr = ModalFrame(q, rel)
+        assert frames._holds_on_generators(fr) == (want is None)
+        assert mix_law_witness(fr) == want
+        assert fr.mix_witness == want
+    return want
+
+
+class TestGeneratingPairDecision:
+    """mix_law_witness decides the law on the generating pairs of the
+    order and builds the rows of (<=);R;(<=) only to name a failure's
+    witness: it agrees with the bit loop whether the order was given by
+    its rows (every pair of <=), by its covers or by covers and redundant
+    pairs, in any order."""
+
+    def test_every_relation_up_to_three_elements(self):
+        rng = random.Random(2406)
+        outcomes = Counter()
+        for n in (1, 2, 3):
+            for p in all_posets(n):
+                posets = [p] + generated_posets(p, rng)
+                for bits in range(1 << (n * n)):
+                    rel = [(bits >> (x * n)) & p.full_mask for x in range(n)]
+                    outcomes[decided_as_oracle(posets, rel) is None] += 1
+        assert outcomes == {True: 764, False: 1830}
+
+    def test_seeded_relations_on_four_to_six_elements(self):
+        # per size: a half of the relations drawn at random, a quarter mix
+        # closures, a quarter mix closures with one bit flipped
+        rng = random.Random(10649)
+        outcomes = Counter()
+        for n in (4, 5, 6):
+            for k in range(2000):
+                p = random_poset(rng, n)
+                kind = k % 4
+                if kind < 2:
+                    rel = [rng.getrandbits(n) for _ in range(n)]
+                else:
+                    rel = list(random_mix_frame(rng, p).rel)
+                    if kind == 3:
+                        rel[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                want = decided_as_oracle([p] + generated_posets(p, rng), rel)
+                outcomes[kind, want is None] += 1
+        # both outcomes are met often, from each kind that can give both
+        random_ok = outcomes[0, True] + outcomes[1, True]
+        assert 100 < random_ok < 300
+        assert outcomes[2, True] == 1500
+        assert outcomes[3, True] > 500 and outcomes[3, False] > 500
+
+
+class TestMixLawOncePerFrame:
+    """A frame decides the mix law the first time its witness is read and
+    then holds it: mix_law_witness runs once per frame object."""
+
+    def test_witness_is_held(self, monkeypatch):
+        calls = counted_mix_law_witness(monkeypatch)
+        fr = ModalFrame.from_pairs(chain2(), [("a", "a")])
+        assert fr.mix_witness == fr.mix_witness == ("a", "b")
+        assert not check_mix_law(fr)
+        with pytest.raises(MixLawViolation):
+            frame_to_lifted(fr, 2)
+        assert calls == [fr]
+
+    def test_coalgebra_squares_decide_each_frame_once(self, monkeypatch):
+        # fresh frame objects, so no earlier test has decided them
+        chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
+        left = ModalFrame(chain3, (0b110, 0b100, 0b100))
+        right = ModalFrame(chain2(), (0b10, 0b10))
+        maps = pmorphisms(left.poset, right.poset)
+        assert len(maps) > 1
+        calls = counted_mix_law_witness(monkeypatch)
+        for f in maps:
+            check_coalgebra_morphism(f, left, right, 2)
+        assert calls == [left, right]
+
+
+def counted_mix_law_witness(monkeypatch):
+    """Bind mix_law_witness to a wrapper in every imcoalg module that holds
+    it, as the benchmark's tracer does; the list it returns collects the
+    frame of each call."""
+    calls = []
+    original = frames.mix_law_witness
+
+    def counted(frame):
+        calls.append(frame)
+        return original(frame)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "imcoalg" and (
+            getattr(module, "mix_law_witness", None) is original
+        ):
+            monkeypatch.setattr(module, "mix_law_witness", counted)
+    return calls
 
 
 class TestCorrespondence:

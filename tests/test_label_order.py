@@ -18,7 +18,11 @@ three elements with source and target each under every labelling, its
 stage elements read by their labels, and the lifted-square kernel (image_tower_agrees) on every monotone map into a
 poset of at most two elements. The converse rows of a frame
 (ModalFrame.pre) are checked on every frame on at most three elements
-under every labelling, against the bit loop. The greatest bisimulation,
+under every labelling, against the bit loop. The mix law's decision on
+an order's generating pairs is checked on every relation of every poset
+on at most three elements and on seeded relations on four, under every
+labelling, with the order given by its rows and by its covers, against
+the bit loop. The greatest bisimulation,
 with and without a valuation, is checked on every pair of frames on at
 most two elements and on seeded pairs of three-element frames, each side
 under every labelling.
@@ -46,7 +50,7 @@ from imcoalg.enumeration import (
     monotone_maps,
     random_upset,
 )
-from imcoalg.frames import ModalFrame
+from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
 from imcoalg.logic import (
     Model,
@@ -60,6 +64,7 @@ from imcoalg.poset import (
     PosetMap,
     containment_rows,
     iter_bits,
+    make_poset,
     open_table,
     terminal_map,
     upset_masks,
@@ -79,6 +84,7 @@ from helpers import (
 )
 from test_bisim import _iso_frames_up_to_three, _small_frames
 from test_complexes import build_p_g_by_submasks
+from test_frames import mix_law_witness_by_bits
 from test_heyting import join_irreducibles_oracle
 from test_poset import containment_rows_oracle, g_open_by_images
 
@@ -333,6 +339,48 @@ def test_modal_predecessors_commute_with_relabelling():
             moved = relabel_frame(f, perm)
             assert moved.pre == move_rows(pre, perm, perm)
             assert moved.pre == tuple(transpose_by_bits(moved.rel, f.poset.n))
+
+
+def test_mix_law_decision_commutes_with_relabelling():
+    # every relation on at most three elements, and on four a seeded dozen
+    # per labelling (six mix closures, each also with one bit flipped);
+    # each moved relation over the moved order, given by its rows and by
+    # its covers, is decided as the bit loop decides it, and holds the law
+    # iff the relation did (the witness itself is the least pair, so it
+    # moves with the labels only up to the order of the indices)
+    rng = random.Random(1649)
+    outcomes = set()
+    for p, perm, q in RELABELLED_4:
+        name = q.labels
+        covers = make_poset(name, [(name[i], name[j]) for i, j in q.covers()])
+        n = p.n
+        if n <= 3:
+            rels = [
+                [(bits >> (x * n)) & p.full_mask for x in range(n)]
+                for bits in range(1 << (n * n))
+            ]
+        else:
+            rels = []
+            for _ in range(6):
+                rel = list(mix_closure(ModalFrame(
+                    p, [rng.getrandbits(n) & rng.getrandbits(n)
+                        for _ in range(n)])).rel)
+                rels.append(rel)
+                flipped = list(rel)
+                flipped[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                rels.append(flipped)
+        for rel in rels:
+            holds = mix_law_witness_by_bits(ModalFrame(p, rel)) is None
+            moved = move_rows(rel, perm, perm)
+            for target in (q, covers):
+                fr = ModalFrame(target, moved)
+                assert fr.mix_witness == mix_law_witness_by_bits(fr)
+                assert (fr.mix_witness is None) == holds
+            outcomes.add((n, holds))
+    # on one point both relations hold the law
+    assert outcomes == {(1, True)} | {
+        (n, holds) for n in (2, 3, 4) for holds in (True, False)
+    }
 
 
 def _assert_bisimulation_commutes_with_relabelling(m1, m2):

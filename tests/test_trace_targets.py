@@ -8,7 +8,9 @@ wrapped ``__func__``, so it must be a classmethod in its class ``__dict__``:
 a plain or static method would break traced runs only. The work counters
 read library values the same way, so each one that reads a result (a
 Bisimulation, a rooted stage, a list of upset masks) is run on a real one
-here.
+here. A frame decides the mix law the first time its witness is read, so
+that read must still go through the traced ``frames.mix_law_witness``, or
+the benchmark's ``frames.mix_law_witness.*`` metrics would read zero.
 """
 
 import importlib
@@ -19,7 +21,7 @@ import pytest
 from imcoalg.bisim import coalgebraic_bisim_check, largest_bisimulation
 from imcoalg.complexes import build_p_g, terminal_complex
 from imcoalg.enumeration import all_posets
-from imcoalg.frames import ModalFrame
+from imcoalg.frames import ModalFrame, check_mix_law, frame_to_lifted
 from imcoalg.poset import make_poset, point_poset, terminal_map, upset_masks
 
 from helpers import load_bench_module
@@ -50,6 +52,21 @@ def test_traced_method_is_a_classmethod(metric, module, attr):
     for part in path:
         owner = getattr(owner, part)
     assert isinstance(owner.__dict__.get(name), classmethod), metric
+
+
+def test_first_read_of_a_mix_witness_is_traced():
+    chain = make_poset(["a", "b"], [("a", "b")])
+    failing = ModalFrame.from_pairs(chain, [("a", "a")])
+    holding = ModalFrame.from_pairs(chain, [("a", "b")])
+    importlib.import_module("imcoalg.cli")  # the tracer binds every layer
+    tracer = load_bench_module("layers").Tracer()
+    with tracer.installed():
+        assert failing.mix_witness == ("a", "b")
+        assert not check_mix_law(failing)
+        frame_to_lifted(holding, 2)
+        frame_to_lifted(holding, 1)
+    # once per frame: the reads that find the witness held are not calls
+    assert tracer.calls["frames.mix_law_witness"] == 2
 
 
 def test_bisimulation_counters_read_a_real_result():
