@@ -11,13 +11,19 @@ f: X -> Y lifts to a tower map with coordinates
 
 A materialized stage is a MaskPoset over the previous stage, whose
 ``masks`` list its elements by member mask in ascending order; the complex
-keeps no other copy of them. So a tower map into a materialized complex is
-held as stage indices only: coordinate l+1 at x is the element whose
-member mask is the OR of 1 << f_l(y) over y >= x, found by one bisection
-(Complex.lift_level). Where no stage is materialized, the
-frame and bisimulation checks lift the masks R[x] themselves as nested
-values (an element of level l+1 is the frozenset of the level-l values
-over an up-set, tower_coords), so they never build Up(P).
+keeps no other copy of them. Over such a base (or Up(P), also a MaskPoset
+with ascending masks) no element lies above one of higher index, so the
+elements rooted at r are exactly those whose masks lie in
+[2^r, 2^(r+1)): ascending mask order lists the elements root by root,
+which build_p_g relies on to list a stage one sorted run per root.
+
+A tower map into a materialized complex is held as stage indices only:
+coordinate l+1 at x is the element whose member mask is the OR of
+1 << f_l(y) over y >= x, found by one bisection (Complex.lift_level).
+Where no stage is materialized, the frame and bisimulation checks lift
+the masks R[x] themselves as nested values (an element of level l+1 is
+the frozenset of the level-l values over an up-set, tower_coords), so
+they never build Up(P).
 
 Those checks compare the image of one lift with another lift, and the
 direct image commutes with the lift: if level l+1 over a source is
@@ -32,7 +38,7 @@ route.
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import and_, or_, rshift
+from operator import ge, lshift, or_
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -76,26 +82,36 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     A rooted subset is its root plus a choice of elements above it, so the
     candidate space is sum over x of 2^(|up(x)|-1); that count is capped
     before any search, and so is the resulting stage size. Each root's
-    subsets are built as one list of ints, one decision level at a time,
-    by C-level map and filter passes. A root whose open_table row is empty
-    (g is constant on up(root)) takes every such choice untested: its list
-    doubles over each element above it, OR-ing that element's bit into a
-    copy. Over a terminal map that is every root. For other roots the
-    elements above are decided from the top down (by |up(e)|), so when an
-    element is taken, everything above it is already decided: the take
-    branch keeps the partial subsets that meet each of its fibre masks.
-    The leave-out branch keeps those that still meet each of the root's
-    own fibre masks holding the element, among the included and undecided
-    elements, so every subset left after the last level is open. A subset
-    is held as ``mask << s | root`` (s bits hold any root), so one int sort
-    orders the stage by member mask, and the masks and roots are read off
-    by a shift and an AND. The stage poset is carried by the member masks
-    (Poset.over_masks): its order rows (containment_rows) are built the
-    first time something reads them, such as the next stage's build, a
-    lift or the DOT writer's covers, and its labels, the frozensets of the
-    members' base labels, the first time something reads those, such as
-    the DOT and JSON writers. The text `complex` report reads neither for
-    its deepest stage.
+    subsets are built as one list of masks (its run), one decision level
+    at a time, by C-level map and filter passes. A root whose open_table
+    row is empty (g is constant on up(root)) takes every such choice
+    untested: its run doubles over each element above it, lowest first,
+    OR-ing that element's bit into a copy, which lists the run in
+    ascending order. Over a terminal map that is every root. For other
+    roots the elements above are decided from the top down (by |up(e)|),
+    so when an element is taken, everything above it is already decided:
+    the take branch keeps the partial subsets that meet each of its fibre
+    masks. The leave-out branch keeps those that still meet each of the
+    root's own fibre masks holding the element, among the included and
+    undecided elements, so every subset left after the last level is
+    open; such a run is sorted on its own.
+
+    When no up row of the source has a bit above its own index, as in
+    every MaskPoset with ascending masks (every stage, Up(P)), root r's
+    subsets all lie in [2^r, 2^(r+1)), so the runs, taken in root order,
+    are already the stage in ascending mask order, and the root map is r
+    repeated over run r. Any other source (a raw poset, labelled
+    naturally or not) sorts the (mask, root) pairs once
+    (_sorted_by_mask).
+
+    The stage poset is carried by the member masks (Poset.over_masks):
+    its order rows (containment_rows) are built the first time something
+    reads them, such as the next stage's build, a lift or the DOT
+    writer's covers, and its labels, the frozensets of the members' base
+    labels, the first time something reads those, such as the DOT and
+    JSON writers. The text `complex` report reads neither for its deepest
+    stage. Every root index is in range by construction, so the root map
+    is built trusted; verify_complex re-checks each element against it.
     """
     base = g.source
     n = base.n
@@ -108,8 +124,8 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
             )
     _, needs = open_table(g)
     up = base.up
-    s = n.bit_length()
-    found = []  # mask << s | root
+    masks = []
+    roots = []
 
     def too_large():
         return StageTooLarge(
@@ -118,51 +134,59 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
 
     for root in range(n):
         rest = up[root] & ~(1 << root)
-        run = [1 << root << s | root]
+        run = [1 << root]
         if not needs[root]:
             # g is constant on up(root), so no element there needs anything
-            if len(found) + (1 << rest.bit_count()) > caps.max_stage:
+            if len(masks) + (1 << rest.bit_count()) > caps.max_stage:
                 raise too_large()
             for e in iter_bits(rest):
-                run += list(map(or_, run, repeat(1 << e << s)))
-            found += run
-            continue
-        order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
-        later = [0] * len(order)  # the elements decided after order[k]
-        for k in range(len(order) - 1, 0, -1):
-            later[k - 1] = later[k] | 1 << order[k]
-        for k, e in enumerate(order):
-            # leaving e out can only starve a root need holding e, and not
-            # one that an element decided later still meets
-            kept = run
-            for need in needs[root]:
-                if need >> e & 1 and not need & later[k]:
-                    kept = filter((need << s).__and__, kept)
-            taken = run
-            for need in needs[e]:
-                taken = filter((need << s).__and__, taken)
-            taken = list(map(or_, taken, repeat(1 << e << s)))
-            if kept is not run:
-                run = list(kept)
-            run += taken
-            if len(found) + len(run) > caps.max_stage:
-                # a partial meeting every root need has at least one leaf:
-                # the one leaving out every element still undecided
-                met = run
+                run += list(map(or_, run, repeat(1 << e)))
+        else:
+            order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
+            later = [0] * len(order)  # the elements decided after order[k]
+            for k in range(len(order) - 1, 0, -1):
+                later[k - 1] = later[k] | 1 << order[k]
+            for k, e in enumerate(order):
+                # leaving e out can only starve a root need holding e, and
+                # not one that an element decided later still meets
+                kept = run
                 for need in needs[root]:
-                    met = filter((need << s).__and__, met)
-                if len(found) + len(list(met)) > caps.max_stage:
-                    raise too_large()
-        found += run
+                    if need >> e & 1 and not need & later[k]:
+                        kept = filter(need.__and__, kept)
+                taken = run
+                for need in needs[e]:
+                    taken = filter(need.__and__, taken)
+                taken = list(map(or_, taken, repeat(1 << e)))
+                if kept is not run:
+                    run = list(kept)
+                run += taken
+                if len(masks) + len(run) > caps.max_stage:
+                    # a partial meeting every root need has at least one
+                    # leaf: the one leaving out every element still
+                    # undecided
+                    met = run
+                    for need in needs[root]:
+                        met = filter(need.__and__, met)
+                    if len(masks) + len(list(met)) > caps.max_stage:
+                        raise too_large()
+            run.sort()
+        masks += run
+        roots += repeat(root, len(run))
 
-    found.sort()
-    # read off into lists, so that no tuple is resized as it grows
-    masks = tuple([*map(rshift, found, repeat(s))])
-    roots = [*map(and_, found, repeat((1 << s) - 1))]
-    del found
+    if any(map(ge, up, map(lshift, repeat(2), range(n)))):
+        # some up row has a bit above its own index
+        masks, roots = _sorted_by_mask(masks, roots)
+    masks = tuple(masks)
     stage_poset = Poset.over_masks(masks, base)
-    root_map = PosetMap(stage_poset, base, roots)
+    root_map = PosetMap(stage_poset, base, roots, _trusted=True)
     return RootedStage(base, stage_poset, masks, root_map)
+
+
+def _sorted_by_mask(masks, roots):
+    """The (mask, root) pairs in ascending mask order, as two lists: the
+    one global sort of a stage whose runs may interleave."""
+    pairs = sorted(zip(masks, roots))
+    return [m for m, _ in pairs], [r for _, r in pairs]
 
 
 class Complex:

@@ -1,4 +1,4 @@
-"""Exhaustive and random generators for small posets, maps and frames.
+"""Exhaustive generators for small posets, maps and frames.
 
 These back the brute-force oracles: every theorem-shaped claim in the test
 suite is checked against enumerations produced here. Poset enumeration is
@@ -9,10 +9,11 @@ Monotone maps, p-morphisms, mix-law relations (monotone maps into the
 upsets under reverse inclusion) and automorphisms (bijective monotone
 self-maps) all come from poset.monotone_assignments, so each list is in
 lexicographic order of its assignments; callers that sample from these
-lists by index rely on that order.
+lists by index rely on that order. The random generators and the
+all-functions scan that only the tests read live in tests/helpers.py.
 """
 
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 from .heyting import up_functor
 from .poset import (
@@ -45,12 +46,6 @@ def _slot_bits(up):
     return sum(
         (row & ((1 << i) - 1) | row >> (i + 1) << i) << (i * (n - 1))
         for i, row in enumerate(up)
-    )
-
-
-def canonical_poset_key(p):
-    return min(
-        _matrix_bits(_permuted(p.up, perm)) for perm in permutations(range(p.n))
     )
 
 
@@ -95,11 +90,6 @@ def automorphisms(p):
     return [a for a in monotone_assignments(p, p) if len(set(a)) == p.n]
 
 
-def all_functions(p, q):
-    for assign in iproduct(range(q.n), repeat=p.n):
-        yield PosetMap(p, q, assign)
-
-
 def monotone_maps(p, q):
     """All monotone maps from p to q, in lexicographic order."""
     return [PosetMap(p, q, a) for a in monotone_assignments(p, q)]
@@ -124,12 +114,6 @@ def mix_relations(p):
     ]
 
 
-def frames_on(p):
-    from .frames import ModalFrame
-
-    return [ModalFrame(p, rel) for rel in mix_relations(p)]
-
-
 def frames_up_to_iso(p):
     """One representative per orbit of mix-law relations under Aut(p)."""
     from .frames import ModalFrame
@@ -143,40 +127,3 @@ def frames_up_to_iso(p):
             seen.add(key)
             out.append(ModalFrame(p, rel))
     return out
-
-
-# -- random generators (callers pass a seeded random.Random) ----------------
-
-
-def random_poset(rng, n, labels=None, edge_prob=0.35):
-    if labels is None:
-        labels = tuple(f"e{i}" for i in range(n))
-    labels = tuple(labels)[:n]
-    up = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                up[i] |= 1 << j
-    # close transitively; i < j only, so the result is antisymmetric
-    for i in range(n - 1, -1, -1):
-        up[i] = image(up, up[i])
-    return Poset(labels, up, _trusted=True)
-
-
-def random_upset(rng, p):
-    mask = 0
-    for i in range(p.n):
-        if rng.random() < 0.5:
-            mask |= 1 << i
-    return p.up_close(mask)
-
-
-def random_mix_frame(rng, p, pair_prob=0.3):
-    from .frames import ModalFrame, mix_closure
-
-    pairs = []
-    for i in range(p.n):
-        for j in range(p.n):
-            if rng.random() < pair_prob:
-                pairs.append((p.labels[i], p.labels[j]))
-    return mix_closure(ModalFrame.from_pairs(p, pairs))

@@ -10,7 +10,7 @@ Sections, each optional except [elements]:
     [modal]
     a R b
     [val]
-    p : b c        # valuation of letter p
+    p : b c        # valuation of letter p, a formula identifier
     [nbhd]
     a : {a b} {c}  # families of upsets per element
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ValueNotUpset
 from .frames import ModalFrame, NbhdFrame
 from .heyting import up_functor
-from .logic import Model
+from .logic import Model, is_letter
 from .poset import make_poset
 
 _SECTIONS = ("elements", "order", "modal", "val", "nbhd")
@@ -160,6 +160,12 @@ def parse_frame_file(text):
             letter = letter.strip()
             if not letter:
                 raise ParseError("missing letter before ':'", lineno)
+            if not is_letter(letter):
+                raise ParseError(
+                    f"letter {letter!r} cannot be named in a formula "
+                    "(an identifier other than T and F)",
+                    lineno, len(line) - len(line.lstrip()) + 1,
+                )
             if letter in ff.valuations:
                 raise ParseError(f"duplicate valuation for {letter!r}", lineno)
             members = rest.split()

@@ -147,7 +147,15 @@ def iff(a, b):
     return And(Impl(a, b), Impl(b, a))
 
 
-_TOKEN = re.compile(r"\s*(\[\]|->|[~|&()]|[A-Za-z_][A-Za-z0-9_']*)")
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN = re.compile(r"\s*(\[\]|->|[~|&()]|" + _IDENTIFIER + ")")
+_LETTER = re.compile(_IDENTIFIER)
+
+
+def is_letter(name):
+    """Whether a formula can name the letter: an identifier of the grammar
+    other than the constants "T" and "F"."""
+    return name not in ("T", "F") and _LETTER.fullmatch(name) is not None
 
 
 def _tokenize(text):

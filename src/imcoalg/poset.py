@@ -18,7 +18,11 @@ Conventions used throughout the package:
     (Poset.over_masks): Up(P) (heyting.up_functor), the neighbourhood
     carrier PowUp(P) (frames.pow_up_functor) and every rooted stage of a
     complex. index_of_mask finds an element by its subset in one
-    bisection, so it needs ascending masks, as all three list them. A
+    bisection, so it needs ascending masks, as all three list them. With
+    ascending masks, masks[j] ⊆ masks[i] forces j <= i, so no up row has
+    a bit above its own index, and the subsets rooted at i lie in
+    [2^i, 2^(i+1)) (complexes.build_p_g lists a stage root by root on
+    that). A
     MaskPoset builds its order rows from per-chunk subset tables over
     8-bit chunks of the base (containment_rows) the first time ``up`` is
     read, unless it was given them, and its labels from per-chunk
@@ -44,6 +48,11 @@ Conventions used throughout the package:
     each element's candidates are a mask, cut down by the up- and
     down-set rows of the images of its decided neighbours, and the maps
     come out in lexicographic order of their assignments;
+  - a constructor given ``_trusted=True`` skips the checks its caller
+    already guarantees: Poset the order axioms, PosetMap the range of each
+    target index (the root map of a rooted stage, whose roots are in range
+    by construction). Only builders that derive the value themselves pass
+    it; a value read from input is always checked;
   - every value is immutable after construction, so any operation can run
     from parallel workers without coordination; a MaskPoset's ``up`` and
     ``labels``, and every poset's ``_index``, ``down`` and ``_hash``, are
@@ -319,17 +328,23 @@ class MaskPoset(Poset):
 
 
 class PosetMap:
-    """Total map between posets, stored as a tuple of target indices."""
+    """Total map between posets, stored as a tuple of target indices.
+
+    The assignment must have one index per source element, and each index
+    must name a target element; ``_trusted=True`` skips the second check,
+    one Python step per element, for assignments in range by
+    construction."""
 
     __slots__ = ("source", "target", "assign")
 
-    def __init__(self, source, target, assign):
+    def __init__(self, source, target, assign, _trusted=False):
         assign = tuple(assign)
         if len(assign) != source.n:
             raise UnknownLabel("assignment is not total over the source")
-        for t in assign:
-            if not 0 <= t < target.n:
-                raise UnknownLabel(f"target index {t} out of range")
+        if not _trusted:
+            for t in assign:
+                if not 0 <= t < target.n:
+                    raise UnknownLabel(f"target index {t} out of range")
         self.source = source
         self.target = target
         self.assign = assign

@@ -18,8 +18,16 @@ The per-member openness route (``is_open_mask``,
 library re-checks a whole stage on bit planes (``poset.all_open``).
 
 ``build_p_g_by_search`` builds a rooted stage by a depth-first search, one
-(mask, root) pair per element; the library builds each root's subsets one
-decision level at a time (``complexes.build_p_g``).
+(mask, root) pair per element; ``build_p_g_encoded`` builds each root's
+subsets one decision level at a time as ``mask << s | root`` ints and
+orders the stage by one global sort. The library builds each root's run
+on plain masks and, over a source with no up row above its own index,
+concatenates the runs in root order (``complexes.build_p_g``).
+
+The generators only the tests use live here: every function between two
+posets (``all_functions``), the canonical key of a poset
+(``canonical_poset_key``), every mix-law frame on a poset
+(``frames_on``) and the seeded random posets, upsets and mix-law frames.
 
 The loops the ``bisim`` input path replaced are kept as oracles:
 ``parse_frame_file_by_lines`` checks every [order]/[modal] line step by
@@ -30,12 +38,19 @@ one bit at a time.
 """
 
 import importlib.util
-from itertools import permutations
+import string
+from itertools import permutations, product, repeat
+from operator import and_, or_, rshift
 from pathlib import Path
 
 from imcoalg.complexes import RootedStage, tower_coords
 from imcoalg.config import DEFAULT_CAPS
-from imcoalg.enumeration import _permuted, all_posets
+from imcoalg.enumeration import (
+    _matrix_bits,
+    _permuted,
+    all_posets,
+    mix_relations,
+)
 from imcoalg.errors import (
     DuplicateLabel,
     ParseError,
@@ -43,7 +58,7 @@ from imcoalg.errors import (
     UnknownLabel,
 )
 from imcoalg.framefile import _SECTIONS, FrameFile
-from imcoalg.frames import ModalFrame
+from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -95,6 +110,66 @@ def labellings(p):
     for _, q in relabellings(p):
         out.setdefault(q.up, q)
     return list(out.values())
+
+
+def all_functions(p, q):
+    """Every map from p to q, monotone or not, in lexicographic order of
+    their assignments."""
+    for assign in product(range(q.n), repeat=p.n):
+        yield PosetMap(p, q, assign)
+
+
+def canonical_poset_key(p):
+    """The least packed relation matrix of p over all its labellings."""
+    return min(
+        _matrix_bits(_permuted(p.up, perm)) for perm in permutations(range(p.n))
+    )
+
+
+def frames_on(p):
+    """Every mix-law frame on p, in enumeration.mix_relations order."""
+    return [ModalFrame(p, rel) for rel in mix_relations(p)]
+
+
+# -- random generators (callers pass a seeded random.Random) ----------------
+
+
+def random_poset(rng, n, labels=None, edge_prob=0.35):
+    """A naturally labelled poset on n elements: each pair i < j is put in
+    order with probability edge_prob, then closed transitively."""
+    if labels is None:
+        labels = tuple(f"e{i}" for i in range(n))
+    labels = tuple(labels)[:n]
+    up = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                up[i] |= 1 << j
+    # close transitively; i < j only, so the result is antisymmetric
+    for i in range(n - 1, -1, -1):
+        up[i] = image(up, up[i])
+    return Poset(labels, up, _trusted=True)
+
+
+def random_upset(rng, p):
+    """The upward closure of a subset drawing each element with
+    probability 1/2."""
+    mask = 0
+    for i in range(p.n):
+        if rng.random() < 0.5:
+            mask |= 1 << i
+    return p.up_close(mask)
+
+
+def random_mix_frame(rng, p, pair_prob=0.3):
+    """The mix closure of a relation drawing each pair with probability
+    pair_prob."""
+    pairs = []
+    for i in range(p.n):
+        for j in range(p.n):
+            if rng.random() < pair_prob:
+                pairs.append((p.labels[i], p.labels[j]))
+    return mix_closure(ModalFrame.from_pairs(p, pairs))
 
 
 def compose(g, f):
@@ -299,6 +374,80 @@ def build_p_g_by_search(g, caps=DEFAULT_CAPS, stage_index=2):
     return RootedStage(base, stage_poset, masks, root_map)
 
 
+def build_p_g_encoded(g, caps=DEFAULT_CAPS, stage_index=2):
+    """build_p_g as it read with one global sort, kept as its oracle:
+    each subset is held as ``mask << s | root`` (s bits hold any root), so
+    one int sort orders the stage, and the masks and roots are read back
+    off by a shift and an AND. The same candidate cap, stage cap and
+    decision order; the root map is built with every index checked."""
+    base = g.source
+    n = base.n
+    total = 0
+    for i in range(n):
+        total += 1 << (base.up[i].bit_count() - 1)
+        if total > caps.max_candidates:
+            raise StageTooLarge(
+                stage_index, f"more than {caps.max_candidates} candidate subsets"
+            )
+    _, needs = open_table(g)
+    up = base.up
+    s = n.bit_length()
+    found = []  # mask << s | root
+
+    def too_large():
+        return StageTooLarge(
+            stage_index, f"more than {caps.max_stage} elements"
+        )
+
+    for root in range(n):
+        rest = up[root] & ~(1 << root)
+        run = [1 << root << s | root]
+        if not needs[root]:
+            # g is constant on up(root), so no element there needs anything
+            if len(found) + (1 << rest.bit_count()) > caps.max_stage:
+                raise too_large()
+            for e in iter_bits(rest):
+                run += list(map(or_, run, repeat(1 << e << s)))
+            found += run
+            continue
+        order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
+        later = [0] * len(order)  # the elements decided after order[k]
+        for k in range(len(order) - 1, 0, -1):
+            later[k - 1] = later[k] | 1 << order[k]
+        for k, e in enumerate(order):
+            # leaving e out can only starve a root need holding e, and not
+            # one that an element decided later still meets
+            kept = run
+            for need in needs[root]:
+                if need >> e & 1 and not need & later[k]:
+                    kept = filter((need << s).__and__, kept)
+            taken = run
+            for need in needs[e]:
+                taken = filter((need << s).__and__, taken)
+            taken = list(map(or_, taken, repeat(1 << e << s)))
+            if kept is not run:
+                run = list(kept)
+            run += taken
+            if len(found) + len(run) > caps.max_stage:
+                # a partial meeting every root need has at least one leaf:
+                # the one leaving out every element still undecided
+                met = run
+                for need in needs[root]:
+                    met = filter((need << s).__and__, met)
+                if len(found) + len(list(met)) > caps.max_stage:
+                    raise too_large()
+        found += run
+
+    found.sort()
+    # read off into lists, so that no tuple is resized as it grows
+    masks = tuple([*map(rshift, found, repeat(s))])
+    roots = [*map(and_, found, repeat((1 << s) - 1))]
+    del found
+    stage_poset = Poset.over_masks(masks, base)
+    root_map = PosetMap(stage_poset, base, roots)
+    return RootedStage(base, stage_poset, masks, root_map)
+
+
 # -- the step-by-step bisim inputs -------------------------------------------
 
 
@@ -399,6 +548,20 @@ def _require_by_lines(tok, declared, lineno, column):
         raise ParseError(f"undeclared element {tok!r}", lineno, column)
 
 
+def _letter_by_chars(name):
+    """Whether name is an identifier of the formula grammar, an ASCII
+    letter or underscore followed by ASCII letters, digits, underscores and
+    primes, other than the constants T and F; one character at a time."""
+    first = string.ascii_letters + "_"
+    rest = first + string.digits + "'"
+    return (
+        name not in ("T", "F")
+        and name != ""
+        and name[0] in first
+        and all(ch in rest for ch in name[1:])
+    )
+
+
 def parse_frame_file_by_lines(text):
     """parse_frame_file as it read before its one-test fast path: every
     [order]/[modal] line goes through the token count, the symbol and both
@@ -446,6 +609,12 @@ def parse_frame_file_by_lines(text):
             letter = letter.strip()
             if not letter:
                 raise ParseError("missing letter before ':'", lineno)
+            if not _letter_by_chars(letter):
+                raise ParseError(
+                    f"letter {letter!r} cannot be named in a formula "
+                    "(an identifier other than T and F)",
+                    lineno, token_column(line, 0),
+                )
             if letter in ff.valuations:
                 raise ParseError(f"duplicate valuation for {letter!r}", lineno)
             members = rest.split()

@@ -71,18 +71,16 @@ from imcoalg.poset import (
     terminal_map,
     upset_masks,
 )
-from imcoalg.enumeration import (
+from imcoalg.enumeration import all_posets, frames_up_to_iso, monotone_maps
+
+from helpers import (
     all_functions,
-    all_posets,
     frames_on,
-    frames_up_to_iso,
-    monotone_maps,
+    nested_image,
     random_mix_frame,
     random_poset,
     random_upset,
 )
-
-from helpers import nested_image
 from test_frames import index_levels_as_masks, index_lift_is_tower
 from test_freealg import (
     GOLDEN_STAGE_SIZES,

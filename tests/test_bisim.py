@@ -46,16 +46,17 @@ from imcoalg.poset import (
     point_poset,
     upset_masks,
 )
-from imcoalg.enumeration import (
-    all_posets,
+from imcoalg.enumeration import all_posets, frames_up_to_iso
+
+from helpers import (
+    first_disagreement,
     frames_on,
-    frames_up_to_iso,
+    mask_of,
+    nested_image,
     random_mix_frame,
     random_poset,
     random_upset,
 )
-
-from helpers import first_disagreement, mask_of, nested_image
 
 
 def chain2():
@@ -701,6 +702,65 @@ def _relation(f1, f2, bits):
         if (bits >> (x * f2.poset.n + y)) & 1
     )
     return Bisimulation.from_pairs(f1, f2, pairs)
+
+
+def failing_projection_by_pmorphism(bis):
+    """The projection test as coalgebraic_bisim_check ran it before the
+    related-above rows: is_pmorphism on each projection of the relation
+    poset, left first."""
+    bp, chosen = relation_poset(bis)
+    for side, (lp, rp) in (
+        ("left", (bis.left.poset, [x for x, _ in chosen])),
+        ("right", (bis.right.poset, [y for _, y in chosen])),
+    ):
+        if not is_pmorphism(PosetMap(bp, lp, rp)):
+            return side
+    return None
+
+
+def _assert_projections_match(bis):
+    got = bisim._failing_projection(bis)
+    assert got == failing_projection_by_pmorphism(bis)
+    return got
+
+
+class TestProjectionsAgainstIsPmorphism:
+    def test_every_relation_up_to_two_elements(self):
+        seen = set()
+        for f1 in _small_frames():
+            for f2 in _small_frames():
+                for bits in range(1 << (f1.poset.n * f2.poset.n)):
+                    seen.add(_assert_projections_match(_relation(f1, f2, bits)))
+        assert seen == {None, "left", "right"}
+
+    def test_sampled_three_element_frames(self):
+        frames = [
+            fr
+            for n in (1, 2, 3)
+            for p in all_posets(n)
+            for fr in frames_up_to_iso(p)
+        ]
+        rng = random.Random(2210)
+        seen = set()
+        for _ in range(2000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            bits = rng.getrandbits(f1.poset.n * f2.poset.n)
+            seen.add(_assert_projections_match(_relation(f1, f2, bits)))
+            largest = largest_bisimulation(f1, f2)
+            assert _assert_projections_match(largest) is None
+        assert seen == {None, "left", "right"}
+
+    def test_chains_without_successors(self):
+        # every pair of two 12-chains is bisimilar; dropping the pair of
+        # tops starves the left projection at (top, y) for y below the top
+        chain = ModalFrame.from_pairs(
+            make_poset(range(12), [(i, i + 1) for i in range(11)]), []
+        )
+        full = Bisimulation.full(chain, chain)
+        assert _assert_projections_match(full) is None
+        pairs = full.pairs - {(11, 11)}
+        cut = Bisimulation.from_pairs(chain, chain, pairs)
+        assert _assert_projections_match(cut) == "left"
 
 
 class TestMaskRouteOracle:

@@ -94,6 +94,39 @@ class TestFrameFileParsing:
                 parse_frame_file(text)
             assert (err.value.line, err.value.column) == (line, column), text
 
+    def test_val_letters_a_formula_cannot_name(self):
+        # T and F are the formula constants; p-q and 1p are no identifier
+        # of the formula grammar, so no formula could name them
+        for letter in ("T", "F", "p-q", "1p"):
+            for indent in ("", "  "):
+                text = f"[elements]\na\n[val]\n{indent}{letter} : a\n"
+                with pytest.raises(ParseError) as err:
+                    parse_frame_file(text)
+                assert (err.value.line, err.value.column) == (
+                    4, len(indent) + 1
+                ), text
+                assert repr(letter) in str(err.value)
+        for letter in ("p", "_", "Tp", "p1", "q'", "F_"):
+            text = f"[elements]\na\n[val]\n{letter} : a\n"
+            assert parse_frame_file(text).valuations == {letter: ["a"]}
+
+    def test_bisim_no_longer_distinguishes_by_a_constant(
+        self, tmp_path, capsys
+    ):
+        # with T accepted as a letter, these files printed "distinguish
+        # b vs c: T", a formula that mc reads as true everywhere
+        left = tmp_path / "left.frame"
+        left.write_text("[elements]\na b\n[order]\na < b\n"
+                        "[modal]\na R b\nb R b\n[val]\nT : b\n")
+        right = tmp_path / "right.frame"
+        right.write_text("[elements]\nc d\n[order]\nc < d\n"
+                         "[modal]\nc R c\nc R d\n[val]\nT : d\n")
+        argv = ["bisim", str(left), str(right), "--distinguish", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "line 9, column 1: letter 'T' cannot be named" in err
+
     def test_unknown_section(self):
         with pytest.raises(ParseError) as err:
             parse_frame_file("[wat]\n")

@@ -42,22 +42,21 @@ from imcoalg.poset import (
     point_poset,
     terminal_map,
 )
-from imcoalg.enumeration import (
-    all_functions,
-    all_posets,
-    monotone_maps,
-    random_poset,
-)
+from imcoalg.enumeration import all_posets, monotone_maps
 
 from helpers import (
+    all_functions,
     build_p_g_by_search,
+    build_p_g_encoded,
     first_disagreement,
     labellings,
+    load_bench_module,
     nested_compatible,
     nested_image,
     nested_lift,
     nested_monotone,
     posets_up_to,
+    random_poset,
     stage_values,
     value_root,
     verify_complex_by_members,
@@ -819,6 +818,112 @@ class TestDeepestStageRows:
         assert cli.main(["lift", frame, "--depth", "2"]) == 0
         capsys.readouterr()
         assert calls.count(deepest) == 1
+
+
+def assert_matches_encoded(g, stage_index):
+    """build_p_g equals the encoded one-sort builder in masks, roots, order
+    rows and labels, keeps its stage poset's masks as its member masks,
+    builds at a stage cap of exactly its size and raises as the encoded
+    builder does one below it."""
+    stage = build_p_g(g, stage_index=stage_index)
+    encoded = build_p_g_encoded(g, stage_index=stage_index)
+    assert stage.member_masks is stage.poset.masks
+    assert stage.member_masks == encoded.member_masks
+    assert stage.root_map.assign == encoded.root_map.assign
+    assert stage.poset.up == encoded.poset.up
+    assert stage.poset.labels == encoded.poset.labels
+    size = stage.poset.n
+    at_cap = build_p_g(g, Caps(max_stage=size), stage_index)
+    assert at_cap.member_masks == stage.member_masks
+    under = Caps(max_stage=size - 1)
+    want = (stage_index, f"stage {stage_index} too large: "
+            f"more than {size - 1} elements")
+    assert raised(build_p_g, g, under, stage_index) == want
+    assert raised(build_p_g_encoded, g, under, stage_index) == want
+    return stage
+
+
+def record_global_sorts(monkeypatch):
+    """Patch the one global sort of build_p_g, so that each call's stage
+    size is recorded; returns the list."""
+    calls = []
+    real = complexes._sorted_by_mask
+
+    def recording(masks, roots):
+        calls.append(len(masks))
+        return real(masks, roots)
+
+    monkeypatch.setattr(complexes, "_sorted_by_mask", recording)
+    return calls
+
+
+class TestRunsInRootOrder:
+    # over a source whose up rows have no bit above their own index, each
+    # root's subsets form their own sorted run; any other source takes one
+    # global sort. Both must list the stage as the encoded builder does
+
+    def test_every_stage_up_to_three_elements_under_every_labelling(
+        self, monkeypatch
+    ):
+        # a source sorts globally iff some element lies below one of
+        # higher index: some labellings of stage 1, never a MaskPoset
+        sorts = record_global_sorts(monkeypatch)
+        branches = {True: 0, False: 0}
+        for p in posets_up_to(3):
+            for q in labellings(p):
+                cx = terminal_complex(q, 3)
+                for i in (2, 3):
+                    g = cx.root_maps[i - 1]
+                    before = len(sorts)
+                    assert_matches_encoded(g, i)
+                    interleaved = any(
+                        row >> x > 1 for x, row in enumerate(g.source.up)
+                    )
+                    assert (len(sorts) > before) == interleaved
+                    branches[interleaved] += 1
+        assert branches[True] and branches[False]
+
+    def test_stage_two_over_up_of_every_five_element_poset_that_fits(self):
+        fits = 0
+        for p in all_posets(5):
+            try:
+                cx = intuitionistic_lift(p, 2)
+            except StageTooLarge:
+                continue
+            stage = assert_matches_encoded(cx.root_maps[1], 2)
+            assert stage.member_masks == cx.stages[2].masks
+            fits += 1
+        assert fits == 43
+
+    def test_benchmark_depth3_posets(self):
+        shapes = load_bench_module("workloads").DEPTH3_POSETS
+        sizes = []
+        for up in shapes.values():
+            cx = intuitionistic_lift(Poset(range(len(up)), up), 3)
+            for i in (2, 3):
+                assert_matches_encoded(cx.root_maps[i - 1], i)
+            sizes.append(cx.stages[3].n)
+        assert sizes == [29, 718, 2856]
+
+    def test_a_naturally_labelled_source_sorts_globally(self, monkeypatch):
+        sorts = record_global_sorts(monkeypatch)
+        chain = make_poset("abc", [("a", "b"), ("b", "c")])
+        assert_matches_encoded(terminal_map(chain), 2)
+        assert sorts[0] == 7
+
+    def test_no_cli_stage_sorts_globally(self, monkeypatch, capsys):
+        sorts = record_global_sorts(monkeypatch)
+        for name, depth in (("chain", 3), ("pair", 3), ("diamond", 2)):
+            frame = str(GOLDEN / f"{name}.frame")
+            for command in ("complex", "lift"):
+                assert cli.main([command, frame, "--depth", str(depth)]) == 0
+        for argv in (
+            ["--generators", "2", "--inner-depth", "2"],
+            ["--generators", "1", "--stages", "2"],
+        ):
+            assert cli.main(["freealg", *argv]) == 0
+        capsys.readouterr()
+        assert sorts == []
 
 
 class TestRandomPosets:

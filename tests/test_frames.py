@@ -43,23 +43,23 @@ from imcoalg.poset import (
     point_poset,
 )
 from imcoalg.enumeration import (
-    all_functions,
     all_posets,
-    frames_on,
     frames_up_to_iso,
     monotone_maps,
     pmorphisms,
-    random_mix_frame,
-    random_poset,
 )
 from imcoalg.framefile import parse_frame_file
 
 from helpers import (
+    all_functions,
     compose,
     first_disagreement,
+    frames_on,
     nested_compatible,
     nested_image,
     nested_monotone,
+    random_mix_frame,
+    random_poset,
 )
 from test_bisim import _iso_frames_up_to_three
 

@@ -5,7 +5,7 @@ import pytest
 from imcoalg import freealg, heyting
 from imcoalg.complexes import terminal_complex, tower_coords
 from imcoalg.config import Caps
-from imcoalg.enumeration import frames_on, monotone_maps, pmorphisms
+from imcoalg.enumeration import monotone_maps, pmorphisms
 from imcoalg.errors import (
     CapExceeded,
     MixLawViolation,
@@ -38,7 +38,13 @@ from imcoalg.poset import (
     upset_masks,
 )
 
-from helpers import nested_image, posets_up_to, stage_values, value_root
+from helpers import (
+    frames_on,
+    nested_image,
+    posets_up_to,
+    stage_values,
+    value_root,
+)
 
 
 def layers_inside_the_caps():

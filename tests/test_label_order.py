@@ -44,12 +44,7 @@ from imcoalg.complexes import (
     tower_coords,
     verify_complex,
 )
-from imcoalg.enumeration import (
-    _permuted,
-    mix_relations,
-    monotone_maps,
-    random_upset,
-)
+from imcoalg.enumeration import _permuted, mix_relations, monotone_maps
 from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
 from imcoalg.logic import (
@@ -77,6 +72,7 @@ from helpers import (
     move_mask,
     move_rows,
     posets_up_to,
+    random_upset,
     relabel_frame,
     relabellings,
     transpose_by_bits,

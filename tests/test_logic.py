@@ -32,15 +32,9 @@ from imcoalg.logic import (
     valid_on_model,
 )
 from imcoalg.poset import make_poset, point_poset
-from imcoalg.enumeration import (
-    all_posets,
-    frames_up_to_iso,
-    random_mix_frame,
-    random_poset,
-    random_upset,
-)
+from imcoalg.enumeration import all_posets, frames_up_to_iso
 
-from helpers import mask_of
+from helpers import mask_of, random_mix_frame, random_poset, random_upset
 
 
 def chain_model():

@@ -38,18 +38,15 @@ from imcoalg.poset import (
     transpose,
     upset_masks,
 )
-from imcoalg.enumeration import (
-    all_functions,
-    all_posets,
-    canonical_poset_key,
-    monotone_maps,
-    random_poset,
-)
+from imcoalg.enumeration import all_posets, monotone_maps
 
 from helpers import (
+    all_functions,
+    canonical_poset_key,
     is_open_mask,
     make_poset_by_verify,
     mask_of,
+    random_poset,
     transpose_by_bits,
 )
 
