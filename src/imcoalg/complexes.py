@@ -38,7 +38,7 @@ route.
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import ge, lshift, or_
+from operator import ge, invert, lshift, or_
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -85,9 +85,15 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     subsets are built as one list of masks (its run), one decision level
     at a time, by C-level map and filter passes. A root whose open_table
     row is empty (g is constant on up(root)) takes every such choice
-    untested: its run doubles over each element above it, lowest first,
-    OR-ing that element's bit into a copy, which lists the run in
-    ascending order. Over a terminal map that is every root. For other
+    untested. Every submask of the lowest contiguous block of bits of
+    rest = up(root) minus the root is a multiple of its lowest bit low up
+    to the block, so such a run doubles only over the bits of rest outside
+    the block, lowest first, OR-ing each bit into a copy, and each outer
+    value o it gets (the root and a choice of those bits) heads the range
+    o, o + low, ..., o + block. The block lies below every outer bit and
+    every value holds the root bit, so the ranges, taken in ascending o,
+    list the run in ascending order for any source; over Up(P) a run is a
+    few ranges. Over a terminal map that is every root. For other
     roots the elements above are decided from the top down (by |up(e)|),
     so when an element is taken, everything above it is already decided:
     the take branch keeps the partial subsets that meet each of its fibre
@@ -139,8 +145,13 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
             # g is constant on up(root), so no element there needs anything
             if len(masks) + (1 << rest.bit_count()) > caps.max_stage:
                 raise too_large()
-            for e in iter_bits(rest):
+            low = rest & -rest or 1  # 1 when rest is empty: ranges of one
+            block = ((rest + low) & ~rest) - low  # rest's lowest bit block
+            for e in iter_bits(rest & ~block):
                 run += list(map(or_, run, repeat(1 << e)))
+            outers, run = run, []
+            for outer in outers:
+                run += range(outer, outer + block + low, low)
         else:
             order = sorted(iter_bits(rest), key=lambda e: up[e].bit_count())
             later = [0] * len(order)  # the elements decided after order[k]
@@ -537,12 +548,14 @@ def verify_complex(cx):
 
     A stage whose mask list and root map differ in length fails. Rooted:
     the root is a member and every member lies above it, which by
-    antisymmetry makes it the least member; one shift and one AND per
-    element. Open: read off the incoming map's openness table on bit planes
-    over the whole stage (all_open), built once per stage and only when
-    some element of the stage below has fibre masks to meet (never over a
-    terminal map). Only the order rows of the stages below the deepest are
-    read.
+    antisymmetry makes it the least member. Every up row holds its own bit
+    (a poset's rows are reflexive), so with keep[r] = ~up[r] | 1 << r that
+    is mask & keep[root] == 1 << root, read from two tables built once per
+    stage: one AND and one compare per element. Open: read off the
+    incoming map's openness table on bit planes over the whole stage
+    (all_open), built once per stage and only when some element of the
+    stage below has fibre masks to meet (never over a terminal map). Only
+    the order rows of the stages below the deepest are read.
     """
     for i in range(2, len(cx.stages)):
         up = cx.stages[i - 1].up
@@ -550,8 +563,10 @@ def verify_complex(cx):
         masks = cx.stages[i].masks
         if len(masks) != len(roots):
             return False
+        bit = [*map(lshift, repeat(1), range(len(up)))]
+        keep = [*map(or_, map(invert, up), bit)]
         for mask, root in zip(masks, roots):
-            if not mask >> root & 1 or mask & ~up[root]:
+            if mask & keep[root] != bit[root]:
                 return False
         if not all_open(masks, open_table(cx.root_maps[i - 1])):
             return False

@@ -265,14 +265,10 @@ def check_modal_stage_properties(stage, caps=DEFAULT_CAPS):
     if stage.rel is None:
         return report
     prev = stage.prev
-    bad = next(
-        (
-            stage.poset.labels[e]
-            for e in range(stage.poset.n)
-            if not prev.is_upset(stage.rel[e])
-        ),
-        None,
-    )
+    # a step mask depends only on the inner element, so few are distinct
+    upsets = set(filter(prev.is_upset, set(stage.rel)))
+    ok = [*map(upsets.__contains__, stage.rel)]
+    bad = None if all(ok) else stage.poset.labels[ok.index(False)]
     report.record("step-images-are-upsets", bad is None, bad)
     box_ok = True
     witness = None

@@ -41,8 +41,9 @@ Conventions used throughout the package:
     n-1 pairs. __eq__ and __hash__ ignore them: one order given by two
     pair lists is one poset;
   - g-openness is read off per-fibre masks, visiting only the elements
-    that have any (open_table); a whole list of masks is checked at once
-    on bit planes, one int per base element whose bit j says whether
+    that have any (open_table, built in one column per target of C-level
+    ANDs, with no loop over up bits); a whole list of masks is checked at
+    once on bit planes, one int per base element whose bit j says whether
     masks[j] holds it (bit_planes, all_open);
   - monotone maps are enumerated by one search (monotone_assignments):
     each element's candidates are a mask, cut down by the up- and
@@ -65,6 +66,8 @@ Conventions used throughout the package:
 """
 
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import and_, invert, lshift
 
 from .errors import (
     DuplicateLabel,
@@ -542,20 +545,24 @@ def is_pmorphism(f):
 def open_table(g):
     """g's openness table: per source element i, the masks ↑i ∩ g⁻¹(t) for
     each t in g[↑i] other than g(i), whose fibre already holds i itself,
-    and the mask of the elements whose row is non-empty. Only those
-    elements can keep a subset from being open."""
-    p = g.source
+    in ascending t, and the mask of the elements whose row is non-empty.
+    Only those elements can keep a subset from being open.
+
+    Built in columns, one per target t, over the elements i with some of
+    ↑i outside g(i)'s fibre (every other row is empty): entry i of column
+    t is the part of that rest in t's fibre, so the entry for g(i) is
+    empty, and row i is the non-empty entries at i. A terminal map has no
+    such element, so it builds no entry and no per-element object."""
+    up = g.source.up
     fibres = g.fibres()
-    needy = 0
-    rows = []
-    for i in range(p.n):
-        up = p.up[i]
-        targets = {g.assign[j] for j in iter_bits(up)}
-        targets.discard(g.assign[i])
-        rows.append(tuple(up & fibres[t] for t in targets))
-        if targets:
-            needy |= 1 << i
-    return needy, tuple(rows)
+    others = [*map(and_, up, map(invert, map(fibres.__getitem__, g.assign)))]
+    at = [*compress(range(len(up)), others)]  # the elements with a row
+    above = [*map(others.__getitem__, at)]
+    columns = [[*map(and_, above, repeat(fibre))] for fibre in fibres]
+    rows = [()] * len(up)
+    for i, entries in zip(at, zip(*columns)):
+        rows[i] = tuple(filter(None, entries))
+    return sum(map(lshift, repeat(1), at)), tuple(rows)
 
 
 def all_open(masks, table):

@@ -15,7 +15,10 @@ indices only; this route is the oracle it is compared with.
 
 The per-member openness route (``is_open_mask``,
 ``verify_complex_by_members``) tests one member mask at a time; the
-library re-checks a whole stage on bit planes (``poset.all_open``).
+library re-checks a whole stage on bit planes (``poset.all_open``). The
+openness table the oracles read (``open_table_by_targets``) collects the
+targets above each element one up bit at a time; the library builds it
+from one column per target (``poset.open_table``).
 
 ``build_p_g_by_search`` builds a rooted stage by a depth-first search, one
 (mask, root) pair per element; ``build_p_g_encoded`` builds each root's
@@ -66,7 +69,6 @@ from imcoalg.poset import (
     image,
     iter_bits,
     mask_labels,
-    open_table,
 )
 
 
@@ -259,6 +261,25 @@ def first_disagreement(first, source_levels, target_levels, assign):
 # -- the per-member openness route ----------------------------------------
 
 
+def open_table_by_targets(g):
+    """poset.open_table as it read before the fibre columns, kept as the
+    oracle the stage builders and checks below read: per element, the set
+    of targets over its up bits, less its own, each taken as the part of
+    its up row in that target's fibre."""
+    p = g.source
+    fibres = g.fibres()
+    needy = 0
+    rows = []
+    for i in range(p.n):
+        up = p.up[i]
+        targets = {g.assign[j] for j in iter_bits(up)}
+        targets.discard(g.assign[i])
+        rows.append(tuple(up & fibres[t] for t in targets))
+        if targets:
+            needy |= 1 << i
+    return needy, tuple(rows)
+
+
 def is_open_mask(mask, table):
     """Whether the subset is g-open, given g's open_table: each member with
     a non-empty row must meet every fibre mask of that row. Members with an
@@ -281,7 +302,7 @@ def verify_complex_by_members(cx):
     stage whose mask list and root map differ in length fails."""
     for i in range(2, len(cx.stages)):
         up = cx.stages[i - 1].up
-        table = open_table(cx.root_maps[i - 1])
+        table = open_table_by_targets(cx.root_maps[i - 1])
         roots = cx.root_maps[i].assign
         masks = cx.stages[i].masks
         if len(masks) != len(roots):
@@ -313,7 +334,7 @@ def build_p_g_by_search(g, caps=DEFAULT_CAPS, stage_index=2):
             raise StageTooLarge(
                 stage_index, f"more than {caps.max_candidates} candidate subsets"
             )
-    _, needs = open_table(g)
+    _, needs = open_table_by_targets(g)
     up = base.up
 
     found = []  # (mask, root)
@@ -389,7 +410,7 @@ def build_p_g_encoded(g, caps=DEFAULT_CAPS, stage_index=2):
             raise StageTooLarge(
                 stage_index, f"more than {caps.max_candidates} candidate subsets"
             )
-    _, needs = open_table(g)
+    _, needs = open_table_by_targets(g)
     up = base.up
     s = n.bit_length()
     found = []  # mask << s | root

@@ -55,6 +55,7 @@ from helpers import (
     nested_image,
     nested_lift,
     nested_monotone,
+    open_table_by_targets,
     posets_up_to,
     random_poset,
     stage_values,
@@ -91,7 +92,7 @@ def build_p_g_by_submasks(g):
     root's strict up-set, kept when every member meets each fibre mask of
     its open_table row. Sorted (mask, root) pairs."""
     base = g.source
-    _, needs = open_table(g)
+    _, needs = open_table_by_targets(g)
     found = []
     for root in range(base.n):
         rest = base.up[root] & ~(1 << root)
@@ -882,6 +883,26 @@ class TestRunsInRootOrder:
                     assert (len(sorts) > before) == interleaved
                     branches[interleaved] += 1
         assert branches[True] and branches[False]
+
+    def test_stage_two_under_every_labelling_of_four_elements(self):
+        # over q and over Up(q), for every labelling q of every 4-element
+        # poset but the antichain (stage 2 over its Up has 33 337
+        # elements, past the cap). A root's strict up-set often falls into
+        # several blocks of bits; over q the root may lie below its lowest
+        # block, over Up(q) (ascending masks) it lies above every block
+        shapes = {"maps": 0, "blocks": 0, "root below": 0}
+        for p in all_posets(4)[1:]:
+            for q in labellings(p):
+                for g in (terminal_map(q), terminal_map(up_functor(q))):
+                    for root, row in enumerate(g.source.up):
+                        rest = row & ~(1 << root)
+                        low = rest & -rest
+                        shapes["blocks"] += (rest + low) & rest != 0
+                        shapes["root below"] += 1 << root < low
+                    assert_matches_encoded(g, 2)
+                    shapes["maps"] += 1
+        assert shapes["maps"] == 2 * 218
+        assert shapes["blocks"] and shapes["root below"]
 
     def test_stage_two_over_up_of_every_five_element_poset_that_fits(self):
         fits = 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcoalg import poset as poset_module
-from imcoalg.complexes import build_complex
+from imcoalg.complexes import build_complex, terminal_complex
 from imcoalg.errors import (
     DuplicateLabel,
     NotAntisymmetric,
@@ -46,6 +46,7 @@ from helpers import (
     is_open_mask,
     make_poset_by_verify,
     mask_of,
+    open_table_by_targets,
     random_poset,
     transpose_by_bits,
 )
@@ -505,6 +506,22 @@ class TestRelativeOpen:
                     assert all_open(range(1 << p.n), table) == (
                         len(opens) == 1 << p.n
                     )
+
+    def test_open_table_matches_the_target_sets(self):
+        # every monotone map between posets of <= 3 elements, and every
+        # root map of the depth-3 terminal complexes over <= 4 elements
+        # (up to 2 856 elements onto 15); rows compared in any order
+        posets = [p for n in (1, 2, 3) for p in all_posets(n)]
+        maps = [g for p in posets for q in posets for g in monotone_maps(p, q)]
+        for n in (1, 2, 3, 4):
+            for p in all_posets(n):
+                maps += terminal_complex(p, 3).root_maps[1:]
+        assert max(g.target.n for g in maps) == 15
+        for g in maps:
+            needy, rows = open_table(g)
+            want_needy, want_rows = open_table_by_targets(g)
+            assert needy == want_needy
+            assert list(map(sorted, rows)) == list(map(sorted, want_rows))
 
     def test_all_open_matches_the_member_loop_on_random_stages(self):
         # whole lists of masks at once, over bases of up to 20 elements
