@@ -57,10 +57,9 @@ class UndeclaredLetter(ConstructionError):
 class ProjectionNotPMorphism(ImcoalgError):
     """A candidate bisimulation whose projection is not a p-morphism."""
 
-    def __init__(self, side, witness=None):
+    def __init__(self, side):
         self.side = side
-        self.witness = witness
-        super().__init__(f"{side} projection is not a p-morphism (witness: {witness})")
+        super().__init__(f"{side} projection is not a p-morphism")
 
 
 class LiftOutsideStage(ImcoalgError):

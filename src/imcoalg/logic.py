@@ -1,9 +1,22 @@
 """Formula syntax, parser, printer and the Kripke-style model checker.
 
-Grammar (loosest to tightest): "->" right-associative, then "|", then "&",
-then the unary "[]" and "~"; atoms are identifiers plus the constants "T"
-and "F"; parentheses group; whitespace is ignored. "~p" is sugar for
-"p -> F" and is desugared at parse time, so the AST has no negation node.
+Grammar: atoms are identifiers plus the constants "T" and "F"; parentheses
+group; whitespace is ignored. The connectives are stated once, as grammar
+entries on their node classes, loosest to tightest: "->" (Impl, prec 1,
+right_assoc), "|" (Or, 2) and "&" (And, 3), then the prefix "[]" (Box, 4)
+and "~"; atoms bind tightest. "~p" is sugar for "p -> F" and is desugared
+at parse time, so the AST has no negation node.
+
+The parser reads the binary connectives by precedence climbing (Pratt,
+POPL 1973): one loop over the symbol -> class table, in which the right
+operand of a connective of prec k takes in only connectives of prec > k,
+or >= k when it groups to the right. The printer brackets each child from
+the same entries, with minimal parentheses, and walks the tree with an
+explicit stack, so a formula of any depth prints. parse refuses a text of
+more than MAX_FORMULA_TOKENS tokens (FormulaSyntaxError at the first token
+past the bound). That bounds the depth of every tree it returns, and so
+the recursion of the parser (two levels per parenthesis) and of
+truth_mask over it.
 
 Truth sets are computed bottom-up as whole subsets: the implication clause
 quantifies over principal upsets and the box clause over modal successor
@@ -24,115 +37,100 @@ from .errors import (
 )
 from .heyting import box_mask, impl_mask
 
+# the most tokens parse reads; it bounds the depth of every parsed tree
+MAX_FORMULA_TOKENS = 256
+
 
 class Formula:
     """AST node base. Nodes are immutable by convention and cache their
     hash at construction: truth sets memoize on subformulas, so hashing
-    must not walk the tree every time."""
+    must not walk the tree every time. Each class names its parts in
+    _fields, which equality and repr read, and its binding strength in
+    prec; atoms bind tightest."""
 
     __slots__ = ("_hash",)
+    _fields = ()
+    prec = 5
+
+    def __init__(self):
+        self._hash = hash(type(self))
 
     def __hash__(self):
         return self._hash
 
+    def _parts(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    # __eq__ and __repr__ recurse into the parts one at a time, with == and
+    # !r: != and map(repr, ...) would take more stack per level of the tree
+    def __eq__(self, other):
+        if type(other) is not type(self) or other._hash != self._hash:
+            return False
+        for mine, theirs in zip(self._parts(), other._parts()):
+            if not mine == theirs:
+                return False
+        return True
+
+    def __repr__(self):
+        parts = []
+        for part in self._parts():
+            parts.append(f"{part!r}")
+        return f"{type(self).__name__}({', '.join(parts)})"
+
 
 class Var(Formula):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name):
         self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return type(other) is Var and other.name == self.name
-
-    __hash__ = Formula.__hash__
-
-    def __repr__(self):
-        return f"Var({self.name!r})"
+        self._hash = hash((Var, name))
 
 
 class Top(Formula):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash("top")
-
-    def __eq__(self, other):
-        return type(other) is Top
-
-    __hash__ = Formula.__hash__
-
-    def __repr__(self):
-        return "Top()"
+    symbol = "T"
 
 
 class Bot(Formula):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash("bot")
-
-    def __eq__(self, other):
-        return type(other) is Bot
-
-    __hash__ = Formula.__hash__
-
-    def __repr__(self):
-        return "Bot()"
+    symbol = "F"
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right")
-    _tag = ""
+    """A binary connective. Each subclass is its grammar entry: symbol,
+    prec, and right_assoc when it groups to the right."""
+
+    __slots__ = _fields = ("left", "right")
+    right_assoc = False
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self._hash = hash((self._tag, left._hash, right._hash))
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    __hash__ = Formula.__hash__
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
+        self._hash = hash((type(self), left._hash, right._hash))
 
 
 class And(_Binary):
     __slots__ = ()
-    _tag = "and"
+    symbol, prec = "&", 3
 
 
 class Or(_Binary):
     __slots__ = ()
-    _tag = "or"
+    symbol, prec = "|", 2
 
 
 class Impl(_Binary):
     __slots__ = ()
-    _tag = "impl"
+    symbol, prec, right_assoc = "->", 1, True
 
 
 class Box(Formula):
-    __slots__ = ("body",)
+    __slots__ = _fields = ("body",)
+    symbol, prec = "[]", 4
 
     def __init__(self, body):
         self.body = body
-        self._hash = hash(("box", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is Box and other.body == self.body
-
-    __hash__ = Formula.__hash__
-
-    def __repr__(self):
-        return f"Box({self.body!r})"
+        self._hash = hash((Box, body._hash))
 
 
 TOP = Top()
@@ -150,15 +148,20 @@ def iff(a, b):
 _IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_']*"
 _TOKEN = re.compile(r"\s*(\[\]|->|[~|&()]|" + _IDENTIFIER + ")")
 _LETTER = re.compile(_IDENTIFIER)
+_BINARY = {cls.symbol: cls for cls in (Impl, Or, And)}
+_PREFIX = {Box.symbol: Box, "~": neg}
+_CONSTANTS = {Top.symbol: TOP, Bot.symbol: BOT}
 
 
 def is_letter(name):
     """Whether a formula can name the letter: an identifier of the grammar
     other than the constants "T" and "F"."""
-    return name not in ("T", "F") and _LETTER.fullmatch(name) is not None
+    return name not in _CONSTANTS and _LETTER.fullmatch(name) is not None
 
 
 def _tokenize(text):
+    """(token, position) pairs closed by the end-of-input sentinel
+    (None, len(text)); at most MAX_FORMULA_TOKENS tokens."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -169,144 +172,109 @@ def _tokenize(text):
                 break
             at = len(text) - len(stripped)
             raise UnknownToken(f"unexpected character {text[at]!r}", at)
+        if len(tokens) == MAX_FORMULA_TOKENS:
+            raise FormulaSyntaxError(
+                f"formula longer than {MAX_FORMULA_TOKENS} tokens", m.start(1)
+            )
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
+    tokens.append((None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next_pos(self):
-        return (
-            self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.length
-        )
 
     def take(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text):
-        if self.peek() != text:
-            raise FormulaSyntaxError(f"expected {text!r}", self.next_pos())
-        self.take()
+    def expression(self, min_prec=1):
+        """Precedence climbing: an operand, then each binary connective of
+        prec >= min_prec with its right operand, which takes in the
+        connectives that bind tighter (or as tight, if it groups to the
+        right)."""
+        out = self.operand()
+        while True:
+            cls = _BINARY.get(self.tokens[self.pos][0])
+            if cls is None or cls.prec < min_prec:
+                return out
+            self.pos += 1
+            out = cls(out, self.expression(cls.prec + (not cls.right_assoc)))
 
-    def parse_impl(self):
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return Impl(left, self.parse_impl())
-        return left
-
-    def parse_or(self):
-        out = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            out = Or(out, self.parse_and())
-        return out
-
-    def parse_and(self):
-        out = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            out = And(out, self.parse_unary())
-        return out
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok == "[]":
-            self.take()
-            return Box(self.parse_unary())
-        if tok == "~":
-            self.take()
-            return neg(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.length)
+    def operand(self):
+        """Prefix connectives, then an atom or a parenthesised expression."""
+        prefixes = []
+        tok, at = self.take()
+        while tok in _PREFIX:
+            prefixes.append(_PREFIX[tok])
+            tok, at = self.take()
         if tok == "(":
-            self.take()
-            out = self.parse_impl()
-            self.expect(")")
-            return out
-        if tok in ("->", "|", "&", ")"):
-            raise FormulaSyntaxError(f"unexpected {tok!r}", self.next_pos())
-        self.take()
-        if tok == "T":
-            return TOP
-        if tok == "F":
-            return BOT
-        return Var(tok)
+            out = self.expression()
+            tok, at = self.take()
+            if tok != ")":
+                raise FormulaSyntaxError("expected ')'", at)
+        elif tok is None:
+            raise FormulaSyntaxError("unexpected end of input", at)
+        elif tok == ")" or tok in _BINARY:
+            raise FormulaSyntaxError(f"unexpected {tok!r}", at)
+        else:
+            out = _CONSTANTS.get(tok) or Var(tok)
+        for make in reversed(prefixes):
+            out = make(out)
+        return out
 
 
 def parse(text):
-    parser = _Parser(_tokenize(text), len(text))
-    out = parser.parse_impl()
-    if parser.peek() is not None:
-        raise FormulaSyntaxError(
-            f"trailing input {parser.peek()!r}", parser.next_pos()
-        )
+    parser = _Parser(text)
+    out = parser.expression()
+    tok, at = parser.take()
+    if tok is not None:
+        raise FormulaSyntaxError(f"trailing input {tok!r}", at)
     return out
 
 
-_PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
-
-
-def _prec(phi):
-    if isinstance(phi, Impl):
-        return _PREC_IMPL
-    if isinstance(phi, Or):
-        return _PREC_OR
-    if isinstance(phi, And):
-        return _PREC_AND
-    if isinstance(phi, Box):
-        return _PREC_UNARY
-    return 5
-
-
 def print_formula(phi):
-    """Emit the grammar back with minimal parentheses (parse . print = id)."""
+    """Emit the grammar back with minimal parentheses (parse . print = id).
 
-    def wrap(child, limit):
-        text = print_formula(child)
-        return f"({text})" if _prec(child) < limit else text
-
-    if isinstance(phi, Var):
-        return phi.name
-    if isinstance(phi, Top):
-        return "T"
-    if isinstance(phi, Bot):
-        return "F"
-    if isinstance(phi, Box):
-        return "[]" + wrap(phi.body, _PREC_UNARY)
-    if isinstance(phi, And):
-        return wrap(phi.left, _PREC_AND) + " & " + wrap(phi.right, _PREC_AND + 1)
-    if isinstance(phi, Or):
-        return wrap(phi.left, _PREC_OR) + " | " + wrap(phi.right, _PREC_OR + 1)
-    if isinstance(phi, Impl):
-        return (
-            wrap(phi.left, _PREC_IMPL + 1) + " -> " + wrap(phi.right, _PREC_IMPL)
-        )
-    raise TypeError(f"not a formula: {phi!r}")
+    A child is bracketed when its prec is below its limit: the parent's
+    prec, plus one on the side a binary connective does not group to. The
+    tree is walked with an explicit stack of (node, limit) and (text,
+    None) items, so a formula of any depth prints."""
+    out = []
+    stack = [(phi, 0)]
+    while stack:
+        node, limit = stack.pop()
+        if limit is None:
+            out.append(node)
+            continue
+        if not isinstance(node, Formula):
+            raise TypeError(f"not a formula: {node!r}")
+        if node.prec < limit:
+            out.append("(")
+            stack.append((")", None))
+        if isinstance(node, _Binary):
+            stack += (
+                (node.right, node.prec + (not node.right_assoc)),
+                (f" {node.symbol} ", None),
+                (node.left, node.prec + node.right_assoc),
+            )
+        elif isinstance(node, Box):
+            out.append(Box.symbol)
+            stack.append((node.body, Box.prec))
+        elif isinstance(node, Var):
+            out.append(node.name)
+        else:
+            out.append(node.symbol)
+    return "".join(out)
 
 
 def letters_of(phi):
     if isinstance(phi, Var):
         return {phi.name}
-    if isinstance(phi, (Top, Bot)):
-        return set()
-    if isinstance(phi, Box):
-        return letters_of(phi.body)
-    return letters_of(phi.left) | letters_of(phi.right)
+    return set().union(*map(letters_of, phi._parts()))
 
 
 class Model:

@@ -38,9 +38,17 @@ step and reads [nbhd] families one character at a time,
 ``make_poset_by_verify`` checks all three order axioms after the
 closure (``Poset._verify``), and ``transpose_by_bits`` builds a converse
 one bit at a time.
+
+The formula layer's first parser and printer are kept as oracles:
+``parse_by_descent`` has one recursive-descent method per binding level
+and no length bound, and ``print_formula_by_recursion`` recurses with the
+bracketing limits written out per connective. The library reads both
+from the grammar entries on the node classes (``logic.parse``,
+``logic.print_formula``).
 """
 
 import importlib.util
+import re
 import string
 from itertools import permutations, product, repeat
 from operator import and_, or_, rshift
@@ -56,12 +64,15 @@ from imcoalg.enumeration import (
 )
 from imcoalg.errors import (
     DuplicateLabel,
+    FormulaSyntaxError,
     ParseError,
     StageTooLarge,
     UnknownLabel,
+    UnknownToken,
 )
 from imcoalg.framefile import _SECTIONS, FrameFile
 from imcoalg.frames import ModalFrame, mix_closure
+from imcoalg.logic import BOT, TOP, And, Bot, Box, Impl, Or, Top, Var, neg
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -508,6 +519,162 @@ def make_poset_by_verify(labels, pairs):
             if up[i] & bit:
                 up[i] |= row
     return Poset(labels, up)
+
+
+# the pieces the formula fuzzers draw from: every token of the grammar, a
+# space, a longer identifier and the characters of no token ("-" and ">"
+# make "->" only side by side)
+FORMULA_PIECES = (
+    "p", "q", "T", "F", "[]", "~", "->", "|", "&", "(", ")", " ", "x1", "+",
+    "-", ">",
+)
+
+_FORMULA_TOKEN = re.compile(r"\s*(\[\]|->|[~|&()]|[A-Za-z_][A-Za-z0-9_']*)")
+
+
+def tokenize_formula(text):
+    """(token, position) pairs of a formula text, with no length bound."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _FORMULA_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise UnknownToken(f"unexpected character {text[at]!r}", at)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _DescentParser:
+    def __init__(self, tokens, length):
+        self.tokens = tokens
+        self.pos = 0
+        self.length = length
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next_pos(self):
+        return (
+            self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.length
+        )
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text):
+        if self.peek() != text:
+            raise FormulaSyntaxError(f"expected {text!r}", self.next_pos())
+        self.take()
+
+    def parse_impl(self):
+        left = self.parse_or()
+        if self.peek() == "->":
+            self.take()
+            return Impl(left, self.parse_impl())
+        return left
+
+    def parse_or(self):
+        out = self.parse_and()
+        while self.peek() == "|":
+            self.take()
+            out = Or(out, self.parse_and())
+        return out
+
+    def parse_and(self):
+        out = self.parse_unary()
+        while self.peek() == "&":
+            self.take()
+            out = And(out, self.parse_unary())
+        return out
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok == "[]":
+            self.take()
+            return Box(self.parse_unary())
+        if tok == "~":
+            self.take()
+            return neg(self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", self.length)
+        if tok == "(":
+            self.take()
+            out = self.parse_impl()
+            self.expect(")")
+            return out
+        if tok in ("->", "|", "&", ")"):
+            raise FormulaSyntaxError(f"unexpected {tok!r}", self.next_pos())
+        self.take()
+        if tok == "T":
+            return TOP
+        if tok == "F":
+            return BOT
+        return Var(tok)
+
+
+def parse_by_descent(text):
+    """logic.parse by recursive descent, one method per binding level:
+    "->" (right-associative), "|", "&", then the prefix "[]" and "~"."""
+    parser = _DescentParser(tokenize_formula(text), len(text))
+    out = parser.parse_impl()
+    if parser.peek() is not None:
+        raise FormulaSyntaxError(
+            f"trailing input {parser.peek()!r}", parser.next_pos()
+        )
+    return out
+
+
+_PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
+
+
+def _prec_by_type(phi):
+    if isinstance(phi, Impl):
+        return _PREC_IMPL
+    if isinstance(phi, Or):
+        return _PREC_OR
+    if isinstance(phi, And):
+        return _PREC_AND
+    if isinstance(phi, Box):
+        return _PREC_UNARY
+    return 5
+
+
+def print_formula_by_recursion(phi):
+    """logic.print_formula by recursion, with each connective's bracketing
+    limits written out."""
+
+    def wrap(child, limit):
+        text = print_formula_by_recursion(child)
+        return f"({text})" if _prec_by_type(child) < limit else text
+
+    if isinstance(phi, Var):
+        return phi.name
+    if isinstance(phi, Top):
+        return "T"
+    if isinstance(phi, Bot):
+        return "F"
+    if isinstance(phi, Box):
+        return "[]" + wrap(phi.body, _PREC_UNARY)
+    if isinstance(phi, And):
+        return wrap(phi.left, _PREC_AND) + " & " + wrap(phi.right, _PREC_AND + 1)
+    if isinstance(phi, Or):
+        return wrap(phi.left, _PREC_OR) + " | " + wrap(phi.right, _PREC_OR + 1)
+    if isinstance(phi, Impl):
+        return (
+            wrap(phi.left, _PREC_IMPL + 1) + " -> " + wrap(phi.right, _PREC_IMPL)
+        )
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def token_column(line, k, start=0):

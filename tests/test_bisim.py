@@ -863,8 +863,10 @@ class TestCoalgebraic:
     def test_projection_not_pmorphism_raises(self):
         fr = serial_chain_frame()
         bis = Bisimulation.from_labels(fr, fr, [("a", "a")])
-        with pytest.raises(ProjectionNotPMorphism):
+        with pytest.raises(ProjectionNotPMorphism) as err:
             coalgebraic_bisim_check(bis, 1)
+        assert err.value.side == "left"
+        assert str(err.value) == "left projection is not a p-morphism"
 
 
 class TestTruthPreservation:

@@ -20,9 +20,10 @@ from imcoalg.errors import ParseError, ValueNotUpset
 from imcoalg.export import frame_to_dot, frame_to_json_dict, dump_json
 from imcoalg.framefile import parse_frame_file
 from imcoalg.frames import ModalFrame
+from imcoalg.logic import MAX_FORMULA_TOKENS
 from imcoalg.poset import make_poset, point_poset
 
-from helpers import parse_frame_file_by_lines
+from helpers import FORMULA_PIECES, parse_frame_file_by_lines
 from test_frames import counted_mix_law_witness
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -363,6 +364,31 @@ class TestCliExitCodes:
     def test_mc_invalid_formula_text(self, chain_path, tmp_path):
         proc = run_cli(["mc", chain_path, "p ->"], str(tmp_path))
         assert proc.returncode == 2
+
+    def test_mc_formula_of_the_token_bound_runs(self, chain_path, capsys):
+        formula = "[]" * (MAX_FORMULA_TOKENS - 1) + "p"
+        assert main(["mc", chain_path, formula]) == 0
+        assert "PASS formula-valid" in capsys.readouterr().out
+
+    def test_mc_formula_past_the_token_bound_exits_2(self, chain_path,
+                                                    capsys):
+        formula = "[]" * MAX_FORMULA_TOKENS + "p"
+        assert main(["mc", chain_path, formula]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: formula longer than {MAX_FORMULA_TOKENS} tokens "
+            f"(at position {2 * MAX_FORMULA_TOKENS})\n"
+        )
+
+    def test_mc_deep_parentheses_exit_2_as_a_process(self, chain_path,
+                                                     tmp_path):
+        formula = "(" * 200 + "p" + ")" * 200
+        proc = run_cli(["mc", chain_path, formula], str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: formula longer than {MAX_FORMULA_TOKENS} tokens "
+            f"(at position {MAX_FORMULA_TOKENS})\n"
+        )
 
     def test_mc_not_valid(self, chain_path, tmp_path):
         proc = run_cli(["mc", chain_path, "p"], str(tmp_path))
@@ -1039,8 +1065,49 @@ def frame_texts(draw, max_elements=4):
     return "\n".join(lines) + "\n"
 
 
+# a nest of one opener around a run of pieces: (tokens per level, opener,
+# closer)
+_NESTS = [(2, "(", ")"), (1, "~", ""), (1, "[]", ""), (2, "p -> ", ""),
+          (4, "(p & ", ")")]
+
+
+@st.composite
+def formula_texts(draw, max_tokens=600):
+    """Formula arguments of up to about max_tokens tokens over
+    FORMULA_PIECES: a letter or a run of at most 20 pieces inside a nest
+    of parentheses, prefix connectives or connectives, deep enough to pass
+    the parser's token bound, with its closers or without them."""
+    per_level, opener, closer = draw(st.sampled_from(_NESTS))
+    most = (max_tokens - 20) // per_level
+    depth = draw(st.integers(0, most) | st.just(most))
+    pieces = st.lists(st.sampled_from(FORMULA_PIECES), max_size=20)
+    body = draw(st.just("p") | pieces.map("".join))
+    if draw(st.booleans()):
+        closer = ""
+    return opener * depth + body + closer * depth
+
+
+@contextlib.contextmanager
+def process_recursion_limit():
+    """Run with the recursion budget a `python -m imcoalg` process gives
+    main(): the default 1000 frames above the caller. Hypothesis raises
+    the limit while a test runs, so without this a formula deep enough to
+    overflow the stack of a process would pass in process."""
+    depth, frame = 0, sys._getframe(2)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestCliFuzz:
-    """Every frame file ends in a documented exit code, never a traceback."""
+    """Every frame file and formula ends in a documented exit code, never a
+    traceback. The formula is also checked on a fixed frame file, so that a
+    bad frame file does not keep it from the parser."""
 
     @settings(max_examples=100, derandomize=True,
               deadline=timedelta(seconds=5))
@@ -1048,7 +1115,7 @@ class TestCliFuzz:
         left=frame_texts(max_elements=6),
         right=frame_texts(max_elements=6),
         small=frame_texts(),
-        formula=st.sampled_from(["p", "[]p -> p", "~q | []F", "p &", "r"]),
+        formula=formula_texts(),
     )
     # two bare 6-element antichains: a 2^36-upset relation poset for any
     # check that builds Up(P) of it
@@ -1060,20 +1127,22 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for name, text in (("left", left), ("right", right),
-                               ("small", small)):
+                               ("small", small), ("chain", CHAIN_FILE)):
                 paths.append(os.path.join(tmp, f"{name}.frame"))
                 with open(paths[-1], "w") as fh:
                     fh.write(text)
-            f1, f2, f3 = paths
+            f1, f2, f3, chain = paths
             for argv in (
                 ["check", f1],
                 ["mc", f1, formula],
+                ["mc", chain, formula],
                 ["bisim", f1, f2, "--distinguish", "2"],
                 ["complex", f3, "--depth", "2"],
             ):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(err):
+                        contextlib.redirect_stderr(err), \
+                        process_recursion_limit():
                     code = main(argv)
                 assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
                 if code in (2, 3):

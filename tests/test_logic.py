@@ -2,6 +2,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from imcoalg.config import Caps
 from imcoalg.errors import (
@@ -13,6 +14,7 @@ from imcoalg.errors import (
 from imcoalg.frames import ModalFrame, check_mix_law
 from imcoalg.heyting import box_mask, impl_mask
 from imcoalg.logic import (
+    MAX_FORMULA_TOKENS,
     And,
     Bot,
     Box,
@@ -34,7 +36,17 @@ from imcoalg.logic import (
 from imcoalg.poset import make_poset, point_poset
 from imcoalg.enumeration import all_posets, frames_up_to_iso
 
-from helpers import mask_of, random_mix_frame, random_poset, random_upset
+from helpers import (
+    FORMULA_PIECES,
+    mask_of,
+    parse_by_descent,
+    print_formula_by_recursion,
+    random_mix_frame,
+    random_poset,
+    random_upset,
+    tokenize_formula,
+)
+from test_label_order import FORMULA_DEPTH, ONE_LETTER_3
 
 
 def chain_model():
@@ -97,7 +109,156 @@ def random_formula(rng, letters, size):
     return {"and": And, "or": Or, "impl": Impl}[kind](left, right)
 
 
+class TestLengthBound:
+    def test_a_formula_of_exactly_the_bound_parses(self):
+        # trailing whitespace is no token
+        text = "~" * (MAX_FORMULA_TOKENS - 1) + "p  "
+        phi = parse(text)
+        # the deepest tree within the bound compares, prints and reprs
+        assert phi == parse(text)
+        depth = MAX_FORMULA_TOKENS - 2
+        assert print_formula(phi) == "(" * depth + "p -> F" + ") -> F" * depth
+        assert repr(phi).endswith("Var('p'), Bot())" + ", Bot())" * depth)
+        for _ in range(MAX_FORMULA_TOKENS - 1):
+            phi = phi.left
+        assert phi == Var("p")
+
+    def test_one_token_more_raises_at_that_token(self):
+        text = "[] " * MAX_FORMULA_TOKENS + "p"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.position == 3 * MAX_FORMULA_TOKENS
+        assert str(err.value) == (
+            f"formula longer than {MAX_FORMULA_TOKENS} tokens "
+            f"(at position {3 * MAX_FORMULA_TOKENS})"
+        )
+
+
+def _outcome(parse_text, print_tree, text):
+    """The tree's repr and printed text, or the error's class, message and
+    position."""
+    try:
+        phi = parse_text(text)
+    except FormulaSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+    return repr(phi), print_tree(phi)
+
+
+def _grammar_text(rng, depth):
+    """A text of the grammar with redundant parentheses and spacing."""
+    space = lambda: rng.choice(("", "", " ", "  "))
+    kind = rng.randrange(5 if depth else 1)
+    if kind == 0:
+        return rng.choice(("p", "q", "T", "F", "x1"))
+    if kind == 1:
+        return "(" + space() + _grammar_text(rng, depth - 1) + space() + ")"
+    if kind == 2:
+        return rng.choice(("[]", "~")) + space() + _grammar_text(rng, depth - 1)
+    op = rng.choice(("->", "|", "&"))
+    left = _grammar_text(rng, rng.randrange(depth))
+    right = _grammar_text(rng, rng.randrange(depth))
+    return left + space() + op + space() + right
+
+
+def _formula_corpus(rng, count):
+    """count seeded texts over FORMULA_PIECES, of at most 16 pieces or
+    depth 6, inside the descent parser's recursion limit: half drawn piece
+    by piece, half from the grammar with one piece inserted, dropped or
+    replaced in every other text."""
+    for i in range(count):
+        if i % 2:
+            yield "".join(rng.choices(FORMULA_PIECES, k=rng.randrange(17)))
+            continue
+        pieces = tokenize_formula(_grammar_text(rng, 6))
+        text = " ".join(tok for tok, _ in pieces)
+        if i % 4:
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            new = rng.choice(FORMULA_PIECES) if edit < 2 else ""
+            text = text[:at] + new + text[at + (edit > 0):]
+        yield text
+
+
+class TestParserOracle:
+    def test_corpus_matches_the_descent_parser_and_recursive_printer(self):
+        parsed = 0
+        for text in _formula_corpus(random.Random(2406), 100_000):
+            got = _outcome(parse, print_formula, text)
+            assert got == _outcome(
+                parse_by_descent, print_formula_by_recursion, text
+            ), text
+            parsed += len(got) == 2
+        # both outcomes are common
+        assert 20_000 < parsed < 80_000
+
+    def test_printer_matches_on_every_first_formula_of_one_letter_models(self):
+        models = dict.fromkeys(model for model, _, _ in ONE_LETTER_3)
+        formulas = {
+            phi
+            for model in models
+            for phi, _ in first_formulas(model, ("p",), FORMULA_DEPTH)
+        }
+        assert len(formulas) > 50
+        for phi in formulas:
+            text = print_formula(phi)
+            assert text == print_formula_by_recursion(phi)
+            assert parse(text) == phi
+
+
+def _box_chain(n):
+    phi = Var("p")
+    for _ in range(n):
+        phi = Box(phi)
+    return phi
+
+
+def _chain(make, n, right):
+    phi = Var("p")
+    for _ in range(n):
+        phi = make(Var("p"), phi) if right else make(phi, Var("p"))
+    return phi
+
+
+class TestDeepPrinting:
+    def test_box_chain(self):
+        assert print_formula(_box_chain(5000)) == "[]" * 5000 + "p"
+
+    def test_right_nested_implications(self):
+        text = print_formula(_chain(Impl, 5000, right=True))
+        assert text == " -> ".join(["p"] * 5001)
+
+    def test_left_nested_conjunctions(self):
+        text = print_formula(_chain(And, 5000, right=False))
+        assert text == " & ".join(["p"] * 5001)
+
+    def test_brackets_against_the_grouping_side(self):
+        text = print_formula(_chain(Impl, 5000, right=False))
+        assert text == "(" * 4999 + "p -> p" + ") -> p" * 4999
+
+
+def formulas():
+    atoms = st.sampled_from([Var("p"), Var("q"), Top(), Bot()])
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.builds(Box, sub),
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Impl, sub, sub),
+        ),
+        max_leaves=40,
+    )
+
+
 class TestPrinterRoundtrip:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(phi=formulas())
+    def test_parse_inverts_print_within_the_bound(self, phi):
+        text = print_formula(phi)
+        assume(len(tokenize_formula(text)) <= MAX_FORMULA_TOKENS)
+        assert parse(text) == phi
+        assert text == print_formula_by_recursion(phi)
+
     def test_minimal_parens(self):
         assert print_formula(parse("(p -> q) -> r")) == "(p -> q) -> r"
         assert print_formula(parse("p -> q -> r")) == "p -> q -> r"
