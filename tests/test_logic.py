@@ -169,8 +169,7 @@ def _formula_corpus(rng, count):
         if i % 2:
             yield "".join(rng.choices(FORMULA_PIECES, k=rng.randrange(17)))
             continue
-        pieces = tokenize_formula(_grammar_text(rng, 6))
-        text = " ".join(tok for tok, _ in pieces)
+        text = _grammar_text(rng, 6)
         if i % 4:
             at = rng.randrange(len(text) + 1)
             edit = rng.randrange(3)
@@ -205,13 +204,6 @@ class TestParserOracle:
             assert parse(text) == phi
 
 
-def _box_chain(n):
-    phi = Var("p")
-    for _ in range(n):
-        phi = Box(phi)
-    return phi
-
-
 def _chain(make, n, right):
     phi = Var("p")
     for _ in range(n):
@@ -221,7 +213,10 @@ def _chain(make, n, right):
 
 class TestDeepPrinting:
     def test_box_chain(self):
-        assert print_formula(_box_chain(5000)) == "[]" * 5000 + "p"
+        phi = Var("p")
+        for _ in range(5000):
+            phi = Box(phi)
+        assert print_formula(phi) == "[]" * 5000 + "p"
 
     def test_right_nested_implications(self):
         text = print_formula(_chain(Impl, 5000, right=True))
@@ -236,7 +231,7 @@ class TestDeepPrinting:
         assert text == "(" * 4999 + "p -> p" + ") -> p" * 4999
 
 
-def formulas():
+def formula_trees():
     atoms = st.sampled_from([Var("p"), Var("q"), Top(), Bot()])
     return st.recursive(
         atoms,
@@ -252,7 +247,7 @@ def formulas():
 
 class TestPrinterRoundtrip:
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(phi=formulas())
+    @given(phi=formula_trees())
     def test_parse_inverts_print_within_the_bound(self, phi):
         text = print_formula(phi)
         assume(len(tokenize_formula(text)) <= MAX_FORMULA_TOKENS)
