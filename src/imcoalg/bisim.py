@@ -36,12 +36,7 @@ from .errors import (
 )
 from .frames import ModalFrame, frame_to_lifted
 from .logic import Model, first_formulas, truth_mask
-from .poset import Poset, PosetMap, image, iter_bits, transpose
-
-
-def _pair_list(rows):
-    """The index pairs of a relation held as rows, sorted."""
-    return [(x, y) for x, row in enumerate(rows) for y in iter_bits(row)]
+from .poset import Poset, PosetMap, image, iter_bits, pairs_of, transpose
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class Bisimulation:
     @property
     def pairs(self):
         """The relation as a frozenset of index pairs (x, y)."""
-        return frozenset(_pair_list(self.rows))
+        return frozenset(pairs_of(self.rows))
 
     def related(self, x, y):
         return (self.rows[x] >> y) & 1 == 1
@@ -240,7 +235,7 @@ def _pair_rows(columns, chosen, left_rows, right_rows):
 
 def _relation(bis):
     """relation_poset, and the _pair_columns of the chosen pairs."""
-    chosen = _pair_list(bis.rows)
+    chosen = pairs_of(bis.rows)
     columns = _pair_columns(bis, chosen)
     labels = [
         (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen

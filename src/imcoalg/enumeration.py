@@ -15,6 +15,7 @@ all-functions scan that only the tests read live in tests/helpers.py.
 
 from itertools import permutations
 
+from .frames import ModalFrame
 from .heyting import up_functor
 from .poset import (
     Poset,
@@ -116,8 +117,6 @@ def mix_relations(p):
 
 def frames_up_to_iso(p):
     """One representative per orbit of mix-law relations under Aut(p)."""
-    from .frames import ModalFrame
-
     auts = automorphisms(p)
     seen = set()
     out = []

@@ -13,7 +13,7 @@ byte-identical files.
 import json
 
 from .heyting import up_functor
-from .poset import format_label, iter_bits
+from .poset import format_label, iter_bits, pairs_of
 
 JSON_SCHEMA = "imcoalg/1"
 
@@ -32,11 +32,10 @@ def poset_dot_lines(poset, prefix="", indent="  "):
 
 def frame_to_dot(frame):
     names, lines = poset_dot_lines(frame.poset)
-    for x in range(frame.poset.n):
-        for y in iter_bits(frame.rel[x]):
-            lines.append(
-                f"  {_quote(names[x])} -> {_quote(names[y])} [style=dashed];"
-            )
+    for x, y in pairs_of(frame.rel):
+        lines.append(
+            f"  {_quote(names[x])} -> {_quote(names[y])} [style=dashed];"
+        )
     return "digraph imcoalg {\n" + "\n".join(lines) + "\n}\n"
 
 
@@ -78,8 +77,7 @@ def free_stages_to_dot(stages):
         (stage.index, e, y)
         for stage in stages
         if stage.rel is not None
-        for e, row in enumerate(stage.rel)
-        for y in iter_bits(row)
+        for e, y in pairs_of(stage.rel)
     )
     return _stages_to_dot("freealg", "M", [s.poset for s in stages], arrows)
 

@@ -40,6 +40,7 @@ from .poset import (
     is_monotone,
     is_pmorphism,
     iter_bits,
+    pairs_of,
     transpose,
     unknown_label,
 )
@@ -100,11 +101,8 @@ class ModalFrame:
         return self._witness
 
     def pairs(self):
-        out = []
-        for x in range(self.poset.n):
-            for y in iter_bits(self.rel[x]):
-                out.append((self.poset.labels[x], self.poset.labels[y]))
-        return out
+        labels = self.poset.labels
+        return [(labels[x], labels[y]) for x, y in pairs_of(self.rel)]
 
     def __eq__(self, other):
         return (
@@ -282,11 +280,14 @@ def pow_up_functor(p, caps=DEFAULT_CAPS):
 
 
 @functools.lru_cache
-def _preimage_table(f):
-    """Per target upset, the index of its preimage in the source upsets."""
+def _pullback_rows(f):
+    """Per source upset, the mask of the target upsets whose preimage it
+    is: the converse of the preimage table, so a family over the source
+    upsets pulls back to image(rows, family) over the target upsets."""
     src_up, tgt_up = up_functor(f.source), up_functor(f.target)
     fibres = f.fibres()
-    return tuple(src_up.index_of_mask(image(fibres, m)) for m in tgt_up.masks)
+    pre = [1 << src_up.index_of_mask(image(fibres, m)) for m in tgt_up.masks]
+    return tuple(transpose(pre, src_up.n))
 
 
 @functools.lru_cache
@@ -300,16 +301,8 @@ def pow_up_map(f):
     if not is_monotone(f):
         raise NotMonotone("pow_up_map needs a monotone map")
     sv, tv = pow_up_functor(f.source), pow_up_functor(f.target)
-    tgt_up = up_functor(f.target)
-    pre = _preimage_table(f)
-    assign = []
-    for fam in sv.masks:
-        out = 0
-        for b in range(tgt_up.n):
-            if (fam >> pre[b]) & 1:
-                out |= 1 << b
-        assign.append(out)
-    return PosetMap(sv, tv, assign)
+    rows = _pullback_rows(f)
+    return PosetMap(sv, tv, [image(rows, fam) for fam in sv.masks])
 
 
 class NbhdFrame:
@@ -323,7 +316,7 @@ class NbhdFrame:
     default leaves the inner order unconstrained.
     """
 
-    __slots__ = ("poset", "families", "strict")
+    __slots__ = ("poset", "families")
 
     def __init__(self, poset, families, strict=False):
         families = tuple(families)
@@ -350,7 +343,6 @@ class NbhdFrame:
                     )
         self.poset = poset
         self.families = families
-        self.strict = strict
 
     def __eq__(self, other):
         return (
@@ -378,14 +370,14 @@ def coalgebra_to_nbhd(m, strict=False):
 def nbhd_morphism_condition(f, nf1, nf2):
     """a' in N'(f(x)) iff preimage(a') in N(x), for every upset a' of the
     target. Only upsets can appear in either family, so the quantifier runs
-    over the upset carrier."""
-    pre = _preimage_table(f)
-    for x in range(f.source.n):
-        fam1 = nf1.families[x]
-        fam2 = nf2.families[f.assign[x]]
-        for b in range(len(pre)):
-            if (fam2 >> b) & 1 != (fam1 >> pre[b]) & 1:
-                return False
+    over the upset carrier: N'(f(x)) is the pullback of N(x) (pow_up_map),
+    checked point by point. A map between other posets returns False."""
+    if f.source != nf1.poset or f.target != nf2.poset:
+        return False
+    rows = _pullback_rows(f)
+    for fam1, t in zip(nf1.families, f.assign):
+        if nf2.families[t] != image(rows, fam1):
+            return False
     return True
 
 

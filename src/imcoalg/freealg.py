@@ -21,10 +21,12 @@ from .errors import (
     NotPMorphism,
     TooManyGenerators,
 )
+from .frames import check_mix_law
 from .heyting import box_mask, up_functor
 from .poset import (
     Poset,
     PosetMap,
+    back_up_to,
     containment_rows,
     identity_map,
     is_monotone,
@@ -152,8 +154,8 @@ def check_truncated_pmorphism(stage, assign, source):
     of the layer sitting above the image only refute the (limit) back
     condition if they extend above it one level deeper, so the deepest
     inner level serves as an extension certificate and the witness must
-    agree on the generator component and the inner tower up to depth d-1.
-    Monotonicity is required exactly.
+    agree on the generator component and the inner tower up to depth d-1:
+    poset.back_up_to on those keys. Monotonicity is required exactly.
     """
     if not is_monotone(PosetMap(source, stage.poset, assign)):
         return False
@@ -161,12 +163,7 @@ def check_truncated_pmorphism(stage, assign, source):
     # the tower up to depth d-1 (constant at d = 1: stage 0 is a point)
     roots = stage.inner_complex.root_maps[stage.inner_depth].assign
     keys = [(x, roots[c]) for x, c in stage.pairs]
-    for y in range(source.n):
-        hit = {keys[assign[y2]] for y2 in iter_bits(source.up[y])}
-        for e2 in iter_bits(stage.poset.up[assign[y]]):
-            if keys[e2] not in hit:
-                return False
-    return True
+    return back_up_to(source.up, assign, stage.poset.up, keys)
 
 
 def universal_lift(p, frame, free_stages):
@@ -185,8 +182,6 @@ def universal_lift(p, frame, free_stages):
     a different generator component). Callers that want it should run
     check_truncated_pmorphism per stage.
     """
-    from .frames import check_mix_law
-
     if not is_pmorphism(p):
         raise NotPMorphism("universal_lift needs a p-morphism")
     if not check_mix_law(frame):

@@ -12,8 +12,13 @@ Conventions used throughout the package:
     image (the union of the rows over the bits of a mask) is the kernel
     that unions such rows bit by bit; transpose (the rows of the converse
     relation) reads them off the bit planes of the rows (bit_planes), with
-    no loop over bits. PosetMap.image_mask keeps a loop of its own, over
+    no loop over bits; pairs_of lists a relation's pairs. Poset.covers
+    and the pullback of a neighbourhood family (frames.pow_up_map) are
+    image calls too. PosetMap.image_mask keeps a loop of its own, over
     the map's assignment rather than a relation's rows;
+  - the back condition up to keys (back_up_to) is one kernel, for the
+    truncated tower maps of complexes.check_limit_pmorphism and
+    freealg.check_truncated_pmorphism;
   - a poset whose elements are subsets of a base poset is a MaskPoset
     (Poset.over_masks): Up(P) (heyting.up_functor), the neighbourhood
     carrier PowUp(P) (frames.pow_up_functor) and every rooted stage of a
@@ -22,10 +27,9 @@ Conventions used throughout the package:
     ascending masks, masks[j] ⊆ masks[i] forces j <= i, so no up row has
     a bit above its own index, and the subsets rooted at i lie in
     [2^i, 2^(i+1)) (complexes.build_p_g lists a stage root by root on
-    that). A
-    MaskPoset builds its order rows from per-chunk subset tables over
-    8-bit chunks of the base (containment_rows) the first time ``up`` is
-    read, unless it was given them, and its labels from per-chunk
+    that). A MaskPoset builds its order rows from per-chunk subset tables
+    over 8-bit chunks of the base (containment_rows) the first time ``up``
+    is read, unless it was given them, and its labels from per-chunk
     frozenset tables (mask_labels) the first time ``labels`` is read; one
     label alone (label(i)) is built from the members down. So a stage
     whose rows or labels nobody reads never builds them, and no table
@@ -95,6 +99,11 @@ def image(rows, mask):
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def pairs_of(rows):
+    """The index pairs (x, y) of a relation held as rows, sorted."""
+    return [(x, y) for x, row in enumerate(rows) for y in iter_bits(row)]
 
 
 def sorted_index(items, value):
@@ -242,15 +251,10 @@ class Poset:
         return None
 
     def covers(self):
-        """List of cover pairs (i, j) with i < j and nothing in between."""
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
-            for j in iter_bits(strict):
-                between = strict & self.down[j] & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return out
+        """List of cover pairs (i, j) with i < j and nothing in between:
+        per i, the strict up-set less its image under the strict order."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up)]
+        return pairs_of([row & ~image(strict, row) for row in strict])
 
     # -- value semantics --------------------------------------------------
 
@@ -539,6 +543,18 @@ def is_pmorphism(f):
     for x in range(src.n):
         if f.image_mask(src.up[x]) != tgt.up[f.assign[x]]:
             return False
+    return True
+
+
+def back_up_to(up, assign, target_up, keys):
+    """The back condition up to keys: for every source point x and every
+    target element e above assign[x], some x2 >= x has keys[assign[x2]]
+    == keys[e]. Only the elements above the images are read."""
+    for row, t in zip(up, assign):
+        hit = {keys[assign[y]] for y in iter_bits(row)}
+        for e in iter_bits(target_up[t]):
+            if keys[e] not in hit:
+                return False
     return True
 
 

@@ -39,6 +39,17 @@ step and reads [nbhd] families one character at a time,
 closure (``Poset._verify``), and ``transpose_by_bits`` builds a converse
 one bit at a time.
 
+The truncated back condition of a tower map is kept as the scan it was
+before the keyed kernel: ``check_limit_pmorphism_by_towers`` lists every
+tower of stage n and looks for a witness among the points above x,
+coordinate by coordinate. The library keys each stage-n element by its
+root (``poset.back_up_to``). Three relation loops are kept beside it:
+``covers_by_betweenness`` looks for an element between each pair,
+``pairs_by_loops`` lists a relation's pairs point by point, and
+``pull_back_by_bits`` pulls a neighbourhood family back one target
+upset at a time through the preimage table (``preimage_table``). The
+library reads all three off ``poset.image`` and ``poset.pairs_of``.
+
 The formula layer's first parser and printer are kept as oracles:
 ``parse_by_descent`` has one recursive-descent method per binding level
 and no length bound, and ``print_formula_by_recursion`` recurses with the
@@ -71,6 +82,7 @@ from imcoalg.errors import (
     UnknownToken,
 )
 from imcoalg.framefile import _SECTIONS, FrameFile
+from imcoalg.heyting import up_functor
 from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.logic import BOT, TOP, And, Bot, Box, Impl, Or, Top, Var, neg
 from imcoalg.poset import (
@@ -267,6 +279,79 @@ def first_disagreement(first, source_levels, target_levels, assign):
             if nested_image(first, level, source[x]) != target[t]:
                 return level
     return len(target_levels) + 1
+
+
+# -- the tower scan and the relation loops ---------------------------------
+
+
+def check_limit_pmorphism_by_towers(t, depth=None):
+    """complexes.check_limit_pmorphism as a scan over the towers of stage
+    depth, kept as its oracle: every tower (the chain of roots down from a
+    stage element) coordinatewise above the coordinates of x must agree,
+    on coordinates 0..depth-1, with the coordinates of some point above x.
+    It reads the coordinates as they are, compatible or not."""
+    depth = t.depth if depth is None else depth
+    cx = t.complex
+    src = t.source
+    towers = []
+    for c in range(cx.stages[depth].n):
+        chain = [c]
+        for level in range(depth, 0, -1):
+            chain.append(cx.root_maps[level].assign[chain[-1]])
+        towers.append(chain[::-1])
+    for x in range(src.n):
+        fx = [t.maps[i].assign[x] for i in range(depth + 1)]
+        for cs in towers:
+            if not all(
+                cx.stages[i].leq(fx[i], cs[i]) for i in range(depth + 1)
+            ):
+                continue
+            if not any(
+                all(t.maps[i].assign[x2] == cs[i] for i in range(depth))
+                for x2 in iter_bits(src.up[x])
+            ):
+                return False
+    return True
+
+
+def covers_by_betweenness(p):
+    """Poset.covers as it read before the image kernel: the pairs i < j
+    with no element strictly between them, looked for one j at a time."""
+    out = []
+    for i in range(p.n):
+        strict = p.up[i] & ~(1 << i)
+        for j in iter_bits(strict):
+            between = strict & p.down[j] & ~(1 << j)
+            if between == 0:
+                out.append((i, j))
+    return out
+
+
+def pairs_by_loops(rows):
+    """poset.pairs_of as a nested loop over the points and their bits."""
+    out = []
+    for x in range(len(rows)):
+        for y in iter_bits(rows[x]):
+            out.append((x, y))
+    return out
+
+
+def preimage_table(f):
+    """Per upset of f's target, the index of its preimage among the upsets
+    of f's source."""
+    src_up, tgt_up = up_functor(f.source), up_functor(f.target)
+    return [src_up.index_of_mask(image(f.fibres(), m)) for m in tgt_up.masks]
+
+
+def pull_back_by_bits(pre, family):
+    """The target upsets b whose preimage pre[b] is in the family, one b at
+    a time: the loop frames.pow_up_map and frames.nbhd_morphism_condition
+    ran before the image kernel."""
+    out = 0
+    for b in range(len(pre)):
+        if (family >> pre[b]) & 1:
+            out |= 1 << b
+    return out
 
 
 # -- the per-member openness route ----------------------------------------

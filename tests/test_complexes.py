@@ -48,6 +48,7 @@ from helpers import (
     all_functions,
     build_p_g_by_search,
     build_p_g_encoded,
+    check_limit_pmorphism_by_towers,
     first_disagreement,
     labellings,
     load_bench_module,
@@ -410,8 +411,7 @@ class TestComplexes:
 
     def test_towers_are_compatible_chains(self):
         cx = build_complex(terminal_map(chain2()), 3)
-        towers = cx.towers()
-        assert len(towers) == cx.stages[3].n
+        towers = [cx.tower_of(k) for k in range(cx.stages[3].n)]
         for k, t in enumerate(towers):
             assert len(t) == 4 and t[3] == k
             for i in range(1, 4):
@@ -547,6 +547,79 @@ class TestLift:
         assert enumerate_tower_maps(q, cx, 2)
         with pytest.raises(UnknownLabel, match="not built deep enough"):
             enumerate_tower_maps(q, cx, 3)
+
+
+class TestLimitCheckOracle:
+    """check_limit_pmorphism, keyed by the root map, against the scan over
+    every tower of the stage it replaced (check_limit_pmorphism_by_towers,
+    in tests/helpers.py)."""
+
+    def test_every_tower_map_between_posets_up_to_three(self):
+        # every tower map enumerate_tower_maps yields between posets of at
+        # most three elements at depths 1-3; none exceeds the default caps
+        posets = posets_up_to(3)
+        verdicts = {True: 0, False: 0}
+        for q in posets:
+            cx = terminal_complex(q, 3)
+            for p in posets:
+                for depth in (1, 2, 3):
+                    for t in enumerate_tower_maps(p, cx, depth):
+                        want = check_limit_pmorphism_by_towers(t, depth)
+                        assert check_limit_pmorphism(t, depth) == want
+                        verdicts[want] += 1
+        assert verdicts == {True: 1428, False: 46503}
+
+    def test_every_lift_between_posets_up_to_three(self):
+        posets = posets_up_to(3)
+        count = 0
+        for q in posets:
+            cx = terminal_complex(q, 3)
+            for p in posets:
+                for f in monotone_maps(p, q):
+                    for depth in (1, 2, 3):
+                        t = lift_map(f, cx, depth)
+                        assert check_limit_pmorphism_by_towers(t, depth)
+                        assert check_limit_pmorphism(t, depth)
+                        count += 1
+        assert count == 1428
+
+    def test_a_swapped_coordinate_fails(self):
+        # swapping two points' values in a coordinate below the deepest
+        # leaves the deepest coordinate a lift's, so only the compatibility
+        # guard refuses the map: its coordinates form no tower
+        posets = posets_up_to(3)
+        count = 0
+        for q in posets:
+            cx = terminal_complex(q, 3)
+            for p in posets:
+                for f in monotone_maps(p, q):
+                    for depth in (2, 3):
+                        t = lift_map(f, cx, depth)
+                        for level in range(1, depth):
+                            a = list(t.maps[level].assign)
+                            x = next(
+                                (x for x in range(1, p.n) if a[x] != a[0]),
+                                None,
+                            )
+                            if x is None:
+                                continue
+                            a[0], a[x] = a[x], a[0]
+                            maps = list(t.maps)
+                            maps[level] = PosetMap(p, cx.stages[level], a)
+                            bad = TowerMap(p, cx, depth, maps)
+                            assert not bad.compatible()
+                            assert not check_limit_pmorphism(bad, depth)
+                            count += 1
+        assert count == 948
+
+    def test_level_zero_must_be_the_root_of_level_one(self):
+        # over a complex whose stage 0 is no point, from_map keeps the
+        # constant level-0 coordinate, which is not the root of level 1
+        q = chain2()
+        cx = build_complex(identity_map(q), 2)
+        t = TowerMap.from_map(identity_map(q), 1, cx)
+        assert not t.compatible()
+        assert not check_limit_pmorphism(t, 1)
 
 
 class TestNestedValues:

@@ -58,6 +58,8 @@ from helpers import (
     nested_compatible,
     nested_image,
     nested_monotone,
+    preimage_table,
+    pull_back_by_bits,
     random_mix_frame,
     random_poset,
 )
@@ -734,15 +736,50 @@ class TestPowUp:
                             )
                             assert cond == square
 
+    def test_pullback_matches_the_bit_loop(self):
+        # criterion 9's instances: every monotone map between posets of at
+        # most two elements and every pair of neighbourhood frames on them,
+        # against the per-bit pullback the image kernel replaced
+        posets = all_posets(1) + all_posets(2)
+        verdicts = Counter()
+        for p in posets:
+            nf1s = _all_nbhd_frames(p, pow_up_functor(p))
+            for q in posets:
+                nf2s = _all_nbhd_frames(q, pow_up_functor(q))
+                for f in monotone_maps(p, q):
+                    pre = preimage_table(f)
+                    u = pow_up_map(f).assign
+                    assert list(u) == [
+                        pull_back_by_bits(pre, fam) for fam in range(len(u))
+                    ]
+                    for nf1 in nf1s:
+                        pulled = [
+                            pull_back_by_bits(pre, fam) for fam in nf1.families
+                        ]
+                        for nf2 in nf2s:
+                            want = all(
+                                nf2.families[t] == b
+                                for t, b in zip(f.assign, pulled)
+                            )
+                            got = nbhd_morphism_condition(f, nf1, nf2)
+                            assert got == want
+                            verdicts[want] += 1
+        assert verdicts == {True: 3995, False: 305220}
+
     def test_square_refuses_a_map_between_other_posets(self):
         # the square compared a map of the point on the first point of a
-        # two-element frame, and passed
+        # two-element frame, and passed; the condition passed too, and with
+        # families past the point's upsets it raised IndexError
         one = point_poset()
         ident = identity_map(one)
         big, small = NbhdFrame(chain2(), [0, 0]), NbhdFrame(one, [0])
-        for nf1, nf2 in ((big, small), (small, big), (big, big)):
+        full = NbhdFrame(chain2(), [0b111, 0b111])
+        pairs = ((big, small), (small, big), (big, big), (full, small))
+        for nf1, nf2 in pairs:
             assert not check_nbhd_coalgebra_morphism(ident, nf1, nf2, 1)
+            assert not nbhd_morphism_condition(ident, nf1, nf2)
         assert check_nbhd_coalgebra_morphism(ident, small, small, 1)
+        assert nbhd_morphism_condition(ident, small, small)
 
     def test_lifted_square_matches_nested_route_up_to_two(self):
         # every monotone map between posets of at most two elements and

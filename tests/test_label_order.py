@@ -26,6 +26,8 @@ the bit loop. The greatest bisimulation,
 with and without a valuation, is checked on every pair of frames on at
 most two elements and on seeded pairs of three-element frames, each side
 under every labelling.
+Poset.covers and poset.pairs_of are checked on every labelled poset on at
+most four elements against the loops they replaced.
 The truth sets (truth_mask, definable_masks and the first formulas of
 first_formulas) are checked on every frame on at most three elements with
 every one-letter upset valuation, under every permutation.
@@ -61,16 +63,19 @@ from imcoalg.poset import (
     iter_bits,
     make_poset,
     open_table,
+    pairs_of,
     terminal_map,
     upset_masks,
 )
 
 from helpers import (
+    covers_by_betweenness,
     first_disagreement,
     is_open_mask,
     labellings,
     move_mask,
     move_rows,
+    pairs_by_loops,
     posets_up_to,
     random_upset,
     relabel_frame,
@@ -108,6 +113,19 @@ def test_impl_mask_commutes_with_relabelling():
             for b in upsets:
                 got = impl_mask(q, move_mask(a, perm), move_mask(b, perm))
                 assert got == move_mask(impl_mask(p, a, b), perm)
+
+
+def test_covers_match_the_betweenness_loop():
+    for p, perm, q in RELABELLED_4:
+        assert q.covers() == covers_by_betweenness(q)
+        assert set(q.covers()) == {(perm[i], perm[j]) for i, j in p.covers()}
+
+
+def test_pairs_of_matches_the_nested_loop():
+    for _, _, q in RELABELLED_4:
+        strict = [row & ~(1 << i) for i, row in enumerate(q.up)]
+        for rows in (q.up, q.down, strict):
+            assert pairs_of(rows) == pairs_by_loops(rows)
 
 
 def test_join_irreducibles_match_the_oracle():
