@@ -5,8 +5,12 @@ and distinguishing formulas for unrelated points.
 A bisimulation must satisfy forth and back clauses for both the order and
 the modal relation. The coalgebraic side endows the relation (as a
 componentwise-ordered sub-poset of the product) with the structure map
-b = (x, y) -> (R[x] x R[y]) restricted to the relation, lifts everything,
-and demands that both projection squares commute coordinatewise.
+b = (x, y) -> (R[x] x R[y]) restricted to the relation, and demands that
+both projection squares commute coordinatewise on the lifts. Both
+projections must be p-morphisms, and then level 1 decides every level
+above it, so the check compares level 1 only, on the relation's rows:
+nothing is lifted past level 1 and no relation poset is built
+(relation_poset stays for callers that want the poset itself).
 
 A relation is held as rows, like every relation in the package: rows[x]
 masks the right-hand partners of left point x. Its columns come from
@@ -26,7 +30,6 @@ pair.
 
 from dataclasses import dataclass
 
-from .complexes import image_tower_agrees
 from .config import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .frames import ModalFrame, frame_to_lifted
 from .logic import Model, first_formulas, truth_mask
-from .poset import Poset, PosetMap, image, iter_bits, pairs_of, transpose
+from .poset import Poset, image, iter_bits, pairs_of, transpose
 
 
 @dataclass(frozen=True)
@@ -105,26 +108,39 @@ class Bisimulation:
         )
 
 
+def _meets(rows, values, full):
+    """Per row, the meet of values[y] over the bits y of the row (full on
+    an empty row)."""
+    out = []
+    for row in rows:
+        acc = full
+        for y in iter_bits(row):
+            acc &= values[y]
+        out.append(acc)
+    return out
+
+
+def _modal_forth(rel, other_pre, rows, full):
+    """Per x, the partners x' for which the modal forth clause of (x, x')
+    holds under the relation ``rows``: every modal successor of x has a
+    partner among the modal successors of x'. other_pre holds the modal
+    predecessors in the partner frame."""
+    return _meets(rel, [image(other_pre, row) for row in rows], full)
+
+
 def _forth(up, rel, other_down, other_pre, rows, full):
     """Per x, the partners x' for which the forth clauses of (x, x') hold
     under the relation ``rows``: every order successor of x has a partner
-    above x', and every modal successor of x has a partner among the modal
-    successors of x'.
+    above x', and the modal forth clause (_modal_forth) holds.
 
     other_down / other_pre are the down-sets and modal predecessors in the
     partner frame.
     """
-    below_partner = [image(other_down, row) for row in rows]
-    before_partner = [image(other_pre, row) for row in rows]
-    out = []
-    for x in range(len(up)):
-        acc = full
-        for y in iter_bits(up[x]):
-            acc &= below_partner[y]
-        for y in iter_bits(rel[x]):
-            acc &= before_partner[y]
-        out.append(acc)
-    return out
+    below = _meets(up, [image(other_down, row) for row in rows], full)
+    return [
+        a & b
+        for a, b in zip(below, _modal_forth(rel, other_pre, rows, full))
+    ]
 
 
 def _refine(left, right, rows):
@@ -233,22 +249,17 @@ def _pair_rows(columns, chosen, left_rows, right_rows):
     ]
 
 
-def _relation(bis):
-    """relation_poset, and the _pair_columns of the chosen pairs."""
-    chosen = pairs_of(bis.rows)
-    columns = _pair_columns(bis, chosen)
-    labels = [
-        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
-    ]
-    up_rows = _pair_rows(columns, chosen, bis.left.poset.up, bis.right.poset.up)
-    return Poset(labels, up_rows, _trusted=True), chosen, columns
-
-
 def relation_poset(bis):
     """The relation as a sub-poset of the product, componentwise order,
     and its pairs in the poset's index order (sorted)."""
-    bp, chosen, _ = _relation(bis)
-    return bp, chosen
+    chosen = pairs_of(bis.rows)
+    labels = [
+        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
+    ]
+    up_rows = _pair_rows(
+        _pair_columns(bis, chosen), chosen, bis.left.poset.up, bis.right.poset.up
+    )
+    return Poset(labels, up_rows, _trusted=True), chosen
 
 
 def _failing_projection(bis):
@@ -282,33 +293,40 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     squares commute coordinatewise up to the given depth.
 
     The structure map sends (x, y) to (R[x] x R[y]) intersected with the
-    relation, as an upset mask of the relation poset; the projections act
-    on upsets by direct image. Projections that fail the p-morphism
-    condition raise ProjectionNotPMorphism: such a relation is not a
-    functor bisimulation in the p-morphism category at all. A depth below 1
-    raises ValueError, and one above caps.max_depth CapExceeded, before
-    anything is lifted. The relation poset itself is never lifted: the
-    images of its level-1 values are (image_tower_agrees).
+    relation, as an upset of the relation poset; the projections act on
+    upsets by direct image. Projections that fail the p-morphism condition
+    raise ProjectionNotPMorphism: such a relation is not a functor
+    bisimulation in the p-morphism category at all. A depth below 1 raises
+    ValueError, and one above caps.max_depth CapExceeded, before anything
+    else; a frame that breaks the mix law raises MixLawViolation, the left
+    one first, after the projections and before any square is compared.
+
+    Once both projections are p-morphisms, every level past 1 agrees when
+    level 1 does (the naturality lemma in the complexes module), so the
+    squares are decided at level 1 whatever the depth. There the left
+    projection's image of the structure map at (x, y) is the part of R[x]
+    related to some point of R[y], and the square asks for all of R[x]:
+    every modal successor of x has a partner among the modal successors of
+    y, the modal forth clause. The right square is the modal back clause.
+    Both are read off the rows and columns as in the clause check
+    (_modal_forth), with no relation poset, no loop over pairs and nothing
+    lifted past level 1.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
-    bp, chosen, columns = _relation(bis)
     side = _failing_projection(bis)
     if side is not None:
         raise ProjectionNotPMorphism(side)
-    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
-    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
-
-    rho_masks = _pair_rows(columns, chosen, bis.left.rel, bis.right.rel)
-    levels_l = frame_to_lifted(bis.left, depth)
-    levels_r = frame_to_lifted(bis.right, depth)
-    return all(
-        image_tower_agrees(
-            bp, map(proj.image_mask, rho_masks), levels, proj.assign
-        )
-        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+    left, right = bis.left, bis.right
+    (rel_l,) = frame_to_lifted(left, 1)
+    (rel_r,) = frame_to_lifted(right, 1)
+    rows, cols = bis.rows, transpose(bis.rows, right.poset.n)
+    forth = _modal_forth(rel_l, right.pre, rows, right.poset.full_mask)
+    back = _modal_forth(rel_r, left.pre, cols, left.poset.full_mask)
+    return all(not row & ~ok for row, ok in zip(rows, forth)) and all(
+        not col & ~ok for col, ok in zip(cols, back)
     )
 
 

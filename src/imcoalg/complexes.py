@@ -38,9 +38,21 @@ mask_labels(source.up, level l), its image under a map is
 mask_labels(source.up, image of level l). image_tower_agrees therefore
 maps each point's level-1 value once and lifts the images, one
 mask_labels call per level, instead of pushing every nested value through
-the map. `bisim --depth 2` on chains of 400 and 401 points takes about
-1.7 s as a process on a 2-core Xeon host, against 11 s with the nested
-route.
+the map.
+
+Along a p-morphism, level 1 decides every level (naturality). Let f be a
+p-morphism, so f[up(x)] = up(f(x)), and let both sides be lifted by
+L_{l+1}(x) = {L_l(x') : x' >= x}. If the image of level l at every x is
+the target's level l at f(x), T_l(f(x)), then the image of level l+1 at x
+is {T_l(f(x')) : x' >= x} = {T_l(t) : t in f[up(x)]} =
+{T_l(t) : t >= f(x)} = T_{l+1}(f(x)). So a square whose map is a
+p-morphism commutes at every depth iff it commutes at level 1.
+bisim.coalgebraic_bisim_check refuses projections that are not
+p-morphisms, so it compares level 1 only and lifts nothing: `bisim
+--depth 2` on chains of 400 and 401 points with R[x] = up(x + 1) takes
+0.45 s as a process on a 2-core Xeon host (1.2 s with the relation
+poset lifted to depth 2), and on two chains of 120 points without modal
+successors 0.28 s against 62 s.
 """
 
 from dataclasses import dataclass, field
@@ -245,6 +257,15 @@ class Complex:
             out.append(i)
         return out
 
+    def level_zero(self, source, first):
+        """The level-0 coordinate of a tower map whose level-1 coordinate
+        over ``source`` is the stage-1 assignment ``first``: r_1 after it,
+        so that the two form a tower at every point."""
+        roots = self.root_maps[1].assign
+        return PosetMap(
+            source, self.stages[0], [roots[t] for t in first], _trusted=True
+        )
+
     def tower_of(self, idx, depth=None):
         """The compatible chain determined by an element of stage depth
         (default: the deepest), as a tuple of stage indices from stage 0."""
@@ -323,7 +344,7 @@ class TowerMap:
     p-morphism into the inverse limit of a materialized complex.
 
     ``maps[l]`` (0 <= l <= depth) is the level-l coordinate as a PosetMap
-    from the source into stage l, the trivial stage-0 coordinate included.
+    from the source into stage l, the stage-0 coordinate included.
     """
 
     def __init__(self, source, complex, depth, maps):
@@ -336,13 +357,14 @@ class TowerMap:
     @classmethod
     def from_map(cls, f, depth, complex):
         """The lift of f (a map into stage 1) to the given depth, one
-        Complex.lift_level lookup per level."""
+        Complex.lift_level lookup per level. Level 0 is the root map of
+        stage 1 after f (the constant map over a terminal complex)."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if depth > complex.depth:
             raise UnknownLabel("complex not built deep enough")
         src = f.source
-        maps = [terminal_map(src, complex.stages[0]), f]
+        maps = [complex.level_zero(src, f.assign), f]
         for level in range(2, depth + 1):
             assign = complex.lift_level(level, maps[-1].assign, src.up)
             maps.append(PosetMap(src, complex.stages[level], assign))
@@ -437,7 +459,8 @@ def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAP
     """All coordinate-compatible monotone tower maps from source into the
     complex, optionally with a fixed level-1 coordinate.
 
-    Level 1 is every monotone map into stage 1 (or base_map); each deeper
+    Level 1 is every monotone map into stage 1 (or base_map), and level 0
+    the root map r_1 after it (Complex.level_zero); each deeper
     level is one monotone_assignments search whose candidates for x are the
     stage elements rooted at x's coordinate one level down (a fibre of the
     root map). The maps come out depth first, every level in lexicographic
@@ -450,7 +473,6 @@ def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAP
         raise UnknownLabel("complex not built deep enough")
     stages = complex.stages
     fibres = {lv: complex.root_maps[lv].fibres() for lv in range(2, depth + 1)}
-    bottom = terminal_map(source, stages[0])
     if base_map is not None:
         firsts = [base_map.assign]
     else:
@@ -470,7 +492,7 @@ def enumerate_tower_maps(source, complex, depth, base_map=None, caps=DEFAULT_CAP
         for chain in chains((first,)):
             if len(out) == caps.max_enumeration:
                 raise EnumerationTooLarge("too many tower maps")
-            maps = [bottom] + [
+            maps = [complex.level_zero(source, first)] + [
                 PosetMap(source, stages[lv], a)
                 for lv, a in enumerate(chain, 1)
             ]

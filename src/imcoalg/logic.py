@@ -15,8 +15,10 @@ the same entries, with minimal parentheses, and walks the tree with an
 explicit stack, so a formula of any depth prints. parse refuses a text of
 more than MAX_FORMULA_TOKENS tokens (FormulaSyntaxError at the first token
 past the bound). That bounds the depth of every tree it returns, and so
-the recursion of the parser (two levels per parenthesis) and of
-truth_mask over it.
+the recursion of the parser (two levels per parenthesis). Everything else
+that reads a tree (truth_mask, letters_of, == and repr) walks it with an
+explicit stack too, so the deep trees first_formulas builds, such as 499
+nested boxes on chains of 500 and 501 points, evaluate, compare and print.
 
 Truth sets are computed bottom-up as whole subsets: the implication clause
 quantifies over principal upsets and the box clause over modal successor
@@ -61,21 +63,40 @@ class Formula:
     def _parts(self):
         return tuple(getattr(self, name) for name in self._fields)
 
-    # __eq__ and __repr__ recurse into the parts one at a time, with == and
-    # !r: != and map(repr, ...) would take more stack per level of the tree
+    # __eq__ and __repr__ walk the two trees with an explicit stack, so
+    # formulas of any depth compare and print
     def __eq__(self, other):
-        if type(other) is not type(self) or other._hash != self._hash:
-            return False
-        for mine, theirs in zip(self._parts(), other._parts()):
-            if not mine == theirs:
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine is theirs:
+                continue
+            if type(theirs) is not type(mine) or theirs._hash != mine._hash:
                 return False
+            for name in mine._fields:
+                a, b = getattr(mine, name), getattr(theirs, name)
+                if isinstance(a, Formula):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
         return True
 
     def __repr__(self):
-        parts = []
-        for part in self._parts():
-            parts.append(f"{part!r}")
-        return f"{type(self).__name__}({', '.join(parts)})"
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{type(item).__name__}(")
+            stack.append(")")
+            for k, name in enumerate(reversed(item._fields)):
+                if k:
+                    stack.append(", ")
+                part = getattr(item, name)
+                stack.append(part if isinstance(part, Formula) else repr(part))
+        return "".join(out)
 
 
 class Var(Formula):
@@ -272,9 +293,16 @@ def print_formula(phi):
 
 
 def letters_of(phi):
-    if isinstance(phi, Var):
-        return {phi.name}
-    return set().union(*map(letters_of, phi._parts()))
+    """The letters of phi, read by a walk with an explicit stack."""
+    out = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.add(node.name)
+        else:
+            stack += node._parts()
+    return out
 
 
 class Model:
@@ -302,37 +330,52 @@ class Model:
 
 
 def truth_mask(model, phi, _cache=None):
-    """Bitmask of the points satisfying phi."""
+    """Bitmask of the points satisfying phi.
+
+    The tree is walked with an explicit stack: a node stays on it until
+    the masks of its parts are in the cache, so a formula of any depth is
+    evaluated. Every node's mask goes into the cache, which a caller may
+    pass to share it between calls."""
     cache = _cache if _cache is not None else {}
-    got = cache.get(phi)
-    if got is not None:
-        return got
+    out = cache.get(phi)
+    if out is not None:
+        return out
     p = model.poset
-    if isinstance(phi, Var):
-        if phi.name not in model.valuation:
-            raise UndeclaredLetter(f"letter {phi.name!r} has no valuation")
-        out = model.valuation[phi.name]
-    elif isinstance(phi, Top):
-        out = p.full_mask
-    elif isinstance(phi, Bot):
-        out = 0
-    elif isinstance(phi, And):
-        out = truth_mask(model, phi.left, cache) & truth_mask(
-            model, phi.right, cache
-        )
-    elif isinstance(phi, Or):
-        out = truth_mask(model, phi.left, cache) | truth_mask(
-            model, phi.right, cache
-        )
-    elif isinstance(phi, Impl):
-        out = impl_mask(
-            p, truth_mask(model, phi.left, cache), truth_mask(model, phi.right, cache)
-        )
-    elif isinstance(phi, Box):
-        out = box_mask(model.frame, truth_mask(model, phi.body, cache))
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    cache[phi] = out
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, _Binary):
+            a, b = cache.get(node.left), cache.get(node.right)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(node.left)
+                if b is None:
+                    stack.append(node.right)
+                continue
+            if isinstance(node, And):
+                out = a & b
+            elif isinstance(node, Or):
+                out = a | b
+            else:
+                out = impl_mask(p, a, b)
+        elif isinstance(node, Box):
+            a = cache.get(node.body)
+            if a is None:
+                stack.append(node.body)
+                continue
+            out = box_mask(model.frame, a)
+        elif isinstance(node, Var):
+            if node.name not in model.valuation:
+                raise UndeclaredLetter(f"letter {node.name!r} has no valuation")
+            out = model.valuation[node.name]
+        elif isinstance(node, Top):
+            out = p.full_mask
+        elif isinstance(node, Bot):
+            out = 0
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        stack.pop()
+        cache[node] = out
     return out
 
 

@@ -55,7 +55,18 @@ The formula layer's first parser and printer are kept as oracles:
 and no length bound, and ``print_formula_by_recursion`` recurses with the
 bracketing limits written out per connective. The library reads both
 from the grammar entries on the node classes (``logic.parse``,
-``logic.print_formula``).
+``logic.print_formula``). The other tree readers are kept in their
+recursive forms too (``truth_mask_by_recursion``,
+``letters_by_recursion``, ``formula_eq_by_recursion`` and
+``formula_repr_by_recursion``); the library walks the tree with an
+explicit stack, so the recursion limit bounds only the oracles.
+
+The coalgebraic bisimulation check is kept as the route that compared
+every level (``tower_bisim_check``): it builds the relation poset, pushes
+the structure map's upsets through both projections and lifts the images
+to the requested depth. The library decides level 1 only, which the
+naturality lemma in ``imcoalg.complexes`` makes enough once both
+projections are p-morphisms.
 """
 
 import importlib.util
@@ -65,7 +76,8 @@ from itertools import permutations, product, repeat
 from operator import and_, or_, rshift
 from pathlib import Path
 
-from imcoalg.complexes import RootedStage, tower_coords
+from imcoalg import bisim
+from imcoalg.complexes import RootedStage, image_tower_agrees, tower_coords
 from imcoalg.config import DEFAULT_CAPS
 from imcoalg.enumeration import (
     _matrix_bits,
@@ -74,17 +86,31 @@ from imcoalg.enumeration import (
     mix_relations,
 )
 from imcoalg.errors import (
+    CapExceeded,
     DuplicateLabel,
     FormulaSyntaxError,
     ParseError,
+    ProjectionNotPMorphism,
     StageTooLarge,
     UnknownLabel,
     UnknownToken,
 )
 from imcoalg.framefile import _SECTIONS, FrameFile
-from imcoalg.heyting import up_functor
-from imcoalg.frames import ModalFrame, mix_closure
-from imcoalg.logic import BOT, TOP, And, Bot, Box, Impl, Or, Top, Var, neg
+from imcoalg.heyting import box_mask, impl_mask, up_functor
+from imcoalg.frames import ModalFrame, frame_to_lifted, mix_closure
+from imcoalg.logic import (
+    BOT,
+    TOP,
+    And,
+    Bot,
+    Box,
+    Formula,
+    Impl,
+    Or,
+    Top,
+    Var,
+    neg,
+)
 from imcoalg.poset import (
     Poset,
     PosetMap,
@@ -279,6 +305,37 @@ def first_disagreement(first, source_levels, target_levels, assign):
             if nested_image(first, level, source[x]) != target[t]:
                 return level
     return len(target_levels) + 1
+
+
+def tower_bisim_check(bis, depth, caps=DEFAULT_CAPS):
+    """bisim.coalgebraic_bisim_check as it compared every level, kept as its
+    oracle: the relation poset is built, the structure map's upsets of it
+    are pushed through each projection, and their images are lifted to
+    ``depth`` and compared with both frames' lifts
+    (complexes.image_tower_agrees). The errors come in the library's
+    order: ValueError, CapExceeded, ProjectionNotPMorphism, then
+    MixLawViolation for the left frame and the right one."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > caps.max_depth:
+        raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
+    bp, chosen = bisim.relation_poset(bis)
+    side = bisim._failing_projection(bis)
+    if side is not None:
+        raise ProjectionNotPMorphism(side)
+    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
+    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
+    rho_masks = bisim._pair_rows(
+        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
+    )
+    levels_l = frame_to_lifted(bis.left, depth)
+    levels_r = frame_to_lifted(bis.right, depth)
+    return all(
+        image_tower_agrees(
+            bp, map(proj.image_mask, rho_masks), levels, proj.assign
+        )
+        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+    )
 
 
 # -- the tower scan and the relation loops ---------------------------------
@@ -760,6 +817,62 @@ def print_formula_by_recursion(phi):
             wrap(phi.left, _PREC_IMPL + 1) + " -> " + wrap(phi.right, _PREC_IMPL)
         )
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def truth_mask_by_recursion(model, phi, cache=None):
+    """logic.truth_mask as it recursed into the parts of each node."""
+    cache = {} if cache is None else cache
+    got = cache.get(phi)
+    if got is not None:
+        return got
+    p = model.poset
+    if isinstance(phi, Var):
+        out = model.valuation[phi.name]
+    elif isinstance(phi, Top):
+        out = p.full_mask
+    elif isinstance(phi, Bot):
+        out = 0
+    elif isinstance(phi, Box):
+        body = truth_mask_by_recursion(model, phi.body, cache)
+        out = box_mask(model.frame, body)
+    else:
+        a = truth_mask_by_recursion(model, phi.left, cache)
+        b = truth_mask_by_recursion(model, phi.right, cache)
+        if isinstance(phi, And):
+            out = a & b
+        elif isinstance(phi, Or):
+            out = a | b
+        else:
+            out = impl_mask(p, a, b)
+    cache[phi] = out
+    return out
+
+
+def letters_by_recursion(phi):
+    """logic.letters_of by recursion."""
+    if isinstance(phi, Var):
+        return {phi.name}
+    return set().union(*map(letters_by_recursion, phi._parts()))
+
+
+def formula_eq_by_recursion(a, b):
+    """Formula.__eq__ by recursion into the parts."""
+    if type(b) is not type(a) or b._hash != a._hash:
+        return False
+    return all(
+        formula_eq_by_recursion(x, y) if isinstance(x, Formula) else x == y
+        for x, y in zip(a._parts(), b._parts())
+    )
+
+
+def formula_repr_by_recursion(phi):
+    """Formula.__repr__ by recursion into the parts."""
+    parts = [
+        formula_repr_by_recursion(part) if isinstance(part, Formula)
+        else repr(part)
+        for part in phi._parts()
+    ]
+    return f"{type(phi).__name__}({', '.join(parts)})"
 
 
 def token_column(line, k, start=0):

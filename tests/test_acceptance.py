@@ -170,10 +170,12 @@ def test_criterion_2_morphism_equivalence(posets_123, iso_frames):
     Maps failing the order back condition are never modal p-morphisms nor
     coalgebra morphisms; the sweep verifies both library predicates on them
     directly. For order p-morphisms, the modal clauses reduce to equality
-    of raw successor images and the square to equality of lifted towers;
-    the towers are compared in full at depth 3 for every coordinate-1 match
-    and the library check is re-run on all size-<=2 instances plus a
-    stratified sample.
+    of raw successor images and the square to equality of lifted towers.
+    Along a p-morphism, depth above 1 adds nothing: the towers agree at
+    every level iff they agree at level 1 (the naturality lemma in
+    imcoalg.complexes). The towers are still compared in full at depth 3
+    for every coordinate-1 match, and the library check is re-run on all
+    size-<=2 instances plus a stratified sample.
     """
     started = time.time()
     rng = random.Random(202)
@@ -372,11 +374,14 @@ def test_criterion_5_bisimulation_theorem(posets_123, iso_frames):
     condition are counted separately, as the coalgebraic side rejects them
     outright.
 
-    The sweep uses the coordinate-1 form of the square (equivalent given
-    p-morphism projections, because both sides of the square are lift
-    recursions determined by their base); the full tower construction is
-    re-run on every instance over <= 2-element posets and on a stratified
-    sample of the size-3 instances, and must agree.
+    The sweep uses the coordinate-1 form of the square. Given p-morphism
+    projections that is no shortcut: both sides of the square are lift
+    recursions determined by their base, so depth above 1 adds nothing
+    (the naturality lemma in imcoalg.complexes), and the library check
+    itself decides level 1 only. The library check is re-run on every
+    instance over <= 2-element posets and on a stratified sample of the
+    size-3 instances, and must agree; tests/test_bisim.py compares it
+    with the lift of the relation poset to depth 4.
     """
     started = time.time()
     rng = random.Random(505)
@@ -429,7 +434,7 @@ def test_criterion_5_bisimulation_theorem(posets_123, iso_frames):
         "criterion-5 bisimulation theorem",
         f"{cases} relation instances, {bisims} bisimulations, "
         f"{proj_failures} projection failures (reported separately), "
-        f"{genuine} via the full construction, 0 discrepancies",
+        f"{genuine} via the library check, 0 discrepancies",
         started,
     )
 

@@ -56,6 +56,7 @@ from helpers import (
     random_mix_frame,
     random_poset,
     random_upset,
+    tower_bisim_check,
 )
 
 
@@ -836,6 +837,67 @@ class TestMaskRouteOracle:
             bis = Bisimulation.from_labels(fr, fr, [("a", "a"), ("b", "b")])
             with pytest.raises(MixLawViolation):
                 coalgebraic_bisim_check(bis, 2)
+
+
+class TestLevelOneAgainstTowers:
+    """coalgebraic_bisim_check, decided at level 1, against the route that
+    builds the relation poset and compares every level up to the depth
+    (helpers.tower_bisim_check), including which projection it refuses."""
+
+    @staticmethod
+    def _compare(bis, seen):
+        for depth in (1, 2, 3, 4):
+            got = _outcome(coalgebraic_bisim_check, bis, depth)
+            assert got == _outcome(tower_bisim_check, bis, depth)
+            seen[got] += 1
+
+    def test_every_relation_up_to_two_elements(self):
+        # the 18 frames on at most 2 elements, up to isomorphism
+        frames = [
+            f for n in (1, 2) for p in all_posets(n) for f in frames_up_to_iso(p)
+        ]
+        seen = Counter()
+        relations = 0
+        for f1 in frames:
+            for f2 in frames:
+                for bits in range(1 << (f1.poset.n * f2.poset.n)):
+                    self._compare(_relation(f1, f2, bits), seen)
+                    relations += 1
+        assert relations == 4360
+        assert set(seen) == {True, False, "projection left", "projection right"}
+        assert (seen[True] + seen[False]) // 4 == 3244
+
+    def test_seeded_relations_up_to_three_elements(self):
+        frames = _iso_frames_up_to_three()
+        rng = random.Random(2606)
+        seen = Counter()
+        for _ in range(40_000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            bits = rng.getrandbits(f1.poset.n * f2.poset.n)
+            self._compare(_relation(f1, f2, bits), seen)
+        assert set(seen) == {True, False, "projection left", "projection right"}
+
+    def test_full_relation_between_bare_120_chains(self):
+        # 14 400 pairs: the relation poset the tower route builds has
+        # quadratic order rows in them
+        chain = shifted_chain_frame(120, 120)
+        assert coalgebraic_bisim_check(Bisimulation.full(chain, chain), 2)
+
+    def test_right_mix_law_is_checked_after_a_failing_left_square(self):
+        # x's only modal successor, x, is related to no modal successor of
+        # b, so the left square fails in both cases; the right frame's mix
+        # law is still checked before any square is compared
+        point = ModalFrame.from_pairs(make_poset(["x"], []), [("x", "x")])
+        q = chain2()
+        lawful = ModalFrame.from_pairs(q, [])
+        broken = ModalFrame.from_pairs(q, [("b", "a")])
+        assert broken.mix_witness is not None
+        for check in (coalgebraic_bisim_check, tower_bisim_check):
+            lawful_bis = Bisimulation.from_labels(point, lawful, [("x", "b")])
+            assert not check(lawful_bis, 2)
+            broken_bis = Bisimulation.from_labels(point, broken, [("x", "b")])
+            with pytest.raises(MixLawViolation):
+                check(broken_bis, 2)
 
 
 class TestCoalgebraic:

@@ -815,6 +815,20 @@ class TestCliWideAntichains:
         assert "PASS coalgebraic-agreement" in proc.stdout
         assert elapsed < 2.0
 
+    def test_bisim_bare_120_chains(self, tmp_path):
+        # all 14 400 pairs are bisimilar; the coalgebraic check decides
+        # them at level 1 without a relation poset
+        f1 = tmp_path / "l120.frame"
+        f1.write_text(shifted_chain_text(120, 120, "l"))
+        f2 = tmp_path / "r120.frame"
+        f2.write_text(shifted_chain_text(120, 120, "r"))
+        proc = run_cli(
+            ["bisim", str(f1), str(f2), "--depth", "2"], str(tmp_path)
+        )
+        assert proc.returncode == 0
+        assert "largest bisimulation: 14400 pairs" in proc.stdout
+        assert "PASS coalgebraic-agreement" in proc.stdout
+
     def test_complex_stops_at_the_stage_one_cap(self, tmp_path):
         path = tmp_path / "a18.frame"
         path.write_text(antichain_text(18, "x"))

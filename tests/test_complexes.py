@@ -613,13 +613,17 @@ class TestLimitCheckOracle:
         assert count == 948
 
     def test_level_zero_must_be_the_root_of_level_one(self):
-        # over a complex whose stage 0 is no point, from_map keeps the
-        # constant level-0 coordinate, which is not the root of level 1
+        # over a complex whose stage 0 is no point, level 0 is the root
+        # map of stage 1 after level 1, so from_map and
+        # enumerate_tower_maps give compatible tower maps
         q = chain2()
         cx = build_complex(identity_map(q), 2)
         t = TowerMap.from_map(identity_map(q), 1, cx)
-        assert not t.compatible()
-        assert not check_limit_pmorphism(t, 1)
+        assert t.maps[0] == identity_map(q)
+        assert t.compatible()
+        assert check_limit_pmorphism(t, 1)
+        maps = enumerate_tower_maps(q, cx, 2)
+        assert maps and all(m.compatible() for m in maps)
 
 
 class TestNestedValues:

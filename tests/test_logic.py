@@ -33,18 +33,23 @@ from imcoalg.logic import (
     truth_mask,
     valid_on_model,
 )
+from imcoalg.bisim import search_distinguishing_formulas
 from imcoalg.poset import make_poset, point_poset
 from imcoalg.enumeration import all_posets, frames_up_to_iso
 
 from helpers import (
     FORMULA_PIECES,
     mask_of,
+    formula_eq_by_recursion,
+    formula_repr_by_recursion,
+    letters_by_recursion,
     parse_by_descent,
     print_formula_by_recursion,
     random_mix_frame,
     random_poset,
     random_upset,
     tokenize_formula,
+    truth_mask_by_recursion,
 )
 from test_label_order import FORMULA_DEPTH, ONE_LETTER_3
 
@@ -243,6 +248,70 @@ def formula_trees():
         ),
         max_leaves=40,
     )
+
+
+def _box_tower(n, phi):
+    for _ in range(n):
+        phi = Box(phi)
+    return phi
+
+
+def _chain_model(n):
+    """Chain 0 < ... < n-1 with R[x] = up(x + 1), p true at the top."""
+    p = make_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+    rel = [p.up[x + 1] if x + 1 < n else 0 for x in range(n)]
+    return Model(ModalFrame(p, rel), {"p": 1 << (n - 1)})
+
+
+def _two_letter_model():
+    """a below b and c, a R b, a R c, b R b; p true at b, q at c."""
+    p = make_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    fr = ModalFrame.from_pairs(p, [("a", "b"), ("a", "c"), ("b", "b")])
+    return Model(fr, {"p": mask_of(p, ["b"]), "q": mask_of(p, ["c"])})
+
+
+def _rebuilt(phi):
+    """A copy of phi that shares no node with it."""
+    if isinstance(phi, Var):
+        return Var(phi.name)
+    return type(phi)(*(_rebuilt(part) for part in phi._parts()))
+
+
+class TestDeepTrees:
+    """truth_mask, letters_of, == and repr walk the tree with an explicit
+    stack: trees deeper than the recursion limit evaluate, compare and
+    print, and small trees read as the recursive forms do."""
+
+    def test_box_tower_of_2000(self):
+        phi = _box_tower(2000, Var("p"))
+        m = chain_model()
+        assert truth_mask(m, phi) == m.poset.full_mask
+        assert letters_of(phi) == {"p"}
+        assert letters_of(And(phi, _box_tower(2000, Var("q")))) == {"p", "q"}
+        assert phi == _box_tower(2000, Var("p"))
+        assert phi != _box_tower(2000, Var("q"))
+        assert repr(phi) == "Box(" * 2000 + "Var('p')" + ")" * 2000
+
+    def test_box_499_from_first_formulas_on_500_and_501_chains(self):
+        # the bottoms of the two chains first differ on 499 boxes over p
+        ((_, phi),) = search_distinguishing_formulas(
+            _chain_model(500), _chain_model(501), [(0, 0)], ["p"], 499
+        ).items()
+        tower = _box_tower(499, Var("p"))
+        assert phi == tower and tower == phi
+        assert repr(phi) == "Box(" * 499 + "Var('p')" + ")" * 499
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(phi=formula_trees(), psi=formula_trees())
+    def test_small_trees_against_the_recursive_forms(self, phi, psi):
+        m = _two_letter_model()
+        assert truth_mask(m, phi) == truth_mask_by_recursion(m, phi)
+        assert letters_of(phi) == letters_by_recursion(phi)
+        assert repr(phi) == formula_repr_by_recursion(phi)
+        assert (phi == psi) == formula_eq_by_recursion(phi, psi)
+        copy = _rebuilt(phi)
+        assert copy is not phi
+        assert phi == copy and formula_eq_by_recursion(phi, copy)
 
 
 class TestPrinterRoundtrip:
