@@ -3,14 +3,17 @@
 and distinguishing formulas for unrelated points.
 
 A bisimulation must satisfy forth and back clauses for both the order and
-the modal relation. The coalgebraic side endows the relation (as a
-componentwise-ordered sub-poset of the product) with the structure map
+the modal relation. The coalgebraic side orders the relation's pairs
+componentwise (the relation poset), endows them with the structure map
 b = (x, y) -> (R[x] x R[y]) restricted to the relation, and demands that
-both projection squares commute coordinatewise on the lifts. Both
-projections must be p-morphisms, and then level 1 decides every level
-above it, so the check compares level 1 only, on the relation's rows:
-nothing is lifted past level 1 and no relation poset is built
-(relation_poset stays for callers that want the poset itself).
+both projection squares commute coordinatewise on the lifts. The two sides
+are one check read two ways. Both projections are p-morphisms iff the
+order clauses hold (_failing_projection), and then level 1 decides every
+level above it, where the squares are the modal clauses (_modal_clauses).
+is_box_bisimulation and coalgebraic_bisim_check both read those two
+kernels off the relation's rows; neither builds the relation poset or
+lifts anything. Three of the four clauses are one forth kernel
+(_forth_clause) read on the down-sets or the modal predecessors.
 
 A relation is held as rows, like every relation in the package: rows[x]
 masks the right-hand partners of left point x. Its columns come from
@@ -23,9 +26,7 @@ sum of the two frames (Kanellakis & Smolka 1990; Paige & Tarjan 1987). On
 one frame the largest bisimulation is an equivalence, the coarsest
 partition stable under both the order and the modal relation; restricted
 to left x right points it is the largest bisimulation between the two
-frames. The clause check that is_box_bisimulation runs on a given relation
-is independent of it: one refinement step on the rows that must remove no
-pair.
+frames.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .errors import (
     ProjectionNotPMorphism,
     UnknownLabel,
 )
-from .frames import ModalFrame, frame_to_lifted
+from .frames import ModalFrame, require_mix_law
 from .logic import Model, first_formulas, truth_mask
 from .poset import Poset, image, iter_bits, pairs_of, transpose
 
@@ -108,60 +109,62 @@ class Bisimulation:
         )
 
 
-def _meets(rows, values, full):
-    """Per row, the meet of values[y] over the bits y of the row (full on
-    an empty row)."""
-    out = []
-    for row in rows:
-        acc = full
-        for y in iter_bits(row):
-            acc &= values[y]
-        out.append(acc)
-    return out
+def _forth_clause(below, other_below, rows):
+    """Whether the relation ``rows`` meets a forth clause: for every left
+    point x2, each partner of a point of below[x2] lies in
+    image(other_below, rows[x2]). With the down-sets as ``below`` this is
+    the order forth clause (each partner y of an x <= x2 lies below a
+    partner of x2); with the modal predecessors ``pre`` it is the modal
+    one (each partner y of an x with x R x2 has a modal successor related
+    to x2). One image per side and point, and no loop over pairs."""
+    for x2, row in enumerate(rows):
+        if image(rows, below[x2]) & ~image(other_below, row):
+            return False
+    return True
 
 
-def _modal_forth(rel, other_pre, rows, full):
-    """Per x, the partners x' for which the modal forth clause of (x, x')
-    holds under the relation ``rows``: every modal successor of x has a
-    partner among the modal successors of x'. other_pre holds the modal
-    predecessors in the partner frame."""
-    return _meets(rel, [image(other_pre, row) for row in rows], full)
+def _modal_clauses(bis):
+    """The modal forth clause on the rows and the modal back clause, the
+    forth clause of the converse, on the columns."""
+    left, right, rows = bis.left, bis.right, bis.rows
+    return _forth_clause(left.pre, right.pre, rows) and _forth_clause(
+        right.pre, left.pre, transpose(rows, right.poset.n)
+    )
 
 
-def _forth(up, rel, other_down, other_pre, rows, full):
-    """Per x, the partners x' for which the forth clauses of (x, x') hold
-    under the relation ``rows``: every order successor of x has a partner
-    above x', and the modal forth clause (_modal_forth) holds.
+def _failing_projection(bis):
+    """The first of "left" and "right" whose projection from the relation
+    poset is not a p-morphism, or None when both are: the order forth and
+    back clauses, in that order.
 
-    other_down / other_pre are the down-sets and modal predecessors in the
-    partner frame.
+    The relation poset holds the related pairs, ordered componentwise.
+    Both projections are monotone, and ↑(x, y) holds the related pairs
+    (x2, y2) with x <= x2 and y <= y2. The left projection maps it onto ↑x
+    iff each x2 >= x is related to some point above y, that is, iff y lies
+    below a point of rows[x2]: so it is a p-morphism iff the order forth
+    clause holds (_forth_clause on the down-sets). The right projection
+    maps ↑(x, y) onto ↑y iff each y2 >= y is related to some point above
+    x, the order back clause, that is, iff ↑y lies inside image(rows, ↑x):
+    so it is one iff, for every left point x, the up-closure of rows[x]
+    does, which needs no columns. Four images per left point in all, where
+    is_pmorphism on the relation poset grows with the square of the
+    relation.
     """
-    below = _meets(up, [image(other_down, row) for row in rows], full)
-    return [
-        a & b
-        for a, b in zip(below, _modal_forth(rel, other_pre, rows, full))
-    ]
-
-
-def _refine(left, right, rows):
-    """One refinement step on a relation held as rows (rows[x] masks the
-    partners of x): keep the pairs whose forth clauses, read on the rows,
-    and back clauses, read on the columns, hold under the relation."""
-    lp, rp = left.poset, right.poset
-    forth = _forth(lp.up, left.rel, rp.down, right.pre, rows, rp.full_mask)
-    back = _forth(
-        rp.up, right.rel, lp.down, left.pre, transpose(rows, rp.n),
-        lp.full_mask,
-    )
-    return tuple(
-        r & f & b for r, f, b in zip(rows, forth, transpose(back, lp.n))
-    )
+    lp, rp, rows = bis.left.poset, bis.right.poset, bis.rows
+    if not _forth_clause(lp.down, rp.down, rows):
+        return "left"
+    for x, row in enumerate(rows):
+        if image(rp.up, row) & ~image(rows, lp.up[x]):
+            return "right"
+    return None
 
 
 def is_box_bisimulation(bis):
     """All four clauses (forth/back, for order and modal relation) hold:
-    one refinement step removes no pair."""
-    return _refine(bis.left, bis.right, bis.rows) == bis.rows
+    both projections from the relation poset are p-morphisms (the order
+    clauses, _failing_projection) and the modal clauses hold
+    (_modal_clauses). coalgebraic_bisim_check reads the same two kernels."""
+    return _failing_projection(bis) is None and _modal_clauses(bis)
 
 
 def _coarsest_stable(left, right, blocks):
@@ -227,72 +230,12 @@ def largest_model_bisimulation(model_left, model_right):
     return _coarsest_stable(model_left.frame, model_right.frame, blocks)
 
 
-def _pair_columns(bis, chosen):
-    """Per left point x, the mask of the chosen pairs (x, y), and per right
-    point y, the mask of the chosen pairs (x, y): the transposes of the
-    chosen pairs' two projections."""
-    return (
-        transpose([1 << x for x, _ in chosen], bis.left.poset.n),
-        transpose([1 << y for _, y in chosen], bis.right.poset.n),
-    )
-
-
-def _pair_rows(columns, chosen, left_rows, right_rows):
-    """Per chosen pair (x, y), the mask of the chosen pairs (x2, y2) with
-    x2 in left_rows[x] and y2 in right_rows[y]: the pairs of each left
-    point over left_rows[x], met with the pairs of each right point over
-    right_rows[y], read through the _pair_columns of the chosen pairs."""
-    by_left, by_right = columns
-    return [
-        image(by_left, left_rows[x]) & image(by_right, right_rows[y])
-        for x, y in chosen
-    ]
-
-
-def relation_poset(bis):
-    """The relation as a sub-poset of the product, componentwise order,
-    and its pairs in the poset's index order (sorted)."""
-    chosen = pairs_of(bis.rows)
-    labels = [
-        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
-    ]
-    up_rows = _pair_rows(
-        _pair_columns(bis, chosen), chosen, bis.left.poset.up, bis.right.poset.up
-    )
-    return Poset(labels, up_rows, _trusted=True), chosen
-
-
-def _failing_projection(bis):
-    """The first of "left" and "right" whose projection from the relation
-    poset is not a p-morphism, or None when both are.
-
-    Both projections are monotone, and ↑(x, y) in the relation poset holds
-    the related pairs (x2, y2) with x <= x2 and y <= y2. The left
-    projection maps it onto ↑x iff each x2 >= x is related to some point
-    above y, that is, iff y lies below a point of rows[x2]: so it is a
-    p-morphism iff, for every left point x2, the points related to some
-    x <= x2 lie in the down-closure of rows[x2]. The right projection maps
-    ↑(x, y) onto ↑y iff ↑y lies inside image(rows, ↑x): so it is one iff,
-    for every left point x, the up-closure of rows[x] does. That is four
-    images per left point and no loop over pairs, where is_pmorphism maps
-    each up row of the relation poset bit by bit, a cost that grows with
-    the square of the relation.
-    """
-    lp, rp, rows = bis.left.poset, bis.right.poset, bis.rows
-    for x, row in enumerate(rows):
-        if image(rows, lp.down[x]) & ~image(rp.down, row):
-            return "left"
-    for x, row in enumerate(rows):
-        if image(rp.up, row) & ~image(rows, lp.up[x]):
-            return "right"
-    return None
-
-
 def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     """Whether the relation carries a mediating coalgebra whose projection
     squares commute coordinatewise up to the given depth.
 
-    The structure map sends (x, y) to (R[x] x R[y]) intersected with the
+    The relation poset holds the related pairs, ordered componentwise. The
+    structure map sends (x, y) to (R[x] x R[y]) intersected with the
     relation, as an upset of the relation poset; the projections act on
     upsets by direct image. Projections that fail the p-morphism condition
     raise ProjectionNotPMorphism: such a relation is not a functor
@@ -308,9 +251,9 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     related to some point of R[y], and the square asks for all of R[x]:
     every modal successor of x has a partner among the modal successors of
     y, the modal forth clause. The right square is the modal back clause.
-    Both are read off the rows and columns as in the clause check
-    (_modal_forth), with no relation poset, no loop over pairs and nothing
-    lifted past level 1.
+    So the check reads the two kernels of is_box_bisimulation: the order
+    clauses (_failing_projection) and the modal clauses (_modal_clauses),
+    with no relation poset built and nothing lifted.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -319,15 +262,9 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     side = _failing_projection(bis)
     if side is not None:
         raise ProjectionNotPMorphism(side)
-    left, right = bis.left, bis.right
-    (rel_l,) = frame_to_lifted(left, 1)
-    (rel_r,) = frame_to_lifted(right, 1)
-    rows, cols = bis.rows, transpose(bis.rows, right.poset.n)
-    forth = _modal_forth(rel_l, right.pre, rows, right.poset.full_mask)
-    back = _modal_forth(rel_r, left.pre, cols, left.poset.full_mask)
-    return all(not row & ~ok for row, ok in zip(rows, forth)) and all(
-        not col & ~ok for col, ok in zip(cols, back)
-    )
+    require_mix_law(bis.left)
+    require_mix_law(bis.right)
+    return _modal_clauses(bis)
 
 
 def saturated_valuation(bis, left_seed=0, right_seed=0):

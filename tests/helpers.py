@@ -62,11 +62,21 @@ recursive forms too (``truth_mask_by_recursion``,
 explicit stack, so the recursion limit bounds only the oracles.
 
 The coalgebraic bisimulation check is kept as the route that compared
-every level (``tower_bisim_check``): it builds the relation poset, pushes
+every level (``tower_bisim_check``): it builds the relation poset by a
+dict lookup per pair (``relation_poset_by_pairs``) and the structure map
+by testing every pair of pairs (``rho_by_pairs``), refuses projections
+that fail ``is_pmorphism`` (``pmorphic_relation_poset``), pushes
 the structure map's upsets through both projections and lifts the images
 to the requested depth. The library decides level 1 only, which the
 naturality lemma in ``imcoalg.complexes`` makes enough once both
-projections are p-morphisms.
+projections are p-morphisms, and reads the order and modal clauses off
+the relation's rows. The relational clause check is kept as one
+refinement step that must remove no pair (``refine_rows``), whose
+iteration is also the oracle of the greatest bisimulation.
+
+No function here reads a private name of an ``imcoalg`` module: an oracle
+that shared a kernel with the code it checks would share its faults
+(``tests/test_private_reads.py``).
 """
 
 import importlib.util
@@ -76,15 +86,9 @@ from itertools import permutations, product, repeat
 from operator import and_, or_, rshift
 from pathlib import Path
 
-from imcoalg import bisim
 from imcoalg.complexes import RootedStage, image_tower_agrees, tower_coords
 from imcoalg.config import DEFAULT_CAPS
-from imcoalg.enumeration import (
-    _matrix_bits,
-    _permuted,
-    all_posets,
-    mix_relations,
-)
+from imcoalg.enumeration import all_posets, mix_relations
 from imcoalg.errors import (
     CapExceeded,
     DuplicateLabel,
@@ -95,7 +99,7 @@ from imcoalg.errors import (
     UnknownLabel,
     UnknownToken,
 )
-from imcoalg.framefile import _SECTIONS, FrameFile
+from imcoalg.framefile import FrameFile
 from imcoalg.heyting import box_mask, impl_mask, up_functor
 from imcoalg.frames import ModalFrame, frame_to_lifted, mix_closure
 from imcoalg.logic import (
@@ -116,8 +120,10 @@ from imcoalg.poset import (
     PosetMap,
     format_label,
     image,
+    is_pmorphism,
     iter_bits,
     mask_labels,
+    transpose,
 )
 
 
@@ -128,12 +134,12 @@ def posets_up_to(n):
 
 def relabel(p, perm):
     """p with element x moved to index perm[x]."""
-    return Poset(p.labels, _permuted(p.up, perm))
+    return Poset(p.labels, move_rows(p.up, perm, perm))
 
 
 def relabel_frame(fr, perm):
     """fr with element x moved to index perm[x], its modal relation too."""
-    return ModalFrame(relabel(fr.poset, perm), _permuted(fr.rel, perm))
+    return ModalFrame(relabel(fr.poset, perm), move_rows(fr.rel, perm, perm))
 
 
 def move_mask(mask, perm):
@@ -171,9 +177,11 @@ def all_functions(p, q):
 
 
 def canonical_poset_key(p):
-    """The least packed relation matrix of p over all its labellings."""
+    """The least packed relation matrix of p over all its labellings: row
+    i of the relabelled order at bits i*n .. i*n + n - 1."""
     return min(
-        _matrix_bits(_permuted(p.up, perm)) for perm in permutations(range(p.n))
+        sum(row << (i * p.n) for i, row in enumerate(move_rows(p.up, q, q)))
+        for q in permutations(range(p.n))
     )
 
 
@@ -307,34 +315,144 @@ def first_disagreement(first, source_levels, target_levels, assign):
     return len(target_levels) + 1
 
 
+def relation_poset_by_pairs(bis):
+    """The relation as a sub-poset of the product, componentwise order,
+    and its pairs in the poset's index order (sorted): a dict lookup per
+    element of ↑x × ↑y."""
+    chosen = sorted(bis.pairs)
+    labels = [
+        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
+    ]
+    pos = {pair: i for i, pair in enumerate(chosen)}
+    up_rows = []
+    for x, y in chosen:
+        row = 0
+        for x2 in iter_bits(bis.left.poset.up[x]):
+            for y2 in iter_bits(bis.right.poset.up[y]):
+                j = pos.get((x2, y2))
+                if j is not None:
+                    row |= 1 << j
+        up_rows.append(row)
+    return Poset(labels, up_rows, _trusted=True), chosen
+
+
+def rho_by_pairs(bis, chosen):
+    """The structure map (x, y) -> (R[x] x R[y]) restricted to the
+    relation, as masks over the chosen pairs, by testing every pair of
+    chosen pairs."""
+    lrel, rrel = bis.left.rel, bis.right.rel
+    rho_masks = []
+    for x, y in chosen:
+        m = 0
+        for j, (x2, y2) in enumerate(chosen):
+            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
+                m |= 1 << j
+        rho_masks.append(m)
+    return rho_masks
+
+
+def pmorphic_relation_poset(bis):
+    """The relation poset, its pairs and its left and right projections.
+    A projection that fails is_pmorphism raises ProjectionNotPMorphism,
+    the left one first."""
+    bp, chosen = relation_poset_by_pairs(bis)
+    projections = (
+        PosetMap(bp, bis.left.poset, [x for x, _ in chosen]),
+        PosetMap(bp, bis.right.poset, [y for _, y in chosen]),
+    )
+    for side, proj in zip(("left", "right"), projections):
+        if not is_pmorphism(proj):
+            raise ProjectionNotPMorphism(side)
+    return bp, chosen, projections
+
+
+def failing_projection_by_pmorphism(bis):
+    """The first of "left" and "right" whose projection from the relation
+    poset fails is_pmorphism, or None when both pass."""
+    try:
+        pmorphic_relation_poset(bis)
+    except ProjectionNotPMorphism as exc:
+        return exc.side
+    return None
+
+
 def tower_bisim_check(bis, depth, caps=DEFAULT_CAPS):
     """bisim.coalgebraic_bisim_check as it compared every level, kept as its
     oracle: the relation poset is built, the structure map's upsets of it
     are pushed through each projection, and their images are lifted to
     ``depth`` and compared with both frames' lifts
     (complexes.image_tower_agrees). The errors come in the library's
-    order: ValueError, CapExceeded, ProjectionNotPMorphism, then
-    MixLawViolation for the left frame and the right one."""
+    order: ValueError, CapExceeded, ProjectionNotPMorphism (is_pmorphism on
+    the projections), then MixLawViolation for the left frame and the
+    right one."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
-    bp, chosen = bisim.relation_poset(bis)
-    side = bisim._failing_projection(bis)
-    if side is not None:
-        raise ProjectionNotPMorphism(side)
-    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
-    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
-    rho_masks = bisim._pair_rows(
-        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
-    )
+    bp, chosen, projections = pmorphic_relation_poset(bis)
+    rho_masks = rho_by_pairs(bis, chosen)
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
     return all(
         image_tower_agrees(
             bp, map(proj.image_mask, rho_masks), levels, proj.assign
         )
-        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+        for proj, levels in zip(projections, (levels_l, levels_r))
+    )
+
+
+# -- the refinement step: the clause check as one step that removes no pair
+
+
+def meets(rows, values, full):
+    """Per row, the meet of values[y] over the bits y of the row (full on
+    an empty row)."""
+    out = []
+    for row in rows:
+        acc = full
+        for y in iter_bits(row):
+            acc &= values[y]
+        out.append(acc)
+    return out
+
+
+def modal_forth_rows(rel, other_pre, rows, full):
+    """Per x, the partners x' for which the modal forth clause of (x, x')
+    holds under the relation ``rows``: every modal successor of x has a
+    partner among the modal successors of x'. other_pre holds the modal
+    predecessors in the partner frame."""
+    return meets(rel, [image(other_pre, row) for row in rows], full)
+
+
+def forth_rows(up, rel, other_down, other_pre, rows, full):
+    """Per x, the partners x' for which the forth clauses of (x, x') hold
+    under the relation ``rows``: every order successor of x has a partner
+    above x', and the modal forth clause (modal_forth_rows) holds.
+
+    other_down / other_pre are the down-sets and modal predecessors in the
+    partner frame.
+    """
+    below = meets(up, [image(other_down, row) for row in rows], full)
+    return [
+        a & b
+        for a, b in zip(below, modal_forth_rows(rel, other_pre, rows, full))
+    ]
+
+
+def refine_rows(left, right, rows):
+    """One refinement step on a relation held as rows (rows[x] masks the
+    partners of x): keep the pairs whose forth clauses, read on the rows,
+    and back clauses, read on the columns, hold under the relation.
+    bisim.is_box_bisimulation held iff this step removed no pair, and
+    iterating it from a relation gives the largest bisimulation inside."""
+    lp, rp = left.poset, right.poset
+    forth = forth_rows(lp.up, left.rel, rp.down, right.pre, rows, rp.full_mask)
+    back = forth_rows(
+        rp.up, right.rel, lp.down, left.pre, transpose(rows, rp.n),
+        lp.full_mask,
+    )
+    return tuple(
+        r & f & b for r, f, b in zip(rows, forth, transpose(back, lp.n))
     )
 
 
@@ -948,6 +1066,9 @@ def _letter_by_chars(name):
     )
 
 
+FRAME_FILE_SECTIONS = ("elements", "order", "modal", "val", "nbhd")
+
+
 def parse_frame_file_by_lines(text):
     """parse_frame_file as it read before its one-test fast path: every
     [order]/[modal] line goes through the token count, the symbol and both
@@ -965,7 +1086,7 @@ def parse_frame_file_by_lines(text):
             if not stripped.endswith("]"):
                 raise ParseError("unterminated section header", lineno)
             name = stripped[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in FRAME_FILE_SECTIONS:
                 raise ParseError(f"unknown section [{name}]", lineno)
             section = name
             continue

@@ -7,7 +7,6 @@ import pytest
 from imcoalg import bisim
 from imcoalg.bisim import (
     Bisimulation,
-    relation_poset,
     bisimilarity_preserves_truth,
     _disjoint_sum,
     coalgebraic_bisim_check,
@@ -38,9 +37,7 @@ from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg import logic
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
 from imcoalg.poset import (
-    Poset,
     PosetMap,
-    is_pmorphism,
     iter_bits,
     make_poset,
     point_poset,
@@ -49,13 +46,19 @@ from imcoalg.poset import (
 from imcoalg.enumeration import all_posets, frames_up_to_iso
 
 from helpers import (
+    failing_projection_by_pmorphism,
     first_disagreement,
     frames_on,
+    labellings,
     mask_of,
     nested_image,
+    pmorphic_relation_poset,
+    posets_up_to,
     random_mix_frame,
     random_poset,
     random_upset,
+    refine_rows,
+    rho_by_pairs,
     tower_bisim_check,
 )
 
@@ -169,7 +172,8 @@ def _small_frames():
 
 
 def _largest_within(left, right, rows):
-    """Apply the library's refinement step to rows until nothing changes:
+    """Apply the refinement step (helpers.refine_rows) to rows until
+    nothing changes:
     the largest bisimulation contained in the starting relation.
 
     Each step removes at least one pair or stops, so there are at most
@@ -177,9 +181,9 @@ def _largest_within(left, right, rows):
     step, so the result is the unique largest one.
     """
     rows = tuple(rows)
-    refined = bisim._refine(left, right, rows)
+    refined = refine_rows(left, right, rows)
     while refined != rows:
-        rows, refined = refined, bisim._refine(left, right, refined)
+        rows, refined = refined, refine_rows(left, right, refined)
     return Bisimulation(left, right, rows)
 
 
@@ -326,6 +330,47 @@ class TestRowKernelAgainstOracle:
                     assert is_box_bisimulation(bis) == (
                         _oracle_clause_violation(bis) is None
                     )
+
+
+class TestClauseKernelsAgainstRefinement:
+    """is_box_bisimulation, read as the order clauses (both projections are
+    p-morphisms) and the modal clauses, against one refinement step that
+    must remove no pair (helpers.refine_rows)."""
+
+    @staticmethod
+    def _compare(bis, seen):
+        got = is_box_bisimulation(bis)
+        assert got == (refine_rows(bis.left, bis.right, bis.rows) == bis.rows)
+        seen[got] += 1
+
+    def test_every_relation_up_to_two_elements(self):
+        # every relation R, mix law or not, on every labelling of the
+        # posets of at most two elements, and every relation between two
+        # such frames
+        frames = [
+            ModalFrame(q, [bits >> (x * q.n) & q.full_mask for x in range(q.n)])
+            for p in posets_up_to(2)
+            for q in labellings(p)
+            for bits in range(1 << (q.n * q.n))
+        ]
+        assert len(frames) == 50
+        seen = Counter()
+        for f1 in frames:
+            for f2 in frames:
+                for bits in range(1 << (f1.poset.n * f2.poset.n)):
+                    self._compare(_relation(f1, f2, bits), seen)
+        assert sum(seen.values()) == 37640
+        assert seen[True] == 5700
+
+    def test_seeded_relations_up_to_three_elements(self):
+        frames = _iso_frames_up_to_three()
+        rng = random.Random(2707)
+        seen = Counter()
+        for _ in range(40_000):
+            f1, f2 = rng.choice(frames), rng.choice(frames)
+            bits = rng.getrandbits(f1.poset.n * f2.poset.n)
+            self._compare(_relation(f1, f2, bits), seen)
+        assert set(seen) == {True, False}
 
 
 def serial_chain_frame():
@@ -504,23 +549,9 @@ def index_bisim_check(bis, depth=2):
     """coalgebraic_bisim_check through Up(P) posets: the structure map and
     the frames' coalgebras take Up-indices, and the projections act on them
     by up_functor_map."""
-    bp, chosen = relation_poset(bis)
-    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
-    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
-    if not is_pmorphism(proj_left):
-        raise ProjectionNotPMorphism("left")
-    if not is_pmorphism(proj_right):
-        raise ProjectionNotPMorphism("right")
-    lrel, rrel = bis.left.rel, bis.right.rel
-    rho_masks = []
-    for x, y in chosen:
-        m = 0
-        for j, (x2, y2) in enumerate(chosen):
-            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
-                m |= 1 << j
-        rho_masks.append(m)
+    bp, chosen, (proj_left, proj_right) = pmorphic_relation_poset(bis)
     fv_b = up_functor(bp)
-    rho = [fv_b.index_of_mask(m) for m in rho_masks]
+    rho = [fv_b.index_of_mask(m) for m in rho_by_pairs(bis, chosen)]
     towers_b = tower_coords(bp, rho, depth)
     towers_l = tower_coords(
         bis.left.poset, frame_to_upmap(bis.left).assign, depth
@@ -543,58 +574,16 @@ def index_bisim_check(bis, depth=2):
 def nested_bisim_check(bis, depth=2):
     """coalgebraic_bisim_check as it lifted the relation poset and pushed
     each nested value through the projections, before image_tower_agrees."""
-    bp, chosen = relation_poset(bis)
-    proj_left = PosetMap(bp, bis.left.poset, [x for x, _ in chosen])
-    proj_right = PosetMap(bp, bis.right.poset, [y for _, y in chosen])
-    if not is_pmorphism(proj_left):
-        raise ProjectionNotPMorphism("left")
-    if not is_pmorphism(proj_right):
-        raise ProjectionNotPMorphism("right")
-    rho_masks = bisim._pair_rows(
-        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
-    )
+    bp, chosen, projections = pmorphic_relation_poset(bis)
+    rho_masks = rho_by_pairs(bis, chosen)
     levels_l = frame_to_lifted(bis.left, depth)
     levels_r = frame_to_lifted(bis.right, depth)
     levels_b = tower_coords(bp, rho_masks, depth)
     return all(
         first_disagreement(proj.image_mask, levels_b, levels, proj.assign)
         > depth
-        for proj, levels in ((proj_left, levels_l), (proj_right, levels_r))
+        for proj, levels in zip(projections, (levels_l, levels_r))
     )
-
-
-def relation_poset_by_pairs(bis):
-    """The dict lookup per element of ↑x × ↑y that relation_poset
-    replaced."""
-    chosen = sorted(bis.pairs)
-    labels = [
-        (bis.left.poset.labels[x], bis.right.poset.labels[y]) for x, y in chosen
-    ]
-    pos = {pair: i for i, pair in enumerate(chosen)}
-    up_rows = []
-    for x, y in chosen:
-        row = 0
-        for x2 in iter_bits(bis.left.poset.up[x]):
-            for y2 in iter_bits(bis.right.poset.up[y]):
-                j = pos.get((x2, y2))
-                if j is not None:
-                    row |= 1 << j
-        up_rows.append(row)
-    return Poset(labels, up_rows, _trusted=True), chosen
-
-
-def rho_by_pairs(bis, chosen):
-    """The structure map's masks by testing every pair of chosen pairs, as
-    coalgebraic_bisim_check built them before the pair rows."""
-    lrel, rrel = bis.left.rel, bis.right.rel
-    rho_masks = []
-    for x, y in chosen:
-        m = 0
-        for j, (x2, y2) in enumerate(chosen):
-            if (lrel[x] >> x2) & 1 and (rrel[y] >> y2) & 1:
-                m |= 1 << j
-        rho_masks.append(m)
-    return rho_masks
 
 
 def saturated_valuation_by_pairs(bis, left_seed, right_seed):
@@ -627,36 +616,7 @@ def compatible_by_pairs(bis, model_left, model_right):
     return True
 
 
-def _assert_pair_rows_match(bis):
-    bp, chosen = relation_poset(bis)
-    assert (bp, chosen) == relation_poset_by_pairs(bis)
-    assert bisim._pair_rows(
-        bisim._pair_columns(bis, chosen), chosen, bis.left.rel, bis.right.rel
-    ) == rho_by_pairs(bis, chosen)
-
-
 class TestPairRowsAgainstOracle:
-    def test_every_relation_up_to_two_elements(self):
-        for f1 in _small_frames():
-            for f2 in _small_frames():
-                for bits in range(1 << (f1.poset.n * f2.poset.n)):
-                    _assert_pair_rows_match(_relation(f1, f2, bits))
-
-    def test_sampled_three_element_frames(self):
-        frames = [
-            fr
-            for n in (1, 2, 3)
-            for p in all_posets(n)
-            for fr in frames_up_to_iso(p)
-        ]
-        assert len(frames) == 310
-        rng = random.Random(4117)
-        for _ in range(2000):
-            f1, f2 = rng.choice(frames), rng.choice(frames)
-            bits = rng.getrandbits(f1.poset.n * f2.poset.n)
-            _assert_pair_rows_match(_relation(f1, f2, bits))
-            _assert_pair_rows_match(largest_bisimulation(f1, f2))
-
     def test_compatibility_every_relation_and_valuation(self):
         seen = set()
         for f1 in _small_frames():
@@ -703,20 +663,6 @@ def _relation(f1, f2, bits):
         if (bits >> (x * f2.poset.n + y)) & 1
     )
     return Bisimulation.from_pairs(f1, f2, pairs)
-
-
-def failing_projection_by_pmorphism(bis):
-    """The projection test as coalgebraic_bisim_check ran it before the
-    related-above rows: is_pmorphism on each projection of the relation
-    poset, left first."""
-    bp, chosen = relation_poset(bis)
-    for side, (lp, rp) in (
-        ("left", (bis.left.poset, [x for x, _ in chosen])),
-        ("right", (bis.right.poset, [y for _, y in chosen])),
-    ):
-        if not is_pmorphism(PosetMap(bp, lp, rp)):
-            return side
-    return None
 
 
 def _assert_projections_match(bis):

@@ -25,7 +25,10 @@ labelling, with the order given by its rows and by its covers, against
 the bit loop. The greatest bisimulation,
 with and without a valuation, is checked on every pair of frames on at
 most two elements and on seeded pairs of three-element frames, each side
-under every labelling.
+under every labelling. So are the two checks of a given relation,
+is_box_bisimulation and coalgebraic_bisim_check, with the projection the
+latter refuses: on every relation between frames on at most two elements
+and on seeded relations between three-element frames.
 Poset.covers and poset.pairs_of are checked on every labelled poset on at
 most four elements against the loops they replaced.
 The truth sets (truth_mask, definable_masks and the first formulas of
@@ -36,7 +39,13 @@ every one-letter upset valuation, under every permutation.
 import random
 from itertools import permutations
 
-from imcoalg.bisim import largest_bisimulation, largest_model_bisimulation
+from imcoalg.bisim import (
+    Bisimulation,
+    coalgebraic_bisim_check,
+    is_box_bisimulation,
+    largest_bisimulation,
+    largest_model_bisimulation,
+)
 from imcoalg.complexes import (
     build_complex,
     build_p_g,
@@ -47,6 +56,7 @@ from imcoalg.complexes import (
     verify_complex,
 )
 from imcoalg.enumeration import _permuted, mix_relations, monotone_maps
+from imcoalg.errors import ProjectionNotPMorphism
 from imcoalg.frames import ModalFrame, mix_closure
 from imcoalg.heyting import box_mask, impl_mask, join_irreducibles
 from imcoalg.logic import (
@@ -437,6 +447,78 @@ def test_largest_bisimulation_commutes_with_relabelling_on_three():
             for f in (rng.choice(frames), rng.choice(frames))
         )
         _assert_bisimulation_commutes_with_relabelling(m1, m2)
+
+
+def _relabelled(frames):
+    """Per frame, (perm, moved frame) for every permutation of its
+    indices."""
+    return {
+        fr: [
+            (perm, relabel_frame(fr, perm))
+            for perm in permutations(range(fr.poset.n))
+        ]
+        for fr in frames
+    }
+
+
+def _clause_verdicts(bis):
+    """is_box_bisimulation and coalgebraic_bisim_check at depth 2, with the
+    projection the latter refuses named."""
+    try:
+        coalgebraic = coalgebraic_bisim_check(bis, 2)
+    except ProjectionNotPMorphism as exc:
+        coalgebraic = f"projection {exc.side}"
+    return is_box_bisimulation(bis), coalgebraic
+
+
+def _assert_clause_checks_commute_with_relabelling(bis, moved):
+    """Both checks give the same verdict on the relation moved by every
+    pair of labellings of its two frames; returns that verdict."""
+    want = _clause_verdicts(bis)
+    for perm1, moved1 in moved[bis.left]:
+        for perm2, moved2 in moved[bis.right]:
+            rows = move_rows(bis.rows, perm1, perm2)
+            assert _clause_verdicts(Bisimulation(moved1, moved2, rows)) == want
+    return want
+
+
+CLAUSE_VERDICTS = {
+    (True, True),
+    (False, False),
+    (False, "projection left"),
+    (False, "projection right"),
+}
+
+
+def test_bisimulation_checks_commute_with_relabelling_up_to_two():
+    frames = _small_frames()
+    moved = _relabelled(frames)
+    seen = set()
+    for f1 in frames:
+        for f2 in frames:
+            n, m = f1.poset.n, f2.poset.n
+            for bits in range(1 << (n * m)):
+                rows = [bits >> (x * m) & f2.poset.full_mask for x in range(n)]
+                bis = Bisimulation(f1, f2, rows)
+                seen.add(
+                    _assert_clause_checks_commute_with_relabelling(bis, moved)
+                )
+    assert seen == CLAUSE_VERDICTS
+
+
+def test_bisimulation_checks_commute_with_relabelling_on_three():
+    frames = [f for f in _iso_frames_up_to_three() if f.poset.n == 3]
+    moved = _relabelled(frames)
+    rng = random.Random(2707)
+    seen = set()
+    for _ in range(1000):
+        f1, f2 = rng.choice(frames), rng.choice(frames)
+        if rng.random() < 0.25:
+            bis = largest_bisimulation(f1, f2)
+        else:
+            bis = Bisimulation(f1, f2, [rng.getrandbits(3) for _ in range(3)])
+        seen.add(_assert_clause_checks_commute_with_relabelling(bis, moved))
+    assert seen == CLAUSE_VERDICTS
 
 
 def _one_letter_models_relabelled():
