@@ -1,78 +1,18 @@
-"""Helpers shared by the test modules: relabelled posets, label masks, the
-nested-value route for tower lifts and the benchmark modules the tests
-read.
+"""Helpers shared by the test modules: the instance builders (posets
+under every labelling, frames, models, relations, the criterion-8 inputs),
+the relabelling of posets, frames, masks and rows, label masks, the
+benchmark modules the tests read, and the replaced routes that the oracles
+of the registry (``tests/oracles.py``) and the plain tests build on.
 
 ``all_posets`` and ``random_poset`` label naturally (i <= j only if i <= j
 as integers), so a kernel compared on their output alone never meets an
 element with an earlier element above it. ``relabel`` moves the elements of
-a poset to other indices, and ``move_mask`` moves a subset with them.
+a poset to other indices, and ``move_mask`` and ``move_rows`` move subsets
+and relations with them.
 
-The nested-value route holds an element of stage l+1 as the frozenset of
-the level-l values of its members (``stage_values``), so a lift is
-computed value by value (``tower_coords``) and resolved to stage indices
-through a value table (``nested_lift``). The library lifts by stage
-indices only; this route is the oracle it is compared with.
-
-The per-member openness route (``is_open_mask``,
-``verify_complex_by_members``) tests one member mask at a time; the
-library re-checks a whole stage on bit planes (``poset.all_open``). The
-openness table the oracles read (``open_table_by_targets``) collects the
-targets above each element one up bit at a time; the library builds it
-from one column per target (``poset.open_table``).
-
-``build_p_g_by_search`` builds a rooted stage by a depth-first search, one
-(mask, root) pair per element; ``build_p_g_encoded`` builds each root's
-subsets one decision level at a time as ``mask << s | root`` ints and
-orders the stage by one global sort. The library builds each root's run
-on plain masks and, over a source with no up row above its own index,
-concatenates the runs in root order (``complexes.build_p_g``).
-
-The generators only the tests use live here: every function between two
-posets (``all_functions``), the canonical key of a poset
-(``canonical_poset_key``), every mix-law frame on a poset
-(``frames_on``) and the seeded random posets, upsets and mix-law frames.
-
-The loops the ``bisim`` input path replaced are kept as oracles:
-``parse_frame_file_by_lines`` checks every [order]/[modal] line step by
-step and reads [nbhd] families one character at a time,
-``make_poset_by_verify`` checks all three order axioms after the
-closure (``Poset._verify``), and ``transpose_by_bits`` builds a converse
-one bit at a time.
-
-The truncated back condition of a tower map is kept as the scan it was
-before the keyed kernel: ``check_limit_pmorphism_by_towers`` lists every
-tower of stage n and looks for a witness among the points above x,
-coordinate by coordinate. The library keys each stage-n element by its
-root (``poset.back_up_to``). Three relation loops are kept beside it:
-``covers_by_betweenness`` looks for an element between each pair,
-``pairs_by_loops`` lists a relation's pairs point by point, and
-``pull_back_by_bits`` pulls a neighbourhood family back one target
-upset at a time through the preimage table (``preimage_table``). The
-library reads all three off ``poset.image`` and ``poset.pairs_of``.
-
-The formula layer's first parser and printer are kept as oracles:
-``parse_by_descent`` has one recursive-descent method per binding level
-and no length bound, and ``print_formula_by_recursion`` recurses with the
-bracketing limits written out per connective. The library reads both
-from the grammar entries on the node classes (``logic.parse``,
-``logic.print_formula``). The other tree readers are kept in their
-recursive forms too (``truth_mask_by_recursion``,
-``letters_by_recursion``, ``formula_eq_by_recursion`` and
-``formula_repr_by_recursion``); the library walks the tree with an
-explicit stack, so the recursion limit bounds only the oracles.
-
-The coalgebraic bisimulation check is kept as the route that compared
-every level (``tower_bisim_check``): it builds the relation poset by a
-dict lookup per pair (``relation_poset_by_pairs``) and the structure map
-by testing every pair of pairs (``rho_by_pairs``), refuses projections
-that fail ``is_pmorphism`` (``pmorphic_relation_poset``), pushes
-the structure map's upsets through both projections and lifts the images
-to the requested depth. The library decides level 1 only, which the
-naturality lemma in ``imcoalg.complexes`` makes enough once both
-projections are p-morphisms, and reads the order and modal clauses off
-the relation's rows. The relational clause check is kept as one
-refinement step that must remove no pair (``refine_rows``), whose
-iteration is also the oracle of the greatest bisimulation.
+The registry's entries (``tests/oracles.py``) name their oracles, many of
+them defined here; each oracle's docstring says which library route it
+was or checks.
 
 No function here reads a private name of an ``imcoalg`` module: an oracle
 that shared a kernel with the code it checks would share its faults
@@ -80,15 +20,22 @@ that shared a kernel with the code it checks would share its faults
 """
 
 import importlib.util
+import random
 import re
 import string
+import sys
 from itertools import permutations, product, repeat
 from operator import and_, or_, rshift
 from pathlib import Path
 
+import pytest
+
+from imcoalg import frames as frames_module
+from imcoalg import poset as poset_module
+from imcoalg.bisim import Bisimulation
 from imcoalg.complexes import RootedStage, image_tower_agrees, tower_coords
 from imcoalg.config import DEFAULT_CAPS
-from imcoalg.enumeration import all_posets, mix_relations
+from imcoalg.enumeration import all_posets, frames_up_to_iso, mix_relations
 from imcoalg.errors import (
     CapExceeded,
     DuplicateLabel,
@@ -101,7 +48,14 @@ from imcoalg.errors import (
 )
 from imcoalg.framefile import FrameFile
 from imcoalg.heyting import box_mask, impl_mask, up_functor
-from imcoalg.frames import ModalFrame, frame_to_lifted, mix_closure
+from imcoalg.frames import (
+    ModalFrame,
+    NbhdFrame,
+    frame_to_lifted,
+    mix_closure,
+    pow_up_functor,
+)
+from imcoalg.freealg import generator_poset
 from imcoalg.logic import (
     BOT,
     TOP,
@@ -110,6 +64,7 @@ from imcoalg.logic import (
     Box,
     Formula,
     Impl,
+    Model,
     Or,
     Top,
     Var,
@@ -119,11 +74,16 @@ from imcoalg.poset import (
     Poset,
     PosetMap,
     format_label,
+    identity_map,
     image,
     is_pmorphism,
     iter_bits,
+    make_poset,
     mask_labels,
+    point_poset,
+    terminal_map,
     transpose,
+    upset_masks,
 )
 
 
@@ -1143,6 +1103,300 @@ def parse_frame_file_by_lines(text):
     if not ff.labels:
         raise ParseError("no [elements] declared", 1)
     return ff
+
+
+# -- shared instance builders ------------------------------------------------
+
+
+def chain2():
+    return make_poset(["a", "b"], [("a", "b")])
+
+
+def antichain2():
+    return make_poset(["a", "b"], [])
+
+
+def serial_chain_frame():
+    return ModalFrame.from_pairs(chain2(), [("a", "b"), ("b", "b")])
+
+
+def shifted_chain_frame(n, shift):
+    """Chain 0 < ... < n-1 with R[x] = up(x + shift), empty past the top."""
+    p = make_poset(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+    return ModalFrame(p, [p.up[x + shift] if x + shift < n else 0 for x in range(n)])
+
+
+EMPTY = Poset((), ())
+
+
+def labelled_posets(n):
+    """Every poset on 1..n elements under every permutation of its indices,
+    repeats included (419 for n = 4)."""
+    return [q for p in posets_up_to(n) for _, q in relabellings(p)]
+
+
+def distinct_labellings(n):
+    """Every labelling of every poset on 1..n elements, each once."""
+    return [q for p in posets_up_to(n) for q in labellings(p)]
+
+
+def reversed_labelling(p):
+    return relabel(p, range(p.n - 1, -1, -1))
+
+
+# every labelled poset on <= 3 elements (23 of them)
+LABELLED_3 = distinct_labellings(3)
+
+
+def travelled(p, perm):
+    """relabel(p, perm) with p's labels moved along with its elements:
+    element x of p is element perm[x] of the result, under the same label."""
+    labels = [None] * p.n
+    for x, y in enumerate(perm):
+        labels[y] = p.labels[x]
+    return Poset(labels, move_rows(p.up, perm, perm))
+
+
+def moved_map(g, perm, q):
+    """g on the relabelled source q: element perm[x] goes where x went."""
+    assign = [0] * g.source.n
+    for x, y in enumerate(g.assign):
+        assign[perm[x]] = y
+    return PosetMap(q, g.target, assign)
+
+
+def moved_values(values, perm):
+    """A tuple over the points moved by perm: entry perm[x] is values[x]."""
+    out = [None] * len(values)
+    for x, v in enumerate(values):
+        out[perm[x]] = v
+    return tuple(out)
+
+
+def iso_frames_up_to_three():
+    """The 310 frames on posets of at most 3 elements, up to isomorphism."""
+    frames = [
+        f for n in (1, 2, 3) for p in all_posets(n) for f in frames_up_to_iso(p)
+    ]
+    assert len(frames) == 310
+    return frames
+
+
+def small_frames():
+    """Every mix-law frame on every poset of at most two elements."""
+    return [f for n in (1, 2) for p in all_posets(n) for f in frames_on(p)]
+
+
+def relation(f1, f2, bits):
+    """The relation between f1 and f2 whose pair (x, y) is bit
+    x * f2.poset.n + y of bits."""
+    pairs = frozenset(
+        (x, y)
+        for x in range(f1.poset.n)
+        for y in range(f2.poset.n)
+        if (bits >> (x * f2.poset.n + y)) & 1
+    )
+    return Bisimulation.from_pairs(f1, f2, pairs)
+
+
+def all_nbhd_frames(p):
+    """Every neighbourhood frame on p, by backtracking over the families
+    of PowUp(p)."""
+    out = []
+    size = pow_up_functor(p).n
+
+    def extend(i, chosen):
+        if i == p.n:
+            out.append(NbhdFrame(p, tuple(chosen)))
+            return
+        for fam in range(size):
+            if all(
+                not p.leq(j, i) or chosen[j] & ~fam == 0
+                for j in range(i)
+            ) and all(
+                not p.leq(i, j) or fam & ~chosen[j] == 0 for j in range(i)
+            ):
+                extend(i + 1, chosen + [fam])
+
+    extend(0, [])
+    return out
+
+
+def sampled_model_pairs(count, seed=2406, letters=("p",)):
+    """Seeded pairs of models on the 310 frames on at most 3 elements, each
+    side with a random upset per letter."""
+    frames = iso_frames_up_to_three()
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        f1, f2 = rng.choice(frames), rng.choice(frames)
+        out.append(
+            tuple(
+                Model(f, {l: random_upset(rng, f.poset) for l in letters})
+                for f in (f1, f2)
+            )
+        )
+    return out
+
+
+def valued_chain(n):
+    """Chain 0 < ... < n-1 with R[x] = up(x+1) and p true at the top."""
+    return Model(shifted_chain_frame(n, 1), {"p": 1 << (n - 1)})
+
+
+# deep enough for first_formulas to meet every definable truth set on the
+# one-letter models of the frames on at most three elements
+FORMULA_DEPTH = 6
+
+
+def one_letter_models():
+    """The 1 922 models on the 310 frames of at most three elements, one per
+    upset valuation of the letter p."""
+    return [
+        Model(fr, {"p": v})
+        for fr in iso_frames_up_to_three()
+        for v in upset_masks(fr.poset)
+    ]
+
+
+def counted_mix_law_witness(monkeypatch):
+    """Bind mix_law_witness to a wrapper in every imcoalg module that holds
+    it, as the benchmark's tracer does; the list it returns collects the
+    frame of each call."""
+    calls = []
+    original = frames_module.mix_law_witness
+
+    def counted(frame):
+        calls.append(frame)
+        return original(frame)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "imcoalg" and (
+            getattr(module, "mix_law_witness", None) is original
+        ):
+            monkeypatch.setattr(module, "mix_law_witness", counted)
+    return calls
+
+
+# -- the index route over Up(P) ----------------------------------------------
+
+
+def index_levels_as_masks(levels, fv):
+    """The levels of an index-valued lift, with each index read as its mask."""
+    return [
+        tuple(nested_image(fv.masks.__getitem__, level, v) for v in values)
+        for level, values in enumerate(levels, 1)
+    ]
+
+
+def index_lift_is_tower(frame, levels, fv):
+    """The index-valued lift is compatible and monotone (nested route)."""
+    return nested_compatible(fv, levels) and nested_monotone(
+        frame.poset, fv, levels
+    )
+
+
+# -- the criterion-8 inputs ----------------------------------------------------
+
+# (base key, stages, inner depth) -> stage sizes, frozen after the first
+# oracle run: regression values only, never ground truth
+GOLDEN_STAGE_SIZES = {
+    ("point", 2, 1): [1, 2, 3],
+    ("point", 2, 2): [1, 3, 29],
+    ("chain2", 2, 1): [2, 6, 20],
+    ("chain2", 1, 2): [2, 14],
+    ("gen1", 2, 1): [2, 6, 20],
+    ("gen1", 1, 2): [2, 14],
+}
+
+
+def free_bases():
+    return {
+        "point": point_poset(),
+        "chain2": chain2(),
+        "gen1": generator_poset(["p"]),
+    }
+
+
+def chain_to_gen():
+    """The 2-chain onto the one-generator poset, a below p."""
+    return PosetMap.from_dict(
+        chain2(), generator_poset(["p"]),
+        {"a": frozenset({"p"}), "b": frozenset()},
+    )
+
+
+def hand_built_lifts():
+    """(target base key, seed p-morphism, mix-law frame) triples whose
+    universal lifts pass the truncated back condition."""
+    chain = chain2()
+    gen = generator_poset(["p"])
+    to_gen = chain_to_gen()
+    diamond = make_poset(
+        ["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]
+    )
+    collapse = PosetMap.from_dict(
+        diamond, gen,
+        {
+            "o": frozenset({"p"}),
+            "l": frozenset(),
+            "r": frozenset(),
+            "t": frozenset(),
+        },
+    )
+    return [
+        ("gen1", to_gen, ModalFrame.from_pairs(chain, [("a", "b"), ("b", "b")])),
+        ("gen1", to_gen, ModalFrame.from_pairs(chain, [])),
+        ("gen1", to_gen, ModalFrame.from_pairs(
+            chain, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+        )),
+        ("gen1", collapse, mix_closure(
+            ModalFrame.from_pairs(diamond, [("o", "t"), ("l", "t"), ("r", "t"), ("t", "t")])
+        )),
+        ("gen1", identity_map(gen), ModalFrame.from_pairs(
+            gen, [(frozenset({"p"}), frozenset()), (frozenset(), frozenset())]
+        )),
+        ("point", terminal_map(chain), ModalFrame.from_pairs(chain, [("b", "b"), ("a", "b")])),
+    ]
+
+
+def reflexive_bottom_chain():
+    """The documented negative: its lift fails the back condition."""
+    return mix_closure(ModalFrame.from_pairs(chain2(), [("a", "a")]))
+
+
+def labels_by_bits(masks, labels):
+    """The per-bit comprehension that mask_labels replaced."""
+    return [frozenset(labels[i] for i in iter_bits(m)) for m in masks]
+
+
+def assert_matches_eager(lazy, masks, base):
+    """A poset carried by masks over base, read first through index(),
+    equals the eagerly labelled poset over the same masks and rows in its
+    labels, index(), == and hash."""
+    eager = Poset(labels_by_bits(masks, base.labels), lazy.up, _trusted=True)
+    assert lazy.n == eager.n == len(masks)
+    for i, label in enumerate(eager.labels):
+        assert lazy.index(label) == i
+    with pytest.raises(UnknownLabel):
+        lazy.index(("absent",))
+    assert lazy.labels == eager.labels
+    assert lazy == eager and eager == lazy
+    assert hash(lazy) == hash(eager)
+
+
+def count_mask_labels(monkeypatch):
+    """Patch the mask_labels that mask-carried posets label themselves with
+    so that each call is recorded; returns the list of recorded calls."""
+    calls = []
+    real = poset_module.mask_labels
+
+    def counting(masks, labels):
+        calls.append(len(masks))
+        return real(masks, labels)
+
+    monkeypatch.setattr(poset_module, "mask_labels", counting)
+    return calls
 
 
 def mask_of(p, labels):

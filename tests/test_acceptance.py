@@ -74,19 +74,18 @@ from imcoalg.poset import (
 from imcoalg.enumeration import all_posets, frames_up_to_iso, monotone_maps
 
 from helpers import (
+    GOLDEN_STAGE_SIZES,
     all_functions,
+    chain_to_gen,
     frames_on,
+    free_bases,
+    hand_built_lifts,
+    index_levels_as_masks,
+    index_lift_is_tower,
     nested_image,
     random_mix_frame,
     random_poset,
     random_upset,
-)
-from test_frames import index_levels_as_masks, index_lift_is_tower
-from test_freealg import (
-    GOLDEN_STAGE_SIZES,
-    chain_to_gen,
-    free_bases,
-    hand_built_lifts,
     reflexive_bottom_chain,
 )
 

@@ -23,8 +23,11 @@ from imcoalg.frames import ModalFrame
 from imcoalg.logic import MAX_FORMULA_TOKENS
 from imcoalg.poset import make_poset, point_poset
 
-from helpers import FORMULA_PIECES, parse_frame_file_by_lines
-from test_frames import counted_mix_law_witness
+from helpers import (
+    FORMULA_PIECES,
+    counted_mix_law_witness,
+    parse_frame_file_by_lines,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

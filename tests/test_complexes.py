@@ -36,7 +36,6 @@ from imcoalg.poset import (
     format_label,
     identity_map,
     is_pmorphism,
-    iter_bits,
     make_poset,
     open_table,
     point_poset,
@@ -46,32 +45,31 @@ from imcoalg.enumeration import all_posets, monotone_maps
 
 from helpers import (
     all_functions,
+    antichain2,
+    assert_matches_eager,
     build_p_g_by_search,
     build_p_g_encoded,
-    check_limit_pmorphism_by_towers,
+    chain2,
+    count_mask_labels,
     first_disagreement,
     labellings,
+    labels_by_bits,
     load_bench_module,
-    nested_compatible,
     nested_image,
-    nested_lift,
-    nested_monotone,
-    open_table_by_targets,
     posets_up_to,
     random_poset,
     stage_values,
     value_root,
     verify_complex_by_members,
 )
-
-from test_poset import (
-    assert_matches_eager,
+from oracles import (
+    build_p_g_by_submasks,
     containment_rows_by_columns,
     containment_rows_oracle,
-    count_mask_labels,
+    folded,
     g_open_by_images,
-    labels_by_bits,
 )
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,27 +84,6 @@ STAGES_WORKLOAD_DEPTH2_POSETS = (
     (23, 18, 20, 24, 16), (27, 18, 12, 8, 16), (15, 10, 12, 8, 16),
     (27, 10, 12, 8, 16), (15, 14, 4, 8, 16),
 )
-
-
-def build_p_g_by_submasks(g):
-    """The submask scan that build_p_g replaced: every submask of each
-    root's strict up-set, kept when every member meets each fibre mask of
-    its open_table row. Sorted (mask, root) pairs."""
-    base = g.source
-    _, needs = open_table_by_targets(g)
-    found = []
-    for root in range(base.n):
-        rest = base.up[root] & ~(1 << root)
-        sub = 0
-        while True:
-            mask = sub | 1 << root
-            if all(need & mask for i in iter_bits(mask) for need in needs[i]):
-                found.append((mask, root))
-            if sub == rest:
-                break
-            sub = (sub - rest) & rest
-    found.sort()
-    return found
 
 
 def assert_stage_matches_oracles(g, stage):
@@ -154,14 +131,6 @@ def assert_builders_agree(g, stage_index):
         assert raised(build_p_g, g, under, stage_index) == want
         assert raised(build_p_g_by_search, g, under, stage_index) == want
     return stage
-
-
-def chain2():
-    return make_poset(["a", "b"], [("a", "b")])
-
-
-def antichain2():
-    return make_poset(["a", "b"], [])
 
 
 class TestBuildStage:
@@ -339,37 +308,9 @@ class TestBuildStage:
             assert verify_complex(cx)
         assert min(tried.values()) > 0
 
-    def test_verify_complex_matches_the_member_loop_on_flipped_bits(self):
-        # stage 3 of the depth-3 terminal complexes over posets of at most
-        # four elements: one member mask at a time with one bit of the
-        # stage below flipped, so that it stays rooted and loses or gains
-        # an element above the root (often not open then), loses its root,
-        # or gains an element elsewhere. A stage cut short, padded or
-        # emptied against its root map fails on both kernels
-        rng = random.Random(1706)
-        verdicts = {True: 0, False: 0}
-        for n in range(1, 5):
-            for p in all_posets(n):
-                cx = terminal_complex(p, 3)
-                masks = cx.stages[3].masks
-                width = cx.stages[2].n
-                picks = rng.sample(range(len(masks)), min(8, len(masks)))
-                for idx in picks:
-                    for bit in range(width):
-                        bad = masks[idx] ^ 1 << bit
-                        cx.stages[3].masks = (
-                            masks[:idx] + (bad,) + masks[idx + 1:]
-                        )
-                        want = verify_complex_by_members(cx)
-                        assert verify_complex(cx) == want
-                        verdicts[want] += 1
-                for cut in (masks[:-1], masks + (masks[0],), ()):
-                    cx.stages[3].masks = cut
-                    assert not verify_complex(cx)
-                    assert not verify_complex_by_members(cx)
-                cx.stages[3].masks = masks
-                assert verify_complex(cx)
-        assert min(verdicts.values()) > 0
+    test_verify_complex_matches_the_member_loop_on_flipped_bits = folded(
+        "verify_complex"
+    )
 
     def test_verify_complex_rejects_corrupted_stage(self):
         cx = build_complex(identity_map(chain2()), 2)
@@ -458,25 +399,7 @@ class TestLift:
                         assert t.compatible()
                         assert t.coords_monotone()
 
-    def test_index_lift_matches_nested_route(self):
-        # every monotone map between posets of at most three elements, at
-        # depth 3: the stage-index lift is the nested-value lift resolved
-        # through the stage values, and both are compatible and monotone
-        posets = posets_up_to(3)
-        count = 0
-        for q in posets:
-            cx = terminal_complex(q, 3)
-            for p in posets:
-                for f in monotone_maps(p, q):
-                    t = lift_map(f, cx, 3)
-                    got = [m.assign for m in t.maps[1:]]
-                    assert got == nested_lift(f, cx, 3)
-                    levels = tower_coords(p, f.assign, 3)
-                    assert t.compatible() == nested_compatible(q, levels)
-                    assert t.coords_monotone() == nested_monotone(p, q, levels)
-                    assert t.compatible() and t.coords_monotone()
-                    count += 1
-        assert count == 476
+    test_index_lift_matches_nested_route = folded("lift_map")
 
     def test_lift_level_refuses_a_non_member(self):
         # a < b sent to the two points of an antichain: the image of up(a)
@@ -554,34 +477,12 @@ class TestLimitCheckOracle:
     every tower of the stage it replaced (check_limit_pmorphism_by_towers,
     in tests/helpers.py)."""
 
-    def test_every_tower_map_between_posets_up_to_three(self):
-        # every tower map enumerate_tower_maps yields between posets of at
-        # most three elements at depths 1-3; none exceeds the default caps
-        posets = posets_up_to(3)
-        verdicts = {True: 0, False: 0}
-        for q in posets:
-            cx = terminal_complex(q, 3)
-            for p in posets:
-                for depth in (1, 2, 3):
-                    for t in enumerate_tower_maps(p, cx, depth):
-                        want = check_limit_pmorphism_by_towers(t, depth)
-                        assert check_limit_pmorphism(t, depth) == want
-                        verdicts[want] += 1
-        assert verdicts == {True: 1428, False: 46503}
-
-    def test_every_lift_between_posets_up_to_three(self):
-        posets = posets_up_to(3)
-        count = 0
-        for q in posets:
-            cx = terminal_complex(q, 3)
-            for p in posets:
-                for f in monotone_maps(p, q):
-                    for depth in (1, 2, 3):
-                        t = lift_map(f, cx, depth)
-                        assert check_limit_pmorphism_by_towers(t, depth)
-                        assert check_limit_pmorphism(t, depth)
-                        count += 1
-        assert count == 1428
+    test_every_tower_map_between_posets_up_to_three = folded(
+        "check_limit_pmorphism"
+    )
+    test_every_lift_between_posets_up_to_three = folded(
+        "check_limit_pmorphism"
+    )
 
     def test_a_swapped_coordinate_fails(self):
         # swapping two points' values in a coordinate below the deepest

@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -31,47 +30,32 @@ from imcoalg.frames import (
     check_nbhd_coalgebra_morphism,
     upmap_to_frame,
 )
-from imcoalg.complexes import tower_coords
-from imcoalg.heyting import up_functor, up_functor_map
+from imcoalg.heyting import up_functor
 from imcoalg.poset import (
     Poset,
     PosetMap,
     identity_map,
-    is_pmorphism,
     iter_bits,
     make_poset,
     point_poset,
 )
-from imcoalg.enumeration import (
-    all_posets,
-    frames_up_to_iso,
-    monotone_maps,
-    pmorphisms,
-)
+from imcoalg.enumeration import all_posets, monotone_maps, pmorphisms
 from imcoalg.framefile import parse_frame_file
 
 from helpers import (
     all_functions,
+    all_nbhd_frames,
+    chain2,
     compose,
-    first_disagreement,
+    counted_mix_law_witness,
     frames_on,
-    nested_compatible,
-    nested_image,
-    nested_monotone,
-    preimage_table,
-    pull_back_by_bits,
+    index_levels_as_masks,
+    index_lift_is_tower,
     random_mix_frame,
     random_poset,
+    serial_chain_frame,
 )
-from test_bisim import _iso_frames_up_to_three
-
-
-def chain2():
-    return make_poset(["a", "b"], [("a", "b")])
-
-
-def serial_chain_frame():
-    return ModalFrame.from_pairs(chain2(), [("a", "b"), ("b", "b")])
+from oracles import folded, index_lifted, mix_law_witness_by_bits
 
 
 class TestMixLaw:
@@ -117,40 +101,8 @@ class TestMixLaw:
                     break  # 2^9 per poset is enough; skip the rest of size 3
 
 
-def mix_rows_by_bits(frame):
-    """The bit loops that the mix closure replaced: per x, the union of
-    ↑v over v in R[u] for u in ↑x."""
-    p, rel = frame.poset, frame.rel
-    out = []
-    for x in range(p.n):
-        closed = 0
-        for u in iter_bits(p.up[x]):
-            for v in iter_bits(rel[u]):
-                closed |= p.up[v]
-        out.append(closed)
-    return out
-
-
-def mix_law_witness_by_bits(frame):
-    p = frame.poset
-    for x, closed in enumerate(mix_rows_by_bits(frame)):
-        extra = closed & ~frame.rel[x]
-        if extra:
-            return (p.labels[x], p.labels[next(iter_bits(extra))])
-    return None
-
-
 class TestMixClosureAgainstOracle:
-    def test_every_relation_up_to_three_elements(self):
-        for n in (1, 2, 3):
-            for p in all_posets(n):
-                for bits in range(1 << (p.n * p.n)):
-                    rel = [
-                        (bits >> (x * p.n)) & p.full_mask for x in range(p.n)
-                    ]
-                    fr = ModalFrame(p, rel)
-                    assert mix_closure(fr).rel == tuple(mix_rows_by_bits(fr))
-                    assert mix_law_witness(fr) == mix_law_witness_by_bits(fr)
+    test_every_relation_up_to_three_elements = folded("mix_closure")
 
 
 def generated_posets(p, rng):
@@ -260,25 +212,6 @@ class TestMixLawOncePerFrame:
         assert calls == [left, right]
 
 
-def counted_mix_law_witness(monkeypatch):
-    """Bind mix_law_witness to a wrapper in every imcoalg module that holds
-    it, as the benchmark's tracer does; the list it returns collects the
-    frame of each call."""
-    calls = []
-    original = frames.mix_law_witness
-
-    def counted(frame):
-        calls.append(frame)
-        return original(frame)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "imcoalg" and (
-            getattr(module, "mix_law_witness", None) is original
-        ):
-            monkeypatch.setattr(module, "mix_law_witness", counted)
-    return calls
-
-
 class TestCorrespondence:
     def test_empty_relation_constant_bottom(self):
         p = chain2()
@@ -372,48 +305,6 @@ class TestCorrespondence:
     def test_family_count_checked(self):
         with pytest.raises(UnknownLabel):
             NbhdFrame(chain2(), (0, 0, 0))
-
-
-# -- the index route over Up(P): the oracle for the mask-valued checks -------
-
-
-def index_lifted(frame, depth):
-    """The lift of x -> R[x] as nested levels over Up(P) indices."""
-    return tower_coords(frame.poset, frame_to_upmap(frame).assign, depth)
-
-
-def index_levels_as_masks(levels, fv):
-    """The levels of an index-valued lift, with each index read as its mask."""
-    return [
-        tuple(nested_image(fv.masks.__getitem__, level, v) for v in values)
-        for level, values in enumerate(levels, 1)
-    ]
-
-
-def index_lift_is_tower(frame, levels, fv):
-    """The index-valued lift is compatible and monotone (nested route)."""
-    return nested_compatible(fv, levels) and nested_monotone(
-        frame.poset, fv, levels
-    )
-
-
-def index_coalgebra_morphism(f, frame1, frame2, depth=3):
-    """check_coalgebra_morphism through the Up(P) posets: level-1 values are
-    indices, and f acts on them by up_functor_map."""
-    if f.source != frame1.poset or f.target != frame2.poset:
-        return False
-    if not is_pmorphism(f):
-        return False
-    u = up_functor_map(f).assign.__getitem__
-    towers1 = index_lifted(frame1, depth)
-    towers2 = index_lifted(frame2, depth)
-    for x in range(frame1.poset.n):
-        fx = f.assign[x]
-        for level in range(1, depth + 1):
-            lhs = nested_image(u, level, towers1[level - 1][x])
-            if lhs != towers2[level - 1][fx]:
-                return False
-    return True
 
 
 def non_mix_frames():
@@ -565,62 +456,11 @@ class TestMaskRouteOracle:
     """check_coalgebra_morphism on upset masks agrees with the index route
     over Up(P) (up_functor, up_functor_map, tower_coords)."""
 
-    def test_exhaustive_small(self):
-        posets = all_posets(1) + all_posets(2)
-        for p in posets:
-            for q in posets:
-                maps = list(all_functions(p, q))
-                for f1 in frames_on(p):
-                    for f2 in frames_on(q):
-                        for f in maps:
-                            assert check_coalgebra_morphism(
-                                f, f1, f2, 3
-                            ) == index_coalgebra_morphism(f, f1, f2, 3)
-
-    def test_sample_of_frames_up_to_iso(self):
-        frames = [
-            fr
-            for n in (1, 2, 3)
-            for p in all_posets(n)
-            for fr in frames_up_to_iso(p)
-        ]
-        assert len(frames) == 310
-        rng = random.Random(404)
-        commuting = 0
-        for _ in range(400):
-            f1 = rng.choice(frames)
-            f2 = rng.choice([f1, rng.choice(frames)])
-            for f in all_functions(f1.poset, f2.poset):
-                got = check_coalgebra_morphism(f, f1, f2, 3)
-                assert got == index_coalgebra_morphism(f, f1, f2, 3)
-                commuting += got
-        assert commuting > 0
-
-    def test_every_pmorphism_between_frames_up_to_three(self):
-        # every p-morphism between the posets of each pair of the 310
-        # frames (735 776 instances), one depth each, the depths 1-3 in
-        # turn, against the nested-value route on lifts computed once
-        lifted = {}
-        for fr in _iso_frames_up_to_three():
-            levels = frame_to_lifted(fr, 3)
-            lifted.setdefault(fr.poset, []).append((fr, levels))
-        seen = Counter()
-        count = 0
-        for p, sources in lifted.items():
-            for q, targets in lifted.items():
-                for f in pmorphisms(p, q):
-                    for f1, levels1 in sources:
-                        for f2, levels2 in targets:
-                            fail = first_disagreement(
-                                f.image_mask, levels1, levels2, f.assign
-                            )
-                            depth = 1 + count % 3
-                            got = check_coalgebra_morphism(f, f1, f2, depth)
-                            assert got == (fail > depth)
-                            seen[depth, got] += 1
-                            count += 1
-        assert count == 735776
-        assert len(seen) == 6
+    test_exhaustive_small = folded("check_coalgebra_morphism")
+    test_sample_of_frames_up_to_iso = folded("check_coalgebra_morphism")
+    test_every_pmorphism_between_frames_up_to_three = folded(
+        "check_coalgebra_morphism:nested"
+    )
 
 
 class TestPowUp:
@@ -662,24 +502,7 @@ class TestPowUp:
         with pytest.raises(ValueNotUpset):
             NbhdFrame(p, [fam, fam], strict=True)
 
-    def test_strict_mode_matches_member_test(self):
-        # a family is up-closed when every upset below one of its members
-        # in the reverse-inclusion order is a member too
-        for n in (1, 2, 3):
-            for p in all_posets(n):
-                order = up_functor(p)
-                for fam in range(1 << order.n):
-                    closed = all(
-                        (fam >> j) & 1
-                        for i in iter_bits(fam)
-                        for j in iter_bits(order.up[i])
-                    )
-                    try:
-                        NbhdFrame(p, [fam] * p.n, strict=True)
-                        accepted = True
-                    except ValueNotUpset:
-                        accepted = False
-                    assert accepted == closed
+    test_strict_mode_matches_member_test = folded("NbhdFrame:strict")
 
     def test_label_family_with_a_non_upset_rejected(self):
         ff = parse_frame_file(
@@ -723,10 +546,8 @@ class TestPowUp:
         posets = all_posets(1) + all_posets(2)
         for p in posets:
             for q in posets:
-                pv = pow_up_functor(p)
-                qv = pow_up_functor(q)
-                nf1s = _all_nbhd_frames(p, pv)
-                nf2s = _all_nbhd_frames(q, qv)
+                nf1s = all_nbhd_frames(p)
+                nf2s = all_nbhd_frames(q)
                 for f in monotone_maps(p, q):
                     for nf1 in nf1s:
                         for nf2 in nf2s:
@@ -736,35 +557,9 @@ class TestPowUp:
                             )
                             assert cond == square
 
-    def test_pullback_matches_the_bit_loop(self):
-        # criterion 9's instances: every monotone map between posets of at
-        # most two elements and every pair of neighbourhood frames on them,
-        # against the per-bit pullback the image kernel replaced
-        posets = all_posets(1) + all_posets(2)
-        verdicts = Counter()
-        for p in posets:
-            nf1s = _all_nbhd_frames(p, pow_up_functor(p))
-            for q in posets:
-                nf2s = _all_nbhd_frames(q, pow_up_functor(q))
-                for f in monotone_maps(p, q):
-                    pre = preimage_table(f)
-                    u = pow_up_map(f).assign
-                    assert list(u) == [
-                        pull_back_by_bits(pre, fam) for fam in range(len(u))
-                    ]
-                    for nf1 in nf1s:
-                        pulled = [
-                            pull_back_by_bits(pre, fam) for fam in nf1.families
-                        ]
-                        for nf2 in nf2s:
-                            want = all(
-                                nf2.families[t] == b
-                                for t, b in zip(f.assign, pulled)
-                            )
-                            got = nbhd_morphism_condition(f, nf1, nf2)
-                            assert got == want
-                            verdicts[want] += 1
-        assert verdicts == {True: 3995, False: 305220}
+    test_pullback_matches_the_bit_loop = folded(
+        "pow_up_map", "nbhd_morphism_condition"
+    )
 
     def test_square_refuses_a_map_between_other_posets(self):
         # the square compared a map of the point on the first point of a
@@ -781,60 +576,9 @@ class TestPowUp:
         assert check_nbhd_coalgebra_morphism(ident, small, small, 1)
         assert nbhd_morphism_condition(ident, small, small)
 
-    def test_lifted_square_matches_nested_route_up_to_two(self):
-        # every monotone map between posets of at most two elements and
-        # every pair of neighbourhood frames on them (309 215 instances),
-        # one depth each, the depths 1-3 in turn, against the nested-value
-        # route on lifts computed once
-        posets = all_posets(1) + all_posets(2)
-        lifted = {
-            p: [
-                (nf, tower_coords(p, nbhd_to_coalgebra(nf).assign, 3))
-                for nf in _all_nbhd_frames(p, pow_up_functor(p))
-            ]
-            for p in posets
-        }
-        seen = Counter()
-        count = 0
-        for p in posets:
-            for q in posets:
-                for f in monotone_maps(p, q):
-                    u = pow_up_map(f).assign.__getitem__
-                    for nf1, levels1 in lifted[p]:
-                        for nf2, levels2 in lifted[q]:
-                            fail = first_disagreement(
-                                u, levels1, levels2, f.assign
-                            )
-                            depth = 1 + count % 3
-                            got = check_nbhd_coalgebra_morphism(
-                                f, nf1, nf2, depth
-                            )
-                            assert got == (fail > depth)
-                            seen[fail] += 1
-                            count += 1
-        assert count == 309215
-        assert set(seen) == {1, 2, 4}
-
-
-def _all_nbhd_frames(p, fv):
-    out = []
-    size = fv.n
-
-    def extend(i, chosen):
-        if i == p.n:
-            out.append(NbhdFrame(p, tuple(chosen)))
-            return
-        for fam in range(size):
-            if all(
-                not p.leq(j, i) or chosen[j] & ~fam == 0
-                for j in range(i)
-            ) and all(
-                not p.leq(i, j) or fam & ~chosen[j] == 0 for j in range(i)
-            ):
-                extend(i + 1, chosen + [fam])
-
-    extend(0, [])
-    return out
+    test_lifted_square_matches_nested_route_up_to_two = folded(
+        "check_nbhd_coalgebra_morphism"
+    )
 
 
 class TestPowUpMapAction:

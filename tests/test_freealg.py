@@ -1,11 +1,9 @@
-from types import SimpleNamespace
 
 import pytest
 
 from imcoalg import freealg, heyting
-from imcoalg.complexes import terminal_complex, tower_coords
 from imcoalg.config import Caps
-from imcoalg.enumeration import monotone_maps, pmorphisms
+from imcoalg.enumeration import pmorphisms
 from imcoalg.errors import (
     CapExceeded,
     MixLawViolation,
@@ -13,7 +11,7 @@ from imcoalg.errors import (
     StageTooLarge,
     TooManyGenerators,
 )
-from imcoalg.frames import ModalFrame, mix_closure
+from imcoalg.frames import ModalFrame
 from imcoalg.freealg import (
     MAX_INNER_DEPTH,
     MAX_STAGES,
@@ -24,7 +22,6 @@ from imcoalg.freealg import (
     generator_poset,
     universal_lift,
 )
-from imcoalg.heyting import up_functor, up_functor_map
 from imcoalg.poset import (
     PosetMap,
     identity_map,
@@ -33,17 +30,24 @@ from imcoalg.poset import (
     iter_bits,
     make_poset,
     point_poset,
-    product,
-    terminal_map,
     upset_masks,
 )
 
 from helpers import (
+    GOLDEN_STAGE_SIZES,
+    chain_to_gen,
     frames_on,
-    nested_image,
+    free_bases,
+    hand_built_lifts,
     posets_up_to,
-    stage_values,
-    value_root,
+    reflexive_bottom_chain,
+)
+from oracles import (
+    check,
+    folded,
+    index_route_lift,
+    index_route_stages,
+    index_route_truncated_pmorphism,
 )
 
 
@@ -59,169 +63,6 @@ def layers_inside_the_caps():
                 except StageTooLarge:
                     continue
                 yield lib
-
-
-# -- the criterion-8 inputs (shared with tests/test_acceptance.py) -----------
-
-# (base key, stages, inner depth) -> stage sizes, frozen after the first
-# oracle run: regression values only, never ground truth
-GOLDEN_STAGE_SIZES = {
-    ("point", 2, 1): [1, 2, 3],
-    ("point", 2, 2): [1, 3, 29],
-    ("chain2", 2, 1): [2, 6, 20],
-    ("chain2", 1, 2): [2, 14],
-    ("gen1", 2, 1): [2, 6, 20],
-    ("gen1", 1, 2): [2, 14],
-}
-
-
-def free_bases():
-    return {
-        "point": point_poset(),
-        "chain2": make_poset(["a", "b"], [("a", "b")]),
-        "gen1": generator_poset(["p"]),
-    }
-
-
-def chain_to_gen():
-    """The 2-chain onto the one-generator poset, a below p."""
-    return PosetMap.from_dict(
-        free_bases()["chain2"], generator_poset(["p"]),
-        {"a": frozenset({"p"}), "b": frozenset()},
-    )
-
-
-def hand_built_lifts():
-    """(target base key, seed p-morphism, mix-law frame) triples whose
-    universal lifts pass the truncated back condition."""
-    chain = free_bases()["chain2"]
-    gen = generator_poset(["p"])
-    to_gen = chain_to_gen()
-    diamond = make_poset(
-        ["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]
-    )
-    collapse = PosetMap.from_dict(
-        diamond, gen,
-        {
-            "o": frozenset({"p"}),
-            "l": frozenset(),
-            "r": frozenset(),
-            "t": frozenset(),
-        },
-    )
-    return [
-        ("gen1", to_gen, ModalFrame.from_pairs(chain, [("a", "b"), ("b", "b")])),
-        ("gen1", to_gen, ModalFrame.from_pairs(chain, [])),
-        ("gen1", to_gen, ModalFrame.from_pairs(
-            chain, [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-        )),
-        ("gen1", collapse, mix_closure(
-            ModalFrame.from_pairs(diamond, [("o", "t"), ("l", "t"), ("r", "t"), ("t", "t")])
-        )),
-        ("gen1", identity_map(gen), ModalFrame.from_pairs(
-            gen, [(frozenset({"p"}), frozenset()), (frozenset(), frozenset())]
-        )),
-        ("point", terminal_map(chain), ModalFrame.from_pairs(chain, [("b", "b"), ("a", "b")])),
-    ]
-
-
-def reflexive_bottom_chain():
-    """The documented negative: its lift fails the back condition."""
-    chain = free_bases()["chain2"]
-    return mix_closure(ModalFrame.from_pairs(chain, [("a", "a")]))
-
-
-# -- the index route: layers whose inner complexes carry Up(P) indices -------
-
-
-def index_route_stages(base, stages, inner_depth):
-    """The layer sequence by the nested-value route over Up(P) indices: R_k
-    by the iterated root of the inner tower's nested value, projections by
-    pushing nested values through up_functor_map and looking them up in
-    the previous complex's value table."""
-    out = [SimpleNamespace(
-        index=0, poset=base, projection=identity_map(base),
-        inner_depth=inner_depth,
-    )]
-    for _ in range(stages):
-        stage = out[-1]
-        fv = up_functor(stage.poset)
-        cx = terminal_complex(fv, inner_depth)
-        vals = stage_values(cx, inner_depth)
-        poset = product(base, cx.stages[inner_depth])
-        pairs = tuple(
-            (i, j) for i in range(base.n)
-            for j in range(cx.stages[inner_depth].n)
-        )
-        rel = []
-        for _, j in pairs:
-            coord = vals[j]
-            for level in range(inner_depth, 1, -1):
-                coord = value_root(fv, level, coord)
-            rel.append(fv.masks[coord])
-        if stage.index == 0:
-            assign = [i for i, _ in pairs]
-        else:
-            u = up_functor_map(stage.projection).assign
-            prev_n = stage.cx.stages[inner_depth].n
-            assign = [
-                i * prev_n + stage.index_of[
-                    nested_image(u.__getitem__, inner_depth, vals[j])
-                ]
-                for i, j in pairs
-            ]
-        out.append(SimpleNamespace(
-            index=stage.index + 1, poset=poset,
-            projection=PosetMap(poset, stage.poset, assign),
-            inner_depth=inner_depth, prev=stage.poset, rel=tuple(rel),
-            pairs=pairs, fv=fv, cx=cx,
-            index_of={v: k for k, v in enumerate(vals)},
-        ))
-    return out
-
-
-def index_route_lift(p, frame, stages):
-    """universal_lift's maps with successor images read as Up(P) indices."""
-    d = stages[0].inner_depth
-    source = p.source
-    maps = [p]
-    for stage in stages[1:]:
-        images = [
-            stage.fv.index_of_mask(
-                stage.prev.up_close(maps[-1].image_mask(frame.rel[y]))
-            )
-            for y in range(source.n)
-        ]
-        top = tower_coords(source, images, d)[d - 1]
-        inner_n = stage.cx.stages[d].n
-        maps.append(PosetMap(source, stage.poset, [
-            p.assign[y] * inner_n + stage.index_of[top[y]]
-            for y in range(source.n)
-        ]))
-    return maps
-
-
-def index_route_truncated_pmorphism(stage, assign, source):
-    """check_truncated_pmorphism with the depth d-1 tower recovered by
-    value_root over the nested index values."""
-    if not is_monotone(PosetMap(source, stage.poset, assign)):
-        return False
-    d = stage.inner_depth
-    vals = stage_values(stage.cx, d)
-
-    def prefix(c):
-        return None if d == 1 else value_root(stage.fv, d, vals[c])
-
-    for y in range(source.n):
-        for e2 in iter_bits(stage.poset.up[assign[y]]):
-            x2, c2 = stage.pairs[e2]
-            if not any(
-                stage.pairs[assign[y2]][0] == x2
-                and prefix(stage.pairs[assign[y2]][1]) == prefix(c2)
-                for y2 in iter_bits(source.up[y])
-            ):
-                return False
-    return True
 
 
 class TestIndexRouteOracle:
@@ -304,17 +145,7 @@ class TestIndexRouteOracle:
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_STAGE_SIZES))
     def test_back_condition_matches_on_monotone_maps(self, key):
-        name, stages, depth = key
-        lib = build_free_stages(free_bases()[name], stages, depth)
-        ref = index_route_stages(free_bases()[name], stages, depth)
-        for source in (point_poset(), free_bases()["chain2"]):
-            for k in range(1, stages + 1):
-                for f in monotone_maps(source, lib[k].poset):
-                    assert check_truncated_pmorphism(
-                        lib[k], f.assign, source
-                    ) == index_route_truncated_pmorphism(
-                        ref[k], f.assign, source
-                    )
+        check("check_truncated_pmorphism")
 
 
 class TestGeneratorPoset:
@@ -401,14 +232,7 @@ class TestBuildStages:
         # 11 over one generator and 494 over two (inner depth 1)
         assert images == 3 + 4 + 11 + 494
 
-    def test_projection_matches_recursion(self):
-        # the projection of (x, C) keeps x and pushes the inner tower
-        stages = build_free_stages(generator_poset(["p"]), 2, 1)
-        m2 = stages[2]
-        for e, (i, _) in enumerate(m2.pairs):
-            image = m2.projection.assign[e]
-            gi, _ = stages[1].pairs[image]
-            assert gi == i
+    test_projection_matches_recursion = folded("FreeStage.projection")
 
     def test_stage_caps(self):
         with pytest.raises(CapExceeded):

@@ -26,39 +26,12 @@ from imcoalg.poset import (
 )
 from imcoalg.enumeration import all_posets, mix_relations, monotone_maps, pmorphisms
 
-from helpers import compose, mask_of
-from test_poset import containment_rows_oracle
-
-
-def join_irreducibles_oracle(base):
-    """Irreducibles by testing every pair of upsets, found by a scan over
-    all subsets; rows by pair tests."""
-    upsets = [m for m in range(1 << base.n) if base.is_upset(m)]
-    irred = []
-    for m in upsets:
-        if m == 0:
-            continue
-        below = 0
-        for d in upsets:
-            if d != m and d & ~m == 0:
-                below |= d
-        if below != m:
-            irred.append(m)
-    labels = [base.labels[base.min_of(m)] for m in irred]
-    return labels, containment_rows_oracle(irred)
-
-
-def chain2():
-    return make_poset(["a", "b"], [("a", "b")])
+from helpers import chain2, compose, mask_of
+from oracles import containment_rows_oracle, folded
 
 
 class TestUpsetMasks:
-    def test_equals_subset_scan_up_to_five_elements(self):
-        for n in range(1, 6):
-            for p in all_posets(n):
-                assert upset_masks(p) == tuple(
-                    m for m in range(1 << p.n) if p.is_upset(m)
-                )
+    test_equals_subset_scan_up_to_five_elements = folded("upset_masks")
 
     def test_bound_to_the_poset_kernel(self):
         assert heyting.upset_masks is poset.upset_masks
@@ -319,13 +292,9 @@ class TestJoinIrreducibles:
                     for b in j.labels:
                         assert j.leq_labels(a, b) == p.leq_labels(a, b)
 
-    def test_matches_pairwise_oracle_up_to_four_elements(self):
-        for n in (1, 2, 3, 4):
-            for p in all_posets(n):
-                j = join_irreducibles(p)
-                labels, up = join_irreducibles_oracle(p)
-                assert j.labels == tuple(labels)
-                assert j.up == up
+    test_matches_pairwise_oracle_up_to_four_elements = folded(
+        "join_irreducibles"
+    )
 
     def test_non_principal_irreducible_raises(self, monkeypatch):
         # an Up(P) whose masks hold {a} on a < b: {a} is not an upset, so

@@ -39,10 +39,10 @@ from imcoalg.enumeration import all_posets, frames_up_to_iso
 
 from helpers import (
     FORMULA_PIECES,
-    mask_of,
     formula_eq_by_recursion,
     formula_repr_by_recursion,
     letters_by_recursion,
+    mask_of,
     parse_by_descent,
     print_formula_by_recursion,
     random_mix_frame,
@@ -51,7 +51,7 @@ from helpers import (
     tokenize_formula,
     truth_mask_by_recursion,
 )
-from test_label_order import FORMULA_DEPTH, ONE_LETTER_3
+from oracles import first_of_each_truth_set, folded
 
 
 def chain_model():
@@ -195,18 +195,9 @@ class TestParserOracle:
         # both outcomes are common
         assert 20_000 < parsed < 80_000
 
-    def test_printer_matches_on_every_first_formula_of_one_letter_models(self):
-        models = dict.fromkeys(model for model, _, _ in ONE_LETTER_3)
-        formulas = {
-            phi
-            for model in models
-            for phi, _ in first_formulas(model, ("p",), FORMULA_DEPTH)
-        }
-        assert len(formulas) > 50
-        for phi in formulas:
-            text = print_formula(phi)
-            assert text == print_formula_by_recursion(phi)
-            assert parse(text) == phi
+    test_printer_matches_on_every_first_formula_of_one_letter_models = folded(
+        "print_formula"
+    )
 
 
 def _chain(make, n, right):
@@ -486,16 +477,6 @@ def _sampled_models():
     return out
 
 
-def _first_of_each_truth_set(stream):
-    seen = set()
-    out = []
-    for phi, t in stream:
-        if t not in seen:
-            seen.add(t)
-            out.append((phi, t))
-    return out
-
-
 class TestDefinableMasks:
     def test_contains_every_truth_set_of_the_stream(self):
         deeper = 0
@@ -543,7 +524,7 @@ class TestFirstFormulas:
     def test_first_formula_of_each_truth_set_of_the_stream(self):
         for model, stream in _sampled_models():
             assert list(first_formulas(model, ["p"], 3)) == (
-                _first_of_each_truth_set(stream)
+                first_of_each_truth_set(stream)
             )
 
     def test_two_letters_on_random_models(self):
@@ -557,7 +538,7 @@ class TestFirstFormulas:
             )
             stream = [(phi, truth_mask(model, phi)) for phi in formulas]
             assert list(first_formulas(model, ["p", "q"], 2)) == (
-                _first_of_each_truth_set(stream)
+                first_of_each_truth_set(stream)
             )
 
     def test_unbounded_depth_stops_at_the_closure(self):

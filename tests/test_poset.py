@@ -1,12 +1,11 @@
 import hashlib
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcoalg import poset as poset_module
-from imcoalg.complexes import build_complex, terminal_complex
+from imcoalg.complexes import build_complex
 from imcoalg.errors import (
     DuplicateLabel,
     NotAntisymmetric,
@@ -33,7 +32,6 @@ from imcoalg.poset import (
     open_table,
     point_poset,
     product,
-    sorted_index,
     terminal_map,
     transpose,
     upset_masks,
@@ -41,14 +39,24 @@ from imcoalg.poset import (
 from imcoalg.enumeration import all_posets, monotone_maps
 
 from helpers import (
-    all_functions,
-    canonical_poset_key,
+    antichain2,
+    assert_matches_eager,
+    chain2,
+    count_mask_labels,
     is_open_mask,
+    labels_by_bits,
     make_poset_by_verify,
     mask_of,
-    open_table_by_targets,
+    posets_up_to,
     random_poset,
-    transpose_by_bits,
+)
+from oracles import (
+    containment_rows_by_columns,
+    containment_rows_oracle,
+    folded,
+    is_monotone_by_pairs,
+    make_poset_by_fixpoint,
+    product_by_bits,
 )
 
 # SHA-256 of repr([p.up for p in all_posets(5)]) as the full scan over all
@@ -56,167 +64,6 @@ from helpers import (
 ALL_POSETS_5_SHA256 = (
     "e5cbe57ad8406f90ffe231512898965d0c078827bb36ba343123c8a2c51e3b07"
 )
-
-
-def containment_rows_oracle(masks):
-    """Row k has bit j iff masks[j] is a subset of masks[k], by testing
-    every pair."""
-    rows = []
-    for m in masks:
-        row = 0
-        for j, d in enumerate(masks):
-            if d & ~m == 0:
-                row |= 1 << j
-        rows.append(row)
-    return tuple(rows)
-
-
-def containment_rows_by_columns(masks, width):
-    """The column-bitset kernel that containment_rows replaced: one column
-    col[i] = {j : i in masks[j]} per base element, and row k clears every
-    column of an element outside masks[k]."""
-    cols = [0] * width
-    for j, m in enumerate(masks):
-        for i in iter_bits(m):
-            cols[i] |= 1 << j
-    full = (1 << len(masks)) - 1
-    rows = []
-    for m in masks:
-        out = 0
-        for i in iter_bits(((1 << width) - 1) & ~m):
-            out |= cols[i]
-        rows.append(full & ~out)
-    return tuple(rows)
-
-
-def labels_by_bits(masks, labels):
-    """The per-bit comprehension that mask_labels replaced."""
-    return [frozenset(labels[i] for i in iter_bits(m)) for m in masks]
-
-
-def assert_matches_eager(lazy, masks, base):
-    """A poset carried by masks over base, read first through index(),
-    equals the eagerly labelled poset over the same masks and rows in its
-    labels, index(), == and hash."""
-    eager = Poset(labels_by_bits(masks, base.labels), lazy.up, _trusted=True)
-    assert lazy.n == eager.n == len(masks)
-    for i, label in enumerate(eager.labels):
-        assert lazy.index(label) == i
-    with pytest.raises(UnknownLabel):
-        lazy.index(("absent",))
-    assert lazy.labels == eager.labels
-    assert lazy == eager and eager == lazy
-    assert hash(lazy) == hash(eager)
-
-
-def count_mask_labels(monkeypatch):
-    """Patch the mask_labels that mask-carried posets label themselves with
-    so that each call is recorded; returns the list of recorded calls."""
-    calls = []
-    real = poset_module.mask_labels
-
-    def counting(masks, labels):
-        calls.append(len(masks))
-        return real(masks, labels)
-
-    monkeypatch.setattr(poset_module, "mask_labels", counting)
-    return calls
-
-
-def product_by_bits(p, q):
-    """The bit loops that product replaced: one bit per pair of members of
-    ↑i and ↑j."""
-    labels = [(a, b) for a in p.labels for b in q.labels]
-    up = []
-    for i in range(p.n):
-        for j in range(q.n):
-            mask = 0
-            for i2 in iter_bits(p.up[i]):
-                for j2 in iter_bits(q.up[j]):
-                    mask |= 1 << (i2 * q.n + j2)
-            up.append(mask)
-    return Poset(labels, up, _trusted=True)
-
-
-def is_monotone_by_pairs(f):
-    """The pair test that is_monotone replaced: f(x) <= f(y) for every
-    y in ↑x."""
-    for x in range(f.source.n):
-        for y in iter_bits(f.source.up[x]):
-            if not f.target.leq(f.assign[x], f.assign[y]):
-                return False
-    return True
-
-
-def posets_up_to_three():
-    return [p for n in (1, 2, 3) for p in all_posets(n)]
-
-
-def g_open_by_images(mask, g):
-    """Openness as the g-images of up(s) and up(s) & S agreeing per member."""
-    p = g.source
-    for i in iter_bits(mask):
-        if g.image_mask(p.up[i]) != g.image_mask(p.up[i] & mask):
-            return False
-    return True
-
-
-def canonical_key_by_permutations(up):
-    """Least row-major relation matrix over all relabellings."""
-    n = len(up)
-    best = None
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        bits = 0
-        for i in range(n):
-            for j in iter_bits(up[inv[i]]):
-                bits |= 1 << (i * n + perm[j])
-        if best is None or bits < best:
-            best = bits
-    return best
-
-
-def all_posets_by_full_scan(n):
-    """Every strict relation on n elements, first labelling per class."""
-    labels = tuple("abcdefgh"[:n])
-    found = {}
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in range(1 << len(slots)):
-        up = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(slots):
-            if (bits >> k) & 1:
-                up[i] |= 1 << j
-        if any(
-            (j != i and (up[j] >> i) & 1) or up[j] & ~up[i]
-            for i in range(n)
-            for j in iter_bits(up[i])
-        ):
-            continue
-        found.setdefault(
-            canonical_key_by_permutations(up), Poset(labels, up, _trusted=True)
-        )
-    return [found[k] for k in sorted(found)]
-
-
-def make_poset_by_fixpoint(labels, pairs):
-    """The closure loop that make_poset's Warshall pass replaced: replace
-    each row by the union of the rows over its bits until nothing changes."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    up = [1 << i for i in range(n)]
-    for a, b in pairs:
-        up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = image(up, up[i])
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    return Poset(labels, up)
 
 
 def _built(build, labels, pairs):
@@ -236,14 +83,6 @@ def _made(build, labels, pairs):
             UnknownLabel) as exc:
         return type(exc), str(exc)
     return p, p.down
-
-
-def chain2():
-    return make_poset(["a", "b"], [("a", "b")])
-
-
-def antichain2():
-    return make_poset(["a", "b"], [])
 
 
 class TestConstruction:
@@ -485,60 +324,11 @@ class TestRelativeOpen:
         assert is_open_mask(mask_of(p, ["a", "b"]), table)
         assert all_open([mask_of(p, ["b"]), mask_of(p, ["a", "b"])], table)
 
-    def test_open_table_matches_images_up_to_three_elements(self):
-        posets = [p for n in (1, 2, 3) for p in all_posets(n)]
-        for p in posets:
-            for q in posets:
-                for g in monotone_maps(p, q):
-                    table = open_table(g)
-                    needy, rows = table
-                    assert needy == sum(
-                        1 << i for i in range(p.n) if rows[i]
-                    )
-                    opens = []
-                    for mask in range(1 << p.n):
-                        want = g_open_by_images(mask, g)
-                        assert is_open_mask(mask, table) == want
-                        assert all_open([mask], table) == want
-                        if want:
-                            opens.append(mask)
-                    assert all_open(opens, table)
-                    assert all_open(range(1 << p.n), table) == (
-                        len(opens) == 1 << p.n
-                    )
-
-    def test_open_table_matches_the_target_sets(self):
-        # every monotone map between posets of <= 3 elements, and every
-        # root map of the depth-3 terminal complexes over <= 4 elements
-        # (up to 2 856 elements onto 15); rows compared in any order
-        posets = [p for n in (1, 2, 3) for p in all_posets(n)]
-        maps = [g for p in posets for q in posets for g in monotone_maps(p, q)]
-        for n in (1, 2, 3, 4):
-            for p in all_posets(n):
-                maps += terminal_complex(p, 3).root_maps[1:]
-        assert max(g.target.n for g in maps) == 15
-        for g in maps:
-            needy, rows = open_table(g)
-            want_needy, want_rows = open_table_by_targets(g)
-            assert needy == want_needy
-            assert list(map(sorted, rows)) == list(map(sorted, want_rows))
-
-    def test_all_open_matches_the_member_loop_on_random_stages(self):
-        # whole lists of masks at once, over bases of up to 20 elements
-        # (three 8-bit chunks), with bits past the base and empty lists
-        rng = random.Random(17)
-        for _ in range(300):
-            p = random_poset(rng, rng.randrange(1, 21))
-            q = random_poset(rng, rng.randrange(1, 4))
-            g = PosetMap(p, q, [rng.randrange(q.n) for _ in range(p.n)])
-            table = open_table(g)
-            masks = [
-                rng.getrandbits(p.n + rng.choice((0, 0, 3)))
-                for _ in range(rng.randrange(6))
-            ]
-            want = all(is_open_mask(m, table) for m in masks)
-            assert all_open(masks, table) == want
-            assert all_open(tuple(masks), table) == want
+    test_open_table_matches_images_up_to_three_elements = folded("all_open")
+    test_open_table_matches_the_target_sets = folded("open_table")
+    test_all_open_matches_the_member_loop_on_random_stages = folded(
+        "all_open:lists"
+    )
 
     def test_bit_planes_are_the_columns_of_the_masks(self):
         rng = random.Random(5)
@@ -609,40 +399,12 @@ class TestRelationKernels:
     def test_no_rows(self):
         assert image([], 0) == 0
         assert transpose([], 0) == []
-
-    def test_transpose_matches_the_bit_loop(self):
-        # n runs from the highest set bit to well past it, across 8-bit
-        # chunk edges; all-zero rows and empty row lists included
-        rng = random.Random(2020)
-        for count in (0, 1, 2, 5, 9, 17, 40):
-            for top in (0, 1, 7, 8, 9, 16, 33):
-                rows = [rng.getrandbits(top) for _ in range(count)]
-                if count:
-                    rows[rng.randrange(count)] = 0
-                for n in range(top, top + 10):
-                    assert transpose(rows, n) == transpose_by_bits(rows, n)
-
-    def test_sorted_index_matches_a_scan(self):
-        rng = random.Random(17)
-        for size in range(12):
-            items = sorted(rng.sample(range(40), size))
-            for value in range(-1, 42):
-                want = items.index(value) if value in items else None
-                assert sorted_index(items, value) == want
         assert transpose([], 3) == [0, 0, 0]
 
-    def test_product_matches_bit_loops_up_to_three_elements(self):
-        posets = posets_up_to_three()
-        for p in posets:
-            for q in posets:
-                assert product(p, q) == product_by_bits(p, q)
-
-    def test_is_monotone_matches_pair_test_on_all_functions(self):
-        posets = posets_up_to_three()
-        for p in posets:
-            for q in posets:
-                for f in all_functions(p, q):
-                    assert is_monotone(f) == is_monotone_by_pairs(f)
+    test_transpose_matches_the_bit_loop = folded("transpose")
+    test_sorted_index_matches_a_scan = folded("sorted_index")
+    test_product_matches_bit_loops_up_to_three_elements = folded("product")
+    test_is_monotone_matches_pair_test_on_all_functions = folded("is_monotone")
 
     def test_free_layers_match_replaced_kernels(self):
         # the layers of `freealg --generators 2 --stages 2`: each layer is
@@ -700,13 +462,9 @@ class TestEnumerateUpsets:
 
 
 class TestContainmentRows:
-    def test_matches_pair_tests_on_upsets_up_to_four_elements(self):
-        for n in (1, 2, 3, 4):
-            for p in all_posets(n):
-                masks = upset_masks(p)
-                assert containment_rows(masks, p.n) == (
-                    containment_rows_oracle(masks)
-                )
+    test_matches_pair_tests_on_upsets_up_to_four_elements = folded(
+        "containment_rows"
+    )
 
     def test_unsorted_and_repeated_masks(self):
         masks = (6, 0, 3, 6, 1)
@@ -748,12 +506,12 @@ class TestContainmentRows:
 class TestOverMasks:
     def test_up_functor_values_match_eager_posets(self):
         # up_functor is memoized, so its unwrapped body gives fresh values
-        for p in posets_up_to_three():
+        for p in posets_up_to(3):
             fv = up_functor.__wrapped__(p)
             assert_matches_eager(fv, fv.masks, p)
 
     def test_pow_up_functor_values_match_eager_posets(self):
-        for p in posets_up_to_three():
+        for p in posets_up_to(3):
             fv = pow_up_functor.__wrapped__(p)
             assert_matches_eager(fv, fv.masks, up_functor(p))
 
@@ -842,12 +600,7 @@ class TestOverMasks:
 
 
 class TestAllPosets:
-    def test_matches_full_scan_up_to_four_elements(self):
-        for n in range(5):
-            new = all_posets(n)
-            old = all_posets_by_full_scan(n)
-            assert [p.up for p in new] == [p.up for p in old]
-            assert [p.labels for p in new] == [p.labels for p in old]
+    test_matches_full_scan_up_to_four_elements = folded("all_posets")
 
     def test_five_elements_pinned(self):
         ups = [p.up for p in all_posets(5)]
@@ -855,9 +608,4 @@ class TestAllPosets:
         digest = hashlib.sha256(repr(ups).encode()).hexdigest()
         assert digest == ALL_POSETS_5_SHA256
 
-    def test_canonical_key_matches_permutation_scan(self):
-        for n in range(5):
-            for p in all_posets(n):
-                assert canonical_poset_key(p) == (
-                    canonical_key_by_permutations(p.up)
-                )
+    test_canonical_key_matches_permutation_scan = folded("canonical_poset_key")

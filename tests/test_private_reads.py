@@ -1,28 +1,59 @@
-"""No oracle in ``tests/helpers.py`` reads a private name of the package.
+"""No test module reads a private name of the package, except a private
+kernel that a test checks as code under test.
 
-An oracle that calls a private kernel of the code it checks shares that
-kernel's faults, so the comparison can no longer see them. No code in
-``tests/helpers.py`` may read an underscore-prefixed attribute of an
-``imcoalg`` module (``bisim._refine``), nor import an underscore-prefixed
-name from one (``from imcoalg.enumeration import _permuted``). Dunder
-names such as ``__version__`` are public.
+An oracle or an instance builder that calls a private kernel of the code
+it checks shares that kernel's faults, so the comparison can no longer see
+them. No module under ``tests/`` may read an underscore-prefixed attribute
+of an ``imcoalg`` module (``bisim._refine``), nor import an
+underscore-prefixed name from one (``from imcoalg.enumeration import
+_permuted``), unless the name is on ``CODE_UNDER_TEST`` below. Oracles and
+instance builders get no entry there: in ``tests/oracles.py``, where they
+sit beside the kernels they check, a listed name may be read only as the
+kernel argument of a ``register`` call. Dunder names such as
+``__version__`` are public.
 """
 
 import ast
 from pathlib import Path
 
-HELPERS = Path(__file__).resolve().parent / "helpers.py"
+import pytest
+
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+# the private kernels a test reads as the code it checks, each with why
+CODE_UNDER_TEST = {
+    "imcoalg.bisim._disjoint_sum": (
+        "truth on the sum of two models is checked against each side"
+    ),
+    "imcoalg.bisim._compatible": (
+        "the compatibility rows are checked against the pair loop"
+    ),
+    "imcoalg.bisim._failing_projection": (
+        "the projection test on rows is checked against is_pmorphism"
+    ),
+    "imcoalg.complexes._sorted_by_mask": (
+        "the stage builders are checked to sort only where they must"
+    ),
+    "imcoalg.frames._holds_on_generators": (
+        "the mix law on generating pairs is checked against the bit loop"
+    ),
+}
 
 
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
-def private_reads(source):
+def private_reads(source, outside_kernels=False):
     """(line, "module.name") for every private name of an imcoalg module
     that source imports or reads as a module attribute, in order of
-    appearance."""
+    appearance; with outside_kernels, not counting the reads inside the
+    kernel argument of a ``register`` call."""
     tree = ast.parse(source)
+    kernels = set()
+    for node in ast.walk(tree):
+        if outside_kernels and _is_register(node):
+            kernels.update(map(id, ast.walk(node.args[1])))
     modules = {}
     out = []
     for node in ast.walk(tree):
@@ -49,6 +80,7 @@ def private_reads(source):
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
             and _private(node.attr)
+            and id(node) not in kernels
         ):
             path = _dotted(node.value)
             if path is not None and path.split(".")[0] in modules:
@@ -56,6 +88,14 @@ def private_reads(source):
                 module = modules[head] + (f".{rest}" if rest else "")
                 out.append((node.lineno, f"{module}.{node.attr}"))
     return sorted(out)
+
+
+def _is_register(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "register"
+    )
 
 
 def _dotted(node):
@@ -94,5 +134,39 @@ def test_detects_private_reads():
     ]
 
 
+def test_detects_private_reads_outside_kernels():
+    source = (
+        "from imcoalg import bisim\n"
+        "register(\n"
+        "    'x', lambda b: bisim._compatible(b),\n"
+        "    lambda b: bisim._compatible(b), lambda: (),\n"
+        ")\n"
+        "def instances():\n"
+        "    return bisim._failing_projection\n"
+    )
+    assert private_reads(source, outside_kernels=True) == [
+        (4, "imcoalg.bisim._compatible"),
+        (7, "imcoalg.bisim._failing_projection"),
+    ]
+
+
+def test_oracles_read_private_names_only_as_kernels():
+    oracles = next(p for p in TEST_MODULES if p.name == "oracles.py")
+    assert private_reads(oracles.read_text(), outside_kernels=True) == []
+
+
 def test_helpers_read_no_private_name_of_the_package():
-    assert private_reads(HELPERS.read_text()) == []
+    helpers = next(p for p in TEST_MODULES if p.name == "helpers.py")
+    assert private_reads(helpers.read_text()) == []
+
+
+def test_sees_the_modules():
+    assert {"helpers.py", "oracles.py", "test_bisim.py"} <= {
+        p.name for p in TEST_MODULES
+    }
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_reads_no_private_name_but_the_code_under_test(path):
+    reads = {name for _, name in private_reads(path.read_text())}
+    assert reads <= CODE_UNDER_TEST.keys()
