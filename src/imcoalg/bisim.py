@@ -10,16 +10,22 @@ both projection squares commute coordinatewise on the lifts. The two sides
 are one check read two ways. Both projections are p-morphisms iff the
 order clauses hold (_failing_projection), and then level 1 decides every
 level above it, where the squares are the modal clauses (_modal_clauses).
-is_box_bisimulation and coalgebraic_bisim_check both read those two
-kernels off the relation's rows; neither builds the relation poset or
-lifts anything. Three of the four clauses are one forth kernel
-(_forth_clause) read on the down-sets or the modal predecessors.
+A relation decides those two kernels once, the first time its
+``verdict`` is read, and is_box_bisimulation and coalgebraic_bisim_check
+both read that verdict; neither builds the relation poset or lifts
+anything. All four clauses are one forth kernel (_forth_clause): the
+forth clauses on the relation's rows, and the back clauses, the forth
+clauses of the converse, on its columns. The modal clauses run along the
+modal relation, the order clauses along the generating pairs of the
+order (Poset.generating_rows), so a chain given by its covers costs one
+AND per cover, not one image per pair of the order.
 
 A relation is held as rows, like every relation in the package: rows[x]
-masks the right-hand partners of left point x. Its columns come from
-poset.transpose, and the unions the clauses need from poset.image. The
-converse of a frame's modal relation is the frame's own ``pre``, built
-once per frame however many checks read it.
+masks the right-hand partners of left point x. Its columns
+(Bisimulation.cols) come from poset.transpose, once per relation, and the
+unions the clauses need from poset.image. The converse of a frame's modal
+relation is the frame's own ``pre``, built once per frame however many
+checks read it.
 
 The greatest bisimulation is found by partition refinement on the disjoint
 sum of the two frames (Kanellakis & Smolka 1990; Paige & Tarjan 1987). On
@@ -29,7 +35,7 @@ to left x right points it is the largest bisimulation between the two
 frames.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -53,11 +59,21 @@ class Bisimulation:
     raises UnknownLabel. Use from_pairs for index pairs and from_labels
     for label pairs; ``pairs`` is the same relation as a frozenset of
     index pairs.
+
+    ``cols``, the rows of the converse relation, and ``verdict``, the
+    answer of the four clauses, are built the first time they are read,
+    like ModalFrame.pre and ModalFrame.mix_witness, and the relation then
+    holds them. Equality, hashing and repr read the frames and the rows
+    only.
     """
 
     left: ModalFrame
     right: ModalFrame
     rows: tuple
+    _cols: tuple = field(default=None, init=False, compare=False, repr=False)
+    _verdict: object = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         rows = tuple(self.rows)
@@ -95,6 +111,26 @@ class Bisimulation:
         return cls(left, right, [right.poset.full_mask] * left.poset.n)
 
     @property
+    def cols(self):
+        """cols[y] masks the left-hand points related to right point y."""
+        if self._cols is None:
+            cols = tuple(transpose(self.rows, self.right.poset.n))
+            object.__setattr__(self, "_cols", cols)
+        return self._cols
+
+    @property
+    def verdict(self):
+        """The first of "left" and "right" whose projection from the
+        relation poset is not a p-morphism (_failing_projection), or, once
+        both are, whether the modal clauses hold (_modal_clauses). Decided
+        the first time it is read."""
+        if self._verdict is None:
+            side = _failing_projection(self)
+            verdict = _modal_clauses(self) if side is None else side
+            object.__setattr__(self, "_verdict", verdict)
+        return self._verdict
+
+    @property
     def pairs(self):
         """The relation as a frozenset of index pairs (x, y)."""
         return frozenset(pairs_of(self.rows))
@@ -109,26 +145,34 @@ class Bisimulation:
         )
 
 
-def _forth_clause(below, other_below, rows):
-    """Whether the relation ``rows`` meets a forth clause: for every left
-    point x2, each partner of a point of below[x2] lies in
-    image(other_below, rows[x2]). With the down-sets as ``below`` this is
-    the order forth clause (each partner y of an x <= x2 lies below a
-    partner of x2); with the modal predecessors ``pre`` it is the modal
-    one (each partner y of an x with x R x2 has a modal successor related
-    to x2). One image per side and point, and no loop over pairs."""
-    for x2, row in enumerate(rows):
-        if image(rows, below[x2]) & ~image(other_below, row):
-            return False
+def _forth_clause(steps, other_pre, rows):
+    """Whether the relation ``rows`` meets a forth clause along the pairs
+    of ``steps``: for each pair z -> w (bit w of steps[z]), every partner
+    of z lies in reach[w] = image(other_pre, rows[w]), the points with a
+    step into a partner of w. With a frame's modal rows as ``steps`` and
+    the other frame's modal predecessors as ``other_pre`` this is the
+    modal forth clause. With the order's generating rows and the other
+    poset's down-sets it is the order forth clause: reach[w] is then the
+    down-set ↓rows[w], and every pair of the order is a chain of
+    generating pairs, so the clause holds along the whole order. One
+    image per point and one AND per pair of ``steps``."""
+    reach = [image(other_pre, row) for row in rows]
+    for rz, step in zip(rows, steps):
+        if rz:
+            while step:
+                low = step & -step
+                if rz & ~reach[low.bit_length() - 1]:
+                    return False
+                step ^= low
     return True
 
 
 def _modal_clauses(bis):
     """The modal forth clause on the rows and the modal back clause, the
     forth clause of the converse, on the columns."""
-    left, right, rows = bis.left, bis.right, bis.rows
-    return _forth_clause(left.pre, right.pre, rows) and _forth_clause(
-        right.pre, left.pre, transpose(rows, right.poset.n)
+    left, right = bis.left, bis.right
+    return _forth_clause(left.rel, right.pre, bis.rows) and _forth_clause(
+        right.rel, left.pre, bis.cols
     )
 
 
@@ -142,20 +186,18 @@ def _failing_projection(bis):
     (x2, y2) with x <= x2 and y <= y2. The left projection maps it onto ↑x
     iff each x2 >= x is related to some point above y, that is, iff y lies
     below a point of rows[x2]: so it is a p-morphism iff the order forth
-    clause holds (_forth_clause on the down-sets). The right projection
-    maps ↑(x, y) onto ↑y iff each y2 >= y is related to some point above
-    x, the order back clause, that is, iff ↑y lies inside image(rows, ↑x):
-    so it is one iff, for every left point x, the up-closure of rows[x]
-    does, which needs no columns. Four images per left point in all, where
+    clause holds. The right projection maps ↑(x, y) onto ↑y iff each
+    y2 >= y is related to some point above x: the order back clause, the
+    forth clause of the converse, read on the columns. Both are decided
+    on the generating pairs of the order (Poset.generating_rows), where
     is_pmorphism on the relation poset grows with the square of the
     relation.
     """
-    lp, rp, rows = bis.left.poset, bis.right.poset, bis.rows
-    if not _forth_clause(lp.down, rp.down, rows):
+    lp, rp = bis.left.poset, bis.right.poset
+    if not _forth_clause(lp.generating_rows, rp.down, bis.rows):
         return "left"
-    for x, row in enumerate(rows):
-        if image(rp.up, row) & ~image(rows, lp.up[x]):
-            return "right"
+    if not _forth_clause(rp.generating_rows, lp.down, bis.cols):
+        return "right"
     return None
 
 
@@ -163,8 +205,9 @@ def is_box_bisimulation(bis):
     """All four clauses (forth/back, for order and modal relation) hold:
     both projections from the relation poset are p-morphisms (the order
     clauses, _failing_projection) and the modal clauses hold
-    (_modal_clauses). coalgebraic_bisim_check reads the same two kernels."""
-    return _failing_projection(bis) is None and _modal_clauses(bis)
+    (_modal_clauses). The relation's verdict holds both answers, so
+    coalgebraic_bisim_check on the same relation decides nothing again."""
+    return bis.verdict is True
 
 
 def _coarsest_stable(left, right, blocks):
@@ -251,20 +294,20 @@ def coalgebraic_bisim_check(bis, depth=2, caps=DEFAULT_CAPS):
     related to some point of R[y], and the square asks for all of R[x]:
     every modal successor of x has a partner among the modal successors of
     y, the modal forth clause. The right square is the modal back clause.
-    So the check reads the two kernels of is_box_bisimulation: the order
-    clauses (_failing_projection) and the modal clauses (_modal_clauses),
-    with no relation poset built and nothing lifted.
+    So the check reads the relation's verdict, as is_box_bisimulation
+    does: the order clauses (_failing_projection), then the modal clauses
+    (_modal_clauses), with no relation poset built and nothing lifted.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > caps.max_depth:
         raise CapExceeded(f"depth {depth} exceeds cap {caps.max_depth}")
-    side = _failing_projection(bis)
-    if side is not None:
-        raise ProjectionNotPMorphism(side)
+    verdict = bis.verdict
+    if isinstance(verdict, str):
+        raise ProjectionNotPMorphism(verdict)
     require_mix_law(bis.left)
     require_mix_law(bis.right)
-    return _modal_clauses(bis)
+    return verdict
 
 
 def saturated_valuation(bis, left_seed=0, right_seed=0):
@@ -273,7 +316,7 @@ def saturated_valuation(bis, left_seed=0, right_seed=0):
     stable. Produces valuations compatible with the relation by
     construction."""
     lp, rp = bis.left.poset, bis.right.poset
-    rows, cols = bis.rows, transpose(bis.rows, rp.n)
+    rows, cols = bis.rows, bis.cols
     lm, rm = left_seed, right_seed
     while True:
         nl = lp.up_close(lm)

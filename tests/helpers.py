@@ -102,6 +102,28 @@ def relabel_frame(fr, perm):
     return ModalFrame(relabel(fr.poset, perm), move_rows(fr.rel, perm, perm))
 
 
+def by_covers(p):
+    """p rebuilt by make_poset from its cover pairs, so that its
+    generating rows are the covers rather than every pair of the order."""
+    names = p.labels
+    return make_poset(names, [(names[i], names[j]) for i, j in p.covers()])
+
+
+def covered_frame(fr, perm):
+    """relabel_frame(fr, perm) on its poset rebuilt from the cover pairs
+    (by_covers)."""
+    moved = relabel_frame(fr, perm)
+    return ModalFrame(by_covers(moved.poset), moved.rel)
+
+
+def has_generators(bis):
+    """Whether either side of the relation has generating rows other than
+    its up rows."""
+    return any(
+        p.generating_rows != p.up for p in (bis.left.poset, bis.right.poset)
+    )
+
+
 def move_mask(mask, perm):
     """mask with bit x moved to bit perm[x], as relabel moves elements."""
     return image([1 << t for t in perm], mask)
@@ -167,7 +189,7 @@ def random_poset(rng, n, labels=None, edge_prob=0.35):
     # close transitively; i < j only, so the result is antisymmetric
     for i in range(n - 1, -1, -1):
         up[i] = image(up, up[i])
-    return Poset(labels, up, _trusted=True)
+    return Poset(labels, up)
 
 
 def random_upset(rng, p):
@@ -293,7 +315,7 @@ def relation_poset_by_pairs(bis):
                 if j is not None:
                     row |= 1 << j
         up_rows.append(row)
-    return Poset(labels, up_rows, _trusted=True), chosen
+    return Poset(labels, up_rows), chosen
 
 
 def rho_by_pairs(bis, chosen):
@@ -333,6 +355,23 @@ def failing_projection_by_pmorphism(bis):
         pmorphic_relation_poset(bis)
     except ProjectionNotPMorphism as exc:
         return exc.side
+    return None
+
+
+def failing_projection_by_upsets(bis):
+    """bisim._failing_projection as it read before it decided the order
+    clauses on generating pairs: per left point x2, the partners of the
+    points below x2 against the down-closure of the partners of x2 (the
+    order forth clause, "left"); then per left point x, the up-closure of
+    its partners against the partners of the points above x (the order
+    back clause, "right"). One image over every up-set and down-set row."""
+    lp, rp, rows = bis.left.poset, bis.right.poset, bis.rows
+    for x2, row in enumerate(rows):
+        if image(rows, lp.down[x2]) & ~image(rp.down, row):
+            return "left"
+    for x, row in enumerate(rows):
+        if image(rp.up, row) & ~image(rows, lp.up[x]):
+            return "right"
     return None
 
 
@@ -1374,7 +1413,7 @@ def assert_matches_eager(lazy, masks, base):
     """A poset carried by masks over base, read first through index(),
     equals the eagerly labelled poset over the same masks and rows in its
     labels, index(), == and hash."""
-    eager = Poset(labels_by_bits(masks, base.labels), lazy.up, _trusted=True)
+    eager = Poset(labels_by_bits(masks, base.labels), lazy.up)
     assert lazy.n == eager.n == len(masks)
     for i, label in enumerate(eager.labels):
         assert lazy.index(label) == i

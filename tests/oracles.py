@@ -35,7 +35,7 @@ kernel appears only as the kernel of a ``register`` call, and
 
 import functools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import permutations, product as iproduct
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -81,6 +81,7 @@ from imcoalg.complexes import (
     verify_complex,
 )
 from imcoalg import bisim
+from imcoalg import frames as frames_module
 from imcoalg.bisim import (
     Bisimulation,
     bisimilarity_preserves_truth,
@@ -140,12 +141,15 @@ from helpers import (
     LABELLED_3,
     all_functions,
     all_nbhd_frames,
+    by_covers,
     canonical_poset_key,
     chain2,
     check_limit_pmorphism_by_towers,
+    covered_frame,
     covers_by_betweenness,
     distinct_labellings,
     failing_projection_by_pmorphism,
+    failing_projection_by_upsets,
     first_disagreement,
     frames_on,
     free_bases,
@@ -374,7 +378,7 @@ def product_by_bits(p, q):
                 for j2 in iter_bits(q.up[j]):
                     mask |= 1 << (i2 * q.n + j2)
             up.append(mask)
-    return Poset(labels, up, _trusted=True)
+    return Poset(labels, up)
 
 
 register(
@@ -484,7 +488,7 @@ def all_posets_by_full_scan(n):
         ):
             continue
         found.setdefault(
-            canonical_key_by_permutations(up), Poset(labels, up, _trusted=True)
+            canonical_key_by_permutations(up), Poset(labels, up)
         )
     return [found[k] for k in sorted(found)]
 
@@ -1060,10 +1064,7 @@ def relabelled_relations():
     rng = random.Random(1649)
     for p in posets_up_to(4):
         for perm, q in relabellings(p):
-            name = q.labels
-            covers = make_poset(
-                name, [(name[i], name[j]) for i, j in q.covers()]
-            )
+            covers = by_covers(q)
             if p.n <= 3:
                 frames = list(every_relation_frame(p))
             else:
@@ -1103,6 +1104,23 @@ register(
     "check_mix_law", lambda fr, *_: check_mix_law(fr),
     lambda fr, *_: mix_law_witness_by_bits(fr) is None, relabelled_relations,
     count=20034, outcomes={True: 7711, False: 12323},
+)
+
+
+def frames_on_covers():
+    """Every relation, mix law or not, on every labelling of a poset of at
+    most three elements rebuilt from its covers (by_covers)."""
+    for q in distinct_labellings(3):
+        yield from zip(every_relation_frame(by_covers(q)))
+
+
+# the fast path alone: mix_law_witness falls back to the rows of
+# (<=);R;(<=) when it fails, which would hide a fast path that fails a
+# lawful frame
+register(
+    "frames._holds_on_generators", frames_module._holds_on_generators,
+    lambda fr: mix_law_witness_by_bits(fr) is None, frames_on_covers,
+    count=9778, outcomes={True: 1610, False: 8168},
 )
 
 
@@ -1358,6 +1376,53 @@ def small_frame_pairs():
     return [(f1, f2, moved) for f1 in frames for f2 in frames]
 
 
+class CoveredMoves(dict):
+    """The relabelling table of frames whose posets were rebuilt from
+    their covers: each frame under every permutation of its indices,
+    rebuilt from its covers again (covered_frame), filled on first use."""
+
+    def __missing__(self, fr):
+        moves = self[fr] = [
+            (perm, covered_frame(fr, perm))
+            for perm in permutations(range(fr.poset.n))
+        ]
+        return moves
+
+
+def covered_frames(frames):
+    """Every frame under every permutation of its indices, its poset
+    rebuilt from its covers (covered_frame), each labelled frame once."""
+    out = {}
+    for fr in frames:
+        for perm in permutations(range(fr.poset.n)):
+            moved = covered_frame(fr, perm)
+            out.setdefault((moved.poset.up, moved.rel), moved)
+    return list(out.values())
+
+
+def covered_chain_relations(rng, count):
+    """count seeded relations between the three-element frames rebuilt
+    from their covers under every labelling, one side (left or right at
+    random) on a chain, whose generating rows leave out the pair of its
+    ends: a quarter the largest bisimulation, a quarter the full
+    relation, the rest a seeded relation."""
+    frames = covered_frames(
+        f for f in iso_frames_up_to_three() if f.poset.n == 3
+    )
+    chains = [f for f in frames if f.poset.generating_rows != f.poset.up]
+    for _ in range(count):
+        f1, f2 = rng.choice(chains), rng.choice(frames)
+        if rng.random() < 0.5:
+            f1, f2 = f2, f1
+        draw = rng.random()
+        if draw < 0.25:
+            yield largest_bisimulation(f1, f2)
+        elif draw < 0.5:
+            yield Bisimulation.full(f1, f2)
+        else:
+            yield Bisimulation(f1, f2, [rng.getrandbits(3) for _ in range(3)])
+
+
 def seeded_model_pairs():
     """500 seeded pairs of one-letter models on three-element frames (a
     random upset valuation each side)."""
@@ -1585,9 +1650,11 @@ def clause_violation_by_pairs(bis):
 
 def relations_for_clauses():
     """(relation, moved frames): every relation between frames on at most
-    two elements, and 1 000 seeded relations between three-element frames
-    (a quarter of them the largest bisimulation), each side under every
-    labelling."""
+    two elements, 1 000 seeded relations between three-element frames (a
+    quarter of them the largest bisimulation), each side under every
+    labelling; then 600 relations with a chain rebuilt from its covers on
+    one side (covered_chain_relations), each side under every labelling,
+    rebuilt from its covers again."""
     frames = small_frames()
     moved = relabelled_frames(frames)
     yield from ((bis, moved) for bis in every_relation(frames))
@@ -1600,6 +1667,9 @@ def relations_for_clauses():
             bis = largest_bisimulation(f1, f2)
         else:
             bis = Bisimulation(f1, f2, [rng.getrandbits(3) for _ in range(3)])
+        yield bis, moved
+    moved = CoveredMoves()
+    for bis in covered_chain_relations(random.Random(2907), 600):
         yield bis, moved
 
 
@@ -1622,8 +1692,8 @@ register(
     "is_box_bisimulation", lambda bis, _: is_box_bisimulation(bis),
     lambda bis, _: clause_violation_by_pairs(bis) is None,
     relations_for_clauses,
-    count=9104, relabel=moved_bisimulations, moves=67688,
-    outcomes={True: 1855, False: 7249},
+    count=9704, relabel=moved_bisimulations, moves=89288,
+    outcomes={True: 2056, False: 7648},
 )
 
 
@@ -1672,11 +1742,11 @@ register(
     "coalgebraic_bisim_check",
     lambda bis, _: projection_outcome(coalgebraic_bisim_check, bis),
     lambda bis, _: projection_outcome(index_bisim_check, bis),
-    relations_for_clauses, count=9104, relabel=moved_bisimulations,
-    moves=67688,
+    relations_for_clauses, count=9704, relabel=moved_bisimulations,
+    moves=89288,
     outcomes={
-        True: 1855, False: 5207,
-        "projection left": 1126, "projection right": 916,
+        True: 2056, False: 5361,
+        "projection left": 1276, "projection right": 1011,
     },
 )
 
@@ -1685,7 +1755,9 @@ def relations_for_projections():
     """(relation, moved frames): every relation between frames on at most
     two elements, each side under every labelling, then 2 000 seeded pairs
     of the 310 frames, each with a seeded relation and with its largest
-    bisimulation, as they are."""
+    bisimulation, as they are; then 2 000 relations with a chain rebuilt
+    from its covers on one side (covered_chain_relations), as they
+    are."""
     frames = small_frames()
     moved = relabelled_frames(frames)
     yield from ((bis, moved) for bis in every_relation(frames))
@@ -1696,13 +1768,41 @@ def relations_for_projections():
         bis = seeded_relation(rng, frames)
         yield bis, as_they_are
         yield largest_bisimulation(bis.left, bis.right), as_they_are
+    as_they_are = defaultdict(tuple)
+    for bis in covered_chain_relations(random.Random(2908), 2000):
+        yield bis, as_they_are
 
 
 register(
     "bisim._failing_projection", lambda bis, _: bisim._failing_projection(bis),
     lambda bis, _: failing_projection_by_pmorphism(bis),
-    relations_for_projections, count=12104, relabel=moved_bisimulations,
-    moves=31688, outcomes={None: 9317, "left": 1572, "right": 1215},
+    relations_for_projections, count=14104, relabel=moved_bisimulations,
+    moves=31688, outcomes={None: 10449, "left": 2145, "right": 1510},
+)
+
+
+def relations_on_covers():
+    """Every relation between two frames on a labelling of a poset of at
+    most two elements or on a chain of three rebuilt from its covers
+    (by_covers), with no modal pairs, which the order clauses do not read;
+    then 40 000 seeded relations between the 310 frames and their copies
+    rebuilt from their covers under every labelling (covered_frames)."""
+    chain = make_poset("abc", [("a", "b"), ("b", "c")])
+    posets = distinct_labellings(2) + [by_covers(q) for q in labellings(chain)]
+    yield from zip(every_relation([ModalFrame(p, [0] * p.n) for p in posets]))
+    frames = iso_frames_up_to_three()
+    frames += covered_frames(frames)
+    rng = random.Random(2909)
+    for _ in range(40_000):
+        yield (seeded_relation(rng, frames),)
+
+
+# the order clauses on generating pairs against their up-set and down-set
+# form, on posets whose generating rows are their covers
+register(
+    "bisim._failing_projection:upsets", bisim._failing_projection,
+    failing_projection_by_upsets, relations_on_covers, count=61002,
+    outcomes={None: 20761, "left": 27371, "right": 12870},
 )
 
 
@@ -2122,7 +2222,7 @@ def mix_relations_by_own_carrier(p):
     monotone maps into a poset of the upset masks built here, its rows by
     containment_rows."""
     upsets = upset_masks(p)
-    ups = Poset(upsets, containment_rows(upsets, p.n), _trusted=True)
+    ups = Poset(upsets, containment_rows(upsets, p.n))
     return [tuple(upsets[k] for k in a) for a in monotone_assignments(p, ups)]
 
 

@@ -44,7 +44,6 @@ from imcoalg.frames import (
     frame_to_upmap,
     is_modal_pmorphism,
     nbhd_morphism_condition,
-    pow_up_functor,
     upmap_to_frame,
 )
 from imcoalg.freealg import (
@@ -76,6 +75,7 @@ from imcoalg.enumeration import all_posets, frames_up_to_iso, monotone_maps
 from helpers import (
     GOLDEN_STAGE_SIZES,
     all_functions,
+    all_nbhd_frames,
     chain_to_gen,
     frames_on,
     free_bases,
@@ -600,52 +600,19 @@ def test_criterion_8_free_stage_structure():
     )
 
 
-def _all_nbhd_families(p, powup_n):
-    out = []
-
-    def extend(i, chosen):
-        if i == p.n:
-            out.append(tuple(chosen))
-            return
-        for fam in range(powup_n):
-            ok = True
-            for j in range(i):
-                if p.leq(j, i) and chosen[j] & ~fam:
-                    ok = False
-                    break
-                if p.leq(i, j) and fam & ~chosen[j]:
-                    ok = False
-                    break
-            if ok:
-                extend(i + 1, chosen + [fam])
-
-    extend(0, [])
-    return out
-
-
 def test_criterion_9_neighbourhood_correspondence():
     """The neighbourhood morphism condition agrees with the coalgebra
     square, exhaustively for all monotone maps between all neighbourhood
     frames on carriers of <= 2 elements."""
     started = time.time()
-    from imcoalg.frames import NbhdFrame
-
     posets = all_posets(1) + all_posets(2)
+    nbhd_frames = {p: all_nbhd_frames(p) for p in posets}
     cases = 0
     for p in posets:
-        pv = pow_up_functor(p)
-        nf1s = [
-            NbhdFrame(p, fams) for fams in _all_nbhd_families(p, pv.n)
-        ]
         for q in posets:
-            qv = pow_up_functor(q)
-            nf2s = [
-                NbhdFrame(q, fams)
-                for fams in _all_nbhd_families(q, qv.n)
-            ]
             for f in monotone_maps(p, q):
-                for nf1 in nf1s:
-                    for nf2 in nf2s:
+                for nf1 in nbhd_frames[p]:
+                    for nf2 in nbhd_frames[q]:
                         cond = nbhd_morphism_condition(f, nf1, nf2)
                         square = check_nbhd_coalgebra_morphism(
                             f, nf1, nf2, depth=1

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from imcoalg import bisim
+from imcoalg import bisim, cli
 from imcoalg.bisim import (
     Bisimulation,
     bisimilarity_preserves_truth,
@@ -35,6 +35,7 @@ from helpers import (
     chain2,
     failing_projection_by_pmorphism,
     frames_on,
+    has_generators,
     iso_frames_up_to_three,
     mask_of,
     random_mix_frame,
@@ -48,6 +49,7 @@ from helpers import (
     valued_chain,
 )
 from oracles import (
+    ENTRIES,
     check,
     distinguishing_formulas_by_stream,
     folded,
@@ -468,6 +470,68 @@ class TestCoalgebraic:
             coalgebraic_bisim_check(bis, 1)
         assert err.value.side == "left"
         assert str(err.value) == "left projection is not a p-morphism"
+
+
+class TestVerdictHeldByTheRelation:
+    """A relation decides its clauses once (Bisimulation.verdict), and
+    both checks read that verdict."""
+
+    def test_bisim_runs_each_clause_kernel_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = Counter()
+        kernels = {
+            "_failing_projection": bisim._failing_projection,
+            "_modal_clauses": bisim._modal_clauses,
+        }
+        for name, kernel in kernels.items():
+
+            def counted(bis, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(bis)
+
+            monkeypatch.setattr(bisim, name, counted)
+        left = tmp_path / "left.frame"
+        left.write_text("[elements]\na b c\n[order]\na < b\nb < c\n"
+                        "[modal]\na R b\na R c\nb R c\n")
+        right = tmp_path / "right.frame"
+        right.write_text("[elements]\nd e\n[order]\nd < e\n"
+                         "[modal]\nd R e\n")
+        assert cli.main(["bisim", str(left), str(right)]) == 0
+        assert "coalgebraic-agreement" in capsys.readouterr().out
+        assert calls == {"_failing_projection": 1, "_modal_clauses": 1}
+
+    def test_held_fields_leave_equality_hash_and_repr(self):
+        fr = shifted_chain_frame(4, 1)
+        read = largest_bisimulation(fr, fr)
+        fresh = Bisimulation(fr, fr, read.rows)
+        text = repr(fresh)
+        # the chain is bisimilar only to itself: the identity, its own
+        # converse
+        assert read.verdict is True and read.cols == tuple(read.rows)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert repr(read) == text == repr(fresh)
+        assert "verdict" not in text and "cols" not in text
+
+    # the relations whose posets have generating rows other than their up
+    # rows, with the tally of their verdicts: all four occur
+    @pytest.mark.parametrize("name, tally", [
+        ("bisim._failing_projection",
+         {True: 642, False: 490, "left": 573, "right": 295}),
+        ("bisim._failing_projection:upsets",
+         {True: 5175, False: 721, "left": 14878, "right": 4893}),
+        ("is_box_bisimulation",
+         {True: 201, False: 154, "left": 150, "right": 95}),
+        ("coalgebraic_bisim_check",
+         {True: 201, False: 154, "left": 150, "right": 95}),
+    ])
+    def test_entries_reach_generating_rows(self, name, tally):
+        verdicts = Counter(
+            args[0].verdict for args in ENTRIES[name].instances()
+            if has_generators(args[0])
+        )
+        assert verdicts == tally
 
 
 class TestTruthPreservation:

@@ -519,9 +519,7 @@ class TestOverMasks:
         p = chain2()
         masks = upset_masks(p)
         eager = Poset(
-            labels_by_bits(masks, p.labels),
-            containment_rows(masks, p.n),
-            _trusted=True,
+            labels_by_bits(masks, p.labels), containment_rows(masks, p.n)
         )
         assert hash(up_functor.__wrapped__(p)) == hash(eager)
         assert up_functor.__wrapped__(p) == eager

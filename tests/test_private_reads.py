@@ -6,11 +6,13 @@ it checks shares that kernel's faults, so the comparison can no longer see
 them. No module under ``tests/`` may read an underscore-prefixed attribute
 of an ``imcoalg`` module (``bisim._refine``), nor import an
 underscore-prefixed name from one (``from imcoalg.enumeration import
-_permuted``), unless the name is on ``CODE_UNDER_TEST`` below. Oracles and
-instance builders get no entry there: in ``tests/oracles.py``, where they
-sit beside the kernels they check, a listed name may be read only as the
-kernel argument of a ``register`` call. Dunder names such as
-``__version__`` are public.
+_permuted``), nor pass an underscore-prefixed keyword argument to a
+callable of one (``Poset(labels, up, _trusted=True)``, which skips the
+checks the test would rely on), unless the name is on ``CODE_UNDER_TEST``
+below. Oracles and instance builders get no entry there: in
+``tests/oracles.py``, where they sit beside the kernels they check, a
+listed name may be read only as the kernel argument of a ``register``
+call. Dunder names such as ``__version__`` are public.
 """
 
 import ast
@@ -31,6 +33,9 @@ CODE_UNDER_TEST = {
     "imcoalg.bisim._failing_projection": (
         "the projection test on rows is checked against is_pmorphism"
     ),
+    "imcoalg.bisim._modal_clauses": (
+        "the modal clauses are counted to run once per relation"
+    ),
     "imcoalg.complexes._sorted_by_mask": (
         "the stage builders are checked to sort only where they must"
     ),
@@ -46,9 +51,10 @@ def _private(name):
 
 def private_reads(source, outside_kernels=False):
     """(line, "module.name") for every private name of an imcoalg module
-    that source imports or reads as a module attribute, in order of
-    appearance; with outside_kernels, not counting the reads inside the
-    kernel argument of a ``register`` call."""
+    that source imports or reads as a module attribute, and (line,
+    "module.callable(_name=)") for every private keyword argument passed
+    to a callable of one, sorted; with outside_kernels, not counting the
+    reads inside the kernel argument of a ``register`` call."""
     tree = ast.parse(source)
     kernels = set()
     for node in ast.walk(tree):
@@ -76,18 +82,32 @@ def private_reads(source, outside_kernels=False):
                         f"{module}.{alias.name}"
                     )
     for node in ast.walk(tree):
+        if id(node) in kernels:
+            continue
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
             and _private(node.attr)
-            and id(node) not in kernels
         ):
-            path = _dotted(node.value)
-            if path is not None and path.split(".")[0] in modules:
-                head, _, rest = path.partition(".")
-                module = modules[head] + (f".{rest}" if rest else "")
+            module = _resolved(modules, node.value)
+            if module is not None:
                 out.append((node.lineno, f"{module}.{node.attr}"))
+        elif isinstance(node, ast.Call):
+            private = [kw for kw in node.keywords if kw.arg and _private(kw.arg)]
+            callee = _resolved(modules, node.func) if private else None
+            if callee is not None:
+                out += [(kw.lineno, f"{callee}({kw.arg}=)") for kw in private]
     return sorted(out)
+
+
+def _resolved(modules, node):
+    """The full name of an attribute chain on a name that an imcoalg import
+    bound, else None."""
+    path = _dotted(node)
+    if path is None or path.split(".")[0] not in modules:
+        return None
+    head, _, rest = path.partition(".")
+    return modules[head] + (f".{rest}" if rest else "")
 
 
 def _is_register(node):
@@ -131,6 +151,23 @@ def test_detects_private_reads():
         (7, "imcoalg.poset._trusted"),
         (8, "imcoalg.bisim._pair_rows"),
         (12, "imcoalg.enumeration.mix_relations._cache"),
+    ]
+
+
+def test_detects_private_keyword_arguments():
+    source = (
+        "import imcoalg.poset as po\n"
+        "from imcoalg.poset import Poset\n"
+        "from helpers import relabel\n"
+        "Poset(labels, up, _trusted=True)\n"
+        "po.PosetMap(p, q, assign,\n"
+        "            _trusted=True)\n"
+        "relabel(p, perm, _fast=True)\n"
+        "Poset.over_masks(masks, base, rows=None)\n"
+    )
+    assert private_reads(source) == [
+        (4, "imcoalg.poset.Poset(_trusted=)"),
+        (6, "imcoalg.poset.PosetMap(_trusted=)"),
     ]
 
 
