@@ -35,7 +35,7 @@ to left x right points it is the largest bisimulation between the two
 frames.
 """
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -49,7 +49,6 @@ from .logic import Model, first_formulas, truth_mask
 from .poset import Poset, image, iter_bits, pairs_of, transpose
 
 
-@dataclass(frozen=True)
 class Bisimulation:
     """A relation between the carriers of two modal frames.
 
@@ -61,34 +60,28 @@ class Bisimulation:
     index pairs.
 
     ``cols``, the rows of the converse relation, and ``verdict``, the
-    answer of the four clauses, are built the first time they are read,
-    like ModalFrame.pre and ModalFrame.mix_witness, and the relation then
-    holds them. Equality, hashing and repr read the frames and the rows
-    only.
+    answer of the four clauses, are cached properties, like ModalFrame.pre
+    and ModalFrame.mix_witness: built the first time they are read, then
+    held by the relation. Equality, hashing and repr read the frames and
+    the rows only.
     """
 
-    left: ModalFrame
-    right: ModalFrame
-    rows: tuple
-    _cols: tuple = field(default=None, init=False, compare=False, repr=False)
-    _verdict: object = field(
-        default=None, init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if len(rows) != self.left.poset.n:
+    def __init__(self, left, right, rows):
+        rows = tuple(rows)
+        if len(rows) != left.poset.n:
             raise UnknownLabel(
-                f"relation has {len(rows)} rows for {self.left.poset.n} "
+                f"relation has {len(rows)} rows for {left.poset.n} "
                 "left-hand elements"
             )
-        full = self.right.poset.full_mask
+        full = right.poset.full_mask
         for row in rows:
             if row & ~full:
                 raise UnknownLabel(
                     f"relation row {row:#x} leaves the right-hand carrier"
                 )
-        object.__setattr__(self, "rows", rows)
+        self.left = left
+        self.right = right
+        self.rows = rows
 
     @classmethod
     def from_pairs(cls, left, right, pairs):
@@ -110,25 +103,19 @@ class Bisimulation:
     def full(cls, left, right):
         return cls(left, right, [right.poset.full_mask] * left.poset.n)
 
-    @property
+    @cached_property
     def cols(self):
         """cols[y] masks the left-hand points related to right point y."""
-        if self._cols is None:
-            cols = tuple(transpose(self.rows, self.right.poset.n))
-            object.__setattr__(self, "_cols", cols)
-        return self._cols
+        return tuple(transpose(self.rows, self.right.poset.n))
 
-    @property
+    @cached_property
     def verdict(self):
         """The first of "left" and "right" whose projection from the
         relation poset is not a p-morphism (_failing_projection), or, once
         both are, whether the modal clauses hold (_modal_clauses). Decided
         the first time it is read."""
-        if self._verdict is None:
-            side = _failing_projection(self)
-            verdict = _modal_clauses(self) if side is None else side
-            object.__setattr__(self, "_verdict", verdict)
-        return self._verdict
+        side = _failing_projection(self)
+        return _modal_clauses(self) if side is None else side
 
     @property
     def pairs(self):
@@ -142,6 +129,23 @@ class Bisimulation:
         return sorted(
             (self.left.poset.labels[x], self.right.poset.labels[y])
             for x, y in self.pairs
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Bisimulation)
+            and self.left == other.left
+            and self.right == other.right
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.left, self.right, self.rows))
+
+    def __repr__(self):
+        return (
+            f"Bisimulation(left={self.left!r}, right={self.right!r}, "
+            f"rows={self.rows!r})"
         )
 
 

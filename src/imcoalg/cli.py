@@ -61,7 +61,7 @@ from .freealg import (
     generator_poset,
 )
 from .logic import parse, print_formula, truth_mask
-from .poset import format_label
+from .poset import format_label, pairs_of
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,11 +113,11 @@ class Report:
     def emit(self, args):
         for line in self.lines:
             print(line)
-        if getattr(args, "timing", False):
+        if args.timing:
             print(
                 f"elapsed: {(time.monotonic() - self.started) * 1000.0:.1f} ms"
             )
-        if getattr(args, "report", None):
+        if args.report:
             doc = self.to_dict(timing=args.timing)
             _write_file(args.report, dump_json(doc))
         return EXIT_OK if self.ok else EXIT_CHECK_FAILED
@@ -281,12 +281,8 @@ def cmd_bisim(args):
         model1 = ff1.build_model(close=args.close_valuations, frame=frame1)
         model2 = ff2.build_model(close=args.close_valuations, frame=frame2)
         letters = sorted(set(model1.valuation) & set(model2.valuation))
-        unrelated = [
-            (x, y)
-            for x in range(frame1.poset.n)
-            for y in range(frame2.poset.n)
-            if not bis.related(x, y)
-        ]
+        full2 = frame2.poset.full_mask
+        unrelated = pairs_of([full2 & ~row for row in bis.rows])
         found = search_distinguishing_formulas(
             model1, model2, unrelated, letters, args.distinguish, caps
         )

@@ -87,12 +87,21 @@ from .poset import (
 
 @dataclass(frozen=True)
 class RootedStage:
-    """One stage: rooted relatively-open subsets of the base, plus root map."""
+    """One stage: rooted relatively-open subsets of the base, plus root map.
 
-    base: Poset
+    The stage poset is a MaskPoset, the only record of the base and the
+    member masks; ``base`` and ``member_masks`` read them from it."""
+
     poset: Poset
-    member_masks: tuple
     root_map: PosetMap
+
+    @property
+    def base(self):
+        return self.poset.base
+
+    @property
+    def member_masks(self):
+        return self.poset.masks
 
 
 def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
@@ -210,7 +219,7 @@ def build_p_g(g, caps=DEFAULT_CAPS, stage_index=2):
     masks = tuple(masks)
     stage_poset = Poset.over_masks(masks, base)
     root_map = PosetMap(stage_poset, base, roots, _trusted=True)
-    return RootedStage(base, stage_poset, masks, root_map)
+    return RootedStage(stage_poset, root_map)
 
 
 def _sorted_by_mask(masks, roots):

@@ -47,19 +47,14 @@ from .poset import (
 )
 
 
-_UNDECIDED = object()  # a ModalFrame's mix_witness before it is read
-
-
 class ModalFrame:
     """Poset plus successor-mask relation; immutable. A row count other
     than the poset's size, or a row that is negative or has a bit at or
     past poset.n, raises UnknownLabel. ``pre``, the rows of the converse
-    relation (the modal predecessors of each point), is built the first
-    time it is read, like ``Poset.down``. So is ``mix_witness``, the mix
-    law's witness (mix_law_witness), which the frame then holds. Equality
-    and hashing read the poset and the rows only."""
-
-    __slots__ = ("poset", "rel", "_pre", "_witness")
+    relation (the modal predecessors of each point), and ``mix_witness``,
+    the mix law's witness (mix_law_witness), are cached properties, like
+    ``Poset.down``: built the first time they are read, then held by the
+    frame. Equality, hashing and repr read the poset and the rows only."""
 
     def __init__(self, poset, rel):
         rel = tuple(rel)
@@ -73,8 +68,6 @@ class ModalFrame:
                 raise UnknownLabel(f"relation row {row:#x} leaves the carrier")
         self.poset = poset
         self.rel = rel
-        self._pre = None
-        self._witness = _UNDECIDED
 
     @classmethod
     def from_pairs(cls, poset, pairs):
@@ -87,19 +80,15 @@ class ModalFrame:
             raise unknown_label(exc.args[0]) from None
         return cls(poset, rel)
 
-    @property
+    @functools.cached_property
     def pre(self):
-        if self._pre is None:
-            self._pre = tuple(transpose(self.rel, self.poset.n))
-        return self._pre
+        return tuple(transpose(self.rel, self.poset.n))
 
-    @property
+    @functools.cached_property
     def mix_witness(self):
         """mix_law_witness(self): a pair in (<=);R;(<=) missing from R, or
         None when the mix law holds. Decided the first time it is read."""
-        if self._witness is _UNDECIDED:
-            self._witness = mix_law_witness(self)
-        return self._witness
+        return mix_law_witness(self)
 
     def pairs(self):
         labels = self.poset.labels

@@ -33,8 +33,8 @@ Conventions used throughout the package:
     frozenset tables (mask_labels) the first time ``labels`` is read; one
     label alone (label(i)) is built from the members down. So a stage
     whose rows or labels nobody reads never builds them, and no table
-    loops over bits. An eager Poset keeps ``up`` and ``labels`` as plain
-    slots, with no property in the way of its reads;
+    loops over bits. An eager Poset stores ``up`` and ``labels`` as plain
+    attributes;
   - make_poset keeps the rows it closed, each point with the points its
     pairs put above it, as the poset's generating rows
     (Poset.generating_rows); a poset given by its rows, a MaskPoset
@@ -59,10 +59,15 @@ Conventions used throughout the package:
     by construction). Only builders that derive the value themselves pass
     it; a value read from input is always checked;
   - every value is immutable after construction, so any operation can run
-    from parallel workers without coordination; a MaskPoset's ``up`` and
-    ``labels``, and every poset's ``_index``, ``down`` and ``_hash``, are
-    idempotent caches, filled on first use with the same value whichever
-    worker fills them;
+    from parallel workers without coordination. A value derived from the
+    others (a MaskPoset's ``up`` and ``labels``; every poset's
+    ``label_index``, ``down``, ``generating_rows`` and hash) is a
+    functools.cached_property: built the first time it is read, then held
+    and read as a plain attribute; workers racing on a first read build
+    the same value. A constructor that already has such a value stores it
+    as that attribute (Poset its label index, make_poset its down and
+    generating rows, a MaskPoset given rows its ``up``). Equality, hashing
+    and repr read the labels and ``up`` rows only;
   - iteration is always in index order, which keeps all derived output
     byte-for-byte reproducible.
 
@@ -70,6 +75,7 @@ Conventions used throughout the package:
 """
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import compress, repeat
 from operator import and_, invert, lshift
 
@@ -139,8 +145,6 @@ def format_label(label):
 class Poset:
     """Immutable finite poset over an indexed tuple of opaque labels."""
 
-    __slots__ = ("labels", "up", "n", "_index", "_down", "_hash", "_gen")
-
     def __init__(self, labels, up, _trusted=False):
         labels = tuple(labels)
         up = tuple(up)
@@ -152,10 +156,7 @@ class Poset:
         self.labels = labels
         self.up = up
         self.n = len(labels)
-        self._index = index
-        self._down = None
-        self._hash = None
-        self._gen = None
+        self.label_index = index
         if not _trusted:
             self._verify()
 
@@ -194,12 +195,10 @@ class Poset:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
+    @cached_property
     def label_index(self):
         """The dict from each label to its element's index."""
-        if self._index is None:
-            self._index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._index
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label):
         try:
@@ -216,19 +215,17 @@ class Poset:
     def up_mask(self, i):
         return self.up[i]
 
-    @property
+    @cached_property
     def down(self):
-        if self._down is None:
-            self._down = tuple(transpose(self.up, self.n))
-        return self._down
+        return tuple(transpose(self.up, self.n))
 
-    @property
+    @cached_property
     def generating_rows(self):
         """Rows of a relation whose reflexive-transitive closure is the
         order: the rows make_poset closed (each point with the points its
         pairs put above it), or else ``up`` itself, every pair of the
         order. Equality and hashing ignore them."""
-        return self.up if self._gen is None else self._gen
+        return self.up
 
     @property
     def full_mask(self):
@@ -268,9 +265,11 @@ class Poset:
             and self.labels == other.labels
         )
 
+    @cached_property
+    def _hash(self):
+        return hash((self.labels, self.up))
+
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.labels, self.up))
         return self._hash
 
     def __repr__(self):
@@ -285,43 +284,32 @@ class MaskPoset(Poset):
 
     Element i is the subset masks[i] of the base, labelled by the frozenset
     of its members' base labels. The order rows (containment_rows) and the
-    labels (mask_labels) are built the first time ``up`` or ``labels`` is
-    read, and the label index on the first index() call, so a stage whose
-    rows or labels nobody reads never builds them. The laziness lives in
-    this subclass only: on an eager Poset, ``up`` and ``labels`` stay plain
-    slot reads.
+    labels (mask_labels) are cached properties, built the first time
+    ``up`` or ``labels`` is read, and the label index on the first index()
+    call, so a stage whose rows or labels nobody reads never builds them.
+    Given rows, the poset stores them as ``up``. The laziness lives in this
+    subclass only: an eager Poset stores ``up`` and ``labels`` as plain
+    attributes.
     """
-
-    __slots__ = ("masks", "base", "_up", "_labels")
 
     def __init__(self, masks, base, rows=None):
         self.masks = masks
         self.base = base
-        self._up = None if rows is None else tuple(rows)
-        self._labels = None
         self.n = len(masks)
-        self._index = None
-        self._down = None
-        self._hash = None
-        self._gen = None
+        if rows is not None:
+            self.up = tuple(rows)
 
-    @property
+    @cached_property
     def up(self):
-        if self._up is None:
-            self._up = containment_rows(self.masks, self.base.n)
-        return self._up
+        return containment_rows(self.masks, self.base.n)
 
-    @property
+    @cached_property
     def labels(self):
-        if self._labels is None:
-            self._labels = tuple(mask_labels(self.masks, self.base.labels))
-        return self._labels
+        return tuple(mask_labels(self.masks, self.base.labels))
 
     def label(self, i):
-        """The label of element i; before the labels are built, it is
-        built from the members down, through the base's own label()."""
-        if self._labels is not None:
-            return self._labels[i]
+        """The label of element i, built from the members down through the
+        base's own label(): the same frozenset as labels[i]."""
         return frozenset(map(self.base.label, iter_bits(self.masks[i])))
 
     def index_of_mask(self, mask):
@@ -441,8 +429,8 @@ def make_poset(labels, pairs):
                 f"{format_label(labels[j])}"
             )
     poset = Poset(labels, up, _trusted=True)
-    poset._down = tuple(down)
-    poset._gen = gen
+    poset.down = tuple(down)
+    poset.generating_rows = gen
     return poset
 
 

@@ -662,7 +662,7 @@ def build_p_g_by_search(g, caps=DEFAULT_CAPS, stage_index=2):
     masks = tuple(m for m, _ in found)
     stage_poset = Poset.over_masks(masks, base)
     root_map = PosetMap(stage_poset, base, [r for _, r in found])
-    return RootedStage(base, stage_poset, masks, root_map)
+    return RootedStage(stage_poset, root_map)
 
 
 def build_p_g_encoded(g, caps=DEFAULT_CAPS, stage_index=2):
@@ -736,7 +736,7 @@ def build_p_g_encoded(g, caps=DEFAULT_CAPS, stage_index=2):
     del found
     stage_poset = Poset.over_masks(masks, base)
     root_map = PosetMap(stage_poset, base, roots)
-    return RootedStage(base, stage_poset, masks, root_map)
+    return RootedStage(stage_poset, root_map)
 
 
 # -- the step-by-step bisim inputs -------------------------------------------

@@ -28,7 +28,13 @@ from imcoalg.errors import (
 from imcoalg.frames import ModalFrame, is_modal_pmorphism
 from imcoalg import logic
 from imcoalg.logic import Model, Var, enumerate_formulas, truth_mask
-from imcoalg.poset import PosetMap, make_poset, point_poset, upset_masks
+from imcoalg.poset import (
+    Poset,
+    PosetMap,
+    make_poset,
+    point_poset,
+    upset_masks,
+)
 from imcoalg.enumeration import all_posets, frames_up_to_iso
 
 from helpers import (
@@ -513,6 +519,28 @@ class TestVerdictHeldByTheRelation:
         assert hash(read) == hash(fresh)
         assert repr(read) == text == repr(fresh)
         assert "verdict" not in text and "cols" not in text
+
+        # a frame holding its converse rows and its mix-law witness
+        fresh = ModalFrame(fr.poset, fr.rel)
+        text = repr(fresh)
+        assert fr.pre and fr.mix_witness is None
+        assert {"pre", "mix_witness"} <= vars(fr).keys()
+        assert not {"pre", "mix_witness"} & vars(fresh).keys()
+        assert fr == fresh and fresh == fr
+        assert hash(fr) == hash(fresh)
+        assert repr(fr) == text == repr(fresh)
+
+        # a poset holding the down rows and generating rows make_poset
+        # handed over, and its label index, against one given its up rows
+        made = make_poset("abc", [("a", "b"), ("b", "c")])
+        fresh = Poset(made.labels, made.up)
+        text = repr(fresh)
+        assert made.generating_rows != fresh.up
+        assert {"down", "generating_rows", "label_index"} <= vars(made).keys()
+        assert not {"down", "generating_rows"} & vars(fresh).keys()
+        assert made == fresh and fresh == made
+        assert hash(made) == hash(fresh)
+        assert repr(made) == text == repr(fresh)
 
     # the relations whose posets have generating rows other than their up
     # rows, with the tally of their verdicts: all four occur

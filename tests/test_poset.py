@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,8 +220,13 @@ class TestMakePosetAgainstVerify:
             assert _made(make_poset, labels, pairs) == want
 
     def test_down_rows_are_kept(self):
+        # make_poset hands over the down rows it checked, and the rows it
+        # closed, as held attributes: nothing is built on first read
         p = make_poset("abc", [("a", "b"), ("b", "c")])
-        assert p._down == (0b001, 0b011, 0b111)
+        held = vars(p)
+        assert held["down"] == (0b001, 0b011, 0b111)
+        assert held["generating_rows"] == (0b011, 0b110, 0b100)
+        assert p.down is held["down"]
 
 
 class TestMapPredicates:
@@ -573,13 +579,15 @@ class TestOverMasks:
             assert [cx.stages[lv].label(i) for i in range(3)] == got[lv - 1][:3]
         assert [p.label(i) for i in range(p.n)] == list(p.labels)
 
-    def test_eager_posets_read_rows_and_labels_from_slots(self):
-        # the laziness lives in MaskPoset only: on Poset itself ``up`` and
-        # ``labels`` are slot descriptors, not properties, and no
-        # __getattr__ hook slows every attribute read
+    def test_eager_posets_read_rows_and_labels_as_plain_attributes(self):
+        # the laziness lives in MaskPoset only: Poset itself has no
+        # descriptor for ``up`` or ``labels`` in the way of an instance
+        # read, and no __getattr__ hook slows every attribute read
+        eager = make_poset("ab", [("a", "b")])
         for name in ("up", "labels"):
-            assert type(Poset.__dict__[name]).__name__ == "member_descriptor"
-            assert isinstance(MaskPoset.__dict__[name], property)
+            assert name not in Poset.__dict__
+            assert name in vars(eager)
+            assert isinstance(MaskPoset.__dict__[name], cached_property)
         assert "__getattr__" not in Poset.__dict__
         assert "__getattr__" not in MaskPoset.__dict__
 
