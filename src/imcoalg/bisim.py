@@ -35,8 +35,6 @@ to left x right points it is the largest bisimulation between the two
 frames.
 """
 
-from functools import cached_property
-
 from .config import DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -46,7 +44,7 @@ from .errors import (
 )
 from .frames import ModalFrame, require_mix_law
 from .logic import Model, first_formulas, truth_mask
-from .poset import Poset, image, iter_bits, pairs_of, transpose
+from .poset import Poset, first_read, image, iter_bits, pairs_of, transpose
 
 
 class Bisimulation:
@@ -60,10 +58,11 @@ class Bisimulation:
     index pairs.
 
     ``cols``, the rows of the converse relation, and ``verdict``, the
-    answer of the four clauses, are cached properties, like ModalFrame.pre
+    answer of the four clauses, are first_read fields, like ModalFrame.pre
     and ModalFrame.mix_witness: built the first time they are read, then
-    held by the relation. Equality, hashing and repr read the frames and
-    the rows only.
+    held by the relation as plain attributes, which keeps its later reads
+    on CPython's fast attribute path. Equality, hashing and repr read the
+    frames and the rows only.
     """
 
     def __init__(self, left, right, rows):
@@ -103,12 +102,12 @@ class Bisimulation:
     def full(cls, left, right):
         return cls(left, right, [right.poset.full_mask] * left.poset.n)
 
-    @cached_property
+    @first_read
     def cols(self):
         """cols[y] masks the left-hand points related to right point y."""
         return tuple(transpose(self.rows, self.right.poset.n))
 
-    @cached_property
+    @first_read
     def verdict(self):
         """The first of "left" and "right" whose projection from the
         relation poset is not a p-morphism (_failing_projection), or, once

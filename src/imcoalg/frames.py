@@ -37,6 +37,7 @@ from .poset import (
     PosetMap,
     Poset,
     containment_rows,
+    first_read,
     image,
     is_monotone,
     is_pmorphism,
@@ -52,9 +53,9 @@ class ModalFrame:
     than the poset's size, or a row that is negative or has a bit at or
     past poset.n, raises UnknownLabel. ``pre``, the rows of the converse
     relation (the modal predecessors of each point), and ``mix_witness``,
-    the mix law's witness (mix_law_witness), are cached properties, like
-    ``Poset.down``: built the first time they are read, then held by the
-    frame. Equality, hashing and repr read the poset and the rows only."""
+    the mix law's witness (mix_law_witness), are first_read fields, like
+    ``Poset.down``: built the first time they are read, then held as plain
+    attributes. Equality, hashing and repr read the poset and the rows."""
 
     def __init__(self, poset, rel):
         rel = tuple(rel)
@@ -80,11 +81,11 @@ class ModalFrame:
             raise unknown_label(exc.args[0]) from None
         return cls(poset, rel)
 
-    @functools.cached_property
+    @first_read
     def pre(self):
         return tuple(transpose(self.rel, self.poset.n))
 
-    @functools.cached_property
+    @first_read
     def mix_witness(self):
         """mix_law_witness(self): a pair in (<=);R;(<=) missing from R, or
         None when the mix law holds. Decided the first time it is read."""

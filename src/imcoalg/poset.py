@@ -62,12 +62,17 @@ Conventions used throughout the package:
     from parallel workers without coordination. A value derived from the
     others (a MaskPoset's ``up`` and ``labels``; every poset's
     ``label_index``, ``down``, ``generating_rows`` and hash) is a
-    functools.cached_property: built the first time it is read, then held
-    and read as a plain attribute; workers racing on a first read build
-    the same value. A constructor that already has such a value stores it
-    as that attribute (Poset its label index, make_poset its down and
-    generating rows, a MaskPoset given rows its ``up``). Equality, hashing
-    and repr read the labels and ``up`` rows only;
+    first_read field: built the first time it is read, stored with
+    setattr, then read as a plain attribute; workers racing on a first
+    read build the same value. A functools.cached_property would write
+    through ``instance.__dict__``, which on CPython 3.11 materialises the
+    dict and takes every later read off the fast path (five reads of
+    ``up``/``n`` on a 2-element poset after its hash and ``down``: 184
+    ns, against 108 ns with first_read, 103 ns fresh). A constructor that
+    already has such a value stores it as that attribute (Poset its label
+    index, make_poset its down and generating rows, a MaskPoset given rows
+    its ``up``). Equality, hashing and repr read the labels and ``up``
+    rows only;
   - iteration is always in index order, which keeps all derived output
     byte-for-byte reproducible.
 
@@ -75,7 +80,6 @@ Conventions used throughout the package:
 """
 
 from bisect import bisect_left
-from functools import cached_property
 from itertools import compress, repeat
 from operator import and_, invert, lshift
 
@@ -142,6 +146,25 @@ def format_label(label):
     return str(label)
 
 
+class first_read:
+    """A field built the first time it is read: the decorated method
+    builds it, setattr stores it under the method's name, and later reads
+    find that plain attribute (a non-data descriptor yields to it). No
+    lock and no ``__dict__`` access, unlike functools.cached_property."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class Poset:
     """Immutable finite poset over an indexed tuple of opaque labels."""
 
@@ -195,7 +218,7 @@ class Poset:
 
     # -- basic queries ----------------------------------------------------
 
-    @cached_property
+    @first_read
     def label_index(self):
         """The dict from each label to its element's index."""
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -215,11 +238,11 @@ class Poset:
     def up_mask(self, i):
         return self.up[i]
 
-    @cached_property
+    @first_read
     def down(self):
         return tuple(transpose(self.up, self.n))
 
-    @cached_property
+    @first_read
     def generating_rows(self):
         """Rows of a relation whose reflexive-transitive closure is the
         order: the rows make_poset closed (each point with the points its
@@ -265,7 +288,7 @@ class Poset:
             and self.labels == other.labels
         )
 
-    @cached_property
+    @first_read
     def _hash(self):
         return hash((self.labels, self.up))
 
@@ -284,7 +307,7 @@ class MaskPoset(Poset):
 
     Element i is the subset masks[i] of the base, labelled by the frozenset
     of its members' base labels. The order rows (containment_rows) and the
-    labels (mask_labels) are cached properties, built the first time
+    labels (mask_labels) are first_read fields, built the first time
     ``up`` or ``labels`` is read, and the label index on the first index()
     call, so a stage whose rows or labels nobody reads never builds them.
     Given rows, the poset stores them as ``up``. The laziness lives in this
@@ -299,11 +322,11 @@ class MaskPoset(Poset):
         if rows is not None:
             self.up = tuple(rows)
 
-    @cached_property
+    @first_read
     def up(self):
         return containment_rows(self.masks, self.base.n)
 
-    @cached_property
+    @first_read
     def labels(self):
         return tuple(mask_labels(self.masks, self.base.labels))
 

@@ -408,6 +408,41 @@ register(
 )
 
 
+def image_mask_by_bit_tests(f, mask):
+    """The union of 1 << assign[i] over the source indices i whose bit a
+    plain test finds in mask."""
+    out = 0
+    for i in range(f.source.n):
+        if mask >> i & 1:
+            out |= 1 << f.assign[i]
+    return out
+
+
+def maps_and_source_masks():
+    """Every map, monotone or not, between posets on at most three
+    elements, with every mask over its source."""
+    for p, q in every_pair(posets_up_to(3)):
+        for f in all_functions(p, q):
+            for mask in range(1 << p.n):
+                yield f, mask
+
+
+def moved_map_images(f, mask):
+    """f's source under every labelling, the mask moved along and the
+    image kept; then f's target under every labelling, the image moved."""
+    for perm, q in relabellings(f.source):
+        yield (moved_map(f, perm, q), move_mask(mask, perm)), same
+    for perm, t in relabellings(f.target):
+        moved = PosetMap(f.source, t, [perm[y] for y in f.assign])
+        yield (moved, mask), functools.partial(move_mask, perm=perm)
+
+
+register(
+    "PosetMap.image_mask", PosetMap.image_mask, image_mask_by_bit_tests,
+    maps_and_source_masks, count=6552, relabel=moved_map_images, moves=73598,
+)
+
+
 def containment_rows_oracle(masks):
     """Row k has bit j iff masks[j] is a subset of masks[k], by testing
     every pair."""

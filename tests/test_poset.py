@@ -1,6 +1,5 @@
 import hashlib
 import random
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +22,7 @@ from imcoalg.poset import (
     all_open,
     bit_planes,
     containment_rows,
+    first_read,
     identity_map,
     image,
     is_monotone,
@@ -587,7 +587,7 @@ class TestOverMasks:
         for name in ("up", "labels"):
             assert name not in Poset.__dict__
             assert name in vars(eager)
-            assert isinstance(MaskPoset.__dict__[name], cached_property)
+            assert isinstance(MaskPoset.__dict__[name], first_read)
         assert "__getattr__" not in Poset.__dict__
         assert "__getattr__" not in MaskPoset.__dict__
 
